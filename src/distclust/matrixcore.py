@@ -133,7 +133,7 @@ def spd_sqrt(m: SymMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> SymMatrix:
     return SymMatrix(root)
 
 
-def spd_logdet(m: SymMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def spd_logdet(m: SymMatrix) -> float:
     """Log-determinant of an SPD matrix as the sum of log eigenvalues."""
     w = np.linalg.eigvalsh(m.values)
     if w[0] <= 0.0:

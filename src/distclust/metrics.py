@@ -12,10 +12,14 @@ Three model divergences are provided:
 
 plus plain Euclidean distance between means for the mean-only baselines.
 
-Scalar entry points and the matrix builder share the same pair kernels, so a
-matrix entry equals the scalar call on the same pair bit-for-bit. All values
-are mathematically non-negative; tiny negative results from rounding are
-clamped to zero, anything below ``-negative_clamp`` raises NumericalError.
+Each divergence has one row kernel: for model i it stacks all partners j
+into (m, d, d) arrays and makes one batched LAPACK call for the row. The
+matrix builder calls it once per row, and a scalar entry point is a batch of
+one through it, so a matrix entry equals the scalar call bit for bit. All
+values are mathematically non-negative; tiny negative results from rounding
+are clamped to zero, anything below ``-negative_clamp`` raises
+NumericalError. A failure names ``model i`` or the first failing
+``pair (i, j)`` in row-major order.
 """
 
 from dataclasses import dataclass
@@ -35,7 +39,6 @@ from .matrixcore import (
     DEFAULT_TOLERANCES,
     SymMatrix,
     Tolerances,
-    psd_clamped_eigenvalues,
     spd_inverse,
     spd_logdet,
     spd_sqrt,
@@ -110,119 +113,153 @@ class DistanceMatrix:
         return self.metric in SYMMETRIC_METRICS
 
 
-def _guard_nonneg(value: float, tol: Tolerances, what: str) -> float:
-    if value < -tol.negative_clamp:
-        raise NumericalError(f"{what} evaluated to {value:.6e}")
-    return max(value, 0.0)
+_FAILURES = (InvalidMatrix, NotPositiveSemidefinite, SingularMatrix, NumericalError)
 
 
-def _check_dims(a: GaussianModel, b: GaussianModel):
-    if a.dim != b.dim:
-        raise DimensionMismatch(
-            f"models of dimension {a.dim} and {b.dim} are not comparable"
-        )
+def _model_factors(cov: SymMatrix, metric: str, tol: Tolerances) -> dict:
+    """One model's inputs to a metric's row kernel.
+
+    Log-determinants come from the eigh the Bhattacharyya row runs, and kl
+    pairs S^{1/2} with S^{-1/2} from one decomposition, so a model compared
+    with itself cancels to rounding even at condition number 1e12, where an
+    explicit inverse leaves an error of about cond * eps.
+    """
+    if metric == METRIC_WASSERSTEIN_SQ:
+        return {"trace": float(np.trace(cov.values)), "root": spd_sqrt(cov, tol).values}
+    w, v = np.linalg.eigh(cov.values)
+    if w[0] <= 0.0:
+        raise SingularMatrix(f"non-positive eigenvalue {w[0]:.6e} in covariance")
+    out = {"logdet": float(np.sum(np.log(w)))}
+    if metric == METRIC_KL:
+        out["root"] = (v * np.sqrt(w)) @ v.T
+        out["invroot"] = (v / np.sqrt(w)) @ v.T
+    return out
 
 
-def _bures_cross(root1: np.ndarray, cov2: np.ndarray, tol: Tolerances) -> float:
-    """Tr((S1^{1/2} S2 S1^{1/2})^{1/2}) given the square root of S1."""
-    inner = SymMatrix(root1 @ cov2 @ root1)
-    w = psd_clamped_eigenvalues(np.linalg.eigvalsh(inner.values), tol)
-    return float(np.sum(np.sqrt(w)))
+def _factors(models: Sequence[GaussianModel], metric: str, tol: Tolerances) -> dict:
+    """Per-model inputs of a metric's row kernel, stacked over the models.
+
+    Each model's factors come from the same per-model call however many
+    models there are, so a scalar call reads the same bits as a matrix row.
+    """
+    rows = []
+    for i, m in enumerate(models):
+        try:
+            rows.append(_model_factors(m.covariance, metric, tol))
+        except _FAILURES as exc:
+            raise type(exc)(f"model {i}: {exc}") from exc
+    out = {key: np.array([r[key] for r in rows]) for key in rows[0]}
+    out["mean"] = np.stack([m.mean for m in models])
+    out["cov"] = np.stack([m.covariance.values for m in models])
+    return out
 
 
-def _wasserstein_pair(
-    mean1: np.ndarray,
-    trace1: float,
-    root1: np.ndarray,
-    mean2: np.ndarray,
-    trace2: float,
-    cov2: np.ndarray,
-    tol: Tolerances,
-) -> float:
-    diff = mean1 - mean2
-    val = float(diff @ diff) + trace1 + trace2 - 2.0 * _bures_cross(root1, cov2, tol)
-    return _guard_nonneg(val, tol, "squared Wasserstein distance")
+def _checked(i: int, js: np.ndarray, vals, tol: Tolerances, what: str, checks=()):
+    """Clamp a row's values to zero, or raise for its first failing pair.
+
+    ``checks`` are ``(failed mask, error class, message for partner k)`` in
+    the order one pair runs them; the value guard runs last.
+    """
+    checks = [
+        *checks,
+        (vals < -tol.negative_clamp, NumericalError, lambda k: f"{what} evaluated to {vals[k]:.6e}"),
+    ]
+    failed = np.any([bad for bad, _, _ in checks], axis=0)
+    if failed.any():
+        k = int(np.argmax(failed))
+        _, cls, message = next(check for check in checks if check[0][k])
+        raise cls(f"pair ({i}, {js[k]}): {message(k)}")
+    return np.clip(vals, 0.0, None)
 
 
-def _bhattacharyya_pair(
-    mean1: np.ndarray,
-    logdet1: float,
-    cov1: np.ndarray,
-    mean2: np.ndarray,
-    logdet2: float,
-    cov2: np.ndarray,
-    tol: Tolerances,
-) -> float:
-    mixed = SymMatrix((cov1 + cov2) / 2.0)
-    diff = mean2 - mean1
-    quad = float(diff @ spd_inverse(mixed, tol).values @ diff)
-    val = 0.125 * quad + 0.5 * (spd_logdet(mixed, tol) - 0.5 * (logdet1 + logdet2))
-    return _guard_nonneg(val, tol, "Bhattacharyya distance")
+def _wasserstein_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """W2 from model i to each model in js; Tr((S_i^{1/2} S_j S_i^{1/2})^{1/2})
+    is the sum of the square roots of the inner matrix's eigenvalues."""
+    root = f["root"][i]
+    inner = root @ f["cov"][js] @ root
+    inner = (inner + inner.transpose(0, 2, 1)) / 2.0
+    finite = np.isfinite(inner).all(axis=(1, 2))
+    inner[~finite] = 0.0
+    w = np.linalg.eigvalsh(inner)
+    floor = -tol.psd_floor * np.maximum(1.0, w[:, -1])
+    cross = np.sqrt(np.clip(w, 0.0, None)).sum(axis=1)
+    diff = f["mean"][i] - f["mean"][js]
+    vals = (diff * diff).sum(axis=1) + f["trace"][i] + f["trace"][js] - 2.0 * cross
+    return _checked(i, js, vals, tol, "squared Wasserstein distance", [
+        (~finite, InvalidMatrix, lambda k: "Bures inner matrix entries must be finite"),
+        (w[:, 0] < floor, NotPositiveSemidefinite,
+         lambda k: f"min eigenvalue {w[k, 0]:.6e} below tolerance {floor[k]:.6e}"),
+    ])
 
 
-def _kl_pair(
-    mean1: np.ndarray,
-    cov1: np.ndarray,
-    logdet1: float,
-    mean2: np.ndarray,
-    logdet2: float,
-    inv2: np.ndarray,
-    tol: Tolerances,
-) -> float:
-    d = mean1.size
-    diff = mean2 - mean1
-    trace = float(np.sum(inv2 * cov1))
-    quad = float(diff @ inv2 @ diff)
-    val = 0.5 * (logdet2 - logdet1 - d + trace + quad)
-    return _guard_nonneg(val, tol, "KL divergence")
+def _bhattacharyya_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Bhattacharyya from model i to each model in js. One eigendecomposition
+    of the averaged covariance gives both its inverse quadratic form and its
+    log-determinant. The average of two exactly symmetric covariances is
+    exactly symmetric, so it needs no symmetrization."""
+    mixed = (f["cov"][i] + f["cov"][js]) / 2.0
+    finite = np.isfinite(mixed).all(axis=(1, 2))
+    mixed[~finite] = np.eye(mixed.shape[1])
+    w, v = np.linalg.eigh(mixed)
+    low = w[:, 0].copy()
+    w[low <= 0.0] = 1.0
+    diff = f["mean"][js] - f["mean"][i]
+    z = (diff[:, None, :] @ v)[:, 0]
+    quad = (z * z / w).sum(axis=1)
+    logdet = np.log(w).sum(axis=1)
+    vals = 0.125 * quad + 0.5 * (logdet - 0.5 * (f["logdet"][i] + f["logdet"][js]))
+    return _checked(i, js, vals, tol, "Bhattacharyya distance", [
+        (~finite, InvalidMatrix, lambda k: "averaged covariance entries must be finite"),
+        (low <= 0.0, SingularMatrix,
+         lambda k: f"non-positive eigenvalue {low[k]:.6e} in averaged covariance"),
+    ])
+
+
+def _kl_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """KL(model i || model j) for each j in js."""
+    invroot = f["invroot"][js]
+    diff = f["mean"][js] - f["mean"][i]
+    trace = ((invroot @ f["root"][i]) ** 2).reshape(len(js), -1).sum(axis=1)
+    z = (invroot @ diff[:, :, None])[:, :, 0]
+    quad = (z * z).sum(axis=1)
+    vals = 0.5 * (f["logdet"][js] - f["logdet"][i] - diff.shape[1] + trace + quad)
+    return _checked(i, js, vals, tol, "KL divergence")
+
+
+_ROW_KERNELS = {
+    METRIC_WASSERSTEIN_SQ: _wasserstein_row,
+    METRIC_BHATTACHARYYA: _bhattacharyya_row,
+    METRIC_KL: _kl_row,
+}
+
+
+def _scalar(metric: str, a: GaussianModel, b: GaussianModel, tol: Tolerances) -> float:
+    """Entry (0, 1) of the two-model matrix: a batch of one through the row
+    kernel, so errors name a as model 0 and b as model 1."""
+    _common_dim([a, b])
+    f = _factors([a, b], metric, tol)
+    return float(_ROW_KERNELS[metric](f, 0, np.array([1]), tol)[0])
 
 
 def wasserstein_sq(
     a: GaussianModel, b: GaussianModel, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """Squared 2-Wasserstein distance between two Gaussians."""
-    _check_dims(a, b)
-    return _wasserstein_pair(
-        a.mean,
-        float(np.trace(a.covariance.values)),
-        spd_sqrt(a.covariance, tol).values,
-        b.mean,
-        float(np.trace(b.covariance.values)),
-        b.covariance.values,
-        tol,
-    )
+    return _scalar(METRIC_WASSERSTEIN_SQ, a, b, tol)
 
 
 def bhattacharyya(
     a: GaussianModel, b: GaussianModel, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """Bhattacharyya distance between two Gaussians."""
-    _check_dims(a, b)
-    return _bhattacharyya_pair(
-        a.mean,
-        spd_logdet(a.covariance, tol),
-        a.covariance.values,
-        b.mean,
-        spd_logdet(b.covariance, tol),
-        b.covariance.values,
-        tol,
-    )
+    return _scalar(METRIC_BHATTACHARYYA, a, b, tol)
 
 
 def kl_divergence(
     a: GaussianModel, b: GaussianModel, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """KL(a || b) for two Gaussians. Asymmetric: KL(a||b) != KL(b||a)."""
-    _check_dims(a, b)
-    return _kl_pair(
-        a.mean,
-        a.covariance.values,
-        spd_logdet(a.covariance, tol),
-        b.mean,
-        spd_logdet(b.covariance, tol),
-        spd_inverse(b.covariance, tol).values,
-        tol,
-    )
+    return _scalar(METRIC_KL, a, b, tol)
 
 
 def _common_dim(models: Sequence[GaussianModel]) -> int:
@@ -237,10 +274,6 @@ def _common_dim(models: Sequence[GaussianModel]) -> int:
     return d
 
 
-def _pair_context(i: int, j: int, exc: Exception):
-    return type(exc)(f"pair ({i}, {j}): {exc}")
-
-
 def distance_matrix(
     models: Sequence[GaussianModel],
     metric: str,
@@ -248,58 +281,24 @@ def distance_matrix(
 ) -> DistanceMatrix:
     """Pairwise divergence matrix over a list of models.
 
-    Per-model quantities (matrix square roots, log-determinants, inverses)
-    are computed once and reused across pairs. Symmetric metrics fill the
-    upper triangle and mirror it; kl fills both triangles independently.
+    Per-model factors (matrix square roots, log-determinants, inverse
+    roots) are computed once; then one row-kernel call per model covers all
+    its partners. Symmetric metrics fill the upper triangle and mirror it; kl
+    fills both triangles independently.
     """
     if metric not in KNOWN_METRICS:
         raise InvalidMatrix(f"unknown metric tag {metric!r}")
     _common_dim(models)
-    n = len(models)
     if metric == METRIC_EUCLIDEAN:
         return mean_euclidean_matrix(models)
+    n = len(models)
+    f = _factors(models, metric, tol)
+    row = _ROW_KERNELS[metric]
     out = np.zeros((n, n))
-    means = [m.mean for m in models]
-    covs = [m.covariance.values for m in models]
-    _FAILURES = (NotPositiveSemidefinite, SingularMatrix, NumericalError)
-
-    def per_model(fn):
-        results = []
-        for i, m in enumerate(models):
-            try:
-                results.append(fn(m))
-            except _FAILURES as exc:
-                raise type(exc)(f"model {i}: {exc}") from exc
-        return results
-
-    if metric == METRIC_WASSERSTEIN_SQ:
-        traces = [float(np.trace(c)) for c in covs]
-        roots = per_model(lambda m: spd_sqrt(m.covariance, tol).values)
-    elif metric in (METRIC_BHATTACHARYYA, METRIC_KL):
-        logdets = per_model(lambda m: spd_logdet(m.covariance, tol))
-        if metric == METRIC_KL:
-            invs = per_model(lambda m: spd_inverse(m.covariance, tol).values)
-    pairs = (
-        ((i, j) for i in range(n) for j in range(n) if i != j)
-        if metric == METRIC_KL
-        else ((i, j) for i in range(n) for j in range(i + 1, n))
-    )
-    for i, j in pairs:
-        try:
-            if metric == METRIC_WASSERSTEIN_SQ:
-                out[i, j] = _wasserstein_pair(
-                    means[i], traces[i], roots[i], means[j], traces[j], covs[j], tol
-                )
-            elif metric == METRIC_BHATTACHARYYA:
-                out[i, j] = _bhattacharyya_pair(
-                    means[i], logdets[i], covs[i], means[j], logdets[j], covs[j], tol
-                )
-            else:
-                out[i, j] = _kl_pair(
-                    means[i], covs[i], logdets[i], means[j], logdets[j], invs[j], tol
-                )
-        except _FAILURES as exc:
-            raise _pair_context(i, j, exc) from exc
+    for i in range(n):
+        js = np.delete(np.arange(n), i) if metric == METRIC_KL else np.arange(i + 1, n)
+        if js.size:
+            out[i, js] = row(f, i, js, tol)
     if metric in SYMMETRIC_METRICS:
         out = out + out.T
     return DistanceMatrix(out, metric)
@@ -333,11 +332,11 @@ def kl_divergence_table(
     means = np.stack([m.mean for m in models])
     covs = np.stack([m.covariance.values for m in models])
     if model_logdets is None:
-        model_logdets = np.array([spd_logdet(m.covariance, tol) for m in models])
+        model_logdets = np.array([spd_logdet(m.covariance) for m in models])
     out = np.empty((len(models), len(centers)))
     for j, c in enumerate(centers):
         inv = spd_inverse(c.covariance, tol).values
-        logdet = spd_logdet(c.covariance, tol)
+        logdet = spd_logdet(c.covariance)
         traces = np.einsum("jk,njk->n", inv, covs)
         dev = c.mean - means
         quads = np.einsum("nj,jk,nk->n", dev, inv, dev)

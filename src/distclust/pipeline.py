@@ -239,7 +239,8 @@ def _score_cell(scores: list[float]) -> dict:
     }
 
 
-def _synth_trial(args: dict) -> dict[str, float]:
+def _synth_trial(args: dict) -> dict[str, tuple[float, float]]:
+    """NMI and measured run_pipeline seconds of each algorithm on one trial."""
     bench = generate_benchmark(
         d=args["d"],
         k=args["k"],
@@ -249,12 +250,14 @@ def _synth_trial(args: dict) -> dict[str, float]:
         simplex_boundary=args["simplex_boundary"],
     )
     base = args["config"]
-    scores = {}
+    out = {}
     for algorithm in args["algorithms"]:
         config = replace(base, algorithm=algorithm, k=args["k"], seed=args["trial_seed"])
+        started = time.perf_counter()
         result = run_pipeline(bench.groups, config)
-        scores[algorithm] = nmi(bench.truth, result.assignment.labels)
-    return scores
+        seconds = time.perf_counter() - started
+        out[algorithm] = (nmi(bench.truth, result.assignment.labels), seconds)
+    return out
 
 
 def benchmark_synthetic(
@@ -298,9 +301,7 @@ def benchmark_synthetic(
                 }
                 for t in range(trials)
             ]
-            started = time.perf_counter()
             per_trial = _map_trials(_synth_trial, args_list, workers)
-            elapsed = time.perf_counter() - started
             for algorithm in algorithms:
                 cell = {
                     "d": int(d),
@@ -308,8 +309,8 @@ def benchmark_synthetic(
                     "algorithm": algorithm,
                     "family": algorithm_family(algorithm),
                 }
-                cell.update(_score_cell([t[algorithm] for t in per_trial]))
-                cell["wall_time_s"] = elapsed / len(algorithms)
+                cell.update(_score_cell([t[algorithm][0] for t in per_trial]))
+                cell["wall_time_s"] = sum(t[algorithm][1] for t in per_trial)
                 cells.append(cell)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -329,20 +330,22 @@ def benchmark_synthetic(
     }
 
 
-def _stock_trial(args: dict) -> dict[str, float]:
+def _stock_trial(args: dict) -> dict[str, tuple[float, float]]:
+    """NMI and measured run_pipeline seconds of each algorithm on one trial."""
     rng = np.random.default_rng(args["noise_seed"])
     noised = add_noise(args["groups"], args["noise_sigma"], rng)
     base = args["config"]
-    scores = {}
+    out = {}
     for algorithm in args["algorithms"]:
         config = replace(
             base, algorithm=algorithm, k=args["k"], seed=args["cluster_seed"]
         )
+        started = time.perf_counter()
         result = run_pipeline(noised, config)
-        scores[algorithm] = nmi(
-            np.asarray(args["clean_labels"][algorithm]), result.assignment.labels
-        )
-    return scores
+        seconds = time.perf_counter() - started
+        score = nmi(np.asarray(args["clean_labels"][algorithm]), result.assignment.labels)
+        out[algorithm] = (score, seconds)
+    return out
 
 
 def benchmark_stock(
@@ -396,9 +399,7 @@ def benchmark_stock(
                 }
                 for t in range(trials)
             ]
-            started = time.perf_counter()
             per_trial = _map_trials(_stock_trial, args_list, workers)
-            elapsed = time.perf_counter() - started
             for algorithm in algorithms:
                 cell = {
                     "k": int(k),
@@ -406,8 +407,8 @@ def benchmark_stock(
                     "algorithm": algorithm,
                     "family": algorithm_family(algorithm),
                 }
-                cell.update(_score_cell([t[algorithm] for t in per_trial]))
-                cell["wall_time_s"] = elapsed / len(algorithms)
+                cell.update(_score_cell([t[algorithm][0] for t in per_trial]))
+                cell["wall_time_s"] = sum(t[algorithm][1] for t in per_trial)
                 cells.append(cell)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,

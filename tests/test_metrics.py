@@ -1,10 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import random_model
-from distclust.errors import DimensionMismatch, InvalidMatrix, NumericalError
-from distclust.gaussian import GaussianModel
-from distclust.matrixcore import SymMatrix
+from distclust.errors import (
+    DimensionMismatch,
+    InvalidMatrix,
+    NotPositiveSemidefinite,
+    NumericalError,
+    SingularMatrix,
+)
+from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussian
+from distclust.matrixcore import SymMatrix, Tolerances
 from distclust.metrics import (
     METRIC_BHATTACHARYYA,
     METRIC_EUCLIDEAN,
@@ -125,32 +133,46 @@ class TestDistanceMatrixContainer:
             DistanceMatrix(np.zeros((2, 2)), "hamming")
 
 
+SCALARS = {
+    METRIC_WASSERSTEIN_SQ: wasserstein_sq,
+    METRIC_BHATTACHARYYA: bhattacharyya,
+    METRIC_KL: kl_divergence,
+}
+
+
+def computed_entries(n: int, metric: str):
+    """The (i, j) a matrix computes directly, in row-major order."""
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i < j or (metric == METRIC_KL and i != j)
+    ]
+
+
+def mixed_models(n: int, d: int, rng) -> list[GaussianModel]:
+    """Well-conditioned models interleaved with fits to q = d samples, whose
+    covariances (q - 1 < d for d > 1) are invertible only through the ridge."""
+    return [
+        random_model(d, rng)
+        if i % 2 == 0
+        else estimate_gaussian(SampleGroup(f"g{i}", rng.standard_normal((max(2, d), d))))
+        for i in range(n)
+    ]
+
+
 class TestDistanceMatrixBuilder:
-    @pytest.mark.parametrize(
-        "metric", [METRIC_WASSERSTEIN_SQ, METRIC_BHATTACHARYYA, METRIC_KL]
-    )
+    @pytest.mark.parametrize("metric", list(SCALARS))
     def test_matches_scalar_calls(self, metric, rng):
-        models = [random_model(3, rng) for _ in range(5)]
-        dm = distance_matrix(models, metric)
-        scalar = {
-            METRIC_WASSERSTEIN_SQ: wasserstein_sq,
-            METRIC_BHATTACHARYYA: bhattacharyya,
-            METRIC_KL: kl_divergence,
-        }[metric]
-        for i in range(5):
-            for j in range(5):
-                if i == j:
-                    continue
-                if i < j or metric == METRIC_KL:
-                    # entries the builder computes directly are bit-identical
-                    # to the scalar entry points; the mirrored triangle of a
-                    # symmetric metric is an exact copy of the computed one
-                    assert dm.values[i, j] == scalar(models[i], models[j])
-                else:
-                    assert dm.values[i, j] == dm.values[j, i]
-                    assert dm.values[i, j] == pytest.approx(
-                        scalar(models[i], models[j]), rel=1e-12
-                    )
+        scalar = SCALARS[metric]
+        for n in (2, 3, 33):
+            for d in (1, 2, 7):
+                models = mixed_models(n, d, rng)
+                dm = distance_matrix(models, metric)
+                for i, j in computed_entries(n, metric):
+                    # a computed entry and the scalar call run the same row kernel
+                    want = np.float64(scalar(models[i], models[j]))
+                    assert dm.values[i, j].tobytes() == want.tobytes(), (n, d, i, j)
 
     def test_symmetric_metrics_mirror_exactly(self, rng):
         models = [random_model(4, rng) for _ in range(6)]
@@ -158,15 +180,52 @@ class TestDistanceMatrixBuilder:
             dm = distance_matrix(models, metric)
             assert np.array_equal(dm.values, dm.values.T)
 
+    @pytest.mark.parametrize("metric", list(SCALARS))
+    def test_forced_value_failure_names_first_pair(self, metric, rng):
+        models = [random_model(3, rng) for _ in range(7)]
+        values = distance_matrix(models, metric).values
+        entries = computed_entries(7, metric)
+        # raising the guard above some entries fails exactly those; the error
+        # names the first of them in row-major order, whatever row it is in
+        threshold = float(np.median([values[i, j] for i, j in entries]))
+        first = next((i, j) for i, j in entries if values[i, j] < threshold)
+        forced = Tolerances(negative_clamp=-threshold)
+        with pytest.raises(NumericalError, match=rf"^pair {re.escape(str(first))}: "):
+            distance_matrix(models, metric, forced)
+        i, j = first
+        with pytest.raises(NumericalError, match=r"^pair \(0, 1\): "):
+            SCALARS[metric](models[i], models[j], forced)
+
+    def test_forced_psd_failure_names_pair(self):
+        # with a floor of -0.5 an inner matrix fails once its smallest
+        # eigenvalue drops below half its largest, while every model (scale
+        # 0.6 or more) passes; 0.6 * 0.7 at pair (2, 4) is the first product
+        # under 0.5, and (2, 5) also fails
+        scales = [1.0, 1.0, 0.6, 1.0, 0.7, 0.75]
+        models = [
+            GaussianModel(np.full(2, float(i)), SymMatrix(np.diag([s, 1.0])))
+            for i, s in enumerate(scales)
+        ]
+        forced = Tolerances(psd_floor=-0.5)
+        with pytest.raises(NotPositiveSemidefinite, match=r"^pair \(2, 4\): "):
+            distance_matrix(models, METRIC_WASSERSTEIN_SQ, forced)
+
+    def test_overflowing_inner_matrix_names_pair(self):
+        huge = GaussianModel(np.zeros(2), SymMatrix(1e160 * np.eye(2)))
+        with np.errstate(over="ignore"), pytest.raises(InvalidMatrix, match=r"^pair \(0, 1\): "):
+            distance_matrix([huge, huge], METRIC_WASSERSTEIN_SQ)
+
     def test_pair_context_on_failure(self, rng):
-        good = random_model(2, rng)
-        # cov eigenvalues straddle the ridge so badly that the mixed matrix
-        # in the Bhattacharyya quad term stays fine but kl's per-model
-        # inverse blows up: easier to force via a singular covariance
-        bad = GaussianModel(np.zeros(2), SymMatrix(np.diag([1.0, 0.0])))
-        with pytest.raises(Exception) as err:
-            distance_matrix([good, bad], METRIC_KL)
-        assert "model 1" in str(err.value)
+        # a singular covariance fails its own factorization, which names the
+        # model before any pair is computed
+        for metric in (METRIC_BHATTACHARYYA, METRIC_KL):
+            for bad_index in (0, 2):
+                models = [random_model(2, rng) for _ in range(4)]
+                models[bad_index] = GaussianModel(
+                    np.zeros(2), SymMatrix(np.diag([1.0, 0.0]))
+                )
+                with pytest.raises(SingularMatrix, match=rf"^model {bad_index}: "):
+                    distance_matrix(models, metric)
 
     def test_unknown_metric(self, rng):
         with pytest.raises(InvalidMatrix):

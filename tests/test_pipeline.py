@@ -1,8 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from distclust import pipeline
 from distclust.errors import InvalidConfig
 from distclust.pipeline import (
     ALGO_BHATTACHARYYA,
@@ -42,6 +44,22 @@ def separated_groups(rng, per_cluster: int = 8, gap: float = 10.0):
             groups.append(SampleGroup(f"g{c}_{i}", samples))
             truth.append(c)
     return groups, np.array(truth)
+
+
+def fake_run_clock(monkeypatch) -> dict:
+    """Make each run_pipeline call take a fixed, per-algorithm time on a fake
+    clock, so reported wall times are exact; returns the seconds per call."""
+    clock = [0.0]
+    cost = {alg: float(2**i) for i, alg in enumerate(ALGORITHMS)}
+    real = pipeline.run_pipeline
+
+    def timed(groups, config):
+        clock[0] += cost[config.algorithm]
+        return real(groups, config)
+
+    monkeypatch.setattr(pipeline, "run_pipeline", timed)
+    monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    return cost
 
 
 class TestPipelineConfig:
@@ -151,6 +169,15 @@ class TestBenchmarkSynthetic:
         b = benchmark_synthetic(**kwargs)
         assert canonical_json_bytes(a) == canonical_json_bytes(b)
 
+    def test_wall_time_sums_each_algorithms_measured_runs(self, monkeypatch):
+        cost = fake_run_clock(monkeypatch)
+        report = benchmark_synthetic(
+            d_list=[2], k_list=[2], trials=3, base_seed=4,
+            n_objects=10, samples_per_object=8, threads=1,
+        )
+        for cell in report["cells"]:
+            assert cell["wall_time_s"] == 3 * cost[cell["algorithm"]]
+
     def test_algorithm_subset(self):
         report = benchmark_synthetic(
             d_list=[2], k_list=[2], trials=2, base_seed=1,
@@ -176,6 +203,15 @@ class TestBenchmarkStock:
         for cell in report["cells"]:
             assert cell["mean_nmi"] == 1.0
             assert cell["var_nmi"] == 0.0
+
+    def test_wall_time_sums_each_algorithms_measured_runs(self, rng, monkeypatch):
+        groups, _ = separated_groups(rng, per_cluster=4)
+        cost = fake_run_clock(monkeypatch)
+        report = benchmark_stock(
+            groups, k_list=[2], noise_sigmas=[1.0], trials=2, base_seed=3, threads=1
+        )
+        for cell in report["cells"]:
+            assert cell["wall_time_s"] == 2 * cost[cell["algorithm"]]
 
     def test_heavy_noise_degrades(self, rng):
         groups, _ = separated_groups(rng, per_cluster=5, gap=3.0)
