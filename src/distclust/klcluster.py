@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import EmptyCluster, InvalidConfig
 from .gaussian import GaussianModel
-from .matrixcore import SymMatrix, spd_logdet
-from .metrics import kl_divergence_table
+from .matrixcore import SymMatrix
+from .metrics import kl_divergence_table, kl_factors
 from .spectral import ClusterAssignment
 
 SEEDING_RANDOM = "random"
@@ -70,7 +70,7 @@ def klpp_seed(
     k: int,
     rng: np.random.Generator,
     squared: bool = False,
-    model_logdets: np.ndarray | None = None,
+    model_factors: dict | None = None,
 ) -> list[int]:
     """++-style seeding: indices of k models chosen as initial centers.
 
@@ -82,13 +82,13 @@ def klpp_seed(
     n = len(models)
     if k < 1 or k > n:
         raise InvalidConfig(f"k={k} invalid for {n} models")
-    if model_logdets is None:
-        model_logdets = np.array([spd_logdet(m.covariance) for m in models])
+    if model_factors is None:
+        model_factors = kl_factors(models)
     chosen = [int(rng.integers(n))]
     nearest = np.full(n, np.inf)
     for _ in range(1, k):
         latest = kl_divergence_table(
-            models, [models[chosen[-1]]], model_logdets=model_logdets
+            models, [models[chosen[-1]]], model_factors=model_factors
         )[:, 0]
         nearest = np.minimum(nearest, latest)
         weights = nearest**2 if squared else nearest
@@ -108,12 +108,12 @@ def _repair_empty(
     labels: np.ndarray,
     k: int,
     centers: list[GaussianModel],
-    model_logdets: np.ndarray,
+    model_factors: dict,
 ) -> np.ndarray:
     """Move the model farthest from its own center into each empty cluster,
     taking donors only from clusters that keep at least one member."""
     labels = labels.copy()
-    table = kl_divergence_table(models, centers, model_logdets=model_logdets)
+    table = kl_divergence_table(models, centers, model_factors=model_factors)
     for empty in range(k):
         counts = np.bincount(labels, minlength=k)
         if counts[empty] > 0:
@@ -145,15 +145,15 @@ def kl_cluster(
     if max_iter < 1:
         raise InvalidConfig("max_iter must be positive")
 
-    model_logdets = np.array([spd_logdet(m.covariance) for m in models])
+    model_factors = kl_factors(models)
     if seeding == SEEDING_KLPP:
         seed_idx = klpp_seed(
-            models, k, rng, squared=klpp_squared, model_logdets=model_logdets
+            models, k, rng, squared=klpp_squared, model_factors=model_factors
         )
     else:
         seed_idx = [int(i) for i in rng.choice(n, size=k, replace=False)]
     centers = [models[i] for i in seed_idx]
-    labels = kl_divergence_table(models, centers, model_logdets=model_logdets).argmin(
+    labels = kl_divergence_table(models, centers, model_factors=model_factors).argmin(
         axis=1
     )
 
@@ -163,10 +163,10 @@ def kl_cluster(
     iteration = 0
     for iteration in range(1, max_iter + 1):
         if np.bincount(labels, minlength=k).min() == 0:
-            labels = _repair_empty(models, labels, k, centers, model_logdets)
+            labels = _repair_empty(models, labels, k, centers, model_factors)
             repairs.append(iteration)
         centers = center_update(models, labels, k)
-        table = kl_divergence_table(models, centers, model_logdets=model_logdets)
+        table = kl_divergence_table(models, centers, model_factors=model_factors)
         new_labels = table.argmin(axis=1)
         history.append(float(table[np.arange(n), new_labels].sum()))
         if np.array_equal(new_labels, labels):

@@ -15,7 +15,9 @@ plus plain Euclidean distance between means for the mean-only baselines.
 Each divergence has one row kernel: for model i it stacks all partners j
 into (m, d, d) arrays and makes one batched LAPACK call for the row. The
 matrix builder calls it once per row, and a scalar entry point is a batch of
-one through it, so a matrix entry equals the scalar call bit for bit. All
+one through it, so a matrix entry equals the scalar call bit for bit. KL
+k-means' model-to-center table uses the kl formula and per-model factors of
+the kl row, one batched column per center. All
 values are mathematically non-negative; tiny negative results from rounding
 are clamped to zero, anything below ``-negative_clamp`` raises
 NumericalError. A failure names ``model i`` or the first failing
@@ -39,8 +41,8 @@ from .matrixcore import (
     DEFAULT_TOLERANCES,
     SymMatrix,
     Tolerances,
-    spd_inverse,
     spd_logdet,
+    spd_roots,
     spd_sqrt,
 )
 
@@ -117,37 +119,32 @@ _FAILURES = (InvalidMatrix, NotPositiveSemidefinite, SingularMatrix, NumericalEr
 
 
 def _model_factors(cov: SymMatrix, metric: str, tol: Tolerances) -> dict:
-    """One model's inputs to a metric's row kernel.
-
-    Log-determinants come from the eigh the Bhattacharyya row runs, and kl
-    pairs S^{1/2} with S^{-1/2} from one decomposition, so a model compared
-    with itself cancels to rounding even at condition number 1e12, where an
-    explicit inverse leaves an error of about cond * eps.
-    """
+    """One model's inputs to a metric's row kernel. Log-determinants and kl's
+    S^{1/2}, S^{-1/2} share one eigh routine with the rows, so a model compared
+    with itself cancels to rounding even at condition number 1e12."""
     if metric == METRIC_WASSERSTEIN_SQ:
         return {"trace": float(np.trace(cov.values)), "root": spd_sqrt(cov, tol).values}
-    w, v = np.linalg.eigh(cov.values)
-    if w[0] <= 0.0:
-        raise SingularMatrix(f"non-positive eigenvalue {w[0]:.6e} in covariance")
-    out = {"logdet": float(np.sum(np.log(w)))}
-    if metric == METRIC_KL:
-        out["root"] = (v * np.sqrt(w)) @ v.T
-        out["invroot"] = (v / np.sqrt(w)) @ v.T
-    return out
+    if metric == METRIC_BHATTACHARYYA:
+        return {"logdet": spd_logdet(cov)}
+    logdet, root, invroot = spd_roots(cov)
+    return {"logdet": logdet, "root": root, "invroot": invroot}
 
 
-def _factors(models: Sequence[GaussianModel], metric: str, tol: Tolerances) -> dict:
+def _factors(
+    models: Sequence[GaussianModel], metric: str, tol: Tolerances, what: str = "model"
+) -> dict:
     """Per-model inputs of a metric's row kernel, stacked over the models.
 
     Each model's factors come from the same per-model call however many
     models there are, so a scalar call reads the same bits as a matrix row.
     """
+    _common_dim(models)
     rows = []
     for i, m in enumerate(models):
         try:
             rows.append(_model_factors(m.covariance, metric, tol))
         except _FAILURES as exc:
-            raise type(exc)(f"model {i}: {exc}") from exc
+            raise type(exc)(f"{what} {i}: {exc}") from exc
     out = {key: np.array([r[key] for r in rows]) for key in rows[0]}
     out["mean"] = np.stack([m.mean for m in models])
     out["cov"] = np.stack([m.covariance.values for m in models])
@@ -215,15 +212,21 @@ def _bhattacharyya_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.n
     ])
 
 
-def _kl_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """KL(model i || model j) for each j in js."""
-    invroot = f["invroot"][js]
-    diff = f["mean"][js] - f["mean"][i]
-    trace = ((invroot @ f["root"][i]) ** 2).reshape(len(js), -1).sum(axis=1)
+def _kl(p: dict, i, q: dict, j) -> np.ndarray:
+    """KL(p's model i || q's model j), where one of i and j indexes many
+    models. The trace term is ||S_j^{-1/2} S_i^{1/2}||_F^2."""
+    invroot = q["invroot"][j]
+    diff = q["mean"][j] - p["mean"][i]
+    prod = invroot @ p["root"][i]
+    trace = (prod**2).reshape(len(diff), -1).sum(axis=1)
     z = (invroot @ diff[:, :, None])[:, :, 0]
     quad = (z * z).sum(axis=1)
-    vals = 0.5 * (f["logdet"][js] - f["logdet"][i] - diff.shape[1] + trace + quad)
-    return _checked(i, js, vals, tol, "KL divergence")
+    return 0.5 * (q["logdet"][j] - p["logdet"][i] - diff.shape[1] + trace + quad)
+
+
+def _kl_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """KL(model i || model j) for each j in js."""
+    return _checked(i, js, _kl(f, i, f, js), tol, "KL divergence")
 
 
 _ROW_KERNELS = {
@@ -236,7 +239,6 @@ _ROW_KERNELS = {
 def _scalar(metric: str, a: GaussianModel, b: GaussianModel, tol: Tolerances) -> float:
     """Entry (0, 1) of the two-model matrix: a batch of one through the row
     kernel, so errors name a as model 0 and b as model 1."""
-    _common_dim([a, b])
     f = _factors([a, b], metric, tol)
     return float(_ROW_KERNELS[metric](f, 0, np.array([1]), tol)[0])
 
@@ -288,7 +290,6 @@ def distance_matrix(
     """
     if metric not in KNOWN_METRICS:
         raise InvalidMatrix(f"unknown metric tag {metric!r}")
-    _common_dim(models)
     if metric == METRIC_EUCLIDEAN:
         return mean_euclidean_matrix(models)
     n = len(models)
@@ -314,35 +315,35 @@ def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
     return DistanceMatrix(upper + upper.T, METRIC_EUCLIDEAN)
 
 
+def kl_factors(models: Sequence[GaussianModel], tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
+    """Per-model inputs of ``kl_divergence_table``, for reuse across calls."""
+    return _factors(models, METRIC_KL, tol)
+
+
 def kl_divergence_table(
     models: Sequence[GaussianModel],
     centers: Sequence[GaussianModel],
-    model_logdets: np.ndarray | None = None,
+    model_factors: dict | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """(n_models, n_centers) table of KL(model_i || center_j).
 
-    The inner loop of KL k-means. Per-center inverses/log-determinants are
-    computed once; per-model log-determinants may be passed in to avoid
-    recomputing them every iteration.
+    The inner loop of KL k-means: the kl row's formula and factors, one
+    batched column per center. ``model_factors`` from ``kl_factors(models)``
+    saves recomputing them every iteration.
     """
     d = _common_dim(models)
     if _common_dim(centers) != d:
         raise DimensionMismatch("centers do not match model dimension")
-    means = np.stack([m.mean for m in models])
-    covs = np.stack([m.covariance.values for m in models])
-    if model_logdets is None:
-        model_logdets = np.array([spd_logdet(m.covariance) for m in models])
+    if model_factors is None:
+        model_factors = kl_factors(models, tol)
+    center_factors = _factors(centers, METRIC_KL, tol, what="center")
     out = np.empty((len(models), len(centers)))
-    for j, c in enumerate(centers):
-        inv = spd_inverse(c.covariance, tol).values
-        logdet = spd_logdet(c.covariance)
-        traces = np.einsum("jk,njk->n", inv, covs)
-        dev = c.mean - means
-        quads = np.einsum("nj,jk,nk->n", dev, inv, dev)
-        out[:, j] = 0.5 * (logdet - model_logdets - d + traces + quads)
-    low = float(out.min())
-    if low < -tol.negative_clamp:
-        raise NumericalError(f"KL divergence evaluated to {low:.6e}")
+    for j in range(len(centers)):
+        out[:, j] = _kl(model_factors, np.arange(len(models)), center_factors, j)
+    bad = np.argwhere(out < -tol.negative_clamp)
+    if bad.size:
+        i, j = bad[0]
+        raise NumericalError(f"model {i}, center {j}: KL divergence evaluated to {out[i, j]:.6e}")
     np.clip(out, 0.0, None, out=out)
     return out

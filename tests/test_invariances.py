@@ -1,7 +1,7 @@
 """The closed forms against facts that hold for any correct implementation.
 
 KL and Bhattacharyya are invariant under a shared invertible affine map, W2
-under a shared rotation plus translation; Bhattacharyya is symmetric,
+under a shared rotation plus translation; Bhattacharyya and W2 are symmetric,
 KL(p||p) = 0 and sqrt(W2) is a metric. Covariances run up to condition
 number 1e12, past the ~5e8 that the estimation ridge alone leaves when
 q - 1 < d. Rounding in the inputs moves a divergence by about
@@ -73,10 +73,11 @@ def test_wasserstein_rigid_motion_invariance():
         assert close(before, after, cond), (d, cond, before, after)
 
 
-def test_bhattacharyya_symmetric():
+@pytest.mark.parametrize("divergence", [bhattacharyya, wasserstein_sq])
+def test_symmetric(divergence):
     for d, cond, rng in cases(13):
         p, q = model(d, cond, rng), model(d, cond, rng)
-        assert close(bhattacharyya(p, q), bhattacharyya(q, p), cond)
+        assert close(divergence(p, q), divergence(q, p), cond), (d, cond)
 
 
 def test_kl_of_a_model_with_itself_is_zero():

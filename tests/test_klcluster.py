@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_model
 from distclust.errors import EmptyCluster, InvalidConfig
-from distclust.gaussian import GaussianModel
+from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussian
 from distclust.klcluster import (
     SEEDING_KLPP,
     SEEDING_RANDOM,
@@ -12,8 +12,8 @@ from distclust.klcluster import (
     klpp_seed,
 )
 from distclust.klcluster import _repair_empty
-from distclust.matrixcore import SymMatrix, spd_logdet
-from distclust.metrics import kl_divergence, kl_divergence_table
+from distclust.matrixcore import SymMatrix
+from distclust.metrics import kl_divergence, kl_divergence_table, kl_factors
 
 
 def model(mean, cov) -> GaussianModel:
@@ -119,6 +119,19 @@ class TestKlCluster:
         assert labels[0] != labels[6]
         assert result.converged
 
+    @pytest.mark.parametrize("seeding", [SEEDING_RANDOM, SEEDING_KLPP])
+    def test_ridge_only_models(self, seeding, rng):
+        # fits to 3 samples in 7 dimensions are invertible only through the
+        # ridge (condition numbers near 5e8); a center equal to a model must
+        # still give KL 0 rather than a rounding error past the clamp
+        models = [
+            estimate_gaussian(SampleGroup(f"g{i}", rng.standard_normal((3, 7))))
+            for i in range(12)
+        ]
+        for seed in range(4):
+            result = kl_cluster(models, 3, np.random.default_rng(seed), seeding=seeding)
+            assert np.all(np.asarray(result.objective_history) >= 0.0)
+
     def test_objective_non_increasing_between_repairs(self, rng):
         models = [random_model(3, rng) for _ in range(25)]
         result = kl_cluster(models, 4, np.random.default_rng(2))
@@ -168,8 +181,7 @@ class TestRepairEmpty:
         models = two_blobs(rng, per_side=3)
         labels = np.array([0, 0, 0, 1, 1, 1])
         centers = center_update(models, labels, 2) + [models[0]]
-        logdets = np.array([spd_logdet(m.covariance) for m in models])
-        repaired = _repair_empty(models, labels, 3, centers, logdets)
+        repaired = _repair_empty(models, labels, 3, centers, kl_factors(models))
         counts = np.bincount(repaired, minlength=3)
         assert counts.min() == 1
 
@@ -177,7 +189,6 @@ class TestRepairEmpty:
         models = [random_model(2, rng) for _ in range(4)]
         labels = np.array([0, 0, 1, 1])
         centers = models
-        logdets = np.array([spd_logdet(m.covariance) for m in models])
-        repaired = _repair_empty(models, labels, 4, centers, logdets)
+        repaired = _repair_empty(models, labels, 4, centers, kl_factors(models))
         counts = np.bincount(repaired, minlength=4)
         assert counts.min() == 1 and counts.max() == 1

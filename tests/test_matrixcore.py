@@ -9,6 +9,7 @@ from distclust.matrixcore import (
     regularize,
     spd_inverse,
     spd_logdet,
+    spd_roots,
     spd_sqrt,
     sym_eigen,
 )
@@ -136,6 +137,21 @@ class TestSpdLogdet:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
             spd_logdet(SymMatrix(np.diag([1.0, 0.0])))
+
+
+class TestSpdRoots:
+    def test_factors_of_one_decomposition(self, rng):
+        for _ in range(20):
+            d = int(rng.integers(1, 8))
+            m = SymMatrix(random_spd(d, rng))
+            logdet, root, invroot = spd_roots(m)
+            assert logdet == spd_logdet(m)
+            np.testing.assert_allclose(root @ root, m.values, atol=1e-10)
+            np.testing.assert_allclose(invroot @ root, np.eye(d), atol=1e-12)
+
+    def test_singular_rejected(self):
+        with pytest.raises(SingularMatrix):
+            spd_roots(SymMatrix(np.diag([1.0, 0.0])))
 
 
 class TestSpdInverse:

@@ -23,6 +23,7 @@ from distclust.metrics import (
     distance_matrix,
     kl_divergence,
     kl_divergence_table,
+    kl_factors,
     mean_euclidean_matrix,
     wasserstein_sq,
 )
@@ -174,6 +175,19 @@ class TestDistanceMatrixBuilder:
                     want = np.float64(scalar(models[i], models[j]))
                     assert dm.values[i, j].tobytes() == want.tobytes(), (n, d, i, j)
 
+    @pytest.mark.parametrize("metric", [METRIC_WASSERSTEIN_SQ, METRIC_BHATTACHARYYA])
+    def test_mirrored_entries_match_reversed_scalar(self, metric, rng):
+        # the mirrored triangle is a copy of the computed one, and on
+        # well-conditioned models the scalar call with its operands swapped
+        # agrees with it to rounding
+        models = [random_model(3, rng) for _ in range(5)]
+        dm = distance_matrix(models, metric)
+        for i, j in computed_entries(5, metric):
+            assert dm.values[j, i] == dm.values[i, j]
+            assert dm.values[j, i] == pytest.approx(
+                SCALARS[metric](models[j], models[i]), rel=1e-12
+            )
+
     def test_symmetric_metrics_mirror_exactly(self, rng):
         models = [random_model(4, rng) for _ in range(6)]
         for metric in (METRIC_WASSERSTEIN_SQ, METRIC_BHATTACHARYYA):
@@ -268,3 +282,32 @@ class TestKlDivergenceTable:
         table = kl_divergence_table(models, models)
         assert np.all(np.diagonal(table) <= 1e-10)
         assert np.all(table >= 0.0)
+
+    def test_matches_kl_matrix_with_ridge_only_models(self, rng):
+        # fits to q = d samples have condition numbers near 1e9; a model
+        # taken as a center cancels against itself to about eps * sqrt(cond)
+        # (an explicit inverse leaves eps * cond, ~1e-7), and every entry is
+        # the kl matrix's entry to rounding
+        for d in (1, 2, 7):
+            models = mixed_models(8, d, rng)
+            table = kl_divergence_table(models, models, model_factors=kl_factors(models))
+            assert np.all(np.diagonal(table) <= 1e-10), d
+            off = ~np.eye(8, dtype=bool)
+            want = distance_matrix(models, METRIC_KL).values
+            assert np.allclose(table[off], want[off], rtol=1e-12, atol=0.0), d
+
+    def test_forced_value_failure_names_model_and_center(self, rng):
+        models = [random_model(3, rng) for _ in range(5)]
+        centers = [random_model(3, rng) for _ in range(3)]
+        table = kl_divergence_table(models, centers)
+        threshold = float(np.median(table))
+        i, j = np.argwhere(table < threshold)[0]
+        forced = Tolerances(negative_clamp=-threshold)
+        with pytest.raises(NumericalError, match=rf"^model {i}, center {j}: "):
+            kl_divergence_table(models, centers, tol=forced)
+
+    def test_singular_center_named(self, rng):
+        models = [random_model(2, rng) for _ in range(3)]
+        centers = [models[0], GaussianModel(np.zeros(2), SymMatrix(np.diag([1.0, 0.0])))]
+        with pytest.raises(SingularMatrix, match=r"^center 1: "):
+            kl_divergence_table(models, centers)
