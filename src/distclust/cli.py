@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DistclustError, InvalidConfig
-from .gaussian import estimate_gaussian
+from .gaussian import estimate_gaussians
 from .ingest import log_return_transform, read_stock_csv
 from .evaluation import nmi
 from .metrics import (
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_estimate(args) -> int:
     groups = read_groups_csv(args.input)
-    models = [estimate_gaussian(g, args.eps_scale) for g in groups]
+    models = estimate_gaussians(groups, args.eps_scale)
     write_models_json(args.out, models)
     print(f"wrote {len(models)} models to {args.out}")
     return 0

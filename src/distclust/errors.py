@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
+import copyreg
+
 
 class DistclustError(Exception):
     """Base class for all errors raised by this package."""
@@ -58,3 +60,8 @@ class RowError(DistclustError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+    def __reduce__(self):
+        # rebuild from the formatted message and the line attribute without
+        # calling __init__, so the error survives a trip through a worker pool
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__

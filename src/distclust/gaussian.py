@@ -3,18 +3,30 @@
 Each object in a dataset is a group of sample vectors assumed drawn from a
 single hidden Gaussian. This module holds the group container, the fitted
 model, and the estimator that maps one to the other.
+
+The estimator fits every group of a dataset in one stacked pass: groups are
+bucketed by sample count, and each bucket's means, covariances, ridges and
+PSD check are single numpy calls over a (groups, q, d) array. The checks run
+once over the stack, so the fitted models are built without re-validating
+each one. ``estimate_gaussian`` is a batch of one through the same pass.
 """
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientSamples, InvalidMatrix
+from .errors import (
+    DimensionMismatch,
+    InsufficientSamples,
+    InvalidMatrix,
+    NotPositiveSemidefinite,
+)
 from .matrixcore import (
     DEFAULT_TOLERANCES,
     SymMatrix,
     psd_clamped_eigenvalues,
-    regularize,
+    raise_first_failure,
     spd_logdet,
     spd_inverse,
     spd_sqrt,
@@ -90,18 +102,85 @@ class GaussianModel:
         return self.mean.size
 
 
-def estimate_gaussian(group: SampleGroup, eps_scale: float = 1e-8) -> GaussianModel:
-    """Fit N(m, S) to a sample group.
+def _trusted(cls, **fields):
+    """A frozen dataclass instance from fields already checked in bulk,
+    built without running its per-instance validation."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _fit_stack(x: np.ndarray, eps_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Means and ridged covariances of a (b, q, d) stack of sample groups.
+
+    The same operations, in the same order, as fitting one group at a time:
+    unbiased covariance, symmetrize, trace-scaled ridge, symmetrize.
+    """
+    q, d = x.shape[1:]
+    mean = x.mean(axis=1)
+    dev = x - mean[:, None, :]
+    cov = (dev.transpose(0, 2, 1) @ dev) / (q - 1)
+    cov = (cov + cov.transpose(0, 2, 1)) / 2.0
+    trace = np.trace(cov, axis1=1, axis2=2)
+    eps = np.where(trace > 0, eps_scale * trace / d, eps_scale)
+    cov = cov + eps[:, None, None] * np.eye(d)
+    return mean, (cov + cov.transpose(0, 2, 1)) / 2.0
+
+
+def estimate_gaussians(
+    groups: Sequence[SampleGroup], eps_scale: float = 1e-8
+) -> tuple[GaussianModel, ...]:
+    """Fit N(m, S) to each sample group, in one stacked pass per sample count.
 
     m is the sample mean and S the unbiased sample covariance (1/(q-1)
     normalization), followed by a trace-scaled diagonal ridge of eps_scale
     so downstream inverses and log-determinants are defined even when
-    q - 1 < d leaves the raw estimate rank-deficient.
+    q - 1 < d leaves the raw estimate rank-deficient. Every model is checked
+    for finite entries and a PSD covariance in one batched call per bucket,
+    and a failure names the first failing group. The returned models share
+    read-only stacked arrays.
     """
-    mean = group.samples.mean(axis=0)
-    dev = group.samples - mean
-    cov = SymMatrix((dev.T @ dev) / (group.count - 1))
-    return GaussianModel(mean, regularize(cov, eps_scale), group_id=group.group_id)
+    if eps_scale < 0:
+        raise InvalidMatrix(f"eps_scale must be non-negative, got {eps_scale}")
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, group in enumerate(groups):
+        buckets.setdefault(group.samples.shape, []).append(i)
+    n = len(groups)
+    finite = np.ones(n, dtype=bool)
+    low = np.zeros(n)
+    floor = np.zeros(n)
+    fits = []
+    for idx in buckets.values():
+        mean, cov = _fit_stack(np.stack([groups[i].samples for i in idx]), eps_scale)
+        ok = np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(mean).all(axis=1)
+        w = np.linalg.eigvalsh(np.where(ok[:, None, None], cov, np.eye(cov.shape[1])))
+        finite[idx] = ok
+        low[idx] = w[:, 0]
+        floor[idx] = -DEFAULT_TOLERANCES.psd_floor * np.maximum(1.0, w[:, -1])
+        fits.append((idx, mean, cov))
+    raise_first_failure(lambda k: f"group {groups[k].group_id!r}", [
+        (~finite, InvalidMatrix, lambda k: "matrix entries must be finite"),
+        (low < floor, NotPositiveSemidefinite,
+         lambda k: f"min eigenvalue {low[k]:.6e} below tolerance {floor[k]:.6e}"),
+    ])
+    models = [None] * n
+    for idx, mean, cov in fits:
+        mean.flags.writeable = False
+        cov.flags.writeable = False
+        for b, i in enumerate(idx):
+            models[i] = _trusted(
+                GaussianModel,
+                mean=mean[b],
+                covariance=_trusted(SymMatrix, values=cov[b]),
+                group_id=groups[i].group_id,
+            )
+    return tuple(models)
+
+
+def estimate_gaussian(group: SampleGroup, eps_scale: float = 1e-8) -> GaussianModel:
+    """Fit N(m, S) to one sample group: a batch of one through
+    ``estimate_gaussians``."""
+    return estimate_gaussians([group], eps_scale)[0]
 
 
 def log_density(model: GaussianModel, x: np.ndarray) -> np.ndarray | float:

@@ -43,24 +43,32 @@ class KlClusterResult:
 
 
 def center_update(
-    models: list[GaussianModel], labels: np.ndarray, k: int
+    models: list[GaussianModel],
+    labels: np.ndarray,
+    k: int,
+    model_factors: dict | None = None,
 ) -> list[GaussianModel]:
     """Closed-form KL centers for the given assignment.
 
-    Raises EmptyCluster if any label in [0, k) has no members; callers are
+    Averages the models' stacked means and covariances; ``model_factors``
+    from ``kl_factors(models)`` already holds those stacks. Raises
+    EmptyCluster if any label in [0, k) has no members; callers are
     expected to repair the assignment first.
     """
+    if model_factors is None:
+        model_factors = {
+            "mean": np.stack([m.mean for m in models]),
+            "cov": np.stack([m.covariance.values for m in models]),
+        }
     centers = []
     for j in range(k):
         member_idx = np.flatnonzero(labels == j)
         if member_idx.size == 0:
             raise EmptyCluster(f"cluster {j} has no members")
-        means = np.stack([models[i].mean for i in member_idx])
+        means = model_factors["mean"][member_idx]
         a = means.mean(axis=0)
         dev = means - a
-        x = np.mean(
-            [models[i].covariance.values for i in member_idx], axis=0
-        ) + (dev.T @ dev) / member_idx.size
+        x = model_factors["cov"][member_idx].mean(axis=0) + (dev.T @ dev) / member_idx.size
         centers.append(GaussianModel(a, SymMatrix(x), group_id=f"center_{j}"))
     return centers
 
@@ -165,7 +173,7 @@ def kl_cluster(
         if np.bincount(labels, minlength=k).min() == 0:
             labels = _repair_empty(models, labels, k, centers, model_factors)
             repairs.append(iteration)
-        centers = center_update(models, labels, k)
+        centers = center_update(models, labels, k, model_factors)
         table = kl_divergence_table(models, centers, model_factors=model_factors)
         new_labels = table.argmin(axis=1)
         history.append(float(table[np.arange(n), new_labels].sum()))

@@ -175,6 +175,52 @@ def spd_inverse(m: SymMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> SymMatrix
     return SymMatrix(inv)
 
 
+def raise_first_failure(name, checks) -> None:
+    """Raise for the first index of a stack that fails any check.
+
+    ``checks`` are ``(failed mask, error class, message for index k)`` in the
+    order one index runs them; ``name(k)`` prefixes the message.
+    """
+    failed = np.any([bad for bad, _, _ in checks], axis=0)
+    if failed.any():
+        k = int(np.argmax(failed))
+        _, cls, message = next(check for check in checks if check[0][k])
+        raise cls(f"{name(k)}: {message(k)}")
+
+
+# rows per block of the n x n passes below: a block's temporaries stay a small
+# fraction of the matrix, with few enough blocks that Python overhead is noise
+_BLOCK_ROWS = 256
+
+
+def max_asymmetry(a: np.ndarray) -> float:
+    """max |a - a^T| of a square array, in row blocks, without an n x n
+    temporary."""
+    n = a.shape[0]
+    gap = 0.0
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        gap = max(gap, float(np.abs(a[s:e, s:] - a[s:, s:e].T).max()))
+    return gap
+
+
+def mirror_in_place(a: np.ndarray, combine) -> None:
+    """Make a square array exactly symmetric in place, in row blocks.
+
+    Each upper-triangle entry (diagonal included) becomes
+    ``combine(upper, lower)`` of itself and its mirror entry, and the lower
+    triangle becomes the transpose of the result.
+    """
+    n = a.shape[0]
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        upper = combine(a[s:e, e:], a[e:, s:e].T)
+        a[s:e, e:] = upper
+        a[e:, s:e] = upper.T
+        block = combine(a[s:e, s:e], a[s:e, s:e].T)
+        a[s:e, s:e] = np.where(np.tri(e - s, k=-1, dtype=bool), block.T, block)
+
+
 def regularize(m: SymMatrix, eps_scale: float) -> SymMatrix:
     """Add a trace-scaled diagonal ridge: m + eps * I.
 

@@ -39,11 +39,10 @@ from .errors import (
 from .gaussian import GaussianModel
 from .matrixcore import (
     DEFAULT_TOLERANCES,
-    SymMatrix,
     Tolerances,
-    spd_logdet,
-    spd_roots,
-    spd_sqrt,
+    max_asymmetry,
+    mirror_in_place,
+    raise_first_failure,
 )
 
 METRIC_WASSERSTEIN_SQ = "wasserstein_sq"
@@ -57,6 +56,9 @@ KNOWN_METRICS = (
     METRIC_KL,
     METRIC_EUCLIDEAN,
 )
+
+# bytes of one row block's difference array in mean_euclidean_matrix
+_EUCLIDEAN_BLOCK_BYTES = 1 << 22
 
 # kl is a directed divergence; everything else is a metric-like symmetric value
 SYMMETRIC_METRICS = frozenset(
@@ -96,13 +98,13 @@ class DistanceMatrix:
         np.fill_diagonal(a, 0.0)
         np.clip(a, 0.0, None, out=a)
         if self.metric in SYMMETRIC_METRICS:
-            gap = np.abs(a - a.T).max()
-            if gap > tol * max(1.0, float(np.abs(a).max())):
+            gap = max_asymmetry(a)
+            if gap > tol * max(1.0, float(a.max())):
                 raise InvalidMatrix(
                     f"matrix tagged {self.metric!r} is asymmetric by {gap:.6e}"
                 )
-            upper = np.triu(a, 1)
-            a = upper + upper.T
+            # the lower triangle mirrors the upper; + 0.0 turns -0.0 into 0.0
+            mirror_in_place(a, lambda upper, lower: upper + 0.0)
         a.flags.writeable = False
         object.__setattr__(self, "values", a)
 
@@ -115,39 +117,47 @@ class DistanceMatrix:
         return self.metric in SYMMETRIC_METRICS
 
 
-_FAILURES = (InvalidMatrix, NotPositiveSemidefinite, SingularMatrix, NumericalError)
-
-
-def _model_factors(cov: SymMatrix, metric: str, tol: Tolerances) -> dict:
-    """One model's inputs to a metric's row kernel. Log-determinants and kl's
-    S^{1/2}, S^{-1/2} share one eigh routine with the rows, so a model compared
-    with itself cancels to rounding even at condition number 1e12."""
-    if metric == METRIC_WASSERSTEIN_SQ:
-        return {"trace": float(np.trace(cov.values)), "root": spd_sqrt(cov, tol).values}
-    if metric == METRIC_BHATTACHARYYA:
-        return {"logdet": spd_logdet(cov)}
-    logdet, root, invroot = spd_roots(cov)
-    return {"logdet": logdet, "root": root, "invroot": invroot}
-
-
 def _factors(
     models: Sequence[GaussianModel], metric: str, tol: Tolerances, what: str = "model"
 ) -> dict:
     """Per-model inputs of a metric's row kernel, stacked over the models.
 
-    Each model's factors come from the same per-model call however many
-    models there are, so a scalar call reads the same bits as a matrix row.
+    One batched ``eigh`` covers every model: W2's PSD-clamped root
+    S^{1/2}, Bhattacharyya's log-determinant, or kl's log-determinant, S^{1/2}
+    and S^{-1/2}. A stacked ``eigh`` runs the same LAPACK call per matrix as
+    a single one, so the factors equal ``spd_sqrt``, ``spd_logdet`` and
+    ``spd_roots`` bit for bit, and a scalar call reads the same bits as a
+    matrix row. The log-determinants share that routine with the rows, so a
+    model compared with itself cancels to rounding even at condition number
+    1e12. A failure names the first failing ``{what} i``.
     """
     _common_dim(models)
-    rows = []
-    for i, m in enumerate(models):
-        try:
-            rows.append(_model_factors(m.covariance, metric, tol))
-        except _FAILURES as exc:
-            raise type(exc)(f"{what} {i}: {exc}") from exc
-    out = {key: np.array([r[key] for r in rows]) for key in rows[0]}
-    out["mean"] = np.stack([m.mean for m in models])
-    out["cov"] = np.stack([m.covariance.values for m in models])
+    cov = np.stack([m.covariance.values for m in models])
+    out = {"mean": np.stack([m.mean for m in models]), "cov": cov}
+    w, v = np.linalg.eigh(cov)
+    vt = v.transpose(0, 2, 1)
+    if metric == METRIC_WASSERSTEIN_SQ:
+        floor = -tol.psd_floor * np.maximum(1.0, w[:, -1])
+        root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ vt
+        raise_first_failure(lambda k: f"{what} {k}", [
+            (w[:, 0] < floor, NotPositiveSemidefinite,
+             lambda k: f"min eigenvalue {w[k, 0]:.6e} below tolerance {floor[k]:.6e}"),
+            (~np.isfinite(root).all(axis=(1, 2)), InvalidMatrix,
+             lambda k: "matrix entries must be finite"),
+        ])
+        out["trace"] = np.trace(cov, axis1=1, axis2=2)
+        out["root"] = (root + root.transpose(0, 2, 1)) / 2.0
+        return out
+    where = "log-determinant" if metric == METRIC_BHATTACHARYYA else "covariance"
+    raise_first_failure(lambda k: f"{what} {k}", [
+        (w[:, 0] <= 0.0, SingularMatrix,
+         lambda k: f"non-positive eigenvalue {w[k, 0]:.6e} in {where}"),
+    ])
+    out["logdet"] = np.log(w).sum(axis=1)
+    if metric == METRIC_KL:
+        root = np.sqrt(w)[:, None, :]
+        out["root"] = (v * root) @ vt
+        out["invroot"] = (v / root) @ vt
     return out
 
 
@@ -157,15 +167,10 @@ def _checked(i: int, js: np.ndarray, vals, tol: Tolerances, what: str, checks=()
     ``checks`` are ``(failed mask, error class, message for partner k)`` in
     the order one pair runs them; the value guard runs last.
     """
-    checks = [
+    raise_first_failure(lambda k: f"pair ({i}, {js[k]})", [
         *checks,
         (vals < -tol.negative_clamp, NumericalError, lambda k: f"{what} evaluated to {vals[k]:.6e}"),
-    ]
-    failed = np.any([bad for bad, _, _ in checks], axis=0)
-    if failed.any():
-        k = int(np.argmax(failed))
-        _, cls, message = next(check for check in checks if check[0][k])
-        raise cls(f"pair ({i}, {js[k]}): {message(k)}")
+    ])
     return np.clip(vals, 0.0, None)
 
 
@@ -306,13 +311,21 @@ def distance_matrix(
 
 
 def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
-    """Pairwise Euclidean distances between model means (covariances ignored)."""
+    """Pairwise Euclidean distances between model means (covariances ignored).
+
+    Rows are computed in blocks, so no (n, n, d) difference array is built.
+    Both triangles are computed; m_i - m_j is exactly -(m_j - m_i), so they
+    agree bit for bit.
+    """
     _common_dim(models)
     means = np.stack([m.mean for m in models])
-    diff = means[:, None, :] - means[None, :, :]
-    out = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    upper = np.triu(out, 1)
-    return DistanceMatrix(upper + upper.T, METRIC_EUCLIDEAN)
+    n = len(means)
+    out = np.empty((n, n))
+    rows = max(1, _EUCLIDEAN_BLOCK_BYTES // (8 * n * means.shape[1]))
+    for s in range(0, n, rows):
+        diff = means[s : s + rows, None, :] - means[None, :, :]
+        out[s : s + rows] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return DistanceMatrix(out, METRIC_EUCLIDEAN)
 
 
 def kl_factors(models: Sequence[GaussianModel], tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
@@ -340,7 +353,7 @@ def kl_divergence_table(
     center_factors = _factors(centers, METRIC_KL, tol, what="center")
     out = np.empty((len(models), len(centers)))
     for j in range(len(centers)):
-        out[:, j] = _kl(model_factors, np.arange(len(models)), center_factors, j)
+        out[:, j] = _kl(model_factors, slice(None), center_factors, j)
     bad = np.argwhere(out < -tol.negative_clamp)
     if bad.size:
         i, j = bad[0]

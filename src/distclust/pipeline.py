@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .evaluation import nmi
-from .gaussian import estimate_gaussian
+from .gaussian import estimate_gaussians
 from .ingest import add_noise
 from .klcluster import SEEDING_KLPP, SEEDING_RANDOM, kl_cluster
 from .metrics import (
@@ -129,7 +129,7 @@ def run_pipeline(groups, config: PipelineConfig) -> PipelineResult:
     """Fit per-group Gaussians and cluster them with the configured algorithm."""
     if len(groups) < config.k:
         raise InvalidConfig(f"{len(groups)} groups cannot form k={config.k} clusters")
-    models = tuple(estimate_gaussian(g, config.eps_scale) for g in groups)
+    models = estimate_gaussians(groups, config.eps_scale)
     rng = np.random.default_rng(config.seed)
     warnings = _config_warnings(config)
 
@@ -157,7 +157,11 @@ def run_pipeline(groups, config: PipelineConfig) -> PipelineResult:
             dm = distance_matrix(models, METRIC_WASSERSTEIN_SQ)
         else:
             dm = distance_matrix(models, METRIC_BHATTACHARYYA)
+        metric = dm.metric
         adjacency = kernelize(dm, sigma=config.sigma, on_sqrt=config.kernel_on_sqrt)
+        # past the kernel the divergence matrix is dead weight; dropping it
+        # takes one n x n array off the peak of the eigensolve
+        del dm
         result = spectral_cluster(
             adjacency,
             config.k,
@@ -170,7 +174,7 @@ def run_pipeline(groups, config: PipelineConfig) -> PipelineResult:
             models,
             config.algorithm,
             diagnostics={
-                "metric": dm.metric,
+                "metric": metric,
                 "bandwidth_sigma": result.bandwidth_sigma,
                 "ncut": result.ncut,
             },
@@ -239,25 +243,36 @@ def _score_cell(scores: list[float]) -> dict:
     }
 
 
+def _seed_named(exc: Exception, seed: int) -> Exception:
+    """The same error class and attributes, its message prefixed with the
+    trial seed that raised it."""
+    named = type(exc).__new__(type(exc), f"trial seed {seed}: {exc}")
+    named.__dict__.update(exc.__dict__)
+    return named
+
+
 def _synth_trial(args: dict) -> dict[str, tuple[float, float]]:
     """NMI and measured run_pipeline seconds of each algorithm on one trial."""
-    bench = generate_benchmark(
-        d=args["d"],
-        k=args["k"],
-        n_objects=args["n_objects"],
-        samples_per_object=args["samples_per_object"],
-        seed=args["trial_seed"],
-        simplex_boundary=args["simplex_boundary"],
-    )
-    base = args["config"]
-    out = {}
-    for algorithm in args["algorithms"]:
-        config = replace(base, algorithm=algorithm, k=args["k"], seed=args["trial_seed"])
-        started = time.perf_counter()
-        result = run_pipeline(bench.groups, config)
-        seconds = time.perf_counter() - started
-        out[algorithm] = (nmi(bench.truth, result.assignment.labels), seconds)
-    return out
+    try:
+        bench = generate_benchmark(
+            d=args["d"],
+            k=args["k"],
+            n_objects=args["n_objects"],
+            samples_per_object=args["samples_per_object"],
+            seed=args["trial_seed"],
+            simplex_boundary=args["simplex_boundary"],
+        )
+        base = args["config"]
+        out = {}
+        for algorithm in args["algorithms"]:
+            config = replace(base, algorithm=algorithm, k=args["k"], seed=args["trial_seed"])
+            started = time.perf_counter()
+            result = run_pipeline(bench.groups, config)
+            seconds = time.perf_counter() - started
+            out[algorithm] = (nmi(bench.truth, result.assignment.labels), seconds)
+        return out
+    except Exception as exc:
+        raise _seed_named(exc, args["trial_seed"]) from exc
 
 
 def benchmark_synthetic(
@@ -332,20 +347,23 @@ def benchmark_synthetic(
 
 def _stock_trial(args: dict) -> dict[str, tuple[float, float]]:
     """NMI and measured run_pipeline seconds of each algorithm on one trial."""
-    rng = np.random.default_rng(args["noise_seed"])
-    noised = add_noise(args["groups"], args["noise_sigma"], rng)
-    base = args["config"]
-    out = {}
-    for algorithm in args["algorithms"]:
-        config = replace(
-            base, algorithm=algorithm, k=args["k"], seed=args["cluster_seed"]
-        )
-        started = time.perf_counter()
-        result = run_pipeline(noised, config)
-        seconds = time.perf_counter() - started
-        score = nmi(np.asarray(args["clean_labels"][algorithm]), result.assignment.labels)
-        out[algorithm] = (score, seconds)
-    return out
+    try:
+        rng = np.random.default_rng(args["noise_seed"])
+        noised = add_noise(args["groups"], args["noise_sigma"], rng)
+        base = args["config"]
+        out = {}
+        for algorithm in args["algorithms"]:
+            config = replace(
+                base, algorithm=algorithm, k=args["k"], seed=args["cluster_seed"]
+            )
+            started = time.perf_counter()
+            result = run_pipeline(noised, config)
+            seconds = time.perf_counter() - started
+            score = nmi(np.asarray(args["clean_labels"][algorithm]), result.assignment.labels)
+            out[algorithm] = (score, seconds)
+        return out
+    except Exception as exc:
+        raise _seed_named(exc, args["noise_seed"]) from exc
 
 
 def benchmark_stock(

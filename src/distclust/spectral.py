@@ -10,6 +10,11 @@ stored; for the squared-Wasserstein metric the entries are already squared
 distances, and ``on_sqrt=True`` switches to kernelizing their square roots
 instead. The default bandwidth is the median of the strictly positive
 upper-triangle entries of whichever values feed the kernel.
+
+k-means runs Lloyd's iteration from k-means++ seeds with restarts. Each
+restart's Lloyd loop tracks only the assignment cost it already computes;
+the within-cluster sum of squares that picks the best restart is evaluated
+once per restart, on its final labels.
 """
 
 from dataclasses import dataclass
@@ -22,7 +27,7 @@ from .errors import (
     InvalidMatrix,
     MetricNotSymmetric,
 )
-from .matrixcore import SymMatrix, sym_eigen
+from .matrixcore import SymMatrix, max_asymmetry, mirror_in_place, sym_eigen
 from .metrics import DistanceMatrix
 
 _ENTRY_TOL = 1e-9
@@ -41,13 +46,13 @@ class AdjacencyMatrix:
             raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidMatrix("adjacency entries must be finite")
-        if np.abs(a - a.T).max() > _ENTRY_TOL:
+        if max_asymmetry(a) > _ENTRY_TOL:
             raise InvalidMatrix("adjacency matrix must be symmetric")
         if np.any(np.abs(np.diagonal(a) - 1.0) > _ENTRY_TOL):
             raise InvalidMatrix("adjacency diagonal must be 1")
         if a.min() < -_ENTRY_TOL or a.max() > 1.0 + _ENTRY_TOL:
             raise InvalidMatrix("adjacency entries must lie in [0, 1]")
-        a = (a + a.T) / 2.0
+        mirror_in_place(a, lambda upper, lower: (upper + lower) / 2.0)
         np.clip(a, 0.0, 1.0, out=a)
         np.fill_diagonal(a, 1.0)
         if not self.bandwidth_sigma > 0:
@@ -102,8 +107,7 @@ class SpectralResult:
 def median_bandwidth(x: np.ndarray) -> float:
     """Median of the strictly positive upper-triangle entries, or 1.0 if
     every off-diagonal entry is zero."""
-    iu = np.triu_indices(x.shape[0], k=1)
-    positive = x[iu][x[iu] > 0.0]
+    positive = x[np.triu(x > 0.0, 1)]
     if positive.size == 0:
         return 1.0
     return float(np.median(positive))
@@ -126,7 +130,11 @@ def kernelize(
         sigma = median_bandwidth(x)
     if not sigma > 0:
         raise InvalidBandwidth(f"sigma must be positive, got {sigma}")
-    w = np.exp(-(x**2) / (2.0 * sigma**2))
+    # exp(-(x**2) / (2 sigma^2)), one operation at a time in one array
+    w = np.square(x)
+    np.negative(w, out=w)
+    w /= 2.0 * sigma**2
+    np.exp(w, out=w)
     np.fill_diagonal(w, 1.0)
     return AdjacencyMatrix(w, float(sigma))
 
@@ -179,9 +187,13 @@ def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return points[chosen].copy()
 
 
-def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nearest-center labels, and the summed squared distance of every point
+    to its nearest center."""
     diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)
+    table = np.einsum("ijk,ijk->ij", diff, diff)
+    labels = table.argmin(axis=1)
+    return labels, float(table[np.arange(len(labels)), labels].sum())
 
 
 def _repair_empty(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -219,31 +231,33 @@ def wcss(points: np.ndarray, labels: np.ndarray, k: int) -> float:
 
 def _update_step(
     points: np.ndarray, labels: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     if np.bincount(labels, minlength=k).min() == 0:
         labels = _repair_empty(points, labels, k)
     centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
-    return labels, centers, wcss(points, labels, k)
+    return labels, centers
 
 
 def _lloyd(
     points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """One restart: labels, centers, and the assignment cost after every
+    assignment step. Lloyd's iteration never raises that cost; an
+    empty-cluster repair lowers it too."""
     centers = _plus_plus_seed(points, k, rng)
-    labels = _assign(points, centers)
-    history: list[float] = []
+    labels, cost = _assign(points, centers)
+    history = [cost]
     converged = False
     for _ in range(max_iter):
-        labels, centers, objective = _update_step(points, labels, k)
-        history.append(objective)
-        new_labels = _assign(points, centers)
+        labels, centers = _update_step(points, labels, k)
+        new_labels, cost = _assign(points, centers)
+        history.append(cost)
         if np.array_equal(new_labels, labels):
             converged = True
             break
         labels = new_labels
     if not converged:
-        labels, centers, objective = _update_step(points, labels, k)
-        history.append(objective)
+        labels, centers = _update_step(points, labels, k)
     return labels, centers, history
 
 
@@ -256,8 +270,9 @@ def kmeans(
 ) -> KMeansResult:
     """k-means with k-means++ seeding and multiple restarts.
 
-    The best restart is the one with the lowest final objective; ties keep
-    the earliest restart. Restarts use generators derived from a single
+    The best restart is the one with the lowest within-cluster sum of
+    squares of its final labels, computed once per restart; ties keep the
+    earliest restart. Restarts use generators derived from a single
     base seed drawn from ``rng``, so results depend only on the incoming
     generator state.
     """
@@ -272,8 +287,8 @@ def kmeans(
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for r in range(restarts):
         sub = np.random.default_rng(seed_base + r)
-        labels, centers, history = _lloyd(pts, k, sub, max_iter)
-        final = history[-1]
+        labels, centers, _ = _lloyd(pts, k, sub, max_iter)
+        final = wcss(pts, labels, k)
         if best is None or final < best[0]:
             best = (final, labels, centers)
     return KMeansResult(ClusterAssignment(best[1], k), best[2], best[0])

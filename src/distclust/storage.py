@@ -14,6 +14,7 @@ Formats are deliberately plain so other tools can produce or consume them:
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -72,10 +73,10 @@ def read_groups_csv(path: str | Path) -> tuple[SampleGroup, ...]:
                 raise RowError("empty object_id", line)
             try:
                 sample_index = int(cells[1])
-                values = [float(c) for c in cells[2:]]
+                values = list(map(float, cells[2:]))
             except ValueError as err:
                 raise RowError(str(err), line) from None
-            if not all(np.isfinite(values)):
+            if not all(map(math.isfinite, values)):
                 raise RowError("non-finite sample value", line)
             per_object = rows.setdefault(object_id, {})
             if sample_index in per_object:

@@ -7,10 +7,20 @@ from distclust.gaussian import (
     GaussianModel,
     SampleGroup,
     estimate_gaussian,
+    estimate_gaussians,
     log_density,
     sample,
 )
-from distclust.matrixcore import SymMatrix
+from distclust.matrixcore import SymMatrix, regularize
+
+
+def one_at_a_time_fit(group: SampleGroup, eps_scale: float):
+    """The per-group fit through validated intermediates: the reference the
+    stacked pass must reproduce bit for bit."""
+    mean = group.samples.mean(axis=0)
+    dev = group.samples - mean
+    cov = regularize(SymMatrix((dev.T @ dev) / (group.count - 1)), eps_scale)
+    return GaussianModel(mean, cov, group_id=group.group_id)
 
 
 class TestSampleGroup:
@@ -160,3 +170,55 @@ class TestSample:
     def test_group_id_override(self, rng):
         model = random_model(2, rng)
         assert sample(model, 5, rng, group_id="x").group_id == "x"
+
+
+class TestEstimateGaussians:
+    @pytest.mark.parametrize("eps_scale", [1e-8, 0.0])
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_matches_one_at_a_time_fit_bytes(self, rng, d, eps_scale):
+        # ragged sample counts, q - 1 < d among them, buckets interleaved
+        counts = [2, 30, 3, 5, 30, 2, 9, 3, 30, 130]
+        groups = [
+            SampleGroup(f"g{i}", rng.normal(5.0, 3.0, size=(q, d)) * rng.uniform(0.1, 10.0, d))
+            for i, q in enumerate(counts)
+        ]
+        batched = estimate_gaussians(groups, eps_scale)
+        assert [m.group_id for m in batched] == [g.group_id for g in groups]
+        for group, model in zip(groups, batched):
+            for other in (one_at_a_time_fit(group, eps_scale), estimate_gaussian(group, eps_scale)):
+                assert model.mean.tobytes() == other.mean.tobytes()
+                assert model.covariance.values.tobytes() == other.covariance.values.tobytes()
+
+    def test_models_are_read_only(self, rng):
+        groups = [SampleGroup(f"g{i}", rng.standard_normal((4, 3))) for i in range(3)]
+        for model in estimate_gaussians(groups):
+            with pytest.raises(ValueError):
+                model.mean[0] = 1.0
+            with pytest.raises(ValueError):
+                model.covariance.values[0, 0] = 1.0
+
+    def test_mixed_dimensions_fit_separately(self, rng):
+        groups = [SampleGroup("a", rng.standard_normal((4, 2))), SampleGroup("b", rng.standard_normal((4, 3)))]
+        assert [m.dim for m in estimate_gaussians(groups)] == [2, 3]
+
+    def test_empty_input(self):
+        assert estimate_gaussians([]) == ()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_names_first_failing_group(self, rng):
+        # samples this large overflow the covariance; "late" sits in an
+        # earlier sample-count bucket than "early" but after it in the input
+        huge = 1e200 * np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+        groups = [
+            SampleGroup("ok", rng.standard_normal((3, 2))),
+            SampleGroup("early", np.vstack([huge, huge[:1]])),
+            SampleGroup("late", huge),
+        ]
+        with pytest.raises(InvalidMatrix, match="^group 'early': matrix entries must be finite"):
+            estimate_gaussians(groups)
+        with pytest.raises(InvalidMatrix, match="^group 'late': "):
+            estimate_gaussian(groups[2])
+
+    def test_negative_eps_scale(self, rng):
+        with pytest.raises(InvalidMatrix):
+            estimate_gaussians([SampleGroup("a", rng.standard_normal((3, 2)))], -1.0)

@@ -36,6 +36,21 @@ def two_blobs(rng, per_side: int = 6, gap: float = 8.0):
 
 
 class TestCenterUpdate:
+    def test_stacked_factors_match_member_lists_bytes(self, rng):
+        models = [random_model(3, rng, spread=4.0) for _ in range(20)]
+        labels = rng.integers(0, 3, size=20)
+        labels[:3] = [0, 1, 2]
+        plain = center_update(models, labels, 3)
+        stacked = center_update(models, labels, 3, kl_factors(models))
+        for j, (a, b) in enumerate(zip(plain, stacked)):
+            members = [models[i] for i in np.flatnonzero(labels == j)]
+            means = np.stack([m.mean for m in members])
+            dev = means - means.mean(axis=0)
+            cov = np.mean([m.covariance.values for m in members], axis=0) + (dev.T @ dev) / len(members)
+            for center in (a, b):
+                assert center.mean.tobytes() == means.mean(axis=0).tobytes()
+                assert center.covariance.values.tobytes() == SymMatrix(cov).values.tobytes()
+
     def test_hand_case(self):
         members = [model([0.0, 0.0], np.eye(2)), model([2.0, 0.0], np.eye(2))]
         centers = center_update(members, np.array([0, 0]), 1)

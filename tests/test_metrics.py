@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,16 @@ from distclust.errors import (
     SingularMatrix,
 )
 from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussian
-from distclust.matrixcore import SymMatrix, Tolerances
+from distclust.matrixcore import (
+    DEFAULT_TOLERANCES,
+    SymMatrix,
+    Tolerances,
+    spd_logdet,
+    spd_roots,
+    spd_sqrt,
+)
 from distclust.metrics import (
+    _factors,
     METRIC_BHATTACHARYYA,
     METRIC_EUCLIDEAN,
     METRIC_KL,
@@ -132,6 +141,23 @@ class TestDistanceMatrixContainer:
     def test_unknown_metric_rejected(self):
         with pytest.raises(InvalidMatrix):
             DistanceMatrix(np.zeros((2, 2)), "hamming")
+
+    @pytest.mark.parametrize("metric", [METRIC_WASSERSTEIN_SQ, METRIC_KL])
+    def test_canonical_bytes_match_whole_matrix_form(self, metric, rng):
+        # n spans several row blocks; the noise, the -0.0 entries and the
+        # tiny negatives all lie within tolerance
+        n = 600
+        upper = np.triu(rng.uniform(0.0, 50.0, (n, n)), 1)
+        values = upper + upper.T + rng.uniform(-4e-10, 4e-10, (n, n))
+        zeros = rng.random((n, n)) < 0.01
+        values[zeros | zeros.T] = -0.0
+        a = np.array(values)
+        np.fill_diagonal(a, 0.0)
+        np.clip(a, 0.0, None, out=a)
+        if metric == METRIC_WASSERSTEIN_SQ:
+            upper = np.triu(a, 1)
+            a = upper + upper.T
+        assert DistanceMatrix(values, metric).values.tobytes() == a.tobytes()
 
 
 SCALARS = {
@@ -263,6 +289,65 @@ class TestMeanEuclidean:
         a = GaussianModel(mean, SymMatrix(np.eye(3)))
         b = GaussianModel(mean, SymMatrix(7.0 * np.eye(3)))
         assert mean_euclidean_matrix([a, b]).values[0, 1] == 0.0
+
+
+    @pytest.mark.parametrize("n, d", [(1, 3), (2, 1), (300, 7), (600, 20)])
+    def test_matches_whole_difference_array_bytes(self, n, d, rng):
+        models = [random_model(d, rng, spread=10.0) for _ in range(n)]
+        means = np.stack([m.mean for m in models])
+        diff = means[:, None, :] - means[None, :, :]
+        upper = np.triu(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), 1)
+        expected = upper + upper.T
+        assert mean_euclidean_matrix(models).values.tobytes() == expected.tobytes()
+
+    def test_peak_memory_holds_no_n_n_d_array(self, rng):
+        n, d = 1000, 7
+        models = [
+            GaussianModel(mean, SymMatrix(np.eye(d))) for mean in rng.standard_normal((n, d))
+        ]
+        tracemalloc.start()
+        try:
+            mean_euclidean_matrix(models)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an (n, n, d) difference array alone would be d * n * n * 8 bytes
+        assert peak < 4 * n * n * 8
+
+
+class TestStackedFactors:
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_equal_per_model_calls_bytes(self, d, rng):
+        models = mixed_models(9, d, rng)
+        w2 = _factors(models, METRIC_WASSERSTEIN_SQ, DEFAULT_TOLERANCES)
+        bh = _factors(models, METRIC_BHATTACHARYYA, DEFAULT_TOLERANCES)
+        kl = _factors(models, METRIC_KL, DEFAULT_TOLERANCES)
+        for i, m in enumerate(models):
+            cov = m.covariance
+            assert w2["root"][i].tobytes() == spd_sqrt(cov).values.tobytes()
+            assert w2["trace"][i] == float(np.trace(cov.values))
+            assert bh["logdet"][i] == spd_logdet(cov)
+            logdet, root, invroot = spd_roots(cov)
+            assert kl["logdet"][i] == logdet
+            assert kl["root"][i].tobytes() == root.tobytes()
+            assert kl["invroot"][i].tobytes() == invroot.tobytes()
+
+    @pytest.mark.parametrize("metric", [METRIC_BHATTACHARYYA, METRIC_KL])
+    def test_failure_names_first_singular_model(self, metric, rng):
+        models = [random_model(2, rng) for _ in range(6)]
+        for i in (2, 4):
+            models[i] = GaussianModel(np.zeros(2), SymMatrix(np.diag([1.0, 0.0])))
+        with pytest.raises(SingularMatrix, match=r"^model 2: non-positive eigenvalue"):
+            _factors(models, metric, DEFAULT_TOLERANCES)
+
+    def test_psd_failure_names_model(self):
+        # a negative floor turns the PSD check into a conditioning check that
+        # only the two flat covariances fail
+        models = [GaussianModel(np.zeros(2), SymMatrix(np.eye(2))) for _ in range(5)]
+        for i in (3, 4):
+            models[i] = GaussianModel(np.zeros(2), SymMatrix(np.diag([1.0, 1e-6])))
+        with pytest.raises(NotPositiveSemidefinite, match=r"^center 3: min eigenvalue"):
+            _factors(models, METRIC_WASSERSTEIN_SQ, Tolerances(psd_floor=-1e-3), what="center")
 
 
 class TestKlDivergenceTable:

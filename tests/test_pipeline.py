@@ -1,11 +1,12 @@
 import json
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from distclust import pipeline
-from distclust.errors import InvalidConfig
+from distclust.errors import InvalidConfig, RowError, SingularMatrix
 from distclust.pipeline import (
     ALGO_BHATTACHARYYA,
     ALGO_KL,
@@ -25,7 +26,7 @@ from distclust.pipeline import (
     write_report,
 )
 from distclust.storage import canonical_json_bytes
-from distclust.synthgen import generate_benchmark
+from distclust.synthgen import derive_trial_seed, generate_benchmark
 from distclust.evaluation import nmi
 from distclust.gaussian import SampleGroup
 
@@ -192,6 +193,43 @@ class TestBenchmarkSynthetic:
             benchmark_synthetic(
                 d_list=[2], k_list=[2], trials=1, algorithms=("unknown",)
             )
+
+
+class TestTrialFailures:
+    """Without a ridge, groups with q - 1 < d have singular covariances, so
+    Bhattacharyya's log-determinant fails inside the trial."""
+
+    SINGULAR = PipelineConfig(algorithm=ALGO_BHATTACHARYYA, k=2, eps_scale=0.0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_synthetic_trial_names_its_seed(self, threads):
+        seed = derive_trial_seed(3, 0)
+        with pytest.raises(SingularMatrix, match=rf"^trial seed {seed}: model \d+: non-positive"):
+            benchmark_synthetic(
+                d_list=[4], k_list=[2], trials=2, base_seed=3,
+                algorithms=(ALGO_BHATTACHARYYA,), n_objects=12, samples_per_object=3,
+                config=self.SINGULAR, threads=threads,
+            )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stock_trial_names_its_seed(self, threads, rng):
+        groups = [SampleGroup(f"g{i}", rng.standard_normal((3, 4))) for i in range(8)]
+        args = [
+            {
+                "groups": groups, "k": 2, "noise_sigma": 0.5, "noise_seed": seed,
+                "cluster_seed": 0, "algorithms": (ALGO_BHATTACHARYYA,),
+                "clean_labels": {ALGO_BHATTACHARYYA: [0, 1] * 4}, "config": self.SINGULAR,
+            }
+            for seed in (41, 42)
+        ]
+        with pytest.raises(SingularMatrix, match=r"^trial seed 41: model \d+: non-positive"):
+            pipeline._map_trials(pipeline._stock_trial, args, threads)
+
+    def test_named_error_keeps_class_and_attributes(self):
+        named = pickle.loads(pickle.dumps(pipeline._seed_named(RowError("bad cell", 4), 9)))
+        assert type(named) is RowError
+        assert str(named) == "trial seed 9: line 4: bad cell"
+        assert named.line == 4
 
 
 class TestBenchmarkStock:

@@ -60,6 +60,16 @@ class TestAdjacencyMatrix:
         with pytest.raises(InvalidBandwidth):
             AdjacencyMatrix(np.eye(2), 0.0)
 
+    def test_canonical_bytes_match_whole_matrix_form(self, rng):
+        # n spans several row blocks; the asymmetric noise lies within tolerance
+        n = 600
+        upper = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+        values = upper + upper.T + np.eye(n) + rng.uniform(-4e-10, 4e-10, (n, n))
+        expected = (values + values.T) / 2.0
+        np.clip(expected, 0.0, 1.0, out=expected)
+        np.fill_diagonal(expected, 1.0)
+        assert AdjacencyMatrix(values, 1.0).values.tobytes() == expected.tobytes()
+
 
 class TestClusterAssignment:
     def test_basic(self):
@@ -115,6 +125,20 @@ class TestKernelize:
     def test_median_bandwidth_ignores_zeros(self):
         x = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
         assert median_bandwidth(x) == 5.0
+
+    @pytest.mark.parametrize("on_sqrt", [False, True])
+    def test_matches_whole_matrix_form(self, on_sqrt, rng):
+        n = 301
+        upper = np.triu(rng.uniform(0.0, 9.0, (n, n)) * (rng.random((n, n)) < 0.9), 1)
+        dm = DistanceMatrix(upper + upper.T, METRIC_WASSERSTEIN_SQ)
+        x = np.sqrt(dm.values) if on_sqrt else dm.values
+        iu = np.triu_indices(n, k=1)
+        sigma = float(np.median(x[iu][x[iu] > 0.0]))
+        expected = np.exp(-(x**2) / (2.0 * sigma**2))
+        np.fill_diagonal(expected, 1.0)
+        w = kernelize(dm, on_sqrt=on_sqrt)
+        assert median_bandwidth(x) == sigma == w.bandwidth_sigma
+        assert w.values.tobytes() == expected.tobytes()
 
 
 class TestNormalizedLaplacian:
@@ -181,6 +205,12 @@ class TestKmeans:
             _, _, history = _lloyd(points, 4, np.random.default_rng(seed), 50)
             diffs = np.diff(history)
             assert np.all(diffs <= 1e-9)
+
+    def test_wcss_is_that_of_returned_labels(self, rng):
+        points = rng.standard_normal((60, 3))
+        for seed in range(5):
+            result = kmeans(points, 4, np.random.default_rng(seed), restarts=3)
+            assert result.wcss == wcss(points, result.assignment.labels, 4)
 
     def test_deterministic(self, rng):
         points = rng.standard_normal((30, 2))

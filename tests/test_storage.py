@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ class TestGroupsCsv:
         with pytest.raises(RowError) as err:
             read_groups_csv(tmp_path / "g.csv")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        text = f"object_id,sample_index,x_0,x_1\na,0,1.0,2.0\na,1,3.0,{cell}\na,2,4.0,5.0\n"
+        (tmp_path / "g.csv").write_text(text)
+        with pytest.raises(RowError, match="^line 3: non-finite sample value$") as err:
+            read_groups_csv(tmp_path / "g.csv")
+        assert err.value.line == 3
+
+    def test_row_error_survives_pickling(self):
+        back = pickle.loads(pickle.dumps(RowError("bad cell", 7)))
+        assert type(back) is RowError
+        assert str(back) == "line 7: bad cell"
+        assert back.line == 7
 
     def test_duplicate_sample_index(self, tmp_path):
         text = "object_id,sample_index,x_0\na,0,1.0\na,0,2.0\n"
