@@ -61,8 +61,8 @@ def read_stock_csv(
     """Read OHLC rows into per-symbol sample groups.
 
     Symbols with fewer than ``max(min_days, 2)`` distinct dates are dropped
-    (two rows is the covariance-estimation minimum). Groups come back
-    sorted by symbol.
+    (two rows is the covariance-estimation minimum); a file that leaves no
+    symbol raises InsufficientSamples. Groups come back sorted by symbol.
     """
     if min_days < 0:
         raise InvalidConfig(f"min_days must be non-negative, got {min_days}")
@@ -104,6 +104,11 @@ def read_stock_csv(
             continue
         samples = np.array([days[d] for d in sorted(days)], dtype=float)
         groups.append(SampleGroup(symbol, samples))
+    if not groups:
+        raise InsufficientSamples(
+            f"{path}: no symbol has at least {floor_days} distinct dates "
+            f"({len(dropped)} dropped, {len(skipped)} rows skipped)"
+        )
     return IngestResult(tuple(groups), tuple(skipped), tuple(dropped))
 
 

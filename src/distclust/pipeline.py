@@ -14,8 +14,10 @@ The first two are mean-only baselines; the rest use full distributions.
 
 Benchmarks aggregate agreement with ground truth (NMI) over repeated trials.
 Trial seeds are derived from the base seed with a fixed mixing function, so
-reports are reproducible and independent of how trials are scheduled; with
-``threads > 1`` trials run in worker processes.
+reports are reproducible and independent of how trials are scheduled. With
+``threads > 1`` trials run in worker processes: one benchmark job starts at
+most one pool, shared by the trials of all its cells, and shuts it down
+before it returns.
 """
 
 import os
@@ -205,7 +207,7 @@ def run_pipeline(groups, config: PipelineConfig) -> PipelineResult:
 
 
 def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else DISTCLUST_THREADS, else CPUs."""
+    """Worker count: explicit argument, else DISTCLUST_THREADS, else usable CPUs."""
     if explicit is not None:
         if explicit < 1:
             raise InvalidConfig(f"threads must be positive, got {explicit}")
@@ -221,6 +223,9 @@ def resolve_threads(explicit: int | None = None) -> int:
         if value < 1:
             raise InvalidConfig(f"{THREADS_ENV_VAR} must be positive, got {value}")
         return value
+    # an affinity mask (containers, taskset) may allow fewer CPUs than the host's
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -233,14 +238,27 @@ def _map_trials(fn, args_list, threads: int):
         return list(pool.map(fn, args_list))
 
 
-def _score_cell(scores: list[float]) -> dict:
-    arr = np.asarray(scores, dtype=float)
-    return {
-        "trials": int(arr.size),
-        "scores": [float(s) for s in arr],
-        "mean_nmi": float(arr.mean()),
-        "var_nmi": float(arr.var()),
-    }
+def _score_cells(keys, per_trial, trials: int, algorithms) -> list[dict]:
+    """Report cells from one flat list of trial results: ``trials``
+    consecutive results per cell key, in key order, one cell per algorithm."""
+    cells = []
+    for i, key in enumerate(keys):
+        chunk = per_trial[i * trials : (i + 1) * trials]
+        for algorithm in algorithms:
+            scores = np.asarray([t[algorithm][0] for t in chunk], dtype=float)
+            cells.append(
+                {
+                    **key,
+                    "algorithm": algorithm,
+                    "family": algorithm_family(algorithm),
+                    "trials": int(scores.size),
+                    "scores": [float(s) for s in scores],
+                    "mean_nmi": float(scores.mean()),
+                    "var_nmi": float(scores.var()),
+                    "wall_time_s": sum(t[algorithm][1] for t in chunk),
+                }
+            )
+    return cells
 
 
 def _seed_named(exc: Exception, seed: int) -> Exception:
@@ -299,34 +317,22 @@ def benchmark_synthetic(
         if algorithm not in ALGORITHMS:
             raise InvalidConfig(f"unknown algorithm {algorithm!r}")
     base = config or PipelineConfig(algorithm=ALGORITHMS[0], k=2)
-    workers = resolve_threads(threads)
-    cells = []
-    for d in d_list:
-        for k in k_list:
-            args_list = [
-                {
-                    "d": int(d),
-                    "k": int(k),
-                    "n_objects": n_objects,
-                    "samples_per_object": samples_per_object,
-                    "simplex_boundary": simplex_boundary,
-                    "trial_seed": derive_trial_seed(base_seed, t),
-                    "algorithms": tuple(algorithms),
-                    "config": base,
-                }
-                for t in range(trials)
-            ]
-            per_trial = _map_trials(_synth_trial, args_list, workers)
-            for algorithm in algorithms:
-                cell = {
-                    "d": int(d),
-                    "k": int(k),
-                    "algorithm": algorithm,
-                    "family": algorithm_family(algorithm),
-                }
-                cell.update(_score_cell([t[algorithm][0] for t in per_trial]))
-                cell["wall_time_s"] = sum(t[algorithm][1] for t in per_trial)
-                cells.append(cell)
+    keys = [{"d": int(d), "k": int(k)} for d in d_list for k in k_list]
+    args_list = [
+        {
+            **key,
+            "n_objects": n_objects,
+            "samples_per_object": samples_per_object,
+            "simplex_boundary": simplex_boundary,
+            "trial_seed": derive_trial_seed(base_seed, t),
+            "algorithms": tuple(algorithms),
+            "config": base,
+        }
+        for key in keys
+        for t in range(trials)
+    ]
+    per_trial = _map_trials(_synth_trial, args_list, resolve_threads(threads))
+    cells = _score_cells(keys, per_trial, trials, algorithms)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "synthetic",
@@ -392,8 +398,10 @@ def benchmark_stock(
         if algorithm not in ALGORITHMS:
             raise InvalidConfig(f"unknown algorithm {algorithm!r}")
     base = config or PipelineConfig(algorithm=ALGORITHMS[0], k=2)
-    workers = resolve_threads(threads)
-    cells = []
+    # only the clean passes run in this loop; the noisy trials of every cell
+    # share the one map below
+    keys = []
+    args_list = []
     for k in k_list:
         clean_labels = {}
         for algorithm in algorithms:
@@ -402,7 +410,8 @@ def benchmark_stock(
             )
             clean_labels[algorithm] = [int(v) for v in clean.assignment.labels]
         for s_idx, noise_sigma in enumerate(noise_sigmas):
-            args_list = [
+            keys.append({"k": int(k), "noise_sigma": float(noise_sigma)})
+            args_list += [
                 {
                     "groups": groups,
                     "k": int(k),
@@ -417,17 +426,8 @@ def benchmark_stock(
                 }
                 for t in range(trials)
             ]
-            per_trial = _map_trials(_stock_trial, args_list, workers)
-            for algorithm in algorithms:
-                cell = {
-                    "k": int(k),
-                    "noise_sigma": float(noise_sigma),
-                    "algorithm": algorithm,
-                    "family": algorithm_family(algorithm),
-                }
-                cell.update(_score_cell([t[algorithm][0] for t in per_trial]))
-                cell["wall_time_s"] = sum(t[algorithm][1] for t in per_trial)
-                cells.append(cell)
+    per_trial = _map_trials(_stock_trial, args_list, resolve_threads(threads))
+    cells = _score_cells(keys, per_trial, trials, algorithms)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "stock",

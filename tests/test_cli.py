@@ -222,6 +222,46 @@ class TestBenchCommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # every symbol trades on a single day
+            "2024-01-01,AAA,1,1,1,1\n2024-01-02,BBB,2,2,2,2\n",
+            # every symbol's rows share one date, so only the last one counts
+            "2024-01-01,AAA,1,1,1,1\n2024-01-01,AAA,2,2,2,2\n"
+            "2024-01-03,BBB,1,1,1,1\n2024-01-03,BBB,3,3,3,3\n",
+        ],
+        ids=["single-day", "one-date"],
+    )
+    def test_no_usable_symbol_is_data_error(self, tmp_path, capsys, rows):
+        prices = tmp_path / "prices.csv"
+        prices.write_text("date,symbol,open,close,low,high\n" + rows)
+        code = entrypoint(
+            ["bench-stock", str(prices), "--k-list", "2", "--sigma-list", "1",
+             "--trials", "1", "--threads", "1", "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "no symbol has at least 2 distinct dates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_nan_price_row(self, tmp_path, capsys, strict):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(STOCK_CSV + "2024-01-04,AAA,nan,10.4,10.1,10.6\n")
+        code = entrypoint(
+            ["bench-stock", str(prices), "--k-list", "2", "--sigma-list", "0",
+             "--trials", "1", "--algorithms", "kmeans_means", "--threads", "1",
+             "--out-dir", str(tmp_path / "out")]
+            + (["--strict"] if strict else [])
+        )
+        err = capsys.readouterr().err
+        assert "line 14: non-finite open value 'nan'" in err
+        if strict:
+            assert code == 2
+            assert not (tmp_path / "out").exists()
+        else:
+            assert code == 0
+            assert "warning: skipped line 14" in err
+
     def test_bad_list_is_usage_error(self, tmp_path):
         code = entrypoint(
             ["bench-synth", "--d-list", "two", "--k-list", "2",

@@ -1,4 +1,5 @@
 import json
+import os
 import pickle
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from distclust import pipeline
-from distclust.errors import InvalidConfig, RowError, SingularMatrix
+from distclust.errors import InvalidConfig, InvalidMatrix, RowError, SingularMatrix
 from distclust.pipeline import (
     ALGO_BHATTACHARYYA,
     ALGO_KL,
@@ -61,6 +62,20 @@ def fake_run_clock(monkeypatch) -> dict:
     monkeypatch.setattr(pipeline, "run_pipeline", timed)
     monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
     return cost
+
+
+@pytest.fixture
+def pools(monkeypatch) -> list:
+    """The worker pools the pipeline creates, in creation order."""
+    created = []
+
+    class CountingPool(pipeline.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+    return created
 
 
 class TestPipelineConfig:
@@ -225,6 +240,21 @@ class TestTrialFailures:
         with pytest.raises(SingularMatrix, match=r"^trial seed 41: model \d+: non-positive"):
             pipeline._map_trials(pipeline._stock_trial, args, threads)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_failure_in_a_later_cell_is_raised(self, threads, rng, pools):
+        # noise of 1e200 overflows the fitted covariances: the clean passes
+        # and the first sigma cell of each k succeed, every trial of the
+        # second fails, and the first of those is trial 0 of sigma index 1
+        groups, _ = separated_groups(rng, per_cluster=4)
+        seed = derive_trial_seed(3, 1 + 1 * 2 + 0)
+        with pytest.raises(InvalidMatrix, match=rf"^trial seed {seed}: group 'g0_0'"):
+            benchmark_stock(
+                groups, k_list=[2, 3], noise_sigmas=[0.5, 1e200], trials=2,
+                base_seed=3, algorithms=(ALGO_KMEANS_MEANS,), threads=threads,
+            )
+        assert len(pools) == (1 if threads > 1 else 0)
+
     def test_named_error_keeps_class_and_attributes(self):
         named = pickle.loads(pickle.dumps(pipeline._seed_named(RowError("bad cell", 4), 9)))
         assert type(named) is RowError
@@ -296,6 +326,14 @@ class TestThreads:
         monkeypatch.delenv("DISTCLUST_THREADS", raising=False)
         assert resolve_threads(None) >= 1
 
+    def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("DISTCLUST_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_threads(None) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_threads(None) == 64
+
     def test_bad_values(self, monkeypatch):
         with pytest.raises(InvalidConfig):
             resolve_threads(0)
@@ -306,13 +344,26 @@ class TestThreads:
         with pytest.raises(InvalidConfig):
             resolve_threads(None)
 
-    def test_worker_pool_matches_inline(self):
+    def test_worker_pool_matches_inline(self, pools):
         kwargs = dict(
-            d_list=[2], k_list=[2], trials=2, base_seed=4,
-            n_objects=10, samples_per_object=6, algorithms=(ALGO_KMEANS_MEANS,),
+            d_list=[2, 3], k_list=[2, 3], trials=2, base_seed=4,
+            n_objects=10, samples_per_object=6,
         )
         inline = benchmark_synthetic(threads=1, **kwargs)
+        assert pools == []
         pooled = benchmark_synthetic(threads=2, **kwargs)
+        assert len(pools) == 1
+        assert len(pooled["cells"]) == 4 * len(ALGORITHMS)
+        assert canonical_json_bytes(inline) == canonical_json_bytes(pooled)
+
+    def test_stock_worker_pool_matches_inline(self, pools, rng):
+        groups, _ = separated_groups(rng, per_cluster=4)
+        kwargs = dict(k_list=[2, 3], noise_sigmas=[0.5, 1.0], trials=2, base_seed=6)
+        inline = benchmark_stock(groups, threads=1, **kwargs)
+        assert pools == []
+        pooled = benchmark_stock(groups, threads=2, **kwargs)
+        assert len(pools) == 1
+        assert len(pooled["cells"]) == 4 * len(ALGORITHMS)
         assert canonical_json_bytes(inline) == canonical_json_bytes(pooled)
 
 
