@@ -12,32 +12,22 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DistclustError, InvalidConfig
 from .gaussian import estimate_gaussians
 from .ingest import log_return_transform, read_stock_csv
 from .evaluation import nmi
-from .metrics import (
-    KNOWN_METRICS,
-    METRIC_BHATTACHARYYA,
-    METRIC_EUCLIDEAN,
-    METRIC_KL,
-    METRIC_WASSERSTEIN_SQ,
-    distance_matrix,
-)
+from .metrics import KNOWN_METRICS, distance_matrix
 from .pipeline import (
-    ALGO_BHATTACHARYYA,
-    ALGO_SPECTRAL_MEANS,
-    ALGO_WASSERSTEIN,
     ALGORITHMS,
     PipelineConfig,
     benchmark_stock,
     benchmark_synthetic,
+    cluster_matrix,
     run_pipeline,
+    spectral_metric,
     write_report,
 )
-from .spectral import ClusterAssignment, kernelize, spectral_cluster
+from .spectral import ClusterAssignment
 from .storage import (
     read_distance_matrix_json,
     read_groups_csv,
@@ -49,13 +39,6 @@ from .storage import (
     write_models_json,
 )
 from .synthgen import generate_benchmark
-
-_DISTMAT_METRIC_FOR_ALGO = {
-    ALGO_SPECTRAL_MEANS: METRIC_EUCLIDEAN,
-    ALGO_WASSERSTEIN: METRIC_WASSERSTEIN_SQ,
-    ALGO_BHATTACHARYYA: METRIC_BHATTACHARYYA,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad arguments; remap to 1 so status 2
@@ -205,29 +188,11 @@ def cmd_cluster(args) -> int:
         klpp_squared=args.klpp_squared,
     )
     if args.input.lower().endswith(".json"):
-        expected = _DISTMAT_METRIC_FOR_ALGO.get(args.algorithm)
-        if expected is None:
-            raise InvalidConfig(
-                f"{args.algorithm} cannot run from a saved distance matrix; "
-                "pass a groups CSV instead"
-            )
-        dm = read_distance_matrix_json(args.input)
-        if dm.metric != expected:
-            raise InvalidConfig(
-                f"{args.algorithm} expects a {expected} matrix, got {dm.metric}"
-            )
-        adjacency = kernelize(dm, sigma=config.sigma, on_sqrt=config.kernel_on_sqrt)
-        result = spectral_cluster(
-            adjacency,
-            config.k,
-            np.random.default_rng(config.seed),
-            restarts=config.restarts,
-            max_iter=config.max_iter or 300,
-        )
-        assignment = result.assignment
+        spectral_metric(config.algorithm)  # a usage error before the file is read
+        assignment, diagnostics = cluster_matrix(read_distance_matrix_json(args.input), config)
         print(
             f"clustered {assignment.n} objects into k={assignment.k} "
-            f"(sigma={result.bandwidth_sigma:.6g}, ncut={result.ncut:.6g})"
+            f"(sigma={diagnostics['bandwidth_sigma']:.6g}, ncut={diagnostics['ncut']:.6g})"
         )
     else:
         groups = read_groups_csv(args.input)

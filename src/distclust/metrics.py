@@ -13,14 +13,15 @@ Three model divergences are provided:
 plus plain Euclidean distance between means for the mean-only baselines.
 
 Each divergence has one row kernel: for model i it stacks all partners j
-into (m, d, d) arrays and makes one batched LAPACK call for the row. The
-matrix builder calls it once per row, and a scalar entry point is a batch of
-one through it, so a matrix entry equals the scalar call bit for bit. KL
-k-means' model-to-center table uses the kl formula and per-model factors of
-the kl row, one batched column per center. All
-values are mathematically non-negative; tiny negative results from rounding
-are clamped to zero, anything below ``-negative_clamp`` raises
-NumericalError. A failure names ``model i`` or the first failing
+into (m, d, d) arrays and makes one batched LAPACK call for the row, a
+symmetric eigensolve for W2 and one Cholesky factorization of the averaged
+covariances for Bhattacharyya. The matrix builder calls it once per row,
+and a scalar entry point is a batch of one through it, so a matrix entry
+equals the scalar call bit for bit. KL k-means' model-to-center table uses
+the kl formula and per-model factors of the kl row, one batched column per
+center. All values are mathematically non-negative; tiny negative results
+from rounding are clamped to zero, anything below ``-negative_clamp``
+raises NumericalError. A failure names ``model i`` or the first failing
 ``pair (i, j)`` in row-major order.
 """
 
@@ -122,14 +123,15 @@ def _factors(
 ) -> dict:
     """Per-model inputs of a metric's row kernel, stacked over the models.
 
-    One batched ``eigh`` covers every model: W2's PSD-clamped root
-    S^{1/2}, Bhattacharyya's log-determinant, or kl's log-determinant, S^{1/2}
-    and S^{-1/2}. A stacked ``eigh`` runs the same LAPACK call per matrix as
-    a single one, so the factors equal ``spd_sqrt``, ``spd_logdet`` and
-    ``spd_roots`` bit for bit, and a scalar call reads the same bits as a
-    matrix row. The log-determinants share that routine with the rows, so a
-    model compared with itself cancels to rounding even at condition number
-    1e12. A failure names the first failing ``{what} i``.
+    One batched ``eigh`` covers every model: W2's PSD-clamped root S^{1/2},
+    or kl's log-determinant, S^{1/2} and S^{-1/2}. A stacked ``eigh`` runs
+    the same LAPACK call per matrix as a single one, so the factors equal
+    ``spd_sqrt`` and ``spd_roots`` bit for bit, and a scalar call reads the
+    same bits as a matrix row. Bhattacharyya checks the same eigenvalues,
+    then takes its log-determinants 2 sum(ln diag(L)) from one batched
+    Cholesky factorization S = L L^T, the routine and formula its rows use,
+    so a model compared with itself cancels to exactly 0. A failure names
+    the first failing ``{what} i``.
     """
     _common_dim(models)
     cov = np.stack([m.covariance.values for m in models])
@@ -153,12 +155,46 @@ def _factors(
         (w[:, 0] <= 0.0, SingularMatrix,
          lambda k: f"non-positive eigenvalue {w[k, 0]:.6e} in {where}"),
     ])
+    if metric == METRIC_BHATTACHARYYA:
+        factor, failed = _cholesky(cov)
+        raise_first_failure(lambda k: f"{what} {k}", [
+            (failed, SingularMatrix,
+             lambda k: f"Cholesky factorization failed in log-determinant "
+                       f"(min eigenvalue {w[k, 0]:.6e})"),
+        ])
+        out["logdet"] = _cholesky_logdet(factor)
+        return out
     out["logdet"] = np.log(w).sum(axis=1)
     if metric == METRIC_KL:
         root = np.sqrt(w)[:, None, :]
         out["root"] = (v * root) @ vt
         out["invroot"] = (v / root) @ vt
     return out
+
+
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors L of a stack of symmetric matrices, and the
+    mask of those that are not numerically positive definite; a failed
+    matrix gets the identity's factor. numpy raises for the whole stack when
+    one matrix fails, so only that case factors them one at a time."""
+    try:
+        return np.linalg.cholesky(a), np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    failed = np.zeros(len(a), dtype=bool)
+    for k, m in enumerate(a):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            failed[k] = True
+    a = a.copy()
+    a[failed] = np.eye(a.shape[1])
+    return np.linalg.cholesky(a), failed
+
+
+def _cholesky_logdet(factor: np.ndarray) -> np.ndarray:
+    """ln|L L^T| = 2 sum(ln diag(L)) for each factor of a stack."""
+    return 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
 
 
 def _checked(i: int, js: np.ndarray, vals, tol: Tolerances, what: str, checks=()):
@@ -195,25 +231,29 @@ def _wasserstein_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.nda
 
 
 def _bhattacharyya_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Bhattacharyya from model i to each model in js. One eigendecomposition
-    of the averaged covariance gives both its inverse quadratic form and its
-    log-determinant. The average of two exactly symmetric covariances is
-    exactly symmetric, so it needs no symmetrization."""
+    """Bhattacharyya from model i to each model in js. One batched Cholesky
+    factorization Sbar = L L^T of the averaged covariances gives both terms:
+    ln|Sbar| from diag(L), and d^T Sbar^{-1} d = ||L^{-1} d||^2 by forward
+    substitution over the d columns, vectorized over the partners. The
+    average of two exactly symmetric covariances is exactly symmetric, and
+    (S + S)/2 == S, so a model compared with itself gets the factor
+    ``_factors`` took its log-determinant from and cancels to exactly 0."""
     mixed = (f["cov"][i] + f["cov"][js]) / 2.0
     finite = np.isfinite(mixed).all(axis=(1, 2))
     mixed[~finite] = np.eye(mixed.shape[1])
-    w, v = np.linalg.eigh(mixed)
-    low = w[:, 0].copy()
-    w[low <= 0.0] = 1.0
-    diff = f["mean"][js] - f["mean"][i]
-    z = (diff[:, None, :] @ v)[:, 0]
-    quad = (z * z / w).sum(axis=1)
-    logdet = np.log(w).sum(axis=1)
+    factor, failed = _cholesky(mixed)
+    z = f["mean"][js] - f["mean"][i]
+    for c in range(z.shape[1]):
+        z[:, c] /= factor[:, c, c]
+        z[:, c + 1 :] -= factor[:, c + 1 :, c] * z[:, c : c + 1]
+    quad = (z * z).sum(axis=1)
+    logdet = _cholesky_logdet(factor)
     vals = 0.125 * quad + 0.5 * (logdet - 0.5 * (f["logdet"][i] + f["logdet"][js]))
     return _checked(i, js, vals, tol, "Bhattacharyya distance", [
         (~finite, InvalidMatrix, lambda k: "averaged covariance entries must be finite"),
-        (low <= 0.0, SingularMatrix,
-         lambda k: f"non-positive eigenvalue {low[k]:.6e} in averaged covariance"),
+        (failed, SingularMatrix,
+         lambda k: f"Cholesky factorization failed in averaged covariance "
+                   f"(min eigenvalue {np.linalg.eigvalsh(mixed[k])[0]:.6e})"),
     ])
 
 

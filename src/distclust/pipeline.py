@@ -36,7 +36,9 @@ from .ingest import add_noise
 from .klcluster import SEEDING_KLPP, SEEDING_RANDOM, kl_cluster
 from .metrics import (
     METRIC_BHATTACHARYYA,
+    METRIC_EUCLIDEAN,
     METRIC_WASSERSTEIN_SQ,
+    DistanceMatrix,
     distance_matrix,
     mean_euclidean_matrix,
 )
@@ -62,8 +64,12 @@ ALGORITHMS = (
 FAMILY_MEAN_ONLY = "mean_only"
 FAMILY_DISTRIBUTION = "distribution_based"
 
-_SPECTRAL_ALGOS = frozenset({ALGO_SPECTRAL_MEANS, ALGO_WASSERSTEIN, ALGO_BHATTACHARYYA})
-_KL_ALGOS = frozenset({ALGO_KL, ALGO_KLPP})
+# the divergence each spectral algorithm clusters
+_SPECTRAL_METRICS = {
+    ALGO_SPECTRAL_MEANS: METRIC_EUCLIDEAN,
+    ALGO_WASSERSTEIN: METRIC_WASSERSTEIN_SQ,
+    ALGO_BHATTACHARYYA: METRIC_BHATTACHARYYA,
+}
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -118,9 +124,9 @@ class PipelineResult:
 
 def _config_warnings(config: PipelineConfig) -> tuple[str, ...]:
     notes = []
-    if config.sigma is not None and config.algorithm not in _SPECTRAL_ALGOS:
+    if config.sigma is not None and config.algorithm not in _SPECTRAL_METRICS:
         notes.append(f"sigma ignored for {config.algorithm}")
-    if config.kernel_on_sqrt and config.algorithm not in _SPECTRAL_ALGOS:
+    if config.kernel_on_sqrt and config.algorithm not in _SPECTRAL_METRICS:
         notes.append(f"kernel_on_sqrt ignored for {config.algorithm}")
     if config.klpp_squared and config.algorithm != ALGO_KLPP:
         notes.append(f"klpp_squared ignored for {config.algorithm}")
@@ -152,35 +158,18 @@ def run_pipeline(groups, config: PipelineConfig) -> PipelineResult:
             warnings=warnings,
         )
 
-    if config.algorithm in _SPECTRAL_ALGOS:
-        if config.algorithm == ALGO_SPECTRAL_MEANS:
-            dm = mean_euclidean_matrix(models)
-        elif config.algorithm == ALGO_WASSERSTEIN:
-            dm = distance_matrix(models, METRIC_WASSERSTEIN_SQ)
-        else:
-            dm = distance_matrix(models, METRIC_BHATTACHARYYA)
-        metric = dm.metric
-        adjacency = kernelize(dm, sigma=config.sigma, on_sqrt=config.kernel_on_sqrt)
-        # past the kernel the divergence matrix is dead weight; dropping it
-        # takes one n x n array off the peak of the eigensolve
-        del dm
-        result = spectral_cluster(
-            adjacency,
-            config.k,
-            rng,
-            restarts=config.restarts,
-            max_iter=config.max_iter or 300,
+    metric = _SPECTRAL_METRICS.get(config.algorithm)
+    if metric is not None:
+        # the matrix goes in as a temporary, so cluster_matrix can drop the
+        # last reference to it before the eigensolve
+        assignment, diagnostics = cluster_matrix(
+            mean_euclidean_matrix(models)
+            if metric == METRIC_EUCLIDEAN
+            else distance_matrix(models, metric),
+            config,
         )
         return PipelineResult(
-            result.assignment,
-            models,
-            config.algorithm,
-            diagnostics={
-                "metric": metric,
-                "bandwidth_sigma": result.bandwidth_sigma,
-                "ncut": result.ncut,
-            },
-            warnings=warnings,
+            assignment, models, config.algorithm, diagnostics=diagnostics, warnings=warnings
         )
 
     seeding = SEEDING_KLPP if config.algorithm == ALGO_KLPP else SEEDING_RANDOM
@@ -204,6 +193,42 @@ def run_pipeline(groups, config: PipelineConfig) -> PipelineResult:
         },
         warnings=warnings,
     )
+
+
+def spectral_metric(algorithm: str) -> str:
+    """The metric of the matrix a spectral algorithm clusters; InvalidConfig
+    for an algorithm that clusters no distance matrix."""
+    if algorithm not in _SPECTRAL_METRICS:
+        raise InvalidConfig(
+            f"{algorithm} cannot run from a saved distance matrix; pass a groups CSV instead"
+        )
+    return _SPECTRAL_METRICS[algorithm]
+
+
+def cluster_matrix(dm: DistanceMatrix, config: PipelineConfig) -> tuple[ClusterAssignment, dict]:
+    """Spectral clustering of a divergence matrix: the Gaussian kernel, the
+    spectral embedding and k-means, seeded from ``config.seed``. The matrix
+    must carry the metric of ``config.algorithm``. Returns the labels and
+    the run's diagnostics (metric, bandwidth, normalized cut)."""
+    expected = spectral_metric(config.algorithm)
+    if dm.metric != expected:
+        raise InvalidConfig(f"{config.algorithm} expects a {expected} matrix, got {dm.metric}")
+    adjacency = kernelize(dm, sigma=config.sigma, on_sqrt=config.kernel_on_sqrt)
+    # past the kernel the divergence matrix is dead weight; dropping it
+    # takes one n x n array off the peak of the eigensolve
+    del dm
+    result = spectral_cluster(
+        adjacency,
+        config.k,
+        np.random.default_rng(config.seed),
+        restarts=config.restarts,
+        max_iter=config.max_iter or 300,
+    )
+    return result.assignment, {
+        "metric": expected,
+        "bandwidth_sigma": result.bandwidth_sigma,
+        "ncut": result.ncut,
+    }
 
 
 def resolve_threads(explicit: int | None = None) -> int:

@@ -128,6 +128,14 @@ class TestClusterCommand:
         )
         assert code == 1
 
+    def test_usage_error_comes_before_reading_the_matrix(self, tmp_path, capsys):
+        code = entrypoint(
+            ["cluster", str(tmp_path / "missing.json"), "--algorithm", "kl", "--k", "2",
+             "--out", str(tmp_path / "l.json")]
+        )
+        assert code == 1
+        assert "kl cannot run from a saved distance matrix" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path):

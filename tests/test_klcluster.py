@@ -70,20 +70,40 @@ class TestCenterUpdate:
             center_update([random_model(2, rng)], np.array([0]), 2)
 
     def test_center_minimizes_member_divergence(self, rng):
-        # the closed form should beat nearby perturbations of itself
-        members = [random_model(2, rng) for _ in range(5)]
-        labels = np.zeros(5, dtype=int)
-        center = center_update(members, labels, 1)[0]
-        best = sum(kl_divergence(m, center) for m in members)
-        for _ in range(10):
-            wobble = GaussianModel(
-                center.mean + 0.05 * rng.standard_normal(2),
-                SymMatrix(
-                    center.covariance.values
-                    + 0.05 * np.diag(rng.uniform(0.0, 1.0, 2))
-                ),
-            )
-            assert sum(kl_divergence(m, wobble) for m in members) >= best - 1e-9
+        # the closed form is the global minimizer of the summed KL(member ||
+        # center) (Davis & Dhillon, NIPS 2006), so every perturbation of it
+        # does no better: a shifted mean, a larger diagonal, and congruences
+        # C -> E C E with E = exp(delta * sym), which shrink and rotate C;
+        # half the members are fits to q = max(2, d) samples, ridge-only
+        # for d > 1 since q - 1 < d
+        for d in (1, 2, 7):
+            members = [
+                random_model(d, rng)
+                if i % 2 == 0
+                else estimate_gaussian(SampleGroup(f"g{i}", rng.standard_normal((max(2, d), d))))
+                for i in range(6)
+            ]
+            center = center_update(members, np.zeros(6, dtype=int), 1)[0]
+            mean, cov = center.mean, center.covariance.values
+
+            def objective(m, c):
+                candidate = GaussianModel(m, SymMatrix(c))
+                return sum(kl_divergence(member, candidate) for member in members)
+
+            def congruence(delta):
+                a = rng.standard_normal((d, d))
+                w, v = np.linalg.eigh((a + a.T) / 2.0)
+                e = (v * np.exp(delta * w)) @ v.T
+                return e @ cov @ e
+
+            best = objective(mean, cov)
+            for delta in (1e-3, 0.05, 0.5):
+                for _ in range(5):
+                    shift = mean + delta * rng.standard_normal(d)
+                    grown = cov + delta * np.diag(rng.uniform(0.0, 1.0, d))
+                    moved = congruence(delta)
+                    for m, c in ((shift, cov), (mean, grown), (mean, moved), (shift, moved)):
+                        assert objective(m, c) >= best - 1e-9, (d, delta)
 
 
 class TestKlppSeed:

@@ -17,11 +17,11 @@ from distclust.matrixcore import (
     DEFAULT_TOLERANCES,
     SymMatrix,
     Tolerances,
-    spd_logdet,
     spd_roots,
     spd_sqrt,
 )
 from distclust.metrics import (
+    _bhattacharyya_row,
     _factors,
     METRIC_BHATTACHARYYA,
     METRIC_EUCLIDEAN,
@@ -90,6 +90,32 @@ class TestBhattacharyya:
             assert bhattacharyya(a, a) <= 1e-9
             assert bhattacharyya(a, b) == pytest.approx(bhattacharyya(b, a), abs=1e-9)
             assert bhattacharyya(a, b) >= 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_self_distance_is_exactly_zero(self, d, rng):
+        # (S + S)/2 == S, so the pair factors exactly as the model does and
+        # every term cancels, up to condition number 1e12 and for fits to
+        # q = d samples (ridge-only for d > 1)
+        for cond in (1.0, 1e3, 1e6, 1e9, 1e12):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            spectrum = np.logspace(0.0, np.log10(cond), d) * 10.0 ** rng.uniform(-2.0, 2.0)
+            a = GaussianModel(rng.standard_normal(d), SymMatrix((q * spectrum) @ q.T))
+            assert bhattacharyya(a, a) == 0.0, cond
+        for _ in range(5):
+            a = estimate_gaussian(SampleGroup("g", rng.standard_normal((max(2, d), d))))
+            assert bhattacharyya(a, a) == 0.0
+
+    def test_singular_averaged_covariance_names_first_pair(self):
+        # a hand-built row, past the per-model checks: averaging with model 2
+        # leaves a zero eigenvalue at partners 4 and 5 only; low per-model
+        # log-determinants keep pair (2, 3)'s value positive
+        covs = [np.eye(3)] * 6
+        covs[2] = np.diag([2.0, 0.0, 1.0])
+        covs[4] = np.diag([1.0, 0.0, 3.0])
+        covs[5] = np.diag([1.0, 0.0, 1.0])
+        f = {"mean": np.zeros((6, 3)), "cov": np.stack(covs), "logdet": np.full(6, -10.0)}
+        with pytest.raises(SingularMatrix, match=r"^pair \(2, 4\)"):
+            _bhattacharyya_row(f, 2, np.arange(3, 6), DEFAULT_TOLERANCES)
 
 
 class TestKlDivergence:
@@ -326,7 +352,10 @@ class TestStackedFactors:
             cov = m.covariance
             assert w2["root"][i].tobytes() == spd_sqrt(cov).values.tobytes()
             assert w2["trace"][i] == float(np.trace(cov.values))
-            assert bh["logdet"][i] == spd_logdet(cov)
+            # Bhattacharyya's log-determinant comes from the Cholesky factor
+            # its rows use, not from spd_logdet's eigenvalues
+            chol = np.linalg.cholesky(cov.values)
+            assert bh["logdet"][i] == 2.0 * np.log(np.diagonal(chol)).sum()
             logdet, root, invroot = spd_roots(cov)
             assert kl["logdet"][i] == logdet
             assert kl["root"][i].tobytes() == root.tobytes()
@@ -339,6 +368,27 @@ class TestStackedFactors:
             models[i] = GaussianModel(np.zeros(2), SymMatrix(np.diag([1.0, 0.0])))
         with pytest.raises(SingularMatrix, match=r"^model 2: non-positive eigenvalue"):
             _factors(models, metric, DEFAULT_TOLERANCES)
+
+    def test_cholesky_failure_names_first_model(self, rng):
+        # a rank-deficient covariance whose rounding leaves eigh a tiny
+        # positive eigenvalue passes the eigenvalue check, and the failing
+        # Cholesky factorization names it
+        def flat():
+            for _ in range(1000):
+                q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+                cov = (q * np.array([1.0, 1.0, 0.0])) @ q.T
+                cov = (cov + cov.T) / 2.0
+                if np.linalg.eigh(cov)[0][0] > 0.0:
+                    try:
+                        np.linalg.cholesky(cov)
+                    except np.linalg.LinAlgError:
+                        return GaussianModel(np.zeros(3), SymMatrix(cov))
+            raise AssertionError("no such covariance in 1000 draws")
+
+        models = [random_model(3, rng) for _ in range(5)]
+        models[2], models[4] = flat(), flat()
+        with pytest.raises(SingularMatrix, match=r"^model 2: Cholesky factorization failed"):
+            distance_matrix(models, METRIC_BHATTACHARYYA)
 
     def test_psd_failure_names_model(self):
         # a negative floor turns the PSD check into a conditioning check that

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,7 @@ from distclust.pipeline import (
     algorithm_family,
     benchmark_stock,
     benchmark_synthetic,
+    cluster_matrix,
     resolve_threads,
     run_pipeline,
     write_report,
@@ -29,7 +31,8 @@ from distclust.pipeline import (
 from distclust.storage import canonical_json_bytes
 from distclust.synthgen import derive_trial_seed, generate_benchmark
 from distclust.evaluation import nmi
-from distclust.gaussian import SampleGroup
+from distclust.gaussian import SampleGroup, estimate_gaussians
+from distclust.metrics import distance_matrix
 
 DISTRIBUTION_ALGOS = (ALGO_WASSERSTEIN, ALGO_BHATTACHARYYA, ALGO_KL, ALGO_KLPP)
 
@@ -152,6 +155,22 @@ class TestRunPipeline:
         )
         assert result.diagnostics["bandwidth_sigma"] == 2.5
         assert result.warnings == ()
+
+    def test_cluster_matrix_is_the_spectral_path(self, rng):
+        # run_pipeline's spectral algorithms are cluster_matrix on the fitted
+        # models' matrix; a matrix of another metric, or an algorithm that
+        # clusters no matrix, is a configuration error
+        groups, _ = separated_groups(rng, per_cluster=5)
+        models = estimate_gaussians(groups, 1e-8)
+        config = PipelineConfig(algorithm=ALGO_BHATTACHARYYA, k=2, seed=4, sigma=0.5)
+        assignment, diagnostics = cluster_matrix(distance_matrix(models, "bhattacharyya"), config)
+        result = run_pipeline(groups, config)
+        assert np.array_equal(assignment.labels, result.assignment.labels)
+        assert diagnostics == result.diagnostics
+        with pytest.raises(InvalidConfig, match="expects a bhattacharyya matrix, got wasserstein_sq"):
+            cluster_matrix(distance_matrix(models, "wasserstein_sq"), config)
+        with pytest.raises(InvalidConfig, match="kl cannot run from a saved distance matrix"):
+            cluster_matrix(distance_matrix(models, "kl"), replace(config, algorithm=ALGO_KL))
 
     def test_too_few_groups(self, rng):
         groups, _ = separated_groups(rng, per_cluster=1)
