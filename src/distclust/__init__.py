@@ -1,224 +1,37 @@
-"""Clustering for multiple-sample data via Gaussian model divergences."""
+"""Clustering for multiple-sample data via Gaussian model divergences.
 
-from .errors import (
-    DimensionMismatch,
-    DistclustError,
-    EmptyCluster,
-    InsufficientSamples,
-    InvalidBandwidth,
-    InvalidConfig,
-    InvalidMatrix,
-    MetricNotSymmetric,
-    NotPositiveSemidefinite,
-    NumericalError,
-    RowError,
-    SchemaError,
-    SingularMatrix,
-)
-from .evaluation import Contingency, contingency, entropy_from_counts, mutual_information, nmi
-from .gaussian import (
-    GaussianModel,
-    SampleGroup,
-    estimate_gaussian,
-    estimate_gaussians,
-    log_density,
-    sample,
-)
-from .ingest import IngestResult, add_noise, log_return_transform, read_stock_csv
-from .klcluster import (
-    SEEDING_KLPP,
-    SEEDING_RANDOM,
-    KlClusterResult,
-    center_update,
-    kl_cluster,
-    klpp_seed,
-)
-from .matrixcore import (
-    DEFAULT_TOLERANCES,
-    EigenDecomposition,
-    SymMatrix,
-    Tolerances,
-    regularize,
-    spd_inverse,
-    spd_logdet,
-    spd_roots,
-    spd_sqrt,
-    sym_eigen,
-)
-from .metrics import (
-    KNOWN_METRICS,
-    METRIC_BHATTACHARYYA,
-    METRIC_EUCLIDEAN,
-    METRIC_KL,
-    METRIC_WASSERSTEIN_SQ,
-    SYMMETRIC_METRICS,
-    DistanceMatrix,
-    bhattacharyya,
-    distance_matrix,
-    kl_divergence,
-    kl_divergence_table,
-    kl_factors,
-    mean_euclidean_matrix,
-    wasserstein_sq,
-)
+The top level exports the names the README's examples and the CLI's commands
+stand on; every other name imports from its own module.
+"""
+
+from .errors import DistclustError, InvalidConfig
+from .evaluation import nmi
+from .gaussian import estimate_gaussians
+from .metrics import distance_matrix
 from .pipeline import (
-    ALGO_BHATTACHARYYA,
-    ALGO_KL,
-    ALGO_KLPP,
-    ALGO_KMEANS_MEANS,
-    ALGO_SPECTRAL_MEANS,
-    ALGO_WASSERSTEIN,
-    ALGORITHMS,
-    FAMILY_DISTRIBUTION,
-    FAMILY_MEAN_ONLY,
     PipelineConfig,
-    PipelineResult,
-    algorithm_family,
     benchmark_stock,
     benchmark_synthetic,
-    resolve_threads,
+    cluster_matrix,
     run_pipeline,
-    write_report,
 )
-from .spectral import (
-    AdjacencyMatrix,
-    ClusterAssignment,
-    KMeansResult,
-    SpectralResult,
-    kernelize,
-    kmeans,
-    median_bandwidth,
-    ncut,
-    normalized_laplacian,
-    spectral_cluster,
-    spectral_embedding,
-    wcss,
-)
-from .storage import (
-    canonical_json_bytes,
-    read_distance_matrix_json,
-    read_groups_csv,
-    read_labels_json,
-    read_models_json,
-    write_distance_matrix,
-    write_groups_csv,
-    write_labels_json,
-    write_models_json,
-)
-from .synthgen import (
-    SynthParams,
-    SyntheticBenchmark,
-    derive_trial_seed,
-    generate_benchmark,
-    make_generator,
-    random_orthogonal,
-    random_simplex_point,
-)
+from .spectral import kernelize, spectral_cluster
+from .synthgen import generate_benchmark
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS",
-    "ALGO_BHATTACHARYYA",
-    "ALGO_KL",
-    "ALGO_KLPP",
-    "ALGO_KMEANS_MEANS",
-    "ALGO_SPECTRAL_MEANS",
-    "ALGO_WASSERSTEIN",
-    "AdjacencyMatrix",
-    "ClusterAssignment",
-    "Contingency",
-    "DEFAULT_TOLERANCES",
-    "DimensionMismatch",
-    "DistanceMatrix",
     "DistclustError",
-    "EigenDecomposition",
-    "EmptyCluster",
-    "FAMILY_DISTRIBUTION",
-    "FAMILY_MEAN_ONLY",
-    "GaussianModel",
-    "IngestResult",
-    "InsufficientSamples",
-    "InvalidBandwidth",
     "InvalidConfig",
-    "InvalidMatrix",
-    "KMeansResult",
-    "KNOWN_METRICS",
-    "KlClusterResult",
-    "METRIC_BHATTACHARYYA",
-    "METRIC_EUCLIDEAN",
-    "METRIC_KL",
-    "METRIC_WASSERSTEIN_SQ",
-    "MetricNotSymmetric",
-    "NotPositiveSemidefinite",
-    "NumericalError",
     "PipelineConfig",
-    "PipelineResult",
-    "RowError",
-    "SEEDING_KLPP",
-    "SEEDING_RANDOM",
-    "SYMMETRIC_METRICS",
-    "SampleGroup",
-    "SchemaError",
-    "SingularMatrix",
-    "SpectralResult",
-    "SymMatrix",
-    "SynthParams",
-    "SyntheticBenchmark",
-    "Tolerances",
-    "add_noise",
-    "algorithm_family",
     "benchmark_stock",
     "benchmark_synthetic",
-    "bhattacharyya",
-    "canonical_json_bytes",
-    "center_update",
-    "contingency",
-    "derive_trial_seed",
+    "cluster_matrix",
     "distance_matrix",
-    "entropy_from_counts",
-    "estimate_gaussian",
     "estimate_gaussians",
     "generate_benchmark",
     "kernelize",
-    "kl_cluster",
-    "kl_divergence",
-    "kl_divergence_table",
-    "kl_factors",
-    "klpp_seed",
-    "kmeans",
-    "log_density",
-    "log_return_transform",
-    "make_generator",
-    "mean_euclidean_matrix",
-    "median_bandwidth",
-    "mutual_information",
-    "ncut",
     "nmi",
-    "normalized_laplacian",
-    "random_orthogonal",
-    "random_simplex_point",
-    "read_distance_matrix_json",
-    "read_groups_csv",
-    "read_labels_json",
-    "read_models_json",
-    "read_stock_csv",
-    "regularize",
-    "resolve_threads",
     "run_pipeline",
-    "sample",
-    "spd_inverse",
-    "spd_logdet",
-    "spd_roots",
-    "spd_sqrt",
     "spectral_cluster",
-    "spectral_embedding",
-    "sym_eigen",
-    "wasserstein_sq",
-    "wcss",
-    "write_distance_matrix",
-    "write_groups_csv",
-    "write_labels_json",
-    "write_models_json",
-    "write_report",
 ]

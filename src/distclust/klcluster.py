@@ -15,6 +15,13 @@ Seeding is either ``random`` (k distinct models drawn uniformly) or ``klpp``,
 the ++-style scheme that picks each next center with probability
 proportional to the model's KL divergence to its nearest chosen center
 (optionally the squared divergence).
+
+The iteration runs on stacked arrays from start to finish: ``kl_factors``
+stacks and factors the models once, and every center set is a (k, d) mean
+array and a (k, d, d) covariance array. The returned centers are built as
+``GaussianModel`` objects once, at the end. An empty cluster is refilled by
+the repair that Lloyd's k-means in ``spectral`` uses, with each model's KL
+divergence to its own center as its cost.
 """
 
 from dataclasses import dataclass
@@ -25,7 +32,7 @@ from .errors import EmptyCluster, InvalidConfig
 from .gaussian import GaussianModel
 from .matrixcore import SymMatrix
 from .metrics import kl_divergence_table, kl_factors
-from .spectral import ClusterAssignment
+from .spectral import ClusterAssignment, _repair_empty
 
 SEEDING_RANDOM = "random"
 SEEDING_KLPP = "klpp"
@@ -43,62 +50,49 @@ class KlClusterResult:
 
 
 def center_update(
-    models: list[GaussianModel],
-    labels: np.ndarray,
-    k: int,
-    model_factors: dict | None = None,
-) -> list[GaussianModel]:
-    """Closed-form KL centers for the given assignment.
+    factors: dict, labels: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form KL centers for the given assignment, as stacked means
+    (k, d) and covariances (k, d, d).
 
-    Averages the models' stacked means and covariances; ``model_factors``
-    from ``kl_factors(models)`` already holds those stacks. Raises
-    EmptyCluster if any label in [0, k) has no members; callers are
-    expected to repair the assignment first.
+    Averages the stacked ``mean`` and ``cov`` arrays of ``kl_factors(models)``
+    over each cluster's members; each covariance gets the (X + X^T)/2 that
+    ``SymMatrix`` applies. Raises EmptyCluster if any label in [0, k) has no
+    members; callers are expected to repair the assignment first.
     """
-    if model_factors is None:
-        model_factors = {
-            "mean": np.stack([m.mean for m in models]),
-            "cov": np.stack([m.covariance.values for m in models]),
-        }
-    centers = []
+    means = np.empty((k, factors["mean"].shape[1]))
+    covs = np.empty((k, *factors["cov"].shape[1:]))
     for j in range(k):
         member_idx = np.flatnonzero(labels == j)
         if member_idx.size == 0:
             raise EmptyCluster(f"cluster {j} has no members")
-        means = model_factors["mean"][member_idx]
-        a = means.mean(axis=0)
-        dev = means - a
-        x = model_factors["cov"][member_idx].mean(axis=0) + (dev.T @ dev) / member_idx.size
-        centers.append(GaussianModel(a, SymMatrix(x), group_id=f"center_{j}"))
-    return centers
+        members = factors["mean"][member_idx]
+        means[j] = members.mean(axis=0)
+        dev = members - means[j]
+        covs[j] = factors["cov"][member_idx].mean(axis=0) + (dev.T @ dev) / member_idx.size
+    return means, (covs + covs.transpose(0, 2, 1)) / 2.0
 
 
 def klpp_seed(
-    models: list[GaussianModel],
-    k: int,
-    rng: np.random.Generator,
-    squared: bool = False,
-    model_factors: dict | None = None,
+    factors: dict, k: int, rng: np.random.Generator, squared: bool = False
 ) -> list[int]:
     """++-style seeding: indices of k models chosen as initial centers.
 
-    The first index is uniform; each later one is drawn with probability
-    proportional to the model's KL divergence to its nearest already-chosen
-    center (or that divergence squared). When every candidate has zero
-    divergence the draw falls back to uniform over unchosen indices.
+    The models come as ``kl_factors(models)``. The first index is uniform;
+    each later one is drawn with probability proportional to the model's KL
+    divergence to its nearest already-chosen center (or that divergence
+    squared). When every candidate has zero divergence the draw falls back
+    to uniform over unchosen indices.
     """
-    n = len(models)
+    n = len(factors["mean"])
     if k < 1 or k > n:
         raise InvalidConfig(f"k={k} invalid for {n} models")
-    if model_factors is None:
-        model_factors = kl_factors(models)
     chosen = [int(rng.integers(n))]
     nearest = np.full(n, np.inf)
     for _ in range(1, k):
-        latest = kl_divergence_table(
-            models, [models[chosen[-1]]], model_factors=model_factors
-        )[:, 0]
-        nearest = np.minimum(nearest, latest)
+        latest = chosen[-1:]
+        table = kl_divergence_table(factors, factors["mean"][latest], factors["cov"][latest])
+        nearest = np.minimum(nearest, table[:, 0])
         weights = nearest**2 if squared else nearest
         weights = weights.copy()
         weights[chosen] = 0.0
@@ -109,30 +103,6 @@ def klpp_seed(
             pool = np.setdiff1d(np.arange(n), chosen)
             chosen.append(int(rng.choice(pool)))
     return chosen
-
-
-def _repair_empty(
-    models: list[GaussianModel],
-    labels: np.ndarray,
-    k: int,
-    centers: list[GaussianModel],
-    model_factors: dict,
-) -> np.ndarray:
-    """Move the model farthest from its own center into each empty cluster,
-    taking donors only from clusters that keep at least one member."""
-    labels = labels.copy()
-    table = kl_divergence_table(models, centers, model_factors=model_factors)
-    for empty in range(k):
-        counts = np.bincount(labels, minlength=k)
-        if counts[empty] > 0:
-            continue
-        own = table[np.arange(len(models)), labels].copy()
-        own[counts[labels] < 2] = -np.inf
-        donor = int(own.argmax())
-        if not np.isfinite(own[donor]):
-            break
-        labels[donor] = empty
-    return labels
 
 
 def kl_cluster(
@@ -153,17 +123,13 @@ def kl_cluster(
     if max_iter < 1:
         raise InvalidConfig("max_iter must be positive")
 
-    model_factors = kl_factors(models)
+    factors = kl_factors(models)
     if seeding == SEEDING_KLPP:
-        seed_idx = klpp_seed(
-            models, k, rng, squared=klpp_squared, model_factors=model_factors
-        )
+        seed_idx = klpp_seed(factors, k, rng, squared=klpp_squared)
     else:
         seed_idx = [int(i) for i in rng.choice(n, size=k, replace=False)]
-    centers = [models[i] for i in seed_idx]
-    labels = kl_divergence_table(models, centers, model_factors=model_factors).argmin(
-        axis=1
-    )
+    table = kl_divergence_table(factors, factors["mean"][seed_idx], factors["cov"][seed_idx])
+    labels = table.argmin(axis=1)
 
     history: list[float] = []
     repairs: list[int] = []
@@ -171,10 +137,12 @@ def kl_cluster(
     iteration = 0
     for iteration in range(1, max_iter + 1):
         if np.bincount(labels, minlength=k).min() == 0:
-            labels = _repair_empty(models, labels, k, centers, model_factors)
+            # table still holds the divergences to the centers that left a
+            # cluster empty
+            labels = _repair_empty(labels, k, lambda lab: table[np.arange(n), lab])
             repairs.append(iteration)
-        centers = center_update(models, labels, k, model_factors)
-        table = kl_divergence_table(models, centers, model_factors=model_factors)
+        means, covs = center_update(factors, labels, k)
+        table = kl_divergence_table(factors, means, covs)
         new_labels = table.argmin(axis=1)
         history.append(float(table[np.arange(n), new_labels].sum()))
         if np.array_equal(new_labels, labels):
@@ -184,7 +152,9 @@ def kl_cluster(
 
     return KlClusterResult(
         assignment=ClusterAssignment(labels, k),
-        centers=tuple(centers),
+        centers=tuple(
+            GaussianModel(means[j], SymMatrix(covs[j]), group_id=f"center_{j}") for j in range(k)
+        ),
         iterations=iteration,
         converged=converged,
         objective_history=tuple(history),

@@ -19,10 +19,11 @@ covariances for Bhattacharyya. The matrix builder calls it once per row,
 and a scalar entry point is a batch of one through it, so a matrix entry
 equals the scalar call bit for bit. KL k-means' model-to-center table uses
 the kl formula and per-model factors of the kl row, one batched column per
-center. All values are mathematically non-negative; tiny negative results
-from rounding are clamped to zero, anything below ``-negative_clamp``
-raises NumericalError. A failure names ``model i`` or the first failing
-``pair (i, j)`` in row-major order.
+center, with the centers given as stacked arrays. All values are
+mathematically non-negative; tiny negative results from rounding are
+clamped to zero, anything below ``-negative_clamp`` raises NumericalError.
+A failure names ``model i`` or the first failing ``pair (i, j)`` in
+row-major order.
 """
 
 from dataclasses import dataclass
@@ -118,26 +119,34 @@ class DistanceMatrix:
         return self.metric in SYMMETRIC_METRICS
 
 
+def _stack(models: Sequence[GaussianModel]) -> tuple[np.ndarray, np.ndarray]:
+    """The models' means (n, d) and covariances (n, d, d) as two stacks."""
+    _common_dim(models)
+    return np.stack([m.mean for m in models]), np.stack([m.covariance.values for m in models])
+
+
 def _factors(
-    models: Sequence[GaussianModel], metric: str, tol: Tolerances, what: str = "model"
+    mean: np.ndarray, cov: np.ndarray, metric: str, tol: Tolerances, what: str = "model"
 ) -> dict:
-    """Per-model inputs of a metric's row kernel, stacked over the models.
+    """Per-model inputs of a metric's row kernel, from stacked means (n, d)
+    and covariances (n, d, d).
 
     One batched ``eigh`` covers every model: W2's PSD-clamped root S^{1/2},
     or kl's log-determinant, S^{1/2} and S^{-1/2}. A stacked ``eigh`` runs
     the same LAPACK call per matrix as a single one, so the factors equal
     ``spd_sqrt`` and ``spd_roots`` bit for bit, and a scalar call reads the
-    same bits as a matrix row. Bhattacharyya checks the same eigenvalues,
-    then takes its log-determinants 2 sum(ln diag(L)) from one batched
-    Cholesky factorization S = L L^T, the routine and formula its rows use,
-    so a model compared with itself cancels to exactly 0. A failure names
-    the first failing ``{what} i``.
+    same bits as a matrix row. Bhattacharyya checks the smallest eigenvalues
+    with one batched ``eigvalsh``, then takes its log-determinants
+    2 sum(ln diag(L)) from one batched Cholesky factorization S = L L^T,
+    the routine and formula its rows use, so a model compared with itself
+    cancels to exactly 0. A failure names the first failing ``{what} i``.
     """
-    _common_dim(models)
-    cov = np.stack([m.covariance.values for m in models])
-    out = {"mean": np.stack([m.mean for m in models]), "cov": cov}
-    w, v = np.linalg.eigh(cov)
-    vt = v.transpose(0, 2, 1)
+    out = {"mean": mean, "cov": cov}
+    if metric == METRIC_BHATTACHARYYA:
+        w = np.linalg.eigvalsh(cov)
+    else:
+        w, v = np.linalg.eigh(cov)
+        vt = v.transpose(0, 2, 1)
     if metric == METRIC_WASSERSTEIN_SQ:
         floor = -tol.psd_floor * np.maximum(1.0, w[:, -1])
         root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ vt
@@ -284,7 +293,7 @@ _ROW_KERNELS = {
 def _scalar(metric: str, a: GaussianModel, b: GaussianModel, tol: Tolerances) -> float:
     """Entry (0, 1) of the two-model matrix: a batch of one through the row
     kernel, so errors name a as model 0 and b as model 1."""
-    f = _factors([a, b], metric, tol)
+    f = _factors(*_stack([a, b]), metric, tol)
     return float(_ROW_KERNELS[metric](f, 0, np.array([1]), tol)[0])
 
 
@@ -338,7 +347,7 @@ def distance_matrix(
     if metric == METRIC_EUCLIDEAN:
         return mean_euclidean_matrix(models)
     n = len(models)
-    f = _factors(models, metric, tol)
+    f = _factors(*_stack(models), metric, tol)
     row = _ROW_KERNELS[metric]
     out = np.zeros((n, n))
     for i in range(n):
@@ -369,31 +378,30 @@ def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
 
 
 def kl_factors(models: Sequence[GaussianModel], tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
-    """Per-model inputs of ``kl_divergence_table``, for reuse across calls."""
-    return _factors(models, METRIC_KL, tol)
+    """Per-model inputs of ``kl_divergence_table``: the stacked ``mean`` and
+    ``cov`` arrays and the kl row's factors, for reuse across calls."""
+    return _factors(*_stack(models), METRIC_KL, tol)
 
 
 def kl_divergence_table(
-    models: Sequence[GaussianModel],
-    centers: Sequence[GaussianModel],
-    model_factors: dict | None = None,
+    factors: dict,
+    center_means: np.ndarray,
+    center_covs: np.ndarray,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """(n_models, n_centers) table of KL(model_i || center_j).
 
     The inner loop of KL k-means: the kl row's formula and factors, one
-    batched column per center. ``model_factors`` from ``kl_factors(models)``
-    saves recomputing them every iteration.
+    batched column per center. The models come as ``kl_factors(models)``,
+    the centers as stacked means (k, d) and covariances (k, d, d), factored
+    here by the same stacked ``eigh``.
     """
-    d = _common_dim(models)
-    if _common_dim(centers) != d:
+    if center_covs.shape[1:] != factors["cov"].shape[1:]:
         raise DimensionMismatch("centers do not match model dimension")
-    if model_factors is None:
-        model_factors = kl_factors(models, tol)
-    center_factors = _factors(centers, METRIC_KL, tol, what="center")
-    out = np.empty((len(models), len(centers)))
-    for j in range(len(centers)):
-        out[:, j] = _kl(model_factors, slice(None), center_factors, j)
+    center_factors = _factors(center_means, center_covs, METRIC_KL, tol, what="center")
+    out = np.empty((len(factors["mean"]), len(center_means)))
+    for j in range(len(center_means)):
+        out[:, j] = _kl(factors, slice(None), center_factors, j)
     bad = np.argwhere(out < -tol.negative_clamp)
     if bad.size:
         i, j = bad[0]

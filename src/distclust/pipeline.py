@@ -13,8 +13,11 @@ one of six algorithms:
 The first two are mean-only baselines; the rest use full distributions.
 
 Benchmarks aggregate agreement with ground truth (NMI) over repeated trials.
-Trial seeds are derived from the base seed with a fixed mixing function, so
-reports are reproducible and independent of how trials are scheduled. With
+A trial fits its groups once and runs every algorithm on those models; a
+cell's ``wall_time_s`` sums each trial's measured clustering seconds after
+that shared fit. Trial seeds are derived from the base seed with a fixed
+mixing function, so reports are reproducible and independent of how trials
+are scheduled. With
 ``threads > 1`` trials run in worker processes: one benchmark job starts at
 most one pool, shared by the trials of all its cells, and shuts it down
 before it returns.
@@ -137,7 +140,12 @@ def run_pipeline(groups, config: PipelineConfig) -> PipelineResult:
     """Fit per-group Gaussians and cluster them with the configured algorithm."""
     if len(groups) < config.k:
         raise InvalidConfig(f"{len(groups)} groups cannot form k={config.k} clusters")
-    models = estimate_gaussians(groups, config.eps_scale)
+    return _cluster_models(estimate_gaussians(groups, config.eps_scale), config)
+
+
+def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
+    """Cluster fitted models with the configured algorithm; a benchmark
+    trial fits once and calls this for each of its algorithms."""
     rng = np.random.default_rng(config.seed)
     warnings = _config_warnings(config)
 
@@ -294,8 +302,18 @@ def _seed_named(exc: Exception, seed: int) -> Exception:
     return named
 
 
+def _cluster_each(models, args: dict, seed: int):
+    """Yield each of a trial's algorithms with its labels on the trial's
+    fitted models and the seconds its clustering took."""
+    for algorithm in args["algorithms"]:
+        config = replace(args["config"], algorithm=algorithm, k=args["k"], seed=seed)
+        started = time.perf_counter()
+        labels = _cluster_models(models, config).assignment.labels
+        yield algorithm, labels, time.perf_counter() - started
+
+
 def _synth_trial(args: dict) -> dict[str, tuple[float, float]]:
-    """NMI and measured run_pipeline seconds of each algorithm on one trial."""
+    """NMI and measured clustering seconds of each algorithm on one trial."""
     try:
         bench = generate_benchmark(
             d=args["d"],
@@ -305,15 +323,11 @@ def _synth_trial(args: dict) -> dict[str, tuple[float, float]]:
             seed=args["trial_seed"],
             simplex_boundary=args["simplex_boundary"],
         )
-        base = args["config"]
-        out = {}
-        for algorithm in args["algorithms"]:
-            config = replace(base, algorithm=algorithm, k=args["k"], seed=args["trial_seed"])
-            started = time.perf_counter()
-            result = run_pipeline(bench.groups, config)
-            seconds = time.perf_counter() - started
-            out[algorithm] = (nmi(bench.truth, result.assignment.labels), seconds)
-        return out
+        models = estimate_gaussians(bench.groups, args["config"].eps_scale)
+        return {
+            algorithm: (nmi(bench.truth, labels), seconds)
+            for algorithm, labels, seconds in _cluster_each(models, args, args["trial_seed"])
+        }
     except Exception as exc:
         raise _seed_named(exc, args["trial_seed"]) from exc
 
@@ -377,22 +391,15 @@ def benchmark_synthetic(
 
 
 def _stock_trial(args: dict) -> dict[str, tuple[float, float]]:
-    """NMI and measured run_pipeline seconds of each algorithm on one trial."""
+    """NMI and measured clustering seconds of each algorithm on one trial."""
     try:
         rng = np.random.default_rng(args["noise_seed"])
         noised = add_noise(args["groups"], args["noise_sigma"], rng)
-        base = args["config"]
-        out = {}
-        for algorithm in args["algorithms"]:
-            config = replace(
-                base, algorithm=algorithm, k=args["k"], seed=args["cluster_seed"]
-            )
-            started = time.perf_counter()
-            result = run_pipeline(noised, config)
-            seconds = time.perf_counter() - started
-            score = nmi(np.asarray(args["clean_labels"][algorithm]), result.assignment.labels)
-            out[algorithm] = (score, seconds)
-        return out
+        models = estimate_gaussians(noised, args["config"].eps_scale)
+        return {
+            algorithm: (nmi(np.asarray(args["clean_labels"][algorithm]), labels), seconds)
+            for algorithm, labels, seconds in _cluster_each(models, args, args["cluster_seed"])
+        }
     except Exception as exc:
         raise _seed_named(exc, args["noise_seed"]) from exc
 

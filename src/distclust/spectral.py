@@ -196,27 +196,35 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]
     return labels, float(table[np.arange(len(labels)), labels].sum())
 
 
-def _repair_empty(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Reseed empty clusters with the point farthest from its own center,
-    stealing only from clusters that keep at least one member."""
+def _repair_empty(labels: np.ndarray, k: int, own_cost) -> np.ndarray:
+    """Move the point of largest cost into each empty cluster, stealing only
+    from clusters that keep at least one member. ``own_cost(labels)`` gives
+    every point's cost under its label in ``labels``; it is asked again after
+    each move. Lloyd's and KL k-means share this repair."""
     labels = labels.copy()
     for empty in range(k):
         counts = np.bincount(labels, minlength=k)
         if counts[empty] > 0:
             continue
-        centers = np.stack(
-            [
-                points[labels == j].mean(axis=0) if counts[j] > 0 else np.zeros(points.shape[1])
-                for j in range(k)
-            ]
-        )
-        own = np.einsum("ij,ij->i", points - centers[labels], points - centers[labels])
-        own[counts[labels] < 2] = -np.inf
+        own = np.where(counts[labels] < 2, -np.inf, own_cost(labels))
         donor = int(own.argmax())
         if not np.isfinite(own[donor]):
             break
         labels[donor] = empty
     return labels
+
+
+def _sq_dist_to_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Each point's squared distance to the mean of its cluster."""
+    counts = np.bincount(labels, minlength=k)
+    centers = np.stack(
+        [
+            points[labels == j].mean(axis=0) if counts[j] > 0 else np.zeros(points.shape[1])
+            for j in range(k)
+        ]
+    )
+    diff = points - centers[labels]
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def wcss(points: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -233,7 +241,7 @@ def _update_step(
     points: np.ndarray, labels: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     if np.bincount(labels, minlength=k).min() == 0:
-        labels = _repair_empty(points, labels, k)
+        labels = _repair_empty(labels, k, lambda lab: _sq_dist_to_means(points, lab, k))
     centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
     return labels, centers
 

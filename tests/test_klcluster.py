@@ -11,9 +11,9 @@ from distclust.klcluster import (
     kl_cluster,
     klpp_seed,
 )
-from distclust.klcluster import _repair_empty
 from distclust.matrixcore import SymMatrix
 from distclust.metrics import kl_divergence, kl_divergence_table, kl_factors
+from distclust.spectral import _repair_empty
 
 
 def model(mean, cov) -> GaussianModel:
@@ -40,34 +40,31 @@ class TestCenterUpdate:
         models = [random_model(3, rng, spread=4.0) for _ in range(20)]
         labels = rng.integers(0, 3, size=20)
         labels[:3] = [0, 1, 2]
-        plain = center_update(models, labels, 3)
-        stacked = center_update(models, labels, 3, kl_factors(models))
-        for j, (a, b) in enumerate(zip(plain, stacked)):
+        center_means, center_covs = center_update(kl_factors(models), labels, 3)
+        assert center_means.shape == (3, 3) and center_covs.shape == (3, 3, 3)
+        for j in range(3):
             members = [models[i] for i in np.flatnonzero(labels == j)]
             means = np.stack([m.mean for m in members])
             dev = means - means.mean(axis=0)
             cov = np.mean([m.covariance.values for m in members], axis=0) + (dev.T @ dev) / len(members)
-            for center in (a, b):
-                assert center.mean.tobytes() == means.mean(axis=0).tobytes()
-                assert center.covariance.values.tobytes() == SymMatrix(cov).values.tobytes()
+            assert center_means[j].tobytes() == means.mean(axis=0).tobytes()
+            assert center_covs[j].tobytes() == SymMatrix(cov).values.tobytes()
 
     def test_hand_case(self):
         members = [model([0.0, 0.0], np.eye(2)), model([2.0, 0.0], np.eye(2))]
-        centers = center_update(members, np.array([0, 0]), 1)
-        np.testing.assert_allclose(centers[0].mean, [1.0, 0.0])
-        np.testing.assert_allclose(
-            centers[0].covariance.values, [[2.0, 0.0], [0.0, 1.0]]
-        )
+        means, covs = center_update(kl_factors(members), np.array([0, 0]), 1)
+        np.testing.assert_allclose(means[0], [1.0, 0.0])
+        np.testing.assert_allclose(covs[0], [[2.0, 0.0], [0.0, 1.0]])
 
     def test_single_member_center_is_the_member(self, rng):
         m = random_model(3, rng)
-        centers = center_update([m], np.array([0]), 1)
-        np.testing.assert_allclose(centers[0].mean, m.mean)
-        np.testing.assert_allclose(centers[0].covariance.values, m.covariance.values)
+        means, covs = center_update(kl_factors([m]), np.array([0]), 1)
+        np.testing.assert_allclose(means[0], m.mean)
+        np.testing.assert_allclose(covs[0], m.covariance.values)
 
     def test_empty_cluster_raises(self, rng):
         with pytest.raises(EmptyCluster):
-            center_update([random_model(2, rng)], np.array([0]), 2)
+            center_update(kl_factors([random_model(2, rng)]), np.array([0]), 2)
 
     def test_center_minimizes_member_divergence(self, rng):
         # the closed form is the global minimizer of the summed KL(member ||
@@ -83,8 +80,8 @@ class TestCenterUpdate:
                 else estimate_gaussian(SampleGroup(f"g{i}", rng.standard_normal((max(2, d), d))))
                 for i in range(6)
             ]
-            center = center_update(members, np.zeros(6, dtype=int), 1)[0]
-            mean, cov = center.mean, center.covariance.values
+            means, covs = center_update(kl_factors(members), np.zeros(6, dtype=int), 1)
+            mean, cov = means[0], covs[0]
 
             def objective(m, c):
                 candidate = GaussianModel(m, SymMatrix(c))
@@ -109,14 +106,14 @@ class TestCenterUpdate:
 class TestKlppSeed:
     def test_returns_distinct_indices(self, rng):
         models = two_blobs(rng)
-        idx = klpp_seed(models, 4, np.random.default_rng(1))
+        idx = klpp_seed(kl_factors(models), 4, np.random.default_rng(1))
         assert len(idx) == 4 and len(set(idx)) == 4
 
     def test_spreads_across_separated_blobs(self, rng):
         models = two_blobs(rng, per_side=8, gap=15.0)
         sides = []
         for seed in range(30):
-            idx = klpp_seed(models, 2, np.random.default_rng(seed))
+            idx = klpp_seed(kl_factors(models), 2, np.random.default_rng(seed))
             sides.append({i < 8 for i in idx})
         # with k=2 and far-apart blobs the two seeds should almost always
         # land on opposite sides
@@ -129,18 +126,18 @@ class TestKlppSeed:
             GaussianModel(base.mean.copy(), SymMatrix(base.covariance.values.copy()))
             for _ in range(5)
         ]
-        idx = klpp_seed(clones, 3, np.random.default_rng(0))
+        idx = klpp_seed(kl_factors(clones), 3, np.random.default_rng(0))
         assert len(set(idx)) == 3
 
     def test_deterministic(self, rng):
         models = two_blobs(rng)
-        a = klpp_seed(models, 3, np.random.default_rng(9))
-        b = klpp_seed(models, 3, np.random.default_rng(9))
+        a = klpp_seed(kl_factors(models), 3, np.random.default_rng(9))
+        b = klpp_seed(kl_factors(models), 3, np.random.default_rng(9))
         assert a == b
 
     def test_invalid_k(self, rng):
         with pytest.raises(InvalidConfig):
-            klpp_seed([random_model(2, rng)], 2, rng)
+            klpp_seed(kl_factors([random_model(2, rng)]), 2, rng)
 
 
 class TestKlCluster:
@@ -189,6 +186,14 @@ class TestKlCluster:
             result = kl_cluster(models, 4, np.random.default_rng(seed))
             assert len(set(result.assignment.labels.tolist())) == 4
 
+    def test_repairs_clusters_left_empty_by_clone_seeds(self, rng):
+        # every model three times: seeds that are clones tie, argmin gives
+        # each tie to the lower center, and the other cluster starts empty
+        models = [random_model(3, rng) for _ in range(10)] * 3
+        result = kl_cluster(models, 9, np.random.default_rng(0))
+        assert result.repair_iterations
+        assert len(set(result.assignment.labels.tolist())) == 9
+
     def test_klpp_squared_changes_seeding_only(self, rng):
         models = two_blobs(rng)
         a = kl_cluster(
@@ -215,15 +220,21 @@ class TestRepairEmpty:
     def test_fills_empty_cluster_from_largest_divergence(self, rng):
         models = two_blobs(rng, per_side=3)
         labels = np.array([0, 0, 0, 1, 1, 1])
-        centers = center_update(models, labels, 2) + [models[0]]
-        repaired = _repair_empty(models, labels, 3, centers, kl_factors(models))
+        factors = kl_factors(models)
+        means, covs = center_update(factors, labels, 2)
+        # the third center is model 0
+        table = kl_divergence_table(
+            factors, np.vstack([means, factors["mean"][:1]]), np.vstack([covs, factors["cov"][:1]])
+        )
+        repaired = _repair_empty(labels, 3, lambda lab: table[np.arange(6), lab])
         counts = np.bincount(repaired, minlength=3)
         assert counts.min() == 1
 
     def test_donor_cluster_keeps_a_member(self, rng):
         models = [random_model(2, rng) for _ in range(4)]
         labels = np.array([0, 0, 1, 1])
-        centers = models
-        repaired = _repair_empty(models, labels, 4, centers, kl_factors(models))
+        factors = kl_factors(models)
+        table = kl_divergence_table(factors, factors["mean"], factors["cov"])
+        repaired = _repair_empty(labels, 4, lambda lab: table[np.arange(4), lab])
         counts = np.bincount(repaired, minlength=4)
         assert counts.min() == 1 and counts.max() == 1

@@ -23,6 +23,7 @@ from distclust.matrixcore import (
 from distclust.metrics import (
     _bhattacharyya_row,
     _factors,
+    _stack,
     METRIC_BHATTACHARYYA,
     METRIC_EUCLIDEAN,
     METRIC_KL,
@@ -345,9 +346,9 @@ class TestStackedFactors:
     @pytest.mark.parametrize("d", [1, 2, 7])
     def test_equal_per_model_calls_bytes(self, d, rng):
         models = mixed_models(9, d, rng)
-        w2 = _factors(models, METRIC_WASSERSTEIN_SQ, DEFAULT_TOLERANCES)
-        bh = _factors(models, METRIC_BHATTACHARYYA, DEFAULT_TOLERANCES)
-        kl = _factors(models, METRIC_KL, DEFAULT_TOLERANCES)
+        w2 = _factors(*_stack(models), METRIC_WASSERSTEIN_SQ, DEFAULT_TOLERANCES)
+        bh = _factors(*_stack(models), METRIC_BHATTACHARYYA, DEFAULT_TOLERANCES)
+        kl = _factors(*_stack(models), METRIC_KL, DEFAULT_TOLERANCES)
         for i, m in enumerate(models):
             cov = m.covariance
             assert w2["root"][i].tobytes() == spd_sqrt(cov).values.tobytes()
@@ -367,7 +368,7 @@ class TestStackedFactors:
         for i in (2, 4):
             models[i] = GaussianModel(np.zeros(2), SymMatrix(np.diag([1.0, 0.0])))
         with pytest.raises(SingularMatrix, match=r"^model 2: non-positive eigenvalue"):
-            _factors(models, metric, DEFAULT_TOLERANCES)
+            _factors(*_stack(models), metric, DEFAULT_TOLERANCES)
 
     def test_cholesky_failure_names_first_model(self, rng):
         # a rank-deficient covariance whose rounding leaves eigh a tiny
@@ -397,14 +398,20 @@ class TestStackedFactors:
         for i in (3, 4):
             models[i] = GaussianModel(np.zeros(2), SymMatrix(np.diag([1.0, 1e-6])))
         with pytest.raises(NotPositiveSemidefinite, match=r"^center 3: min eigenvalue"):
-            _factors(models, METRIC_WASSERSTEIN_SQ, Tolerances(psd_floor=-1e-3), what="center")
+            _factors(
+                *_stack(models), METRIC_WASSERSTEIN_SQ, Tolerances(psd_floor=-1e-3), what="center"
+            )
+
+
+def kl_table(models, centers, **kwargs):
+    return kl_divergence_table(kl_factors(models), *_stack(centers), **kwargs)
 
 
 class TestKlDivergenceTable:
     def test_matches_scalar(self, rng):
         models = [random_model(3, rng) for _ in range(4)]
         centers = [random_model(3, rng) for _ in range(2)]
-        table = kl_divergence_table(models, centers)
+        table = kl_table(models, centers)
         assert table.shape == (4, 2)
         for i in range(4):
             for j in range(2):
@@ -414,7 +421,7 @@ class TestKlDivergenceTable:
 
     def test_self_distance_clamped_to_zero(self, rng):
         models = [random_model(2, rng) for _ in range(3)]
-        table = kl_divergence_table(models, models)
+        table = kl_table(models, models)
         assert np.all(np.diagonal(table) <= 1e-10)
         assert np.all(table >= 0.0)
 
@@ -425,7 +432,7 @@ class TestKlDivergenceTable:
         # the kl matrix's entry to rounding
         for d in (1, 2, 7):
             models = mixed_models(8, d, rng)
-            table = kl_divergence_table(models, models, model_factors=kl_factors(models))
+            table = kl_table(models, models)
             assert np.all(np.diagonal(table) <= 1e-10), d
             off = ~np.eye(8, dtype=bool)
             want = distance_matrix(models, METRIC_KL).values
@@ -434,15 +441,19 @@ class TestKlDivergenceTable:
     def test_forced_value_failure_names_model_and_center(self, rng):
         models = [random_model(3, rng) for _ in range(5)]
         centers = [random_model(3, rng) for _ in range(3)]
-        table = kl_divergence_table(models, centers)
+        table = kl_table(models, centers)
         threshold = float(np.median(table))
         i, j = np.argwhere(table < threshold)[0]
         forced = Tolerances(negative_clamp=-threshold)
         with pytest.raises(NumericalError, match=rf"^model {i}, center {j}: "):
-            kl_divergence_table(models, centers, tol=forced)
+            kl_table(models, centers, tol=forced)
+
+    def test_center_dimension_mismatch(self, rng):
+        with pytest.raises(DimensionMismatch, match="centers do not match"):
+            kl_table([random_model(2, rng)], [random_model(3, rng)])
 
     def test_singular_center_named(self, rng):
         models = [random_model(2, rng) for _ in range(3)]
         centers = [models[0], GaussianModel(np.zeros(2), SymMatrix(np.diag([1.0, 0.0])))]
         with pytest.raises(SingularMatrix, match=r"^center 1: "):
-            kl_divergence_table(models, centers)
+            kl_table(models, centers)

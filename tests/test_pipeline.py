@@ -52,19 +52,34 @@ def separated_groups(rng, per_cluster: int = 8, gap: float = 10.0):
 
 
 def fake_run_clock(monkeypatch) -> dict:
-    """Make each run_pipeline call take a fixed, per-algorithm time on a fake
-    clock, so reported wall times are exact; returns the seconds per call."""
+    """Make each clustering of fitted models take a fixed, per-algorithm time
+    on a fake clock, so reported wall times are exact; returns the seconds
+    per call."""
     clock = [0.0]
     cost = {alg: float(2**i) for i, alg in enumerate(ALGORITHMS)}
-    real = pipeline.run_pipeline
+    real = pipeline._cluster_models
 
-    def timed(groups, config):
+    def timed(models, config):
         clock[0] += cost[config.algorithm]
-        return real(groups, config)
+        return real(models, config)
 
-    monkeypatch.setattr(pipeline, "run_pipeline", timed)
+    monkeypatch.setattr(pipeline, "_cluster_models", timed)
     monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
     return cost
+
+
+@pytest.fixture
+def fits(monkeypatch) -> list:
+    """The group count of every estimate_gaussians call the pipeline makes."""
+    calls = []
+    real = pipeline.estimate_gaussians
+
+    def counted(groups, eps_scale=1e-8):
+        calls.append(len(groups))
+        return real(groups, eps_scale)
+
+    monkeypatch.setattr(pipeline, "estimate_gaussians", counted)
+    return calls
 
 
 @pytest.fixture
@@ -213,6 +228,13 @@ class TestBenchmarkSynthetic:
         for cell in report["cells"]:
             assert cell["wall_time_s"] == 3 * cost[cell["algorithm"]]
 
+    def test_one_fit_per_trial(self, fits):
+        benchmark_synthetic(
+            d_list=[2], k_list=[2, 3], trials=3, base_seed=4,
+            n_objects=10, samples_per_object=8, threads=1,
+        )
+        assert fits == [10] * 6
+
     def test_algorithm_subset(self):
         report = benchmark_synthetic(
             d_list=[2], k_list=[2], trials=2, base_seed=1,
@@ -299,6 +321,14 @@ class TestBenchmarkStock:
         )
         for cell in report["cells"]:
             assert cell["wall_time_s"] == 2 * cost[cell["algorithm"]]
+
+    def test_one_fit_per_noisy_trial(self, rng, fits):
+        groups, _ = separated_groups(rng, per_cluster=4)
+        benchmark_stock(
+            groups, k_list=[2], noise_sigmas=[0.5, 1.0], trials=2, base_seed=3, threads=1
+        )
+        # the clean pass runs run_pipeline, one fit, per algorithm
+        assert fits == [8] * (len(ALGORITHMS) + 2 * 2)
 
     def test_heavy_noise_degrades(self, rng):
         groups, _ = separated_groups(rng, per_cluster=5, gap=3.0)

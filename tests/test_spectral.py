@@ -20,7 +20,7 @@ from distclust.spectral import (
     spectral_embedding,
     wcss,
 )
-from distclust.spectral import _lloyd, _repair_empty
+from distclust.spectral import _lloyd, _repair_empty, _sq_dist_to_means
 
 
 def three_object_distances() -> DistanceMatrix:
@@ -228,7 +228,7 @@ class TestKmeans:
     def test_repair_moves_farthest_point(self):
         points = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.4, 0.0]])
         labels = np.array([0, 0, 1, 1])
-        repaired = _repair_empty(points, labels, 3)
+        repaired = _repair_empty(labels, 3, lambda lab: _sq_dist_to_means(points, lab, 3))
         # cluster 2 was empty; the point farthest from its own center moves
         assert sorted(np.bincount(repaired, minlength=3).tolist()) == [1, 1, 2]
 
