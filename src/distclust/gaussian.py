@@ -16,21 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InsufficientSamples,
-    InvalidMatrix,
-    NotPositiveSemidefinite,
-)
-from .matrixcore import (
-    DEFAULT_TOLERANCES,
-    SymMatrix,
-    psd_clamped_eigenvalues,
-    raise_first_failure,
-    spd_logdet,
-    spd_inverse,
-    spd_sqrt,
-)
+from .errors import DimensionMismatch, InsufficientSamples, InvalidMatrix
+from .matrixcore import SymMatrix, psd_check, psd_root, raise_first_failure, spd_roots
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -89,10 +76,8 @@ class GaussianModel:
                 f"mean dimension {mu.size} does not match covariance "
                 f"dimension {self.covariance.dim}"
             )
-        # Validates PSD up to tolerance; raises NotPositiveSemidefinite otherwise.
-        psd_clamped_eigenvalues(
-            np.linalg.eigvalsh(self.covariance.values), DEFAULT_TOLERANCES
-        )
+        w = np.linalg.eigvalsh(self.covariance.values[None])
+        raise_first_failure(lambda k: "covariance", [psd_check(w)])
         mu = mu.copy()
         mu.flags.writeable = False
         object.__setattr__(self, "mean", mu)
@@ -147,21 +132,18 @@ def estimate_gaussians(
         buckets.setdefault(group.samples.shape, []).append(i)
     n = len(groups)
     finite = np.ones(n, dtype=bool)
-    low = np.zeros(n)
-    floor = np.zeros(n)
+    extremes = np.zeros((n, 2))
     fits = []
     for idx in buckets.values():
         mean, cov = _fit_stack(np.stack([groups[i].samples for i in idx]), eps_scale)
         ok = np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(mean).all(axis=1)
         w = np.linalg.eigvalsh(np.where(ok[:, None, None], cov, np.eye(cov.shape[1])))
         finite[idx] = ok
-        low[idx] = w[:, 0]
-        floor[idx] = -DEFAULT_TOLERANCES.psd_floor * np.maximum(1.0, w[:, -1])
+        extremes[idx] = w[:, [0, -1]]
         fits.append((idx, mean, cov))
     raise_first_failure(lambda k: f"group {groups[k].group_id!r}", [
         (~finite, InvalidMatrix, lambda k: "matrix entries must be finite"),
-        (low < floor, NotPositiveSemidefinite,
-         lambda k: f"min eigenvalue {low[k]:.6e} below tolerance {floor[k]:.6e}"),
+        psd_check(extremes),
     ])
     models = [None] * n
     for idx, mean, cov in fits:
@@ -184,7 +166,9 @@ def estimate_gaussian(group: SampleGroup, eps_scale: float = 1e-8) -> GaussianMo
 
 
 def log_density(model: GaussianModel, x: np.ndarray) -> np.ndarray | float:
-    """Gaussian log-density at x.
+    """Gaussian log-density at x:
+    ``-(d ln 2pi + ln|S| + ||(x - m) S^{-1/2}||^2) / 2``, with ln|S| and
+    S^{-1/2} from one eigendecomposition.
 
     Accepts a single point of shape (d,) -> float, or a batch (n, d) -> (n,).
     """
@@ -197,11 +181,10 @@ def log_density(model: GaussianModel, x: np.ndarray) -> np.ndarray | float:
             f"points of dimension {pts.shape[-1] if pts.ndim else '?'} against "
             f"a model of dimension {model.dim}"
         )
-    logdet = spd_logdet(model.covariance)
-    inv = spd_inverse(model.covariance).values
-    dev = pts - model.mean
-    quad = np.einsum("ij,jk,ik->i", dev, inv, dev)
-    out = -0.5 * (model.dim * LOG_2PI + logdet + quad)
+    logdet, _, invroot = spd_roots(model.covariance.values[None], lambda k: "covariance")
+    z = (pts - model.mean) @ invroot[0]
+    quad = (z * z).sum(axis=1)
+    out = -0.5 * (model.dim * LOG_2PI + logdet[0] + quad)
     return float(out[0]) if single else out
 
 
@@ -218,6 +201,6 @@ def sample(
     """
     if count < 2:
         raise InsufficientSamples(f"needs at least 2 samples, got {count}")
-    root = spd_sqrt(model.covariance).values
+    root = psd_root(model.covariance.values[None], lambda k: "covariance")[0]
     z = rng.standard_normal((count, model.dim))
     return SampleGroup(group_id or model.group_id, model.mean + z @ root)

@@ -1,13 +1,26 @@
-"""Symmetric/SPD matrix utilities.
+"""Symmetric/SPD matrix utilities: the one home of the numerical policy.
 
-Everything downstream (divergences, Laplacians, sampling) goes through the
-small set of operations here, so numerical policy lives in one place: the
-eigendecomposition sign convention, the PSD tolerance floor, eigenvalue
-clamping for matrix square roots, and trace-scaled diagonal regularization.
+Every covariance factor the divergences, the fit and sampling use is built
+here, over (n, d, d) stacks, and a single model is a batch of one:
 
-Eigendecompositions are backed by LAPACK (``numpy.linalg.eigh``) with a
-deterministic sign fix applied on top, so repeated calls on the same matrix
-are bit-identical.
+* PSD floor: a stack passes when each smallest eigenvalue is at least
+  ``-psd_floor * max(1, lambda_max)``; owned by ``psd_check``.
+* Non-positive eigenvalues: an SPD factor needs every eigenvalue above 0;
+  owned by ``positive_check``.
+* Clamped square roots: ``psd_root`` clamps eigenvalues that pass the floor
+  to 0 and symmetrizes S^{1/2}.
+* Roots and log-determinants of SPD matrices: ``spd_roots`` builds
+  ln|S|, S^{1/2} and S^{-1/2} from one eigendecomposition.
+* Failure reporting: ``raise_first_failure`` raises for the first index of a
+  stack that fails a check, in the order one index runs them.
+* Eigenvector signs: ``sym_eigen`` fixes a deterministic sign per column.
+* Exact symmetry of n x n matrices: ``max_asymmetry`` and
+  ``mirror_in_place`` work in row blocks.
+
+Eigendecompositions are backed by LAPACK (``numpy.linalg.eigh``). A stacked
+``eigh`` runs the same LAPACK call per matrix as a single one, so a factor
+of a batch of one equals the same factor taken from a larger stack, bit for
+bit.
 """
 
 from dataclasses import dataclass
@@ -105,76 +118,6 @@ def sym_eigen(m: SymMatrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues, _fix_signs(vectors))
 
 
-def psd_clamped_eigenvalues(
-    eigenvalues: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
-    """Clamp slightly-negative eigenvalues of a nominally PSD matrix to 0.
-
-    Raises NotPositiveSemidefinite if the most negative eigenvalue is below
-    the relative floor ``-psd_floor * max(1, lambda_max)``.
-    """
-    floor = -tol.psd_floor * max(1.0, float(eigenvalues[-1]))
-    if eigenvalues[0] < floor:
-        raise NotPositiveSemidefinite(
-            f"min eigenvalue {eigenvalues[0]:.6e} below tolerance {floor:.6e}"
-        )
-    return np.clip(eigenvalues, 0.0, None)
-
-
-def spd_sqrt(m: SymMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> SymMatrix:
-    """Symmetric square root of a PSD matrix: R with R @ R == m.
-
-    Eigenvalues within tolerance below zero are clamped to 0 before the
-    square root, so rank-deficient sample covariances stay usable.
-    """
-    eig = sym_eigen(m)
-    clamped = psd_clamped_eigenvalues(eig.eigenvalues, tol)
-    root = (eig.eigenvectors * np.sqrt(clamped)) @ eig.eigenvectors.T
-    return SymMatrix(root)
-
-
-def _positive_eigh(m: SymMatrix, what: str) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(m.values)
-    if w[0] <= 0.0:
-        raise SingularMatrix(f"non-positive eigenvalue {w[0]:.6e} in {what}")
-    return w, v
-
-
-def spd_logdet(m: SymMatrix) -> float:
-    """Log-determinant of an SPD matrix as the sum of log eigenvalues.
-
-    The eigenvalues come from the same ``eigh`` routine as ``spd_roots`` and
-    the batched divergence kernels, so every log-determinant of one matrix
-    agrees bit for bit and a divergence of a model with itself cancels.
-    """
-    w, _ = _positive_eigh(m, "log-determinant")
-    return float(np.sum(np.log(w)))
-
-
-def spd_roots(m: SymMatrix) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log-determinant, S^{1/2} and S^{-1/2} of an SPD matrix S, all from
-    one eigendecomposition.
-
-    ``S^{-1/2} @ S^{1/2}`` built from one decomposition is within about
-    ``eps * sqrt(cond)`` of the identity, where an explicit inverse times
-    the stored matrix is off by about ``eps * cond``.
-    """
-    w, v = _positive_eigh(m, "covariance")
-    root = np.sqrt(w)
-    return float(np.sum(np.log(w))), (v * root) @ v.T, (v / root) @ v.T
-
-
-def spd_inverse(m: SymMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> SymMatrix:
-    """Inverse of an SPD matrix via its eigendecomposition."""
-    eig = sym_eigen(m)
-    if eig.eigenvalues[0] <= 0.0:
-        raise SingularMatrix(
-            f"non-positive eigenvalue {eig.eigenvalues[0]:.6e} in inverse"
-        )
-    inv = (eig.eigenvectors / eig.eigenvalues) @ eig.eigenvectors.T
-    return SymMatrix(inv)
-
-
 def raise_first_failure(name, checks) -> None:
     """Raise for the first index of a stack that fails any check.
 
@@ -186,6 +129,66 @@ def raise_first_failure(name, checks) -> None:
         k = int(np.argmax(failed))
         _, cls, message = next(check for check in checks if check[0][k])
         raise cls(f"{name(k)}: {message(k)}")
+
+
+def psd_check(w: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """The PSD-floor check for ``raise_first_failure``, from ascending
+    eigenvalue rows ``w`` (n, m); only the first and last columns are read.
+
+    A row fails when its smallest eigenvalue is below
+    ``-psd_floor * max(1, lambda_max)``: more negative than rounding.
+    """
+    floor = -tol.psd_floor * np.maximum(1.0, w[:, -1])
+    return (
+        w[:, 0] < floor,
+        NotPositiveSemidefinite,
+        lambda k: f"min eigenvalue {w[k, 0]:.6e} below tolerance {floor[k]:.6e}",
+    )
+
+
+def positive_check(w: np.ndarray, where: str) -> tuple:
+    """The non-positive-eigenvalue check for ``raise_first_failure``, from
+    ascending eigenvalue rows ``w`` (n, m); ``where`` names the factor that
+    needs them positive."""
+    return (
+        w[:, 0] <= 0.0,
+        SingularMatrix,
+        lambda k: f"non-positive eigenvalue {w[k, 0]:.6e} in {where}",
+    )
+
+
+def psd_root(cov: np.ndarray, name, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Symmetric square roots R with R @ R == S of a (n, d, d) stack of PSD
+    matrices.
+
+    Eigenvalues that pass the PSD floor are clamped to 0 before the square
+    root, so rank-deficient sample covariances stay usable, and each root is
+    symmetrized. A failure names the first failing index k as ``name(k)``.
+    """
+    w, v = np.linalg.eigh(cov)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.transpose(0, 2, 1)
+    raise_first_failure(name, [
+        psd_check(w, tol),
+        (~np.isfinite(root).all(axis=(1, 2)), InvalidMatrix,
+         lambda k: "matrix entries must be finite"),
+    ])
+    return (root + root.transpose(0, 2, 1)) / 2.0
+
+
+def spd_roots(cov: np.ndarray, name) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-determinants (n,), S^{1/2} and S^{-1/2} (n, d, d) of a stack of
+    SPD matrices S, all from one eigendecomposition per matrix.
+
+    ``S^{-1/2} @ S^{1/2}`` built from one decomposition is within about
+    ``eps * sqrt(cond)`` of the identity, where an explicit inverse times
+    the stored matrix is off by about ``eps * cond``. A failure names the
+    first failing index k as ``name(k)``.
+    """
+    w, v = np.linalg.eigh(cov)
+    raise_first_failure(name, [positive_check(w, "covariance")])
+    root = np.sqrt(w)[:, None, :]
+    vt = v.transpose(0, 2, 1)
+    return np.log(w).sum(axis=1), (v * root) @ vt, (v / root) @ vt
 
 
 # rows per block of the n x n passes below: a block's temporaries stay a small
@@ -220,15 +223,3 @@ def mirror_in_place(a: np.ndarray, combine) -> None:
         block = combine(a[s:e, s:e], a[s:e, s:e].T)
         a[s:e, s:e] = np.where(np.tri(e - s, k=-1, dtype=bool), block.T, block)
 
-
-def regularize(m: SymMatrix, eps_scale: float) -> SymMatrix:
-    """Add a trace-scaled diagonal ridge: m + eps * I.
-
-    eps = eps_scale * trace(m) / dim, falling back to eps_scale itself when
-    the trace is non-positive (e.g. an all-zero covariance).
-    """
-    if eps_scale < 0:
-        raise InvalidMatrix(f"eps_scale must be non-negative, got {eps_scale}")
-    trace = float(np.trace(m.values))
-    eps = eps_scale * trace / m.dim if trace > 0 else eps_scale
-    return SymMatrix(m.values + eps * np.eye(m.dim))

@@ -21,7 +21,8 @@ equals the scalar call bit for bit. KL k-means' model-to-center table uses
 the kl formula and per-model factors of the kl row, one batched column per
 center, with the centers given as stacked arrays. All values are
 mathematically non-negative; tiny negative results from rounding are
-clamped to zero, anything below ``-negative_clamp`` raises NumericalError.
+clamped to zero; a value below ``-negative_clamp``, or one that overflowed
+to inf or nan, raises NumericalError.
 A failure names ``model i`` or the first failing ``pair (i, j)`` in
 row-major order.
 """
@@ -31,20 +32,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidMatrix,
-    NotPositiveSemidefinite,
-    NumericalError,
-    SingularMatrix,
-)
+from .errors import DimensionMismatch, InvalidMatrix, NumericalError, SingularMatrix
 from .gaussian import GaussianModel
 from .matrixcore import (
     DEFAULT_TOLERANCES,
     Tolerances,
     max_asymmetry,
     mirror_in_place,
+    positive_check,
+    psd_check,
+    psd_root,
     raise_first_failure,
+    spd_roots,
 )
 
 METRIC_WASSERSTEIN_SQ = "wasserstein_sq"
@@ -131,53 +130,36 @@ def _factors(
     """Per-model inputs of a metric's row kernel, from stacked means (n, d)
     and covariances (n, d, d).
 
-    One batched ``eigh`` covers every model: W2's PSD-clamped root S^{1/2},
-    or kl's log-determinant, S^{1/2} and S^{-1/2}. A stacked ``eigh`` runs
-    the same LAPACK call per matrix as a single one, so the factors equal
-    ``spd_sqrt`` and ``spd_roots`` bit for bit, and a scalar call reads the
-    same bits as a matrix row. Bhattacharyya checks the smallest eigenvalues
-    with one batched ``eigvalsh``, then takes its log-determinants
+    W2 takes its trace and PSD-clamped root S^{1/2} from ``psd_root``, kl
+    its log-determinant, S^{1/2} and S^{-1/2} from ``spd_roots``: one
+    batched ``eigh`` covers every model, the same call a scalar divergence
+    or a single model makes as a batch of one, so both read the same bits.
+    Bhattacharyya checks the smallest eigenvalues of one batched
+    ``eigvalsh`` with ``positive_check``, then takes its log-determinants
     2 sum(ln diag(L)) from one batched Cholesky factorization S = L L^T,
     the routine and formula its rows use, so a model compared with itself
     cancels to exactly 0. A failure names the first failing ``{what} i``.
     """
     out = {"mean": mean, "cov": cov}
-    if metric == METRIC_BHATTACHARYYA:
-        w = np.linalg.eigvalsh(cov)
-    else:
-        w, v = np.linalg.eigh(cov)
-        vt = v.transpose(0, 2, 1)
+
+    def name(k):
+        return f"{what} {k}"
+
     if metric == METRIC_WASSERSTEIN_SQ:
-        floor = -tol.psd_floor * np.maximum(1.0, w[:, -1])
-        root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ vt
-        raise_first_failure(lambda k: f"{what} {k}", [
-            (w[:, 0] < floor, NotPositiveSemidefinite,
-             lambda k: f"min eigenvalue {w[k, 0]:.6e} below tolerance {floor[k]:.6e}"),
-            (~np.isfinite(root).all(axis=(1, 2)), InvalidMatrix,
-             lambda k: "matrix entries must be finite"),
-        ])
         out["trace"] = np.trace(cov, axis1=1, axis2=2)
-        out["root"] = (root + root.transpose(0, 2, 1)) / 2.0
-        return out
-    where = "log-determinant" if metric == METRIC_BHATTACHARYYA else "covariance"
-    raise_first_failure(lambda k: f"{what} {k}", [
-        (w[:, 0] <= 0.0, SingularMatrix,
-         lambda k: f"non-positive eigenvalue {w[k, 0]:.6e} in {where}"),
-    ])
-    if metric == METRIC_BHATTACHARYYA:
+        out["root"] = psd_root(cov, name, tol)
+    elif metric == METRIC_KL:
+        out["logdet"], out["root"], out["invroot"] = spd_roots(cov, name)
+    else:
+        w = np.linalg.eigvalsh(cov)
+        raise_first_failure(name, [positive_check(w, "log-determinant")])
         factor, failed = _cholesky(cov)
-        raise_first_failure(lambda k: f"{what} {k}", [
+        raise_first_failure(name, [
             (failed, SingularMatrix,
              lambda k: f"Cholesky factorization failed in log-determinant "
                        f"(min eigenvalue {w[k, 0]:.6e})"),
         ])
         out["logdet"] = _cholesky_logdet(factor)
-        return out
-    out["logdet"] = np.log(w).sum(axis=1)
-    if metric == METRIC_KL:
-        root = np.sqrt(w)[:, None, :]
-        out["root"] = (v * root) @ vt
-        out["invroot"] = (v / root) @ vt
     return out
 
 
@@ -206,15 +188,22 @@ def _cholesky_logdet(factor: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
 
 
+def _bad_values(vals: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Mask of divergence values that are non-finite or more negative than
+    rounding explains."""
+    return ~np.isfinite(vals) | (vals < -tol.negative_clamp)
+
+
 def _checked(i: int, js: np.ndarray, vals, tol: Tolerances, what: str, checks=()):
     """Clamp a row's values to zero, or raise for its first failing pair.
 
     ``checks`` are ``(failed mask, error class, message for partner k)`` in
-    the order one pair runs them; the value guard runs last.
+    the order one pair runs them; the value guard runs last and fails values
+    that are non-finite or below ``-negative_clamp``.
     """
     raise_first_failure(lambda k: f"pair ({i}, {js[k]})", [
         *checks,
-        (vals < -tol.negative_clamp, NumericalError, lambda k: f"{what} evaluated to {vals[k]:.6e}"),
+        (_bad_values(vals, tol), NumericalError, lambda k: f"{what} evaluated to {vals[k]:.6e}"),
     ])
     return np.clip(vals, 0.0, None)
 
@@ -228,14 +217,12 @@ def _wasserstein_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.nda
     finite = np.isfinite(inner).all(axis=(1, 2))
     inner[~finite] = 0.0
     w = np.linalg.eigvalsh(inner)
-    floor = -tol.psd_floor * np.maximum(1.0, w[:, -1])
     cross = np.sqrt(np.clip(w, 0.0, None)).sum(axis=1)
     diff = f["mean"][i] - f["mean"][js]
     vals = (diff * diff).sum(axis=1) + f["trace"][i] + f["trace"][js] - 2.0 * cross
     return _checked(i, js, vals, tol, "squared Wasserstein distance", [
         (~finite, InvalidMatrix, lambda k: "Bures inner matrix entries must be finite"),
-        (w[:, 0] < floor, NotPositiveSemidefinite,
-         lambda k: f"min eigenvalue {w[k, 0]:.6e} below tolerance {floor[k]:.6e}"),
+        psd_check(w, tol),
     ])
 
 
@@ -402,7 +389,7 @@ def kl_divergence_table(
     out = np.empty((len(factors["mean"]), len(center_means)))
     for j in range(len(center_means)):
         out[:, j] = _kl(factors, slice(None), center_factors, j)
-    bad = np.argwhere(out < -tol.negative_clamp)
+    bad = np.argwhere(_bad_values(out, tol))
     if bad.size:
         i, j = bad[0]
         raise NumericalError(f"model {i}, center {j}: KL divergence evaluated to {out[i, j]:.6e}")

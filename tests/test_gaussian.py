@@ -11,7 +11,15 @@ from distclust.gaussian import (
     log_density,
     sample,
 )
-from distclust.matrixcore import SymMatrix, regularize
+from distclust.matrixcore import SymMatrix
+
+
+def regularize(m: SymMatrix, eps_scale: float) -> SymMatrix:
+    """m + eps * I with eps = eps_scale * trace(m) / dim, or eps_scale itself
+    when the trace is not positive (an all-zero covariance)."""
+    trace = float(np.trace(m.values))
+    eps = eps_scale * trace / m.dim if trace > 0 else eps_scale
+    return SymMatrix(m.values + eps * np.eye(m.dim))
 
 
 def one_at_a_time_fit(group: SampleGroup, eps_scale: float):

@@ -3,16 +3,26 @@ import pytest
 
 from conftest import random_spd
 from distclust.errors import InvalidMatrix, NotPositiveSemidefinite, SingularMatrix
+from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussian
 from distclust.matrixcore import (
+    DEFAULT_TOLERANCES,
     SymMatrix,
     Tolerances,
-    regularize,
-    spd_inverse,
-    spd_logdet,
+    psd_root,
     spd_roots,
-    spd_sqrt,
     sym_eigen,
 )
+from distclust.metrics import METRIC_WASSERSTEIN_SQ, _factors
+
+
+def root_of(m: SymMatrix) -> np.ndarray:
+    """psd_root of one matrix, as a batch of one."""
+    return psd_root(m.values[None], str)[0]
+
+
+def logdet_of(m: SymMatrix) -> float:
+    """The log-determinant spd_roots gives one matrix, as a batch of one."""
+    return float(spd_roots(m.values[None], str)[0][0])
 
 
 class TestSymMatrix:
@@ -87,9 +97,9 @@ class TestSymEigen:
 
 class TestSpdSqrt:
     def test_known_value(self):
-        root = spd_sqrt(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
+        root = root_of(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
         np.testing.assert_allclose(
-            root.values,
+            root,
             [[1.3660254037844386, 0.3660254037844386],
              [0.3660254037844386, 1.3660254037844386]],
             atol=1e-12,
@@ -99,30 +109,30 @@ class TestSpdSqrt:
         for _ in range(20):
             d = int(rng.integers(1, 8))
             m = SymMatrix(random_spd(d, rng))
-            root = spd_sqrt(m)
-            np.testing.assert_allclose(root.values @ root.values, m.values, atol=1e-8)
+            root = root_of(m)
+            np.testing.assert_allclose(root @ root, m.values, atol=1e-8)
 
     def test_rank_deficient_clamps(self, rng):
         a = rng.standard_normal((4, 2))
         m = SymMatrix(a @ a.T)
-        root = spd_sqrt(m)
-        np.testing.assert_allclose(root.values @ root.values, m.values, atol=1e-8)
+        root = root_of(m)
+        np.testing.assert_allclose(root @ root, m.values, atol=1e-8)
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveSemidefinite):
-            spd_sqrt(SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
+            root_of(SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
 
     def test_tolerance_scales_with_magnitude(self):
         # a -1e-7 eigenvalue is indefinite next to eye(2) but roundoff
         # next to 1e6 * eye(2)
         with pytest.raises(NotPositiveSemidefinite):
-            spd_sqrt(SymMatrix(np.diag([1.0, -1e-7])))
-        spd_sqrt(SymMatrix(np.diag([1e6, -1e-7])))
+            root_of(SymMatrix(np.diag([1.0, -1e-7])))
+        root_of(SymMatrix(np.diag([1e6, -1e-7])))
 
 
 class TestSpdLogdet:
     def test_known_value(self):
-        assert spd_logdet(SymMatrix([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(
+        assert logdet_of(SymMatrix([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(
             np.log(3.0), abs=1e-12
         )
 
@@ -132,64 +142,79 @@ class TestSpdLogdet:
             m = SymMatrix(random_spd(d, rng))
             sign, expected = np.linalg.slogdet(m.values)
             assert sign == 1.0
-            assert spd_logdet(m) == pytest.approx(expected, abs=1e-9)
+            assert logdet_of(m) == pytest.approx(expected, abs=1e-9)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
-            spd_logdet(SymMatrix(np.diag([1.0, 0.0])))
+            logdet_of(SymMatrix(np.diag([1.0, 0.0])))
 
 
 class TestSpdRoots:
     def test_factors_of_one_decomposition(self, rng):
-        for _ in range(20):
-            d = int(rng.integers(1, 8))
-            m = SymMatrix(random_spd(d, rng))
-            logdet, root, invroot = spd_roots(m)
-            assert logdet == spd_logdet(m)
-            np.testing.assert_allclose(root @ root, m.values, atol=1e-10)
-            np.testing.assert_allclose(invroot @ root, np.eye(d), atol=1e-12)
+        for d in range(1, 8):
+            stack = np.stack([SymMatrix(random_spd(d, rng)).values for _ in range(3)])
+            logdet, root, invroot = spd_roots(stack, str)
+            for k, m in enumerate(stack):
+                # an entry of the stack is the same matrix's batch of one
+                assert logdet[k] == logdet_of(SymMatrix(m))
+                np.testing.assert_allclose(root[k] @ root[k], m, atol=1e-10)
+                np.testing.assert_allclose(invroot[k] @ root[k], np.eye(d), atol=1e-12)
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularMatrix):
-            spd_roots(SymMatrix(np.diag([1.0, 0.0])))
+        stack = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        with pytest.raises(SingularMatrix, match=r"^m1: non-positive eigenvalue 0\.0+e\+00 in covariance$"):
+            spd_roots(stack, lambda k: f"m{k}")
 
 
-class TestSpdInverse:
-    def test_known_value(self):
-        inv = spd_inverse(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(
-            inv.values, np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0, atol=1e-12
-        )
-
-    def test_matches_inv(self, rng):
-        for _ in range(20):
-            d = int(rng.integers(1, 8))
-            m = SymMatrix(random_spd(d, rng))
-            np.testing.assert_allclose(
-                spd_inverse(m).values, np.linalg.inv(m.values), atol=1e-8
-            )
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrix):
-            spd_inverse(SymMatrix(np.diag([1.0, 0.0])))
+class TestOnePsdVerdict:
+    @pytest.mark.parametrize("top", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("side", [1.01, 0.99])
+    def test_model_root_and_w2_factors_agree(self, top, side, rng):
+        # the smallest eigenvalue sits 1% below (side 1.01) or above (0.99)
+        # the floor; rotation rounding is orders of magnitude under that gap
+        floor = -DEFAULT_TOLERANCES.psd_floor * max(1.0, top)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        cov = SymMatrix((q * [side * floor, top / 2.0, top]) @ q.T).values
+        verdicts = []
+        for check in (
+            lambda: GaussianModel(np.zeros(3), SymMatrix(cov)),
+            lambda: psd_root(cov[None], str),
+            lambda: _factors(np.zeros((1, 3)), cov[None], METRIC_WASSERSTEIN_SQ, DEFAULT_TOLERANCES),
+        ):
+            try:
+                check()
+                verdicts.append(None)
+            except NotPositiveSemidefinite as exc:
+                verdicts.append(type(exc))
+        expected = NotPositiveSemidefinite if side > 1.0 else None
+        assert verdicts == [expected] * 3
 
 
 class TestRegularize:
+    """The trace-scaled ridge, through the fit that applies it."""
+
     def test_trace_scaled_ridge(self):
-        out = regularize(SymMatrix([[4.0, 0.0], [0.0, 0.0]]), 0.5)
+        # raw covariance diag(4, 0): the ridge is 0.5 * 4 / 2
+        group = SampleGroup("g", [[2.0, 0.0], [-2.0, 0.0], [0.0, 0.0]])
+        out = estimate_gaussian(group, 0.5).covariance
         np.testing.assert_allclose(out.values, [[5.0, 0.0], [0.0, 1.0]])
 
     def test_zero_trace_falls_back_to_eps(self):
-        out = regularize(SymMatrix(np.zeros((3, 3))), 1e-4)
-        np.testing.assert_allclose(out.values, 1e-4 * np.eye(3))
+        # identical samples leave an all-zero covariance, so the ridge is
+        # eps_scale itself
+        out = estimate_gaussian(SampleGroup("g", np.full((4, 3), 2.5)), 1e-4).covariance
+        np.testing.assert_array_equal(out.values, 1e-4 * np.eye(3))
 
     def test_zero_eps_is_identity_op(self, rng):
-        m = SymMatrix(random_spd(3, rng))
-        assert np.array_equal(regularize(m, 0.0).values, m.values)
+        samples = rng.standard_normal((5, 3))
+        dev = samples - samples.mean(axis=0)
+        raw = SymMatrix((dev.T @ dev) / 4).values
+        out = estimate_gaussian(SampleGroup("g", samples), 0.0).covariance
+        assert out.values.tobytes() == raw.tobytes()
 
     def test_negative_eps_rejected(self):
         with pytest.raises(InvalidMatrix):
-            regularize(SymMatrix(np.eye(2)), -1e-8)
+            estimate_gaussian(SampleGroup("g", np.eye(2)), -1e-8)
 
 
 class TestTolerances:

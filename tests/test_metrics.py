@@ -17,8 +17,8 @@ from distclust.matrixcore import (
     DEFAULT_TOLERANCES,
     SymMatrix,
     Tolerances,
+    psd_root,
     spd_roots,
-    spd_sqrt,
 )
 from distclust.metrics import (
     _bhattacharyya_row,
@@ -277,6 +277,25 @@ class TestDistanceMatrixBuilder:
         with pytest.raises(NotPositiveSemidefinite, match=r"^pair \(2, 4\): "):
             distance_matrix(models, METRIC_WASSERSTEIN_SQ, forced)
 
+    @pytest.mark.parametrize("metric", list(SCALARS))
+    def test_overflowing_value_names_pair(self, metric):
+        # both models are valid; only the divergence between them overflows
+        a = GaussianModel(np.zeros(2), SymMatrix(np.eye(2)))
+        b = GaussianModel(np.full(2, 1e160), SymMatrix(np.eye(2)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match=r"^pair \(0, 1\): .* evaluated to inf$"):
+                SCALARS[metric](a, b)
+            with pytest.raises(NumericalError, match=r"^pair \(0, 2\): "):
+                distance_matrix([a, a, b], metric)
+
+    def test_nan_bhattacharyya_names_pair(self):
+        # the forward substitution meets 0 * inf, which is nan
+        a = GaussianModel(np.zeros(2), SymMatrix(1e-300 * np.eye(2)))
+        b = GaussianModel(np.full(2, 1e200), SymMatrix(1e-300 * np.eye(2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"^pair \(0, 1\): .* evaluated to nan$"):
+                bhattacharyya(a, b)
+
     def test_overflowing_inner_matrix_names_pair(self):
         huge = GaussianModel(np.zeros(2), SymMatrix(1e160 * np.eye(2)))
         with np.errstate(over="ignore"), pytest.raises(InvalidMatrix, match=r"^pair \(0, 1\): "):
@@ -350,17 +369,18 @@ class TestStackedFactors:
         bh = _factors(*_stack(models), METRIC_BHATTACHARYYA, DEFAULT_TOLERANCES)
         kl = _factors(*_stack(models), METRIC_KL, DEFAULT_TOLERANCES)
         for i, m in enumerate(models):
-            cov = m.covariance
-            assert w2["root"][i].tobytes() == spd_sqrt(cov).values.tobytes()
-            assert w2["trace"][i] == float(np.trace(cov.values))
+            # each factor of the stack equals the model's own batch of one
+            cov = m.covariance.values[None]
+            assert w2["root"][i].tobytes() == psd_root(cov, str)[0].tobytes()
+            assert w2["trace"][i] == float(np.trace(cov[0]))
             # Bhattacharyya's log-determinant comes from the Cholesky factor
-            # its rows use, not from spd_logdet's eigenvalues
-            chol = np.linalg.cholesky(cov.values)
+            # its rows use, not from eigenvalues
+            chol = np.linalg.cholesky(cov[0])
             assert bh["logdet"][i] == 2.0 * np.log(np.diagonal(chol)).sum()
-            logdet, root, invroot = spd_roots(cov)
-            assert kl["logdet"][i] == logdet
-            assert kl["root"][i].tobytes() == root.tobytes()
-            assert kl["invroot"][i].tobytes() == invroot.tobytes()
+            logdet, root, invroot = spd_roots(cov, str)
+            assert kl["logdet"][i] == logdet[0]
+            assert kl["root"][i].tobytes() == root[0].tobytes()
+            assert kl["invroot"][i].tobytes() == invroot[0].tobytes()
 
     @pytest.mark.parametrize("metric", [METRIC_BHATTACHARYYA, METRIC_KL])
     def test_failure_names_first_singular_model(self, metric, rng):
@@ -447,6 +467,14 @@ class TestKlDivergenceTable:
         forced = Tolerances(negative_clamp=-threshold)
         with pytest.raises(NumericalError, match=rf"^model {i}, center {j}: "):
             kl_table(models, centers, tol=forced)
+
+    def test_overflowing_value_names_model_and_center(self):
+        a = GaussianModel(np.zeros(2), SymMatrix(np.eye(2)))
+        b = GaussianModel(np.full(2, 1e160), SymMatrix(np.eye(2)))
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match=r"^model 2, center 0: KL divergence evaluated to inf$"
+        ):
+            kl_table([a, a, b], [a, a])
 
     def test_center_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch, match="centers do not match"):
