@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, InvalidMatrix
-from .matrixcore import SymMatrix, psd_check, psd_root, raise_first_failure, spd_roots
+from .matrixcore import SymMatrix, _trusted, psd_check, psd_root, raise_first_failure, spd_roots
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -85,14 +85,6 @@ class GaussianModel:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-
-def _trusted(cls, **fields):
-    """A frozen dataclass instance from fields already checked in bulk,
-    built without running its per-instance validation."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _fit_stack(x: np.ndarray, eps_scale: float) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,10 @@ here, over (n, d, d) stacks, and a single model is a batch of one:
   ln|S|, S^{1/2} and S^{-1/2} from one eigendecomposition.
 * Failure reporting: ``raise_first_failure`` raises for the first index of a
   stack that fails a check, in the order one index runs them.
-* Eigenvector signs: ``sym_eigen`` fixes a deterministic sign per column.
 * Exact symmetry of n x n matrices: ``max_asymmetry`` and
   ``mirror_in_place`` work in row blocks.
+* Validation once: public constructors check input from outside the
+  program; ``_trusted`` builds containers from values the program made.
 
 Eigendecompositions are backed by LAPACK (``numpy.linalg.eigh``). A stacked
 ``eigh`` runs the same LAPACK call per matrix as a single one, so a factor
@@ -47,6 +48,14 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
+def _trusted(cls, **fields):
+    """A frozen dataclass instance built without its validation, from fields
+    whose producer already guarantees what that validation checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Dense symmetric d x d matrix.
@@ -62,60 +71,17 @@ class SymMatrix:
         m = np.asarray(self.values, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        # finite entries near the float maximum can overflow in the sum
+        with np.errstate(over="ignore"):
+            sym = (m + m.T) / 2.0
+        if not np.all(np.isfinite(sym)):
             raise InvalidMatrix("matrix entries must be finite")
-        sym = (m + m.T) / 2.0
         sym.flags.writeable = False
         object.__setattr__(self, "values", sym)
 
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns.
-
-    Orthonormality and reconstruction accuracy are properties of the solver
-    and are enforced by the test suite rather than re-checked on every
-    construction; only cheap shape/order invariants are validated here.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=float)
-        v = np.asarray(self.eigenvectors, dtype=float)
-        if w.ndim != 1 or v.ndim != 2 or v.shape != (w.size, w.size):
-            raise InvalidMatrix("eigenvalue/eigenvector shapes are inconsistent")
-        if np.any(np.diff(w) < 0):
-            raise InvalidMatrix("eigenvalues must be sorted ascending")
-        w.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so each column's largest-magnitude entry is
-    non-negative (ties broken by lowest row index, which is what argmax does)."""
-    rows = np.argmax(np.abs(vectors), axis=0)
-    cols = np.arange(vectors.shape[1])
-    signs = np.where(vectors[rows, cols] < 0.0, -1.0, 1.0)
-    return vectors * signs
-
-
-def sym_eigen(m: SymMatrix) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
-
-    Returns eigenvalues in ascending order with a deterministic sign
-    convention on the eigenvectors, so two calls on the same matrix produce
-    bit-identical results.
-    """
-    eigenvalues, vectors = np.linalg.eigh(m.values)
-    return EigenDecomposition(eigenvalues, _fix_signs(vectors))
 
 
 def raise_first_failure(name, checks) -> None:

@@ -37,6 +37,7 @@ from .gaussian import GaussianModel
 from .matrixcore import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _trusted,
     max_asymmetry,
     mirror_in_place,
     positive_check,
@@ -74,7 +75,8 @@ class DistanceMatrix:
     Construction canonicalizes floating-point noise: diagonals within
     tolerance of zero become exactly zero, near-negative entries are clamped
     to zero, and for symmetric metrics the lower triangle is replaced by an
-    exact mirror of the upper one.
+    exact mirror of the upper one. ``distance_matrix`` builds its matrices
+    already in this form.
     """
 
     values: np.ndarray
@@ -326,8 +328,9 @@ def distance_matrix(
 
     Per-model factors (matrix square roots, log-determinants, inverse
     roots) are computed once; then one row-kernel call per model covers all
-    its partners. Symmetric metrics fill the upper triangle and mirror it; kl
-    fills both triangles independently.
+    its partners, failing non-finite values and clamping the rest to zero.
+    Symmetric metrics fill the upper triangle and add its exact transpose;
+    kl fills both triangles independently.
     """
     if metric not in KNOWN_METRICS:
         raise InvalidMatrix(f"unknown metric tag {metric!r}")
@@ -343,7 +346,8 @@ def distance_matrix(
             out[i, js] = row(f, i, js, tol)
     if metric in SYMMETRIC_METRICS:
         out = out + out.T
-    return DistanceMatrix(out, metric)
+    out.flags.writeable = False
+    return _trusted(DistanceMatrix, values=out, metric=metric)
 
 
 def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
@@ -351,7 +355,8 @@ def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
 
     Rows are computed in blocks, so no (n, n, d) difference array is built.
     Both triangles are computed; m_i - m_j is exactly -(m_j - m_i), so they
-    agree bit for bit.
+    agree bit for bit, and the diagonal is exactly 0. The one check is
+    finiteness: squared differences of finite means can overflow.
     """
     _common_dim(models)
     means = np.stack([m.mean for m in models])
@@ -361,7 +366,10 @@ def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
     for s in range(0, n, rows):
         diff = means[s : s + rows, None, :] - means[None, :, :]
         out[s : s + rows] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return DistanceMatrix(out, METRIC_EUCLIDEAN)
+    if not np.isfinite(out).all():
+        raise InvalidMatrix("distance entries must be finite")
+    out.flags.writeable = False
+    return _trusted(DistanceMatrix, values=out, metric=METRIC_EUCLIDEAN)
 
 
 def kl_factors(models: Sequence[GaussianModel], tol: Tolerances = DEFAULT_TOLERANCES) -> dict:

@@ -11,10 +11,15 @@ distances, and ``on_sqrt=True`` switches to kernelizing their square roots
 instead. The default bandwidth is the median of the strictly positive
 upper-triangle entries of whichever values feed the kernel.
 
+``kernelize`` checks only finiteness (the rest holds by construction), and
+the Laplacian is a plain array handed straight to ``numpy.linalg.eigh``.
+
 k-means runs Lloyd's iteration from k-means++ seeds with restarts. Each
 restart's Lloyd loop tracks only the assignment cost it already computes;
 the within-cluster sum of squares that picks the best restart is evaluated
-once per restart, on its final labels.
+once per restart, on its final labels. Eigenvector signs are left as LAPACK
+returns them: negating a column negates every difference and mean exactly,
+so seeds, labels and sums of squares do not change.
 """
 
 from dataclasses import dataclass
@@ -27,7 +32,7 @@ from .errors import (
     InvalidMatrix,
     MetricNotSymmetric,
 )
-from .matrixcore import SymMatrix, max_asymmetry, mirror_in_place, sym_eigen
+from .matrixcore import _trusted, max_asymmetry, mirror_in_place
 from .metrics import DistanceMatrix
 
 _ENTRY_TOL = 1e-9
@@ -35,7 +40,8 @@ _ENTRY_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
-    """Symmetric kernel matrix with unit diagonal and entries in [0, 1]."""
+    """Symmetric kernel matrix with unit diagonal and entries in [0, 1];
+    ``kernelize`` builds its kernels already in this form."""
 
     values: np.ndarray
     bandwidth_sigma: float
@@ -119,7 +125,9 @@ def kernelize(
     """Gaussian kernel W = exp(-x^2 / (2 sigma^2)) over a distance matrix.
 
     Rejects asymmetric (kl) matrices. When sigma is omitted it defaults to
-    the median heuristic over the kernelized values.
+    the median heuristic over the kernelized values. W is exactly symmetric
+    with a unit diagonal and entries in [0, 1] by construction; the one check
+    is finiteness, as 2 sigma^2 can underflow and turn a zero entry into 0/0.
     """
     if not dm.is_symmetric:
         raise MetricNotSymmetric(
@@ -130,42 +138,53 @@ def kernelize(
         sigma = median_bandwidth(x)
     if not sigma > 0:
         raise InvalidBandwidth(f"sigma must be positive, got {sigma}")
+    try:
+        scale = 2.0 * sigma**2
+    except OverflowError:  # float ** raises where float * returns inf
+        scale = np.inf
+    if not np.isfinite(scale):
+        raise InvalidBandwidth(f"sigma {sigma} is too large: 2 sigma^2 overflows")
     # exp(-(x**2) / (2 sigma^2)), one operation at a time in one array
     w = np.square(x)
     np.negative(w, out=w)
-    w /= 2.0 * sigma**2
+    w /= scale
     np.exp(w, out=w)
     np.fill_diagonal(w, 1.0)
-    return AdjacencyMatrix(w, float(sigma))
+    if not np.isfinite(w).all():
+        raise InvalidMatrix("adjacency entries must be finite")
+    w.flags.writeable = False
+    return _trusted(AdjacencyMatrix, values=w, bandwidth_sigma=float(sigma))
 
 
-def normalized_laplacian(w: AdjacencyMatrix) -> SymMatrix:
+def normalized_laplacian(w: AdjacencyMatrix) -> np.ndarray:
     """Symmetric normalized Laplacian D^{-1/2} (D - W) D^{-1/2}.
 
-    Degrees are strictly positive because the kernel diagonal is 1, so the
-    scaling is always defined.
+    Degrees are at least 1 because the kernel diagonal is 1, so the scaling
+    is always defined. (w_ij r_i) r_j is not exactly symmetric, and ``eigh``
+    reads one triangle, so the result is symmetrized as (L + L^T)/2.
     """
     degrees = w.values.sum(axis=1)
     inv_root = 1.0 / np.sqrt(degrees)
     lap = -(w.values * inv_root[:, None]) * inv_root[None, :]
     np.fill_diagonal(lap, 1.0 + np.diagonal(lap))
-    return SymMatrix(lap)
+    mirror_in_place(lap, lambda upper, lower: (upper + lower) / 2.0)
+    return lap
 
 
 def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the k bottom eigenvectors of L_sym, row-normalized.
 
-    Returns (embedding, eigenvalues) where eigenvalues are the k smallest.
-    All-zero rows are left at zero rather than divided.
+    Returns (embedding, eigenvalues) where eigenvalues are the k smallest,
+    ascending. All-zero rows are left at zero rather than divided.
     """
     if k < 1 or k > w.n:
         raise InvalidConfig(f"k={k} invalid for {w.n} objects")
-    eig = sym_eigen(normalized_laplacian(w))
-    basis = eig.eigenvectors[:, :k].copy()
+    eigenvalues, vectors = np.linalg.eigh(normalized_laplacian(w))
+    basis = vectors[:, :k].copy()
     norms = np.linalg.norm(basis, axis=1)
     keep = norms > 0.0
     basis[keep] /= norms[keep, None]
-    return basis, eig.eigenvalues[:k].copy()
+    return basis, eigenvalues[:k].copy()
 
 
 def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -128,6 +128,20 @@ class TestClusterCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("entry, sigma", [(1e200, []), (1.0, ["--sigma", "1e155"])])
+    def test_overflowing_bandwidth_is_data_error(self, tmp_path, capsys, entry, sigma):
+        # the median bandwidth of 1e200 entries, or an explicit 1e155, has a
+        # 2 sigma^2 that overflows
+        dm = tmp_path / "dm.json"
+        rows = (entry * (1.0 - np.eye(3))).tolist()
+        dm.write_text(json.dumps({"metric": "wasserstein_sq", "n": 3, "rows": rows}))
+        code = entrypoint(
+            ["cluster", str(dm), "--algorithm", "wasserstein_spectral", "--k", "2",
+             "--out", str(tmp_path / "l.json"), *sigma]
+        )
+        assert code == 2
+        assert "2 sigma^2 overflows" in capsys.readouterr().err
+
     def test_usage_error_comes_before_reading_the_matrix(self, tmp_path, capsys):
         code = entrypoint(
             ["cluster", str(tmp_path / "missing.json"), "--algorithm", "kl", "--k", "2",

@@ -10,9 +10,9 @@ from distclust.matrixcore import (
     Tolerances,
     psd_root,
     spd_roots,
-    sym_eigen,
 )
 from distclust.metrics import METRIC_WASSERSTEIN_SQ, _factors
+from distclust.spectral import AdjacencyMatrix, normalized_laplacian, spectral_embedding
 
 
 def root_of(m: SymMatrix) -> np.ndarray:
@@ -42,6 +42,15 @@ class TestSymMatrix:
         with pytest.raises(InvalidMatrix):
             SymMatrix([[np.inf]])
 
+    @pytest.mark.parametrize("values", [
+        [[1.7e308, 1.7e308], [1.7e308, 1.7e308]],
+        [[1.0, 1.7e308], [1.7e308, 1.0]],
+    ])
+    def test_rejects_entries_that_overflow_when_symmetrized(self, values):
+        # each entry is finite, but (M + M^T)/2 overflows in the sum
+        with pytest.raises(InvalidMatrix, match="matrix entries must be finite"):
+            SymMatrix(values)
+
     def test_values_frozen(self):
         m = SymMatrix(np.eye(2))
         with pytest.raises(ValueError):
@@ -51,48 +60,67 @@ class TestSymMatrix:
         assert SymMatrix(np.eye(3)).dim == 3
 
 
+def random_kernel(n: int, rng) -> AdjacencyMatrix:
+    x = rng.uniform(0.05, 1.0, size=(n, n))
+    values = np.clip((x + x.T) / 2.0, 0.0, 1.0)
+    np.fill_diagonal(values, 1.0)
+    return AdjacencyMatrix(values, 1.0)
+
+
 class TestSymEigen:
+    """The symmetric eigensolve of the spectral path: ``numpy.linalg.eigh``
+    of ``normalized_laplacian``, whose bottom k pairs ``spectral_embedding``
+    keeps."""
+
+    @staticmethod
+    def check_bottom_pairs(w: AdjacencyMatrix, k: int, tol: float):
+        _, eigenvalues = spectral_embedding(w, k)
+        assert np.all(np.diff(eigenvalues) >= 0)
+        expected = np.linalg.eigvalsh(normalized_laplacian(w))[:k]
+        assert np.abs(eigenvalues - expected).max() <= tol
+
     def test_known_two_by_two(self):
-        eig = sym_eigen(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(eig.eigenvalues, [1.0, 3.0], atol=1e-12)
-        s = 1.0 / np.sqrt(2.0)
-        np.testing.assert_allclose(
-            eig.eigenvectors, [[s, s], [-s, s]], atol=1e-12
-        )
+        # W = [[1, a], [a, 1]] gives L = a/(1+a) [[1, -1], [-1, 1]]:
+        # eigenvalues 0 and 2a/(1+a), eigenvectors (1, 1) and (1, -1) / sqrt 2
+        a = 0.5
+        w = AdjacencyMatrix([[1.0, a], [a, 1.0]], 1.0)
+        basis, eigenvalues = spectral_embedding(w, 2)
+        np.testing.assert_allclose(eigenvalues, [0.0, 2.0 * a / (1.0 + a)], atol=1e-12)
+        np.testing.assert_allclose(np.abs(basis), 1.0 / np.sqrt(2.0), atol=1e-12)
+        assert basis[0, 0] * basis[1, 0] > 0 and basis[0, 1] * basis[1, 1] < 0
+        self.check_bottom_pairs(w, 2, 1e-15)
 
     def test_random_reconstruction_and_orthonormality(self, rng):
         for _ in range(25):
-            d = int(rng.integers(1, 9))
-            m = SymMatrix(random_spd(d, rng) - 2.0 * np.eye(d))
-            eig = sym_eigen(m)
-            assert np.all(np.diff(eig.eigenvalues) >= 0)
-            v = eig.eigenvectors
-            np.testing.assert_allclose(v.T @ v, np.eye(d), atol=1e-10)
-            rebuilt = (v * eig.eigenvalues) @ v.T
-            np.testing.assert_allclose(rebuilt, m.values, atol=1e-8)
-
-    def test_sign_convention(self, rng):
-        for _ in range(25):
-            d = int(rng.integers(2, 8))
-            eig = sym_eigen(SymMatrix(random_spd(d, rng)))
-            peaks = np.abs(eig.eigenvectors).argmax(axis=0)
-            assert np.all(eig.eigenvectors[peaks, np.arange(d)] >= 0)
+            n = int(rng.integers(2, 17))
+            k = int(rng.integers(1, n + 1))
+            w = random_kernel(n, rng)
+            lap = normalized_laplacian(w)
+            eigenvalues, v = np.linalg.eigh(lap)
+            np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-10)
+            np.testing.assert_allclose((v * eigenvalues) @ v.T, lap, atol=1e-10)
+            # the embedding is exactly this solve's bottom k columns, row-normalized
+            basis, _ = spectral_embedding(w, k)
+            want = v[:, :k] / np.linalg.norm(v[:, :k], axis=1)[:, None]
+            assert basis.tobytes() == want.tobytes()
+            self.check_bottom_pairs(w, k, 1e-12 * n)
 
     def test_deterministic(self, rng):
-        m = SymMatrix(random_spd(6, rng))
-        a, b = sym_eigen(m), sym_eigen(m)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        w = random_kernel(12, rng)
+        a, b = spectral_embedding(w, 4), spectral_embedding(w, 4)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
 
     def test_large_matrix_quality(self, rng):
         # solver accuracy bar at a size well past the hand-checkable range
-        d = 64
-        m = SymMatrix(random_spd(d, rng))
-        eig = sym_eigen(m)
-        scale = max(1.0, np.abs(m.values).max())
-        v = eig.eigenvectors
-        assert np.abs(v.T @ v - np.eye(d)).max() < 1e-12 * d
-        assert np.abs((v * eig.eigenvalues) @ v.T - m.values).max() < 1e-12 * d * scale
+        n = 64
+        w = random_kernel(n, rng)
+        lap = normalized_laplacian(w)
+        eigenvalues, v = np.linalg.eigh(lap)
+        scale = max(1.0, np.abs(lap).max())
+        assert np.abs(v.T @ v - np.eye(n)).max() < 1e-12 * n
+        assert np.abs((v * eigenvalues) @ v.T - lap).max() < 1e-12 * n * scale
+        self.check_bottom_pairs(w, 8, 1e-12 * n)
 
 
 class TestSpdSqrt:

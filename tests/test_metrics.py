@@ -216,6 +216,18 @@ def mixed_models(n: int, d: int, rng) -> list[GaussianModel]:
 
 
 class TestDistanceMatrixBuilder:
+    @pytest.mark.parametrize("metric", list(SCALARS) + [METRIC_EUCLIDEAN])
+    def test_public_constructor_keeps_bytes(self, metric, rng):
+        # the matrix is built without DistanceMatrix's checks; they would
+        # change nothing
+        models = mixed_models(40, 3, rng)
+        dm = distance_matrix(models, metric)
+        again = DistanceMatrix(dm.values, metric)
+        assert again.values.tobytes() == dm.values.tobytes()
+        assert dm.metric == metric
+        with pytest.raises(ValueError):
+            dm.values[0, 1] = 1.0
+
     @pytest.mark.parametrize("metric", list(SCALARS))
     def test_matches_scalar_calls(self, metric, rng):
         scalar = SCALARS[metric]
@@ -335,6 +347,12 @@ class TestMeanEuclidean:
         a = GaussianModel(mean, SymMatrix(np.eye(3)))
         b = GaussianModel(mean, SymMatrix(7.0 * np.eye(3)))
         assert mean_euclidean_matrix([a, b]).values[0, 1] == 0.0
+
+    def test_overflowing_distance_fails(self):
+        # finite means 2e200 apart: the squared difference overflows
+        models = [GaussianModel(np.array([v]), SymMatrix(np.eye(1))) for v in (1e200, -1e200)]
+        with pytest.raises(InvalidMatrix, match="distance entries must be finite"):
+            mean_euclidean_matrix(models)
 
 
     @pytest.mark.parametrize("n, d", [(1, 3), (2, 1), (300, 7), (600, 20)])

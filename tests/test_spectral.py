@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
+from conftest import random_model
 from distclust.errors import (
     InvalidBandwidth,
     InvalidConfig,
     InvalidMatrix,
     MetricNotSymmetric,
 )
-from distclust.metrics import METRIC_KL, METRIC_WASSERSTEIN_SQ, DistanceMatrix
+from distclust.metrics import (
+    METRIC_BHATTACHARYYA,
+    METRIC_EUCLIDEAN,
+    METRIC_KL,
+    METRIC_WASSERSTEIN_SQ,
+    DistanceMatrix,
+    distance_matrix,
+)
 from distclust.spectral import (
     AdjacencyMatrix,
     ClusterAssignment,
@@ -140,19 +148,57 @@ class TestKernelize:
         assert median_bandwidth(x) == sigma == w.bandwidth_sigma
         assert w.values.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("on_sqrt", [False, True])
+    @pytest.mark.parametrize("metric", [METRIC_WASSERSTEIN_SQ, METRIC_BHATTACHARYYA, METRIC_EUCLIDEAN])
+    def test_public_constructor_keeps_bytes(self, metric, on_sqrt, rng):
+        # the kernel is built without AdjacencyMatrix's checks; they would
+        # change nothing
+        models = [random_model(3, rng) for _ in range(40)]
+        w = kernelize(distance_matrix(models, metric), on_sqrt=on_sqrt)
+        again = AdjacencyMatrix(w.values, w.bandwidth_sigma)
+        assert again.values.tobytes() == w.values.tobytes()
+        assert again.bandwidth_sigma == w.bandwidth_sigma
+        with pytest.raises(ValueError):
+            w.values[0, 1] = 0.5
+
+    @pytest.mark.parametrize("sigma", [1e155, 1.0e308, float("inf")])
+    def test_rejects_bandwidth_whose_square_overflows(self, sigma):
+        with pytest.raises(InvalidBandwidth, match="2 sigma\\^2 overflows"):
+            kernelize(three_object_distances(), sigma=sigma)
+
+    def test_rejects_median_bandwidth_whose_square_overflows(self):
+        dm = DistanceMatrix(np.full((3, 3), 1e200) * (1 - np.eye(3)), METRIC_WASSERSTEIN_SQ)
+        with pytest.raises(InvalidBandwidth, match="sigma 1e\\+200 is too large"):
+            kernelize(dm)
+
+    def test_large_finite_bandwidth_matches_whole_matrix_form(self):
+        dm = three_object_distances()
+        sigma = 1e150
+        w = kernelize(dm, sigma=sigma)
+        expected = np.exp(-(dm.values**2) / (2.0 * sigma**2))
+        np.fill_diagonal(expected, 1.0)
+        assert w.values.tobytes() == expected.tobytes()
+
+    def test_underflowing_bandwidth_with_zero_entry_fails(self):
+        # 2 sigma^2 underflows to 0, and the zero entry (0, 1) becomes 0/0
+        dm = DistanceMatrix([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+                            METRIC_WASSERSTEIN_SQ)
+        with pytest.raises(InvalidMatrix, match="adjacency entries must be finite"):
+            kernelize(dm, sigma=1e-170)
+
 
 class TestNormalizedLaplacian:
     def test_two_node_hand_case(self):
         w = AdjacencyMatrix(np.ones((2, 2)), 1.0)
         lap = normalized_laplacian(w)
-        np.testing.assert_allclose(lap.values, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(lap, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
     def test_spectrum_bounds(self, rng):
         for _ in range(10):
             n = int(rng.integers(3, 12))
             x = rng.uniform(0.0, 1.0, size=(n, n))
             w = AdjacencyMatrix(np.clip((x + x.T) / 2, 0, 1) * (1 - np.eye(n)) + np.eye(n), 1.0)
-            eigs = np.linalg.eigvalsh(normalized_laplacian(w).values)
+            eigs = np.linalg.eigvalsh(normalized_laplacian(w))
             assert eigs[0] > -1e-10
             assert eigs[-1] < 2.0 + 1e-10
 
@@ -162,8 +208,21 @@ class TestNormalizedLaplacian:
         w = AdjacencyMatrix(np.clip((x + x.T) / 2, 0, 1) * (1 - np.eye(n)) + np.eye(n), 1.0)
         degrees = w.values.sum(axis=1)
         null = np.sqrt(degrees)
-        residual = normalized_laplacian(w).values @ null
+        residual = normalized_laplacian(w) @ null
         assert np.abs(residual).max() < 1e-10
+
+    def test_exactly_symmetric(self, rng):
+        # n spans several row blocks; (w_ij r_i) r_j alone is not symmetric
+        n = 600
+        upper = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+        w = AdjacencyMatrix(upper + upper.T + np.eye(n), 1.0)
+        inv_root = 1.0 / np.sqrt(w.values.sum(axis=1))
+        raw = -(w.values * inv_root[:, None]) * inv_root[None, :]
+        np.fill_diagonal(raw, 1.0 + np.diagonal(raw))
+        assert not np.array_equal(raw, raw.T)
+        lap = normalized_laplacian(w)
+        assert np.array_equal(lap, lap.T)
+        assert lap.tobytes() == ((raw + raw.T) / 2.0).tobytes()
 
 
 class TestSpectralEmbedding:
@@ -218,6 +277,21 @@ class TestKmeans:
         b = kmeans(points, 3, np.random.default_rng(11))
         assert np.array_equal(a.assignment.labels, b.assignment.labels)
         assert a.wcss == b.wcss
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_sign_flipped_columns_change_nothing_but_center_signs(self, k, rng):
+        # spectral_embedding imposes no eigenvector sign convention, which
+        # rests on this: differences and means negate exactly
+        for seed in range(5):
+            points, _ = spectral_embedding(two_block_adjacency(20, 13, cross=0.3), k)
+            points = points + 0.05 * rng.standard_normal(points.shape)
+            signs = np.where(rng.random(k) < 0.5, -1.0, 1.0)
+            signs[0] = -1.0
+            a = kmeans(points, k, np.random.default_rng(seed))
+            b = kmeans(points * signs, k, np.random.default_rng(seed))
+            assert a.assignment.labels.tobytes() == b.assignment.labels.tobytes()
+            assert a.wcss == b.wcss
+            assert (a.centers * signs).tobytes() == b.centers.tobytes()
 
     def test_no_empty_clusters(self, rng):
         for seed in range(8):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from distclust.errors import RowError, SchemaError
+from distclust.errors import InvalidMatrix, RowError, SchemaError
 from distclust.gaussian import SampleGroup
 from distclust.metrics import METRIC_KL, METRIC_WASSERSTEIN_SQ, DistanceMatrix
 from distclust.spectral import ClusterAssignment
@@ -134,6 +134,15 @@ class TestModelsJson:
             read_models_json(path)
         path.write_text('[{"mean": [0.0]}]')
         with pytest.raises(SchemaError):
+            read_models_json(path)
+
+    def test_covariance_that_overflows_when_symmetrized_fails_at_load(self, tmp_path):
+        # every entry is finite, but symmetrizing overflows to inf; loading
+        # fails here rather than as a nan divergence in a later command
+        path = tmp_path / "models.json"
+        big = [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]
+        path.write_text(json.dumps([{"mean": [0.0, 0.0], "cov": big}]))
+        with pytest.raises(InvalidMatrix, match="matrix entries must be finite"):
             read_models_json(path)
 
 
