@@ -217,7 +217,7 @@ def cluster_matrix(dm: DistanceMatrix, config: PipelineConfig) -> tuple[ClusterA
     """Spectral clustering of a divergence matrix: the Gaussian kernel, the
     spectral embedding and k-means, seeded from ``config.seed``. The matrix
     must carry the metric of ``config.algorithm``. Returns the labels and
-    the run's diagnostics (metric, bandwidth, normalized cut)."""
+    the run's diagnostics (metric, bandwidth, normalized cut, eigensolver)."""
     expected = spectral_metric(config.algorithm)
     if dm.metric != expected:
         raise InvalidConfig(f"{config.algorithm} expects a {expected} matrix, got {dm.metric}")
@@ -236,6 +236,7 @@ def cluster_matrix(dm: DistanceMatrix, config: PipelineConfig) -> tuple[ClusterA
         "metric": expected,
         "bandwidth_sigma": result.bandwidth_sigma,
         "ncut": result.ncut,
+        "eigensolver": result.eigensolver,
     }
 
 

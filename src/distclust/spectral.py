@@ -11,8 +11,16 @@ distances, and ``on_sqrt=True`` switches to kernelizing their square roots
 instead. The default bandwidth is the median of the strictly positive
 upper-triangle entries of whichever values feed the kernel.
 
-``kernelize`` checks only finiteness (the rest holds by construction), and
-the Laplacian is a plain array handed straight to ``numpy.linalg.eigh``.
+``kernelize`` checks only finiteness (the rest holds by construction). The
+bottom k eigenpairs of L_sym come from block subspace iteration on
+M = D^{-1/2} W D^{-1/2} = I - L_sym (block k + 10, one QR and one
+Rayleigh-Ritz step per pass, start block from a fixed seed), stopped on the
+residuals and certified by one Cholesky factorization: divergence kernels
+and user matrices are indefinite, and the certificate proves that no
+eigenvalue of M outside the k found lies above them. Up to 120 objects, for
+k + 10 >= n, and when the iteration or its certificate fails, the full
+``numpy.linalg.eigh`` of the Laplacian runs instead; ``eigensolver`` says
+which one did.
 
 k-means runs Lloyd's iteration from k-means++ seeds with restarts. Each
 restart's Lloyd loop tracks only the assignment cost it already computes;
@@ -32,7 +40,7 @@ from .errors import (
     InvalidMatrix,
     MetricNotSymmetric,
 )
-from .matrixcore import _trusted, max_asymmetry, mirror_in_place
+from .matrixcore import _BLOCK_ROWS, _trusted, max_asymmetry, mirror_in_place
 from .metrics import DistanceMatrix
 
 _ENTRY_TOL = 1e-9
@@ -108,15 +116,28 @@ class SpectralResult:
     eigenvalues: np.ndarray
     ncut: float
     bandwidth_sigma: float
+    eigensolver: str  # "subspace" or "dense", as in spectral_embedding
 
 
 def median_bandwidth(x: np.ndarray) -> float:
     """Median of the strictly positive upper-triangle entries, or 1.0 if
-    every off-diagonal entry is zero."""
-    positive = x[np.triu(x > 0.0, 1)]
-    if positive.size == 0:
+    every off-diagonal entry is zero.
+
+    One partition of the upper triangle: its non-positive entries sort
+    first, so the positive ones hold the ranks from their count on. The
+    result is ``np.median``'s: the middle entry, or the mean of the middle
+    pair, the lower of which is the largest entry below the upper one.
+    """
+    n = x.shape[0]
+    upper = np.concatenate([x[i, i + 1:] for i in range(n)]) if n > 1 else np.empty(0)
+    low = np.count_nonzero(upper <= 0.0)
+    size = np.count_nonzero(upper > 0.0)
+    if size == 0:
         return 1.0
-    return float(np.median(positive))
+    mid = low + size // 2
+    upper.partition(mid)  # one kth: numpy partitions for two kth ~5x slower
+    middle = upper[mid : mid + 1] if size % 2 else np.array([upper[:mid].max(), upper[mid]])
+    return float(np.mean(middle))
 
 
 def kernelize(
@@ -144,11 +165,13 @@ def kernelize(
         scale = np.inf
     if not np.isfinite(scale):
         raise InvalidBandwidth(f"sigma {sigma} is too large: 2 sigma^2 overflows")
-    # exp(-(x**2) / (2 sigma^2)), one operation at a time in one array
+    # exp(-(x**2) / (2 sigma^2)), one operation at a time in one array; an
+    # underflowed scale makes 0/0 here, which the finiteness check reports
     w = np.square(x)
     np.negative(w, out=w)
-    w /= scale
-    np.exp(w, out=w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w /= scale
+        np.exp(w, out=w)
     np.fill_diagonal(w, 1.0)
     if not np.isfinite(w).all():
         raise InvalidMatrix("adjacency entries must be finite")
@@ -171,20 +194,107 @@ def normalized_laplacian(w: AdjacencyMatrix) -> np.ndarray:
     return lap
 
 
+# The bottom-k solver. At or below _DENSE_MAX_N objects the full ``eigh`` is
+# at least as fast as the subspace iteration. Dense against subspace on
+# mean-distance kernels, k = 5, one BLAS thread: 0.16 against 0.80 ms at
+# n = 40, 1.06 against 1.06 ms at n = 120, 2.94 against 1.64 ms at n = 200,
+# 1.54 against 0.21-0.29 s at n = 2000. The switch depends on n alone.
+_DENSE_MAX_N = 120
+_OVERSAMPLE = 10  # block columns beyond k
+_MAX_PASSES = 50
+_RESIDUAL_TOL = 1e-10  # on every ||M v - theta v||, for unit v
+# c must clear the k-th and (k+1)-th Ritz values by more than the residuals
+# (sqrt(k) * _RESIDUAL_TOL) and the Cholesky's rounding; a smaller gap, such
+# as lambda_k = lambda_{k+1}, leaves the certificate to rounding
+_MIN_GAP = 1e-8
+
+
+class _Embedding(tuple):
+    """``spectral_embedding``'s ``(basis, eigenvalues)`` pair, which unpacks
+    as before; ``eigensolver`` names the solver that produced it."""
+
+    eigensolver: str
+
+
+def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The k smallest eigenvalues of L_sym and their eigenvectors by block
+    subspace iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp 2011),
+    or None when the iteration or its certificate fails. The full ``eigh``
+    of ``normalized_laplacian`` is its fallback and its reference.
+
+    L_sym = I - M with M = D^-1/2 W D^-1/2, so the pairs sought are the top
+    k of M, applied as ``r * (W @ (r * Q))`` without building L. The start
+    block comes from a fixed seed, so the result depends on W alone.
+
+    The iteration finds the k largest Ritz values of the block, but W may be
+    indefinite (divergence kernels, user matrices), so an eigenvalue of M
+    above them could be missing from the block. The certificate excludes
+    that: with V the k Ritz vectors and c midway between the k-th and
+    (k+1)-th Ritz values, a Cholesky factor of
+    A = c I - (M - V (Theta + 2) V^T) proves A positive definite, so
+    x^T M x < c |x|^2 for every x orthogonal to V, and by Courant-Fischer no
+    eigenvalue of M but the k near the Ritz values lies above c. A gap
+    between those Ritz values under _MIN_GAP, as when the k-th and (k+1)-th
+    eigenvalues coincide, leaves no room for c and fails the certificate.
+    """
+    n = w.n
+    r = (1.0 / np.sqrt(w.values.sum(axis=1)))[:, None]
+    start = np.random.default_rng(0).standard_normal((n, k + _OVERSAMPLE))
+    q, _ = np.linalg.qr(start)
+    for _ in range(_MAX_PASSES):
+        mq = r * (w.values @ (r * q))
+        theta, ritz = np.linalg.eigh(q.T @ mq)
+        theta, ritz = theta[::-1], ritz[:, ::-1]
+        vectors = q @ ritz[:, :k]
+        residuals = np.linalg.norm(mq @ ritz[:, :k] - vectors * theta[:k], axis=0)
+        if residuals.max() <= _RESIDUAL_TOL:
+            break
+        q, _ = np.linalg.qr(mq)
+    else:
+        return None
+    if theta[k - 1] - theta[k] <= _MIN_GAP:
+        return None
+    # A = c I - M + V (Theta + 2) V^T, built in one n x n array
+    a = w.values * -r
+    a *= r.T
+    a.flat[:: n + 1] += 0.5 * (theta[k - 1] + theta[k])
+    lifted = vectors * (theta[:k] + 2.0)
+    for s in range(0, n, _BLOCK_ROWS):
+        a[s : s + _BLOCK_ROWS] += lifted[s : s + _BLOCK_ROWS] @ vectors.T
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    return 1.0 - theta[:k], vectors
+
+
 def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the k bottom eigenvectors of L_sym, row-normalized.
 
     Returns (embedding, eigenvalues) where eigenvalues are the k smallest,
-    ascending. All-zero rows are left at zero rather than divided.
+    ascending; the pair's ``eigensolver`` is ``"subspace"`` or ``"dense"``.
+    All-zero rows are left at zero rather than divided. Above _DENSE_MAX_N
+    objects, and below n - _OVERSAMPLE columns, the certified subspace
+    iteration runs; the full ``eigh`` runs otherwise and whenever that
+    iteration or its certificate fails.
     """
     if k < 1 or k > w.n:
         raise InvalidConfig(f"k={k} invalid for {w.n} objects")
-    eigenvalues, vectors = np.linalg.eigh(normalized_laplacian(w))
-    basis = vectors[:, :k].copy()
+    found = None
+    if w.n > _DENSE_MAX_N and k + _OVERSAMPLE < w.n:
+        found = _subspace_bottom(w, k)
+    eigensolver = "subspace"
+    if found is None:
+        eigensolver = "dense"
+        eigenvalues, vectors = np.linalg.eigh(normalized_laplacian(w))
+        found = eigenvalues[:k].copy(), vectors[:, :k].copy()
+    eigenvalues, basis = found
     norms = np.linalg.norm(basis, axis=1)
     keep = norms > 0.0
     basis[keep] /= norms[keep, None]
-    return basis, eigenvalues[:k].copy()
+    embedding = _Embedding((basis, eigenvalues))
+    embedding.eigensolver = eigensolver
+    return embedding
 
 
 def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -351,7 +461,8 @@ def spectral_cluster(
     max_iter: int = 300,
 ) -> SpectralResult:
     """Cluster graph nodes by k-means on the normalized spectral embedding."""
-    basis, eigenvalues = spectral_embedding(w, k)
+    embedding = spectral_embedding(w, k)
+    basis, eigenvalues = embedding
     result = kmeans(basis, k, rng, restarts=restarts, max_iter=max_iter)
     return SpectralResult(
         assignment=result.assignment,
@@ -359,4 +470,5 @@ def spectral_cluster(
         eigenvalues=eigenvalues,
         ncut=ncut(w, result.assignment),
         bandwidth_sigma=w.bandwidth_sigma,
+        eigensolver=embedding.eigensolver,
     )

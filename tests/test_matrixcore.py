@@ -68,9 +68,9 @@ def random_kernel(n: int, rng) -> AdjacencyMatrix:
 
 
 class TestSymEigen:
-    """The symmetric eigensolve of the spectral path: ``numpy.linalg.eigh``
-    of ``normalized_laplacian``, whose bottom k pairs ``spectral_embedding``
-    keeps."""
+    """The dense eigensolve of the spectral path: ``numpy.linalg.eigh`` of
+    ``normalized_laplacian``, whose bottom k pairs ``spectral_embedding``
+    keeps at these sizes (below its subspace solver's crossover)."""
 
     @staticmethod
     def check_bottom_pairs(w: AdjacencyMatrix, k: int, tol: float):

@@ -142,6 +142,8 @@ class TestRunPipeline:
         groups, _ = separated_groups(rng, per_cluster=4)
         spectral = run_pipeline(groups, PipelineConfig(algorithm=ALGO_WASSERSTEIN, k=2))
         assert {"metric", "bandwidth_sigma", "ncut"} <= set(spectral.diagnostics)
+        # 8 groups are below the subspace solver's crossover
+        assert spectral.diagnostics["eigensolver"] == "dense"
         kl = run_pipeline(groups, PipelineConfig(algorithm=ALGO_KL, k=2))
         assert {"iterations", "converged", "objective"} <= set(kl.diagnostics)
         km = run_pipeline(groups, PipelineConfig(algorithm=ALGO_KMEANS_MEANS, k=2))

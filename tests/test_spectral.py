@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_model
+from distclust import spectral
 from distclust.errors import (
     InvalidBandwidth,
     InvalidConfig,
     InvalidMatrix,
     MetricNotSymmetric,
 )
+from distclust.gaussian import estimate_gaussians
 from distclust.metrics import (
     METRIC_BHATTACHARYYA,
     METRIC_EUCLIDEAN,
@@ -15,6 +19,7 @@ from distclust.metrics import (
     METRIC_WASSERSTEIN_SQ,
     DistanceMatrix,
     distance_matrix,
+    mean_euclidean_matrix,
 )
 from distclust.spectral import (
     AdjacencyMatrix,
@@ -28,7 +33,8 @@ from distclust.spectral import (
     spectral_embedding,
     wcss,
 )
-from distclust.spectral import _lloyd, _repair_empty, _sq_dist_to_means
+from distclust.spectral import _lloyd, _repair_empty, _sq_dist_to_means, _subspace_bottom
+from distclust.synthgen import generate_benchmark
 
 
 def three_object_distances() -> DistanceMatrix:
@@ -134,6 +140,16 @@ class TestKernelize:
         x = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
         assert median_bandwidth(x) == 5.0
 
+    def test_median_bandwidth_matches_masked_median(self, rng):
+        # odd and even counts of positive entries, all-zero and 1 x 1 matrices
+        for n in range(1, 9):
+            for _ in range(10):
+                upper = np.triu(rng.uniform(0.0, 4.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+                x = upper + upper.T
+                positive = x[np.triu(x > 0.0, 1)]
+                expected = float(np.median(positive)) if positive.size else 1.0
+                assert median_bandwidth(x) == expected
+
     @pytest.mark.parametrize("on_sqrt", [False, True])
     def test_matches_whole_matrix_form(self, on_sqrt, rng):
         n = 301
@@ -180,11 +196,14 @@ class TestKernelize:
         assert w.values.tobytes() == expected.tobytes()
 
     def test_underflowing_bandwidth_with_zero_entry_fails(self):
-        # 2 sigma^2 underflows to 0, and the zero entry (0, 1) becomes 0/0
+        # 2 sigma^2 underflows to 0, and the zero entry (0, 1) becomes 0/0;
+        # the typed error comes without a numpy warning before it
         dm = DistanceMatrix([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
                             METRIC_WASSERSTEIN_SQ)
-        with pytest.raises(InvalidMatrix, match="adjacency entries must be finite"):
-            kernelize(dm, sigma=1e-170)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidMatrix, match="adjacency entries must be finite"):
+                kernelize(dm, sigma=1e-170)
 
 
 class TestNormalizedLaplacian:
@@ -245,6 +264,118 @@ class TestSpectralEmbedding:
     def test_k_out_of_range(self):
         with pytest.raises(InvalidConfig):
             spectral_embedding(two_block_adjacency(), 11)
+
+
+def benchmark_kernel(n: int, metric: str, seed: int = 3) -> AdjacencyMatrix:
+    groups = generate_benchmark(4, 5, n_objects=n, samples_per_object=20, seed=seed).groups
+    models = estimate_gaussians(groups, 1e-8)
+    if metric == METRIC_EUCLIDEAN:
+        return kernelize(mean_euclidean_matrix(models))
+    return kernelize(distance_matrix(models, metric), on_sqrt=metric == METRIC_WASSERSTEIN_SQ)
+
+
+def dense_embedding(w: AdjacencyMatrix, k: int, monkeypatch) -> tuple:
+    """``spectral_embedding`` with the crossover raised past n: the full
+    ``eigh`` path, the reference of every fallback."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_DENSE_MAX_N", w.n)
+        embedding = spectral_embedding(w, k)
+    assert embedding.eigensolver == "dense"
+    return embedding
+
+
+def block_kernel(blocks: int, size: int) -> AdjacencyMatrix:
+    """Identical disconnected blocks: eigenvalue 0 of L_sym ``blocks`` times."""
+    return AdjacencyMatrix(np.kron(np.eye(blocks), np.ones((size, size))), 1.0)
+
+
+class TestBottomEigensolver:
+    """The certified subspace iteration against the full ``eigh``."""
+
+    @pytest.mark.parametrize(
+        "n, metric",
+        [(n, metric) for n in (40, 200)
+         for metric in (METRIC_EUCLIDEAN, METRIC_WASSERSTEIN_SQ, METRIC_BHATTACHARYYA)]
+        + [(2000, METRIC_EUCLIDEAN)],
+    )
+    def test_matches_dense_on_real_kernels(self, n, metric):
+        k = 5
+        w = benchmark_kernel(n, metric)
+        expected, reference = np.linalg.eigh(normalized_laplacian(w))
+        found = _subspace_bottom(w, k)
+        assert found is not None
+        eigenvalues, vectors = found
+        assert np.abs(eigenvalues - expected[:k]).max() <= 1e-10
+        if expected[k] - expected[k - 1] >= 1e-3:
+            # sine of the largest principal angle between the two subspaces
+            outside = reference[:, :k] - vectors @ (vectors.T @ reference[:, :k])
+            assert np.linalg.norm(outside, 2) <= 1e-6
+        if n > spectral._DENSE_MAX_N:
+            embedding = spectral_embedding(w, k)
+            assert embedding.eigensolver == "subspace"
+            assert embedding[1].tobytes() == eigenvalues.tobytes()
+
+    def test_at_or_below_crossover_runs_dense(self):
+        w = benchmark_kernel(spectral._DENSE_MAX_N, METRIC_EUCLIDEAN)
+        assert spectral_embedding(w, 5).eigensolver == "dense"
+
+    def test_equal_eigenvalues_fall_back(self, monkeypatch):
+        # k + 1 components: lambda_k = lambda_{k+1} = 0, no certificate
+        k = 2
+        w = block_kernel(k + 1, 50)
+        assert w.n > spectral._DENSE_MAX_N
+        embedding = spectral_embedding(w, k)
+        assert embedding.eigensolver == "dense"
+        reference = dense_embedding(w, k, monkeypatch)
+        assert embedding[0].tobytes() == reference[0].tobytes()
+        assert embedding[1].tobytes() == reference[1].tobytes()
+
+    def test_iteration_cap_falls_back(self, monkeypatch):
+        w = benchmark_kernel(200, METRIC_EUCLIDEAN)
+        reference = dense_embedding(w, 5, monkeypatch)
+        monkeypatch.setattr(spectral, "_MAX_PASSES", 1)
+        embedding = spectral_embedding(w, 5)
+        assert embedding.eigensolver == "dense"
+        assert embedding[0].tobytes() == reference[0].tobytes()
+        assert embedding[1].tobytes() == reference[1].tobytes()
+
+    def test_bytes_independent_of_global_random_state(self):
+        w = benchmark_kernel(200, METRIC_EUCLIDEAN)
+        saved = np.random.get_state()
+        try:
+            np.random.seed(1)
+            a = spectral_embedding(w, 5)
+            np.random.seed(2)
+            np.random.standard_normal(1000)
+            b = spectral_embedding(w, 5)
+        finally:
+            np.random.set_state(saved)
+        assert a.eigensolver == b.eigensolver == "subspace"
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
+
+    @pytest.mark.parametrize("k, eigensolver", [(1, "subspace"), (2, "dense")])
+    def test_indefinite_multipartite_kernel(self, k, eigensolver, monkeypatch, rng):
+        # 12 parts, far apart inside and close across: M = D^-1/2 W D^-1/2
+        # has eleven eigenvalues near -0.08 that crowd the block out of its
+        # small positive ones. At k = 2 the iteration converges to one of the
+        # negative ones, and the certificate refuses it.
+        n, parts = 240, 12
+        part = np.arange(n) % parts
+        same = part[:, None] == part[None, :]
+        x = np.triu(np.where(same, rng.uniform(2.0, 3.0, (n, n)), rng.uniform(0.0, 0.5, (n, n))), 1)
+        w = kernelize(DistanceMatrix(x + x.T, METRIC_WASSERSTEIN_SQ), sigma=1.0)
+        mu = np.linalg.eigvalsh(np.eye(n) - normalized_laplacian(w))
+        # all eleven negative ones outweigh every positive one but the top
+        assert mu[parts - 2] < -mu[-2] < 0.0
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.shape) or cholesky(a))
+        basis, eigenvalues = embedding = spectral_embedding(w, k)
+        assert embedding.eigensolver == eigensolver
+        assert factored == [(n, n)]
+        expected = np.linalg.eigvalsh(normalized_laplacian(w))[:k]
+        assert np.abs(eigenvalues - expected).max() <= 1e-10
 
 
 class TestKmeans:
@@ -355,3 +486,9 @@ class TestSpectralCluster:
         b = spectral_cluster(w, 2, np.random.default_rng(7))
         assert np.array_equal(a.assignment.labels, b.assignment.labels)
         assert a.ncut == b.ncut
+
+    @pytest.mark.parametrize("n, eigensolver", [(10, "dense"), (150, "subspace")])
+    def test_reports_its_eigensolver(self, n, eigensolver):
+        w = two_block_adjacency(n // 2, n - n // 2, cross=0.05)
+        result = spectral_cluster(w, 2, np.random.default_rng(7))
+        assert result.eigensolver == eigensolver
