@@ -22,12 +22,14 @@ k + 10 >= n, and when the iteration or its certificate fails, the full
 ``numpy.linalg.eigh`` of the Laplacian runs instead; ``eigensolver`` says
 which one did.
 
-k-means runs Lloyd's iteration from k-means++ seeds with restarts. Each
-restart's Lloyd loop tracks only the assignment cost it already computes;
-the within-cluster sum of squares that picks the best restart is evaluated
-once per restart, on its final labels. Eigenvector signs are left as LAPACK
-returns them: negating a column negates every difference and mean exactly,
-so seeds, labels and sums of squares do not change.
+k-means runs Lloyd's iteration from k-means++ seeds, all restarts in
+lockstep: one batched GEMM scores every restart's centers, and rows that
+its rounding could misorder are scored again in the exact difference form,
+so the labels are those of one restart run alone. The within-cluster sum
+of squares that picks the best restart is evaluated once per restart, on
+its final labels. Eigenvector signs are left as LAPACK returns them:
+negating a column negates every difference, product and mean exactly, so
+seeds, labels and sums of squares do not change.
 """
 
 from dataclasses import dataclass
@@ -203,6 +205,10 @@ _DENSE_MAX_N = 120
 _OVERSAMPLE = 10  # block columns beyond k
 _MAX_PASSES = 50
 _RESIDUAL_TOL = 1e-10  # on every ||M v - theta v||, for unit v
+# From pass 2 * _STALL_WINDOW on, the iteration gives up once the residual's
+# contraction over the last _STALL_WINDOW passes, kept up, would not reach
+# _RESIDUAL_TOL within _MAX_PASSES: the dense fallback then runs at once.
+_STALL_WINDOW = 5
 # c must clear the k-th and (k+1)-th Ritz values by more than the residuals
 # (sqrt(k) * _RESIDUAL_TOL) and the Cholesky's rounding; a smaller gap, such
 # as lambda_k = lambda_{k+1}, leaves the certificate to rounding
@@ -241,14 +247,21 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
     r = (1.0 / np.sqrt(w.values.sum(axis=1)))[:, None]
     start = np.random.default_rng(0).standard_normal((n, k + _OVERSAMPLE))
     q, _ = np.linalg.qr(start)
-    for _ in range(_MAX_PASSES):
+    worst = []  # largest residual of every pass
+    for passes in range(1, _MAX_PASSES + 1):
         mq = r * (w.values @ (r * q))
         theta, ritz = np.linalg.eigh(q.T @ mq)
         theta, ritz = theta[::-1], ritz[:, ::-1]
         vectors = q @ ritz[:, :k]
         residuals = np.linalg.norm(mq @ ritz[:, :k] - vectors * theta[:k], axis=0)
-        if residuals.max() <= _RESIDUAL_TOL:
+        worst.append(residuals.max())
+        if worst[-1] <= _RESIDUAL_TOL:
             break
+        if passes >= 2 * _STALL_WINDOW:
+            # the contraction of the last window, kept up for the passes left
+            rate = worst[-1] / worst[-1 - _STALL_WINDOW]
+            if worst[-1] * rate ** ((_MAX_PASSES - passes) / _STALL_WINDOW) > _RESIDUAL_TOL:
+                return None
         q, _ = np.linalg.qr(mq)
     else:
         return None
@@ -298,12 +311,15 @@ def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ center choice: squared-distance-weighted sampling."""
+    """k-means++ center choice: squared-distance-weighted sampling. Each
+    point's squared distance to its nearest chosen center is kept as a
+    running minimum, updated once per pick."""
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
+    d2 = np.full(n, np.inf)
     for _ in range(1, k):
-        diff = points[:, None, :] - points[chosen][None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
+        diff = points - points[chosen[-1]]
+        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
         d2[chosen] = 0.0
         total = d2.sum()
         if total > 0.0:
@@ -316,13 +332,45 @@ def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return points[chosen].copy()
 
 
-def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest-center labels, and the summed squared distance of every point
-    to its nearest center."""
-    diff = points[:, None, :] - centers[None, :, :]
-    table = np.einsum("ijk,ijk->ij", diff, diff)
-    labels = table.argmin(axis=1)
-    return labels, float(table[np.arange(len(labels)), labels].sum())
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _assign(
+    points: np.ndarray, minus_2xt: np.ndarray, sq_points: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-center labels (R, n) for R stacked (k, d) center sets, and
+    each set's summed squared distance of the points to their nearest
+    center. ``minus_2xt`` is -2 X^T and ``sq_points`` every |x|^2.
+
+    The distances come from one batched GEMM, |c|^2 + |x|^2 - 2 C X^T.
+    That form and the exact one, sum((x - c)^2), are each within
+    (2d + 4) u S of the true distance, with u = eps / 2 and
+    S = |x|^2 + max |c|^2, so a row with only its best GEMM distance within
+    16 (d + 3) eps S of that best has the same unique exact argmin, the
+    one center inside the bound. Every other row, exact ties included, is
+    scored again in the exact form, so the labels and their first-index
+    tie-breaking are those of that form. The tiny term covers underflow; a
+    non-finite S sends the row to the exact form too.
+    """
+    _, k, d = centers.shape
+    sq_centers = np.einsum("rkd,rkd->rk", centers, centers)
+    table = centers @ minus_2xt
+    table += sq_centers[:, :, None]
+    table += sq_points
+    best = table.min(axis=1)
+    limit = (16 * (d + 3) * _EPS) * (sq_points + sq_centers.max(axis=1)[:, None]) + _TINY
+    limit += best
+    inside = table <= limit[:, None, :]
+    labels = np.einsum("rkn,k->rn", inside, np.arange(k))  # the one center inside
+    uncertain = (np.add.reduce(inside, axis=1, dtype=np.intp) != 1) | (limit == np.inf)
+    if uncertain.any():
+        rows, cols = np.nonzero(uncertain)
+        diff = points[cols, None, :] - centers[rows]
+        exact = np.einsum("ijk,ijk->ij", diff, diff)
+        labels[rows, cols] = exact.argmin(axis=1)
+        best[rows, cols] = exact.min(axis=1)
+    return labels, best.sum(axis=1)
 
 
 def _repair_empty(labels: np.ndarray, k: int, own_cost) -> np.ndarray:
@@ -369,32 +417,65 @@ def wcss(points: np.ndarray, labels: np.ndarray, k: int) -> float:
 def _update_step(
     points: np.ndarray, labels: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    if np.bincount(labels, minlength=k).min() == 0:
-        labels = _repair_empty(labels, k, lambda lab: _sq_dist_to_means(points, lab, k))
-    centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
-    return labels, centers
+    """Repair the label rows (R, n) that leave a cluster empty, in place,
+    then return them with their (R, k, d) cluster means.
+
+    The means are ``np.mean``'s: for d >= 2 it adds a cluster's rows in
+    index order, as ``np.bincount`` does over label-plus-row offsets (one
+    block of offsets per coordinate), and divides by the count. A 1-d
+    column it sums pairwise, so there each cluster is summed as it does.
+    """
+    r, n = labels.shape
+    d = points.shape[1]
+    cells = (labels + k * np.arange(r)[:, None]).ravel()
+    counts = np.bincount(cells, minlength=r * k)
+    if counts.min() == 0:
+        for row in np.flatnonzero(counts.reshape(r, k).min(axis=1) == 0):
+            labels[row] = _repair_empty(
+                labels[row], k, lambda lab: _sq_dist_to_means(points, lab, k)
+            )
+        cells = (labels + k * np.arange(r)[:, None]).ravel()
+        counts = np.bincount(cells, minlength=r * k)
+    if d == 1:
+        sums = np.array([[points[lab == j].sum() for j in range(k)] for lab in labels])
+    else:
+        offsets = (cells + r * k * np.arange(d)[:, None]).ravel()
+        weights = np.broadcast_to(points.T[:, None, :], (d, r, n)).ravel()
+        sums = np.bincount(offsets, weights=weights, minlength=d * r * k).reshape(d, r * k).T
+    return labels, (sums.reshape(r * k, d) / counts[:, None]).reshape(r, k, d)
 
 
 def _lloyd(
-    points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """One restart: labels, centers, and the assignment cost after every
-    assignment step. Lloyd's iteration never raises that cost; an
-    empty-cluster repair lowers it too."""
-    centers = _plus_plus_seed(points, k, rng)
-    labels, cost = _assign(points, centers)
-    history = [cost]
-    converged = False
+    points: np.ndarray, k: int, rngs: list[np.random.Generator], max_iter: int
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Lloyd's iteration for one restart per generator, all in lockstep:
+    labels (R, n), centers (R, k, d), and each restart's assignment cost
+    after every assignment step, from the GEMM distances. Lloyd's iteration
+    never raises that cost (up to their rounding); an empty-cluster repair
+    lowers it too.
+
+    Each restart seeds its own k-means++ centers and leaves the active set
+    when an assignment leaves its labels unchanged, or after ``max_iter``
+    passes and one last update; so every restart ends as it would alone.
+    """
+    minus_2xt = -2.0 * points.T
+    sq_points = np.einsum("ij,ij->i", points, points)
+    centers = np.stack([_plus_plus_seed(points, k, rng) for rng in rngs])
+    labels, cost = _assign(points, minus_2xt, sq_points, centers)
+    history = [[c] for c in cost.tolist()]
+    active = np.arange(len(rngs))
     for _ in range(max_iter):
-        labels, centers = _update_step(points, labels, k)
-        new_labels, cost = _assign(points, centers)
-        history.append(cost)
-        if np.array_equal(new_labels, labels):
-            converged = True
+        labels[active], centers[active] = _update_step(points, labels[active], k)
+        new_labels, cost = _assign(points, minus_2xt, sq_points, centers[active])
+        for row, c in zip(active, cost.tolist()):
+            history[row].append(c)
+        moved = (new_labels != labels[active]).any(axis=1)
+        labels[active[moved]] = new_labels[moved]
+        active = active[moved]
+        if not active.size:
             break
-        labels = new_labels
-    if not converged:
-        labels, centers = _update_step(points, labels, k)
+    else:
+        labels[active], centers[active] = _update_step(points, labels[active], k)
     return labels, centers, history
 
 
@@ -421,14 +502,16 @@ def kmeans(
     if restarts < 1 or max_iter < 1:
         raise InvalidConfig("restarts and max_iter must be positive")
     seed_base = int(rng.integers(0, 2**63))
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for r in range(restarts):
-        sub = np.random.default_rng(seed_base + r)
-        labels, centers, _ = _lloyd(pts, k, sub, max_iter)
-        final = wcss(pts, labels, k)
-        if best is None or final < best[0]:
-            best = (final, labels, centers)
-    return KMeansResult(ClusterAssignment(best[1], k), best[2], best[0])
+    subs = [np.random.default_rng(seed_base + r) for r in range(restarts)]
+    labels, centers, _ = _lloyd(pts, k, subs, max_iter)
+    scores = [wcss(pts, lab, k) for lab in labels]
+    best = 0
+    for r in range(1, restarts):
+        if scores[r] < scores[best]:
+            best = r
+    return KMeansResult(
+        ClusterAssignment(labels[best].copy(), k), centers[best].copy(), scores[best]
+    )
 
 
 def ncut(w: AdjacencyMatrix, assignment: ClusterAssignment) -> float:

@@ -48,42 +48,129 @@ def write_groups_csv(path: str | Path, groups) -> None:
 
 
 def read_groups_csv(path: str | Path) -> tuple[SampleGroup, ...]:
+    """Groups from a groups CSV, sorted by object_id.
+
+    The body is parsed in bulk (``_parse_groups_bulk``). Whenever that parse
+    declines the text or fails, the row loop (``_parse_groups_rows``) reads
+    the file instead; it is the one place that raises ``RowError``, with the
+    line number of the first bad row.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
+        d = _read_group_header(reader, path)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        names = [h.strip() for h in header]
-        expected = list(_GROUP_HEADER_FIRST) + [
-            f"x_{i}" for i in range(len(names) - 2)
-        ]
-        if len(names) < 3 or names != expected:
-            raise SchemaError(
-                f"{path}: header must be object_id,sample_index,x_0,...; got {names}"
+            body = fh.read()
+        except UnicodeDecodeError:  # the row loop raises it at its row
+            body = None
+        groups = None if body is None else _parse_groups_bulk(body, d)
+        if groups is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            groups = _parse_groups_rows(reader, d)
+    return groups
+
+
+def _read_group_header(reader, path: Path) -> int:
+    """Check the header row and return the sample dimension."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file") from None
+    names = [h.strip() for h in header]
+    expected = list(_GROUP_HEADER_FIRST) + [f"x_{i}" for i in range(len(names) - 2)]
+    if len(names) < 3 or names != expected:
+        raise SchemaError(
+            f"{path}: header must be object_id,sample_index,x_0,...; got {names}"
+        )
+    return len(names) - 2
+
+
+def _parse_groups_bulk(body: str, d: int) -> tuple[SampleGroup, ...] | None:
+    """The groups that ``_parse_groups_rows`` builds from the text after the
+    header, or None wherever that loop could raise ``RowError`` or read the
+    text otherwise than ``np.loadtxt`` does.
+
+    The loop's ``csv`` reader ends a record at CR, LF or CRLF and honours
+    quotes; ``loadtxt`` skips blank lines. So text with quotes, ``#`` or NUL
+    characters is declined, and so is any line without exactly d + 2 cells.
+    ``loadtxt`` reads a sample index only as a plain integer, which ``int``
+    also accepts, and a value only as a float string, which ``float`` reads
+    to the same double; it raises on the rest.
+    """
+    if '"' in body or "#" in body or "\0" in body:
+        return None
+    if "\r" in body and body.count("\r") != body.count("\r\n"):
+        return None  # a lone CR, which ends a csv record
+    # a CR left at a line's end is whitespace to loadtxt and to strip()
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return ()
+    # loadtxt raises on a line with too few cells and skips blank ones, so
+    # with this count and one parsed row per line, each line has d + 2 cells
+    if body.count(",") != len(lines) * (d + 1):
+        return None
+    try:
+        numbers = np.loadtxt(
+            lines,
+            dtype=[("index", np.int64), ("x", float, (d,))],
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            usecols=range(1, d + 2),
+            ndmin=1,
+        )
+    except ValueError:  # a rejected cell, or a line with too few cells
+        return None
+    ids = [line.partition(",")[0].strip() for line in lines]
+    values = numbers["x"]
+    if numbers.shape[0] != len(lines) or not all(ids) or not np.isfinite(values).all():
+        return None
+    names, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    # the row loop sorts the ids stably from their order of first appearance
+    order = sorted(np.argsort(first).tolist(), key=lambda g: _natural_key(str(names[g])))
+    rank = np.empty(names.size, dtype=np.intp)
+    rank[order] = np.arange(names.size)
+    row_rank = rank[inverse]
+    index = numbers["index"]
+    rows = np.lexsort((index, row_rank))
+    row_rank, index = row_rank[rows], index[rows]
+    if np.any((row_rank[1:] == row_rank[:-1]) & (index[1:] == index[:-1])):
+        return None  # a duplicate sample_index
+    samples = values[rows]
+    ends = np.cumsum(np.bincount(row_rank, minlength=names.size)).tolist()
+    starts = [0] + ends[:-1]
+    return tuple(
+        SampleGroup(str(names[g]), samples[a:b]) for g, a, b in zip(order, starts, ends)
+    )
+
+
+def _parse_groups_rows(reader, d: int) -> tuple[SampleGroup, ...]:
+    """Groups from the rows after the header, read one row at a time."""
+    width = d + 2
+    rows: dict[str, dict[int, list[float]]] = {}
+    for line, cells in enumerate(reader, start=2):
+        if len(cells) != width:
+            raise RowError(f"expected {width} cells, got {len(cells)}", line)
+        object_id = cells[0].strip()
+        if not object_id:
+            raise RowError("empty object_id", line)
+        try:
+            sample_index = int(cells[1])
+            values = list(map(float, cells[2:]))
+        except ValueError as err:
+            raise RowError(str(err), line) from None
+        if not all(map(math.isfinite, values)):
+            raise RowError("non-finite sample value", line)
+        per_object = rows.setdefault(object_id, {})
+        if sample_index in per_object:
+            raise RowError(
+                f"duplicate sample_index {sample_index} for {object_id!r}", line
             )
-        d = len(names) - 2
-        rows: dict[str, dict[int, list[float]]] = {}
-        for line, cells in enumerate(reader, start=2):
-            if len(cells) != len(names):
-                raise RowError(f"expected {len(names)} cells, got {len(cells)}", line)
-            object_id = cells[0].strip()
-            if not object_id:
-                raise RowError("empty object_id", line)
-            try:
-                sample_index = int(cells[1])
-                values = list(map(float, cells[2:]))
-            except ValueError as err:
-                raise RowError(str(err), line) from None
-            if not all(map(math.isfinite, values)):
-                raise RowError("non-finite sample value", line)
-            per_object = rows.setdefault(object_id, {})
-            if sample_index in per_object:
-                raise RowError(
-                    f"duplicate sample_index {sample_index} for {object_id!r}", line
-                )
-            per_object[sample_index] = values
+        per_object[sample_index] = values
     groups = []
     for object_id in sorted(rows, key=_natural_key):
         samples = rows[object_id]

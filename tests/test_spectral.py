@@ -289,6 +289,15 @@ def block_kernel(blocks: int, size: int) -> AdjacencyMatrix:
     return AdjacencyMatrix(np.kron(np.eye(blocks), np.ones((size, size))), 1.0)
 
 
+def count_qr(monkeypatch) -> list:
+    """The shape of every ``np.linalg.qr`` call from here on: one per pass
+    of the subspace iteration, plus the start block's."""
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or qr(a))
+    return calls
+
+
 class TestBottomEigensolver:
     """The certified subspace iteration against the full ``eigh``."""
 
@@ -377,6 +386,35 @@ class TestBottomEigensolver:
         expected = np.linalg.eigvalsh(normalized_laplacian(w))[:k]
         assert np.abs(eigenvalues - expected).max() <= 1e-10
 
+    def test_stalled_iteration_gives_up_early(self, monkeypatch):
+        # 12 parts at n = 2000, k = 3: the residual shrinks ~0.84x per five
+        # passes, far too slowly for the 50-pass cap; the projection stops
+        # the iteration at pass 10, before its QR
+        n, parts = 2000, 12
+        rng = np.random.default_rng(5)
+        part = np.arange(n) % parts
+        x = rng.uniform(0.0, 0.5, (n, n))
+        same = part[:, None] == part[None, :]
+        x[same] = rng.uniform(2.0, 3.0, np.count_nonzero(same))
+        del same
+        x = np.triu(x, 1)
+        x += x.T
+        w = kernelize(DistanceMatrix(x, METRIC_WASSERSTEIN_SQ), sigma=1.0)
+        del x
+        factored = count_qr(monkeypatch)
+        assert _subspace_bottom(w, 3) is None
+        assert len(factored) <= 15
+
+    def test_slow_but_steady_iteration_is_kept(self, monkeypatch):
+        # k = 10 mean-distance kernel at n = 2000: convergence factor
+        # theta_21 / theta_10 makes for many passes, but the projection
+        # reaches the tolerance within the cap and must not stop it
+        groups = generate_benchmark(7, 10, n_objects=2000, samples_per_object=30, seed=0).groups
+        w = kernelize(mean_euclidean_matrix(estimate_gaussians(groups, 1e-8)))
+        factored = count_qr(monkeypatch)
+        assert spectral_embedding(w, 10).eigensolver == "subspace"
+        assert len(factored) > 2 * spectral._STALL_WINDOW
+
 
 class TestKmeans:
     def test_separated_blobs(self, rng):
@@ -391,10 +429,12 @@ class TestKmeans:
 
     def test_objective_non_increasing(self, rng):
         points = rng.standard_normal((40, 3))
-        for seed in range(5):
-            _, _, history = _lloyd(points, 4, np.random.default_rng(seed), 50)
-            diffs = np.diff(history)
-            assert np.all(diffs <= 1e-9)
+        generators = [np.random.default_rng(seed) for seed in range(5)]
+        _, _, history = _lloyd(points, 4, generators, 50)
+        assert len(history) == 5
+        for costs in history:
+            assert len(costs) >= 2
+            assert np.all(np.diff(costs) <= 1e-9)
 
     def test_wcss_is_that_of_returned_labels(self, rng):
         points = rng.standard_normal((60, 3))
@@ -450,6 +490,133 @@ class TestKmeans:
             kmeans(points, 0, rng)
         with pytest.raises(InvalidConfig):
             kmeans(points, 2, rng, restarts=0)
+
+
+# Lloyd's k-means as it ran one restart at a time, with the (n, k, d)
+# difference table in every assignment: the reference for the batched,
+# certified code, which must match it to the byte.
+
+
+def reference_plus_plus_seed(points, k, rng):
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    for _ in range(1, k):
+        diff = points[:, None, :] - points[chosen][None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
+        d2[chosen] = 0.0
+        total = d2.sum()
+        if total > 0.0:
+            chosen.append(int(rng.choice(n, p=d2 / total)))
+        else:
+            pool = np.setdiff1d(np.arange(n), chosen)
+            chosen.append(int(rng.choice(pool)))
+    return points[chosen].copy()
+
+
+def reference_assign(points, centers):
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)
+
+
+def reference_update_step(points, labels, k):
+    if np.bincount(labels, minlength=k).min() == 0:
+        labels = _repair_empty(labels, k, lambda lab: _sq_dist_to_means(points, lab, k))
+    centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+    return labels, centers
+
+
+def reference_lloyd(points, k, rng, max_iter):
+    centers = reference_plus_plus_seed(points, k, rng)
+    labels = reference_assign(points, centers)
+    converged = False
+    for _ in range(max_iter):
+        labels, centers = reference_update_step(points, labels, k)
+        new_labels = reference_assign(points, centers)
+        if np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = new_labels
+    if not converged:
+        labels, centers = reference_update_step(points, labels, k)
+    return labels, centers
+
+
+def reference_kmeans(points, k, rng, restarts=10, max_iter=300):
+    seed_base = int(rng.integers(0, 2**63))
+    best = None
+    for r in range(restarts):
+        labels, centers = reference_lloyd(points, k, np.random.default_rng(seed_base + r), max_iter)
+        final = wcss(points, labels, k)
+        if best is None or final < best[0]:
+            best = (final, labels, centers)
+    return best
+
+
+def lloyd_problem(kind: str, d: int, rng) -> np.ndarray:
+    if kind == "normal":
+        return rng.standard_normal((30, d))
+    if kind == "grid":  # few distinct coordinates: exact distance ties
+        return rng.integers(-2, 3, (30, d)).astype(float)
+    if kind == "offset":  # |x|^2 ~ 1e12 d: the GEMM form loses ~1e-4
+        return rng.standard_normal((30, d)) + 1e6
+    # four distinct points: k > 4 leaves clusters empty
+    return np.repeat(rng.standard_normal((4, d)), 3, axis=0)
+
+
+class TestLloydParity:
+    """The batched restarts and the certified GEMM assignment against the
+    one-restart-at-a-time reference above: labels, centers and the sum of
+    squares of the chosen restart, to the byte. numpy sums a 1-d column
+    pairwise where ``np.bincount`` adds in index order, so d = 1 is in."""
+
+    KINDS = ("normal", "grid", "offset", "repeated")
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_reference(self, kind, d, monkeypatch):
+        repairs = []
+        repair = spectral._repair_empty
+        monkeypatch.setattr(
+            spectral, "_repair_empty", lambda *args: repairs.append(1) or repair(*args)
+        )
+        case_rng = np.random.default_rng([self.KINDS.index(kind), d])
+        for _ in range(2):
+            points = lloyd_problem(kind, d, case_rng)
+            n = points.shape[0]
+            for k in (1, 2, 5, n):
+                # more clusters than distinct points repair every pass
+                for max_iter in (1, 300 if k <= 5 and kind != "repeated" else 4):
+                    seed = int(case_rng.integers(2**32))
+                    expected_wcss, labels, centers = reference_kmeans(
+                        points, k, np.random.default_rng(seed), max_iter=max_iter
+                    )
+                    result = kmeans(points, k, np.random.default_rng(seed), max_iter=max_iter)
+                    assert result.assignment.labels.tobytes() == labels.tobytes()
+                    assert result.centers.tobytes() == centers.tobytes()
+                    assert result.wcss == expected_wcss
+        if kind == "repeated":
+            assert repairs
+
+    def test_seeding_matches_reference(self, rng):
+        for d in (1, 3):
+            points = np.round(rng.standard_normal((50, d)), 1)
+            for k in (1, 4, 50):
+                a = spectral._plus_plus_seed(points, k, np.random.default_rng(k))
+                b = reference_plus_plus_seed(points, k, np.random.default_rng(k))
+                assert a.tobytes() == b.tobytes()
+
+    def test_exact_tie_far_from_the_origin_keeps_the_first_center(self, rng):
+        # the first point is exactly 2 from both centers, a distance of 4 in
+        # the exact form; the GEMM form's |x|^2 ~ 1e16 rounds it to 4 and 2
+        # (float64 spacing there is 2), so the row must be scored again
+        a = 1e8 + 0.1
+        centers = np.array([[[a - 2.0, 0.0], [a + 2.0, 0.0]]])
+        points = np.vstack([[a, 0.0], rng.standard_normal((20, 2)) + [a, 0.0]])
+        sq_points = np.einsum("ij,ij->i", points, points)
+        labels, _ = spectral._assign(points, -2.0 * points.T, sq_points, centers)
+        expected = reference_assign(points, centers[0])
+        assert labels[0, 0] == 0
+        assert labels[0].tobytes() == expected.tobytes()
 
 
 class TestNcut:

@@ -1,11 +1,14 @@
+import csv
 import json
+import math
 import pickle
 
 import numpy as np
 import pytest
 
 from conftest import random_model
-from distclust.errors import InvalidMatrix, RowError, SchemaError
+from distclust import storage
+from distclust.errors import InsufficientSamples, InvalidMatrix, RowError, SchemaError
 from distclust.gaussian import SampleGroup
 from distclust.metrics import METRIC_KL, METRIC_WASSERSTEIN_SQ, DistanceMatrix
 from distclust.spectral import ClusterAssignment
@@ -93,6 +96,127 @@ class TestGroupsCsv:
     def test_empty_write_rejected(self, tmp_path):
         with pytest.raises(SchemaError):
             write_groups_csv(tmp_path / "g.csv", [])
+
+
+def reference_read_groups_csv(path):
+    """The groups-CSV reader as it was, one csv row at a time: the
+    reference for the bulk parse and its fallback."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        names = [h.strip() for h in header]
+        rows = {}
+        for line, cells in enumerate(reader, start=2):
+            if len(cells) != len(names):
+                raise RowError(f"expected {len(names)} cells, got {len(cells)}", line)
+            object_id = cells[0].strip()
+            if not object_id:
+                raise RowError("empty object_id", line)
+            try:
+                sample_index = int(cells[1])
+                values = list(map(float, cells[2:]))
+            except ValueError as err:
+                raise RowError(str(err), line) from None
+            if not all(map(math.isfinite, values)):
+                raise RowError("non-finite sample value", line)
+            per_object = rows.setdefault(object_id, {})
+            if sample_index in per_object:
+                raise RowError(
+                    f"duplicate sample_index {sample_index} for {object_id!r}", line
+                )
+            per_object[sample_index] = values
+    groups = []
+    for object_id in sorted(rows, key=storage._natural_key):
+        samples = rows[object_id]
+        ordered = [samples[i] for i in sorted(samples)]
+        groups.append(SampleGroup(object_id, np.array(ordered, dtype=float)))
+    return tuple(groups)
+
+
+def outcome(read, path):
+    """Groups as (id, shape, bytes), or the error's class, message and line."""
+    try:
+        groups = read(path)
+    except Exception as err:  # noqa: BLE001 - the error itself is compared
+        return type(err), str(err), getattr(err, "line", None)
+    return [(type(g.group_id), g.group_id, g.samples.shape, g.samples.tobytes()) for g in groups]
+
+
+HEADER = "object_id,sample_index,x_0,x_1\n"
+PARITY_BODIES = {
+    "plain": "b,1,3.0,4.0\na,0,1.0,2.0\nb,0,5.5,-1e-300\na,1,2.0,0.1\n",
+    "blank line mid-file": "a,0,1.0,2.0\n\na,1,2.0,3.0\n",
+    "trailing blank line": "a,0,1.0,2.0\na,1,2.0,3.0\n\n",
+    "whitespace-only line": "a,0,1.0,2.0\n   \na,1,2.0,3.0\n",
+    "no final newline": "a,0,1.0,2.0\na,1,2.0,3.0",
+    "hash row": "a,0,1.0,2.0\n#a,0,1.0,2.0\n#a,1,1.0,2.0\na,1,2.0,3.0\n",
+    "hash comment": "a,0,1.0,2.0\n# comment\na,1,2.0,3.0\n",
+    "quoted id": '"a",0,1.0,2.0\na,1,2.0,3.0\n',
+    "quoted comma": '"a,b",0,1.0,2.0\n"a,b",1,2.0,3.0\n',
+    "crlf": "a,0,1.0,2.0\r\nb,0,3.0,4.0\r\na,1,2.0,3.0\r\nb,1,1.0,1.0\r\n",
+    "lone cr": "a,0,1.0,2.0\ra,1,2.0,3.0\n",
+    "padded cells": " a , 0 , 1.0 ,2.0 \n\ta,1\t, 2.0,\t3.0\n",
+    "underscore index": "a,1_000,1.0,2.0\na,0,2.0,3.0\n",
+    "plus index": "a,+3,1.0,2.0\na,0,2.0,3.0\n",
+    "float index": "a,3.0,1.0,2.0\na,0,2.0,3.0\n",
+    "huge index": "a,99999999999999999999,1.0,2.0\na,0,2.0,3.0\n",
+    "underscore value": "a,0,1_0.5,2.0\na,1,2.0,3.0\n",
+    "nan in last row": "a,0,1.0,2.0\na,1,2.0,3.0\nb,0,1.0,2.0\nb,1,2.0,nan\n",
+    "overflowing value": "a,0,1.0,2.0\na,1,1e400,3.0\n",
+    "bad cell": "a,0,1.0,2.0\na,1,oops,3.0\n",
+    "empty cell": "a,0,1.0,2.0\na,1,,3.0\n",
+    "extra cell": "a,0,1.0,2.0,9\na,1,2.0,3.0\n",
+    "missing cell": "a,0,1.0\na,1,2.0,3.0\n",
+    "empty id": "a,0,1.0,2.0\n ,1,2.0,3.0\n",
+    "duplicate index": "a,0,1.0,2.0\nb,0,1.0,2.0\na,0,2.0,3.0\n",
+    "one-sample group": "a,0,1.0,2.0\na,1,2.0,3.0\nb,0,1.0,2.0\n",
+    "non-ascii ids": "\u00e9t\u00e9,0,1.0,2.0\n\u6771\u4eac,0,3.0,4.0\n\u00e9t\u00e9,1,2.0,3.0\n\u6771\u4eac,1,1.0,1.0\n",
+    "digits in ids": "obj_10,0,1.0,2.0\nobj_2,0,3.0,4.0\nobj_10,1,2.0,3.0\nobj_2,1,1.0,1.0\n",
+    # equal natural keys keep the order of first appearance, not of the text
+    "natural-key tie": "a1,0,1.0,2.0\na01,0,3.0,4.0\na01,1,2.0,3.0\na1,1,1.0,1.0\n",
+    "header only": "",
+}
+
+
+class TestGroupsCsvParity:
+    """The bulk parse with its row-loop fallback against the reference
+    reader: byte-equal groups, or the same error class, message and line."""
+
+    @pytest.mark.parametrize("case", sorted(PARITY_BODIES))
+    def test_matches_row_reader(self, case, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_bytes((HEADER + PARITY_BODIES[case]).encode())
+        assert outcome(read_groups_csv, path) == outcome(reference_read_groups_csv, path)
+
+    def test_error_cases_raise(self, tmp_path):
+        expected = {
+            "blank line mid-file": (RowError, 3),
+            "trailing blank line": (RowError, 4),
+            "float index": (RowError, 2),
+            "nan in last row": (RowError, 5),
+            "one-sample group": (InsufficientSamples, None),
+        }
+        for case, (cls, line) in expected.items():
+            path = tmp_path / "g.csv"
+            path.write_bytes((HEADER + PARITY_BODIES[case]).encode())
+            with pytest.raises(cls) as err:
+                read_groups_csv(path)
+            assert getattr(err.value, "line", None) == line, case
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_ordinary_files_take_the_bulk_parse(self, newline, tmp_path, rng, monkeypatch):
+        groups = [SampleGroup(f"obj_{i}", rng.standard_normal((3 + i % 4, 3))) for i in range(12)]
+        path = tmp_path / "g.csv"
+        write_groups_csv(path, groups)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", newline.encode()))
+        expected = outcome(reference_read_groups_csv, path)
+
+        def no_row_loop(*args):
+            raise AssertionError("the row loop ran")
+
+        monkeypatch.setattr(storage, "_parse_groups_rows", no_row_loop)
+        assert outcome(read_groups_csv, path) == expected
+        assert [g[1] for g in expected] == [f"obj_{i}" for i in range(12)]
 
 
 class TestLabelsJson:
