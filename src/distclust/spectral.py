@@ -505,10 +505,7 @@ def kmeans(
     subs = [np.random.default_rng(seed_base + r) for r in range(restarts)]
     labels, centers, _ = _lloyd(pts, k, subs, max_iter)
     scores = [wcss(pts, lab, k) for lab in labels]
-    best = 0
-    for r in range(1, restarts):
-        if scores[r] < scores[best]:
-            best = r
+    best = min(range(restarts), key=scores.__getitem__)  # the earliest of ties
     return KMeansResult(
         ClusterAssignment(labels[best].copy(), k), centers[best].copy(), scores[best]
     )
