@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,9 @@ def _parse_groups_bulk(body: str, d: int) -> tuple[SampleGroup, ...] | None:
     characters is declined, and so is any line without exactly d + 2 cells.
     ``loadtxt`` reads a sample index only as a plain integer, which ``int``
     also accepts, and a value only as a float string, which ``float`` reads
-    to the same double; it raises on the rest.
+    to the same double; it raises on the rest. NumPy 1.23 to 1.26 read an
+    integer cell such as ``3.0`` or ``3.7`` through a float, with only a
+    DeprecationWarning; that warning is raised here and declines the text.
     """
     if '"' in body or "#" in body or "\0" in body:
         return None
@@ -114,26 +117,32 @@ def _parse_groups_bulk(body: str, d: int) -> tuple[SampleGroup, ...] | None:
     if body.count(",") != len(lines) * (d + 1):
         return None
     try:
-        numbers = np.loadtxt(
-            lines,
-            dtype=[("index", np.int64), ("x", float, (d,))],
-            delimiter=",",
-            comments=None,
-            quotechar=None,
-            usecols=range(1, d + 2),
-            ndmin=1,
-        )
-    except ValueError:  # a rejected cell, or a line with too few cells
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            numbers = np.loadtxt(
+                lines,
+                dtype=[("index", np.int64), ("x", float, (d,))],
+                delimiter=",",
+                comments=None,
+                quotechar=None,
+                usecols=range(1, d + 2),
+                ndmin=1,
+            )
+    # a rejected cell, a line with too few cells, or an integer read via a float
+    except (ValueError, OverflowError, DeprecationWarning):
         return None
     ids = [line.partition(",")[0].strip() for line in lines]
     values = numbers["x"]
     if numbers.shape[0] != len(lines) or not all(ids) or not np.isfinite(values).all():
         return None
-    names, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    # the row loop sorts the ids stably from their order of first appearance
-    order = sorted(np.argsort(first).tolist(), key=lambda g: _natural_key(str(names[g])))
-    rank = np.empty(names.size, dtype=np.intp)
-    rank[order] = np.arange(names.size)
+    # number the ids in order of first appearance, which the row loop's
+    # stable sort by natural key keeps among equal keys
+    seen: dict[str, int] = {}
+    inverse = np.array([seen.setdefault(i, len(seen)) for i in ids], dtype=np.intp)
+    names = list(seen)
+    order = sorted(range(len(names)), key=lambda g: _natural_key(names[g]))
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[order] = np.arange(len(names))
     row_rank = rank[inverse]
     index = numbers["index"]
     rows = np.lexsort((index, row_rank))
@@ -141,10 +150,10 @@ def _parse_groups_bulk(body: str, d: int) -> tuple[SampleGroup, ...] | None:
     if np.any((row_rank[1:] == row_rank[:-1]) & (index[1:] == index[:-1])):
         return None  # a duplicate sample_index
     samples = values[rows]
-    ends = np.cumsum(np.bincount(row_rank, minlength=names.size)).tolist()
+    ends = np.cumsum(np.bincount(row_rank, minlength=len(names))).tolist()
     starts = [0] + ends[:-1]
     return tuple(
-        SampleGroup(str(names[g]), samples[a:b]) for g, a, b in zip(order, starts, ends)
+        SampleGroup(names[g], samples[a:b]) for g, a, b in zip(order, starts, ends)
     )
 
 

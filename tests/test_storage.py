@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ class TestGroupsCsvParity:
             with pytest.raises(cls) as err:
                 read_groups_csv(path)
             assert getattr(err.value, "line", None) == line, case
+
+    @pytest.mark.parametrize("case", ["float index", "plus index", "plain"])
+    def test_integer_read_via_a_float_falls_back(self, case, tmp_path, monkeypatch):
+        # NumPy 1.23 to 1.26 read an integer cell such as 3.0 through a
+        # float with only a DeprecationWarning; this loadtxt warns and
+        # truncates as they did, and the row loop must still decide
+        path = tmp_path / "g.csv"
+        path.write_bytes((HEADER + PARITY_BODIES[case]).encode())
+        expected = outcome(reference_read_groups_csv, path)
+        real_loadtxt = np.loadtxt
+
+        def lenient_loadtxt(lines, **kwargs):
+            text = [line.replace("3.0,1.0", "3,1.0") for line in lines]
+            if text != list(lines):
+                warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+            return real_loadtxt(text, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+        assert outcome(read_groups_csv, path) == expected
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_ordinary_files_take_the_bulk_parse(self, newline, tmp_path, rng, monkeypatch):
