@@ -12,17 +12,21 @@ Three model divergences are provided:
 
 plus plain Euclidean distance between means for the mean-only baselines.
 
-Each divergence has one row kernel: for model i it stacks all partners j
-into (m, d, d) arrays and makes one batched LAPACK call for the row, a
-symmetric eigensolve for W2 and one Cholesky factorization of the averaged
-covariances for Bhattacharyya. The matrix builder calls it once per row,
-and a scalar entry point is a batch of one through it, so a matrix entry
-equals the scalar call bit for bit. KL k-means' model-to-center table uses
-the kl formula and per-model factors of the kl row, one batched column per
-center, with the centers given as stacked arrays. All values are
-mathematically non-negative; tiny negative results from rounding are
-clamped to zero; a value below ``-negative_clamp``, or one that overflowed
-to inf or nan, raises NumericalError.
+Each divergence has one pair kernel: for index arrays (I, J) it stacks the
+pairs' matrices into (b, d, d) arrays and makes one batched LAPACK call for
+them, a symmetric eigensolve for W2 and one Cholesky factorization of the
+averaged covariances for Bhattacharyya. The matrix builder cuts the pairs,
+in row-major order, into blocks of whole rows and runs W2 and Bhattacharyya
+blocks on threads (the batched LAPACK calls release the GIL); a scalar
+entry point is a batch of one through the same kernel. A matrix's LAPACK
+and BLAS calls run once per matrix whatever stack it sits in, so a matrix
+entry equals the scalar call bit for bit at any block size and thread
+count. KL k-means' model-to-center table uses the kl formula and per-model
+factors of the kl kernel, one batched column per center, with the centers
+given as stacked arrays. All values are mathematically non-negative; tiny
+negative results from rounding are clamped to zero; a value below
+``-negative_clamp``, or one that overflowed to inf or nan, raises
+NumericalError.
 A failure names ``model i`` or the first failing ``pair (i, j)`` in
 row-major order.
 """
@@ -46,6 +50,7 @@ from .matrixcore import (
     raise_first_failure,
     spd_roots,
 )
+from .parallel import kernel_threads, run_blocks
 
 METRIC_WASSERSTEIN_SQ = "wasserstein_sq"
 METRIC_BHATTACHARYYA = "bhattacharyya"
@@ -61,6 +66,11 @@ KNOWN_METRICS = (
 
 # bytes of one row block's difference array in mean_euclidean_matrix
 _EUCLIDEAN_BLOCK_BYTES = 1 << 22
+# distance_matrix groups whole rows into a block up to this many bytes per
+# (pairs, d, d) stack: 668 pairs at d = 7. Smaller blocks pay more per-call
+# overhead, which a second thread waits on under the GIL; larger ones raise
+# peak memory and the page faults of fresh temporaries
+_PAIR_BLOCK_BYTES = 1 << 18
 
 # kl is a directed divergence; everything else is a metric-like symmetric value
 SYMMETRIC_METRICS = frozenset(
@@ -129,7 +139,7 @@ def _stack(models: Sequence[GaussianModel]) -> tuple[np.ndarray, np.ndarray]:
 def _factors(
     mean: np.ndarray, cov: np.ndarray, metric: str, tol: Tolerances, what: str = "model"
 ) -> dict:
-    """Per-model inputs of a metric's row kernel, from stacked means (n, d)
+    """Per-model inputs of a metric's pair kernel, from stacked means (n, d)
     and covariances (n, d, d).
 
     W2 takes its trace and PSD-clamped root S^{1/2} from ``psd_root``, kl
@@ -196,58 +206,60 @@ def _bad_values(vals: np.ndarray, tol: Tolerances) -> np.ndarray:
     return ~np.isfinite(vals) | (vals < -tol.negative_clamp)
 
 
-def _checked(i: int, js: np.ndarray, vals, tol: Tolerances, what: str, checks=()):
-    """Clamp a row's values to zero, or raise for its first failing pair.
+def _checked(I: np.ndarray, J: np.ndarray, vals, tol: Tolerances, what: str, checks=()):
+    """Clamp a block's values to zero, or raise for its first failing pair.
 
-    ``checks`` are ``(failed mask, error class, message for partner k)`` in
-    the order one pair runs them; the value guard runs last and fails values
+    ``checks`` are ``(failed mask, error class, message for pair k)`` in the
+    order one pair runs them; the value guard runs last and fails values
     that are non-finite or below ``-negative_clamp``.
     """
-    raise_first_failure(lambda k: f"pair ({i}, {js[k]})", [
+    raise_first_failure(lambda k: f"pair ({np.broadcast_to(I, J.shape)[k]}, {J[k]})", [
         *checks,
         (_bad_values(vals, tol), NumericalError, lambda k: f"{what} evaluated to {vals[k]:.6e}"),
     ])
     return np.clip(vals, 0.0, None)
 
 
-def _wasserstein_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """W2 from model i to each model in js; Tr((S_i^{1/2} S_j S_i^{1/2})^{1/2})
-    is the sum of the square roots of the inner matrix's eigenvalues."""
-    root = f["root"][i]
-    inner = root @ f["cov"][js] @ root
+def _wasserstein_pairs(f: dict, I: np.ndarray, J: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """W2 from model I[k] to model J[k] for each pair k;
+    Tr((S_i^{1/2} S_j S_i^{1/2})^{1/2}) is the sum of the square roots of
+    the inner matrix's eigenvalues."""
+    root = f["root"][I]
+    inner = root @ f["cov"][J] @ root
     inner = (inner + inner.transpose(0, 2, 1)) / 2.0
     finite = np.isfinite(inner).all(axis=(1, 2))
     inner[~finite] = 0.0
     w = np.linalg.eigvalsh(inner)
     cross = np.sqrt(np.clip(w, 0.0, None)).sum(axis=1)
-    diff = f["mean"][i] - f["mean"][js]
-    vals = (diff * diff).sum(axis=1) + f["trace"][i] + f["trace"][js] - 2.0 * cross
-    return _checked(i, js, vals, tol, "squared Wasserstein distance", [
+    diff = f["mean"][I] - f["mean"][J]
+    vals = (diff * diff).sum(axis=1) + f["trace"][I] + f["trace"][J] - 2.0 * cross
+    return _checked(I, J, vals, tol, "squared Wasserstein distance", [
         (~finite, InvalidMatrix, lambda k: "Bures inner matrix entries must be finite"),
         psd_check(w, tol),
     ])
 
 
-def _bhattacharyya_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Bhattacharyya from model i to each model in js. One batched Cholesky
-    factorization Sbar = L L^T of the averaged covariances gives both terms:
-    ln|Sbar| from diag(L), and d^T Sbar^{-1} d = ||L^{-1} d||^2 by forward
-    substitution over the d columns, vectorized over the partners. The
-    average of two exactly symmetric covariances is exactly symmetric, and
-    (S + S)/2 == S, so a model compared with itself gets the factor
-    ``_factors`` took its log-determinant from and cancels to exactly 0."""
-    mixed = (f["cov"][i] + f["cov"][js]) / 2.0
+def _bhattacharyya_pairs(f: dict, I: np.ndarray, J: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Bhattacharyya between models I[k] and J[k] for each pair k. One
+    batched Cholesky factorization Sbar = L L^T of the averaged covariances
+    gives both terms: ln|Sbar| from diag(L), and d^T Sbar^{-1} d =
+    ||L^{-1} d||^2 by forward substitution over the d columns, vectorized
+    over the pairs. The average of two exactly symmetric covariances is
+    exactly symmetric, and (S + S)/2 == S, so a model compared with itself
+    gets the factor ``_factors`` took its log-determinant from and cancels
+    to exactly 0."""
+    mixed = (f["cov"][I] + f["cov"][J]) / 2.0
     finite = np.isfinite(mixed).all(axis=(1, 2))
     mixed[~finite] = np.eye(mixed.shape[1])
     factor, failed = _cholesky(mixed)
-    z = f["mean"][js] - f["mean"][i]
+    z = f["mean"][J] - f["mean"][I]
     for c in range(z.shape[1]):
         z[:, c] /= factor[:, c, c]
         z[:, c + 1 :] -= factor[:, c + 1 :, c] * z[:, c : c + 1]
     quad = (z * z).sum(axis=1)
     logdet = _cholesky_logdet(factor)
-    vals = 0.125 * quad + 0.5 * (logdet - 0.5 * (f["logdet"][i] + f["logdet"][js]))
-    return _checked(i, js, vals, tol, "Bhattacharyya distance", [
+    vals = 0.125 * quad + 0.5 * (logdet - 0.5 * (f["logdet"][I] + f["logdet"][J]))
+    return _checked(I, J, vals, tol, "Bhattacharyya distance", [
         (~finite, InvalidMatrix, lambda k: "averaged covariance entries must be finite"),
         (failed, SingularMatrix,
          lambda k: f"Cholesky factorization failed in averaged covariance "
@@ -256,8 +268,8 @@ def _bhattacharyya_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.n
 
 
 def _kl(p: dict, i, q: dict, j) -> np.ndarray:
-    """KL(p's model i || q's model j), where one of i and j indexes many
-    models. The trace term is ||S_j^{-1/2} S_i^{1/2}||_F^2."""
+    """KL(p's model i || q's model j), where i and j index many models, or
+    one of them a single model. The trace term is ||S_j^{-1/2} S_i^{1/2}||_F^2."""
     invroot = q["invroot"][j]
     diff = q["mean"][j] - p["mean"][i]
     prod = invroot @ p["root"][i]
@@ -267,23 +279,23 @@ def _kl(p: dict, i, q: dict, j) -> np.ndarray:
     return 0.5 * (q["logdet"][j] - p["logdet"][i] - diff.shape[1] + trace + quad)
 
 
-def _kl_row(f: dict, i: int, js: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """KL(model i || model j) for each j in js."""
-    return _checked(i, js, _kl(f, i, f, js), tol, "KL divergence")
+def _kl_pairs(f: dict, I: np.ndarray, J: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """KL(model I[k] || model J[k]) for each pair k."""
+    return _checked(I, J, _kl(f, I, f, J), tol, "KL divergence")
 
 
-_ROW_KERNELS = {
-    METRIC_WASSERSTEIN_SQ: _wasserstein_row,
-    METRIC_BHATTACHARYYA: _bhattacharyya_row,
-    METRIC_KL: _kl_row,
+_PAIR_KERNELS = {
+    METRIC_WASSERSTEIN_SQ: _wasserstein_pairs,
+    METRIC_BHATTACHARYYA: _bhattacharyya_pairs,
+    METRIC_KL: _kl_pairs,
 }
 
 
 def _scalar(metric: str, a: GaussianModel, b: GaussianModel, tol: Tolerances) -> float:
-    """Entry (0, 1) of the two-model matrix: a batch of one through the row
+    """Entry (0, 1) of the two-model matrix: a batch of one through the pair
     kernel, so errors name a as model 0 and b as model 1."""
     f = _factors(*_stack([a, b]), metric, tol)
-    return float(_ROW_KERNELS[metric](f, 0, np.array([1]), tol)[0])
+    return float(_PAIR_KERNELS[metric](f, np.array([0]), np.array([1]), tol)[0])
 
 
 def wasserstein_sq(
@@ -319,6 +331,36 @@ def _common_dim(models: Sequence[GaussianModel]) -> int:
     return d
 
 
+def _pair_blocks(n: int, metric: str, size: int):
+    """The computed pairs in row-major order, cut into blocks of whole rows:
+    the upper triangle for symmetric metrics, every off-diagonal pair for kl.
+
+    Consecutive rows are grouped while a block holds at most ``size`` pairs;
+    a longer row is a block on its own. Returns the number of blocks and a
+    function from a block number to its index arrays (I, J); I is the row
+    number when the block is one row, and broadcasts against J.
+    """
+    lengths = np.full(n, n - 1) if metric == METRIC_KL else np.arange(n - 1, -1, -1)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    ends = offsets.tolist()
+    cuts = [0]  # first row of each block
+    for i in range(1, n):
+        if ends[i + 1] - ends[cuts[-1]] > size:
+            cuts.append(i)
+    if ends[cuts[-1]] == ends[n]:
+        cuts.pop()  # the triangle's last row is empty
+    cuts.append(n)
+
+    def pairs(b: int) -> tuple[np.ndarray, np.ndarray]:
+        first, last = cuts[b], cuts[b + 1]
+        I = np.repeat(np.arange(first, last), lengths[first:last])
+        J = np.arange(offsets[first], offsets[last]) - offsets[I]
+        J += (J >= I) if metric == METRIC_KL else I + 1
+        return (first if last - first == 1 else I), J
+
+    return len(cuts) - 1, pairs
+
+
 def distance_matrix(
     models: Sequence[GaussianModel],
     metric: str,
@@ -327,8 +369,12 @@ def distance_matrix(
     """Pairwise divergence matrix over a list of models.
 
     Per-model factors (matrix square roots, log-determinants, inverse
-    roots) are computed once; then one row-kernel call per model covers all
-    its partners, failing non-finite values and clamping the rest to zero.
+    roots) are computed once. The computed pairs, in row-major order, are
+    cut into blocks of whole rows, up to ``_PAIR_BLOCK_BYTES`` per
+    (pairs, d, d) stack, and one pair-kernel call per block fails
+    non-finite values and clamps the rest to zero. W2 and Bhattacharyya
+    blocks run on ``kernel_threads()`` threads; the error is the first
+    failing block's, so it names the first failing pair in row-major order.
     Symmetric metrics fill the upper triangle and add its exact transpose;
     kl fills both triangles independently.
     """
@@ -338,12 +384,21 @@ def distance_matrix(
         return mean_euclidean_matrix(models)
     n = len(models)
     f = _factors(*_stack(models), metric, tol)
-    row = _ROW_KERNELS[metric]
+    kernel = _PAIR_KERNELS[metric]
     out = np.zeros((n, n))
-    for i in range(n):
-        js = np.delete(np.arange(n), i) if metric == METRIC_KL else np.arange(i + 1, n)
-        if js.size:
-            out[i, js] = row(f, i, js, tol)
+    if metric == METRIC_KL:
+        # kl's kernel is light: grouped rows and a second thread both
+        # measured slower than one row at a time on the calling thread
+        size, threads = 1, 1
+    else:
+        size, threads = max(1, _PAIR_BLOCK_BYTES // (8 * f["cov"][0].size)), kernel_threads()
+    count, pairs = _pair_blocks(n, metric, size)
+
+    def block(b):
+        I, J = pairs(b)
+        out[I, J] = kernel(f, I, J, tol)
+
+    run_blocks(block, count, threads)
     if metric in SYMMETRIC_METRICS:
         out = out + out.T
     out.flags.writeable = False

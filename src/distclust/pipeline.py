@@ -23,7 +23,6 @@ most one pool, shared by the trials of all its cells, and shuts it down
 before it returns.
 """
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -45,6 +44,7 @@ from .metrics import (
     distance_matrix,
     mean_euclidean_matrix,
 )
+from .parallel import one_kernel_thread, resolve_threads
 from .spectral import ClusterAssignment, kernelize, kmeans, spectral_cluster
 from .synthgen import derive_trial_seed, generate_benchmark
 
@@ -75,8 +75,6 @@ _SPECTRAL_METRICS = {
 }
 
 REPORT_SCHEMA_VERSION = 1
-
-THREADS_ENV_VAR = "DISTCLUST_THREADS"
 
 
 def algorithm_family(algorithm: str) -> str:
@@ -240,34 +238,13 @@ def cluster_matrix(dm: DistanceMatrix, config: PipelineConfig) -> tuple[ClusterA
     }
 
 
-def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else DISTCLUST_THREADS, else usable CPUs."""
-    if explicit is not None:
-        if explicit < 1:
-            raise InvalidConfig(f"threads must be positive, got {explicit}")
-        return explicit
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidConfig(
-                f"{THREADS_ENV_VAR}={raw!r} is not an integer"
-            ) from None
-        if value < 1:
-            raise InvalidConfig(f"{THREADS_ENV_VAR} must be positive, got {value}")
-        return value
-    # an affinity mask (containers, taskset) may allow fewer CPUs than the host's
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _map_trials(fn, args_list, threads: int):
     if threads <= 1 or len(args_list) <= 1:
         return [fn(args) for args in args_list]
     with ProcessPoolExecutor(
-        max_workers=min(threads, len(args_list)), mp_context=get_context("spawn")
+        max_workers=min(threads, len(args_list)),
+        mp_context=get_context("spawn"),
+        initializer=one_kernel_thread,
     ) as pool:
         return list(pool.map(fn, args_list))
 

@@ -17,10 +17,10 @@ M = D^{-1/2} W D^{-1/2} = I - L_sym (block k + 10, one QR and one
 Rayleigh-Ritz step per pass, start block from a fixed seed), stopped on the
 residuals and certified by one Cholesky factorization: divergence kernels
 and user matrices are indefinite, and the certificate proves that no
-eigenvalue of M outside the k found lies above them. Up to 120 objects, for
-k + 10 >= n, and when the iteration or its certificate fails, the full
-``numpy.linalg.eigh`` of the Laplacian runs instead; ``eigensolver`` says
-which one did.
+eigenvalue of M outside the k found lies above them. Up to
+120 * max(1, k / 5)^2 objects, for k + 10 >= n, and when the iteration or
+its certificate fails, the full ``numpy.linalg.eigh`` of the Laplacian runs
+instead; ``eigensolver`` says which one did.
 
 k-means runs Lloyd's iteration from k-means++ seeds, all restarts in
 lockstep: one batched GEMM scores every restart's centers, and rows that
@@ -196,12 +196,21 @@ def normalized_laplacian(w: AdjacencyMatrix) -> np.ndarray:
     return lap
 
 
-# The bottom-k solver. At or below _DENSE_MAX_N objects the full ``eigh`` is
-# at least as fast as the subspace iteration. Dense against subspace on
-# mean-distance kernels, k = 5, one BLAS thread: 0.16 against 0.80 ms at
-# n = 40, 1.06 against 1.06 ms at n = 120, 2.94 against 1.64 ms at n = 200,
-# 1.54 against 0.21-0.29 s at n = 2000. The switch depends on n alone.
+# The bottom-k solver. At or below _DENSE_MAX_N * max(1, k / _DENSE_K)^2
+# objects the full ``eigh`` is at least as fast as the subspace iteration: a
+# pass costs about n^2 (k + 10) and the passes grow with k, where ``eigh``
+# costs n^3 whatever k is. Dense against subspace on mean-distance kernels
+# (``generate_benchmark(7, k, n)``), one BLAS thread, with passes:
+#   k = 5:  2.1 against 2.7 ms (11) at n = 120, 5.3 against 3.6 ms (10) at
+#           n = 200, 245 against 57 ms (10) at n = 1000;
+#   k = 10: 5.0 against 9.4 ms (28) at n = 200, 18 against 28 ms (30) at
+#           n = 400, 39 against 36 ms (30) at n = 500, 250 against 131 ms
+#           (34) at n = 1000;
+#   k = 20: 4.8 against 16 ms (27) at n = 200, 19 against 43 ms (42) at
+#           n = 400; from n = 700 to 2000 the iteration stalls and gives up
+#           after 10 passes, a tenth of the dense time wasted.
 _DENSE_MAX_N = 120
+_DENSE_K = 5
 _OVERSAMPLE = 10  # block columns beyond k
 _MAX_PASSES = 50
 _RESIDUAL_TOL = 1e-10  # on every ||M v - theta v||, for unit v
@@ -286,15 +295,16 @@ def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarr
 
     Returns (embedding, eigenvalues) where eigenvalues are the k smallest,
     ascending; the pair's ``eigensolver`` is ``"subspace"`` or ``"dense"``.
-    All-zero rows are left at zero rather than divided. Above _DENSE_MAX_N
-    objects, and below n - _OVERSAMPLE columns, the certified subspace
+    All-zero rows are left at zero rather than divided. Above
+    _DENSE_MAX_N * max(1, k / _DENSE_K)^2 objects (120 for k <= 5, 480 for
+    k = 10), and below n - _OVERSAMPLE columns, the certified subspace
     iteration runs; the full ``eigh`` runs otherwise and whenever that
     iteration or its certificate fails.
     """
     if k < 1 or k > w.n:
         raise InvalidConfig(f"k={k} invalid for {w.n} objects")
     found = None
-    if w.n > _DENSE_MAX_N and k + _OVERSAMPLE < w.n:
+    if w.n > _DENSE_MAX_N * max(1.0, k / _DENSE_K) ** 2 and k + _OVERSAMPLE < w.n:
         found = _subspace_bottom(w, k)
     eigensolver = "subspace"
     if found is None:
@@ -450,13 +460,22 @@ def _lloyd(
 ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """Lloyd's iteration for one restart per generator, all in lockstep:
     labels (R, n), centers (R, k, d), and each restart's assignment cost
-    after every assignment step, from the GEMM distances. Lloyd's iteration
-    never raises that cost (up to their rounding); an empty-cluster repair
-    lowers it too.
+    after every assignment step it ran, from the GEMM distances. Lloyd's
+    iteration never raises that cost (up to their rounding); an
+    empty-cluster repair lowers it too.
 
     Each restart seeds its own k-means++ centers and leaves the active set
     when an assignment leaves its labels unchanged, or after ``max_iter``
     passes and one last update; so every restart ends as it would alone.
+    A pass's labels are a function of the labels before it (repair, means,
+    assignment), so once a restart's labels equal those of p passes earlier
+    the rest of its run repeats with period p, as when k exceeds the number
+    of distinct points and each assignment undoes the last repair. It then
+    stops at the first pass congruent to ``max_iter`` modulo p, whose labels
+    are those of pass ``max_iter``, and takes its last update there. Brent's
+    method finds the repeat: the labels are compared with a checkpoint that
+    moves to the current pass each time the passes since it reach a power
+    of two, so a cycle shows within about twice its start plus its period.
     """
     minus_2xt = -2.0 * points.T
     sq_points = np.einsum("ij,ij->i", points, points)
@@ -464,7 +483,9 @@ def _lloyd(
     labels, cost = _assign(points, minus_2xt, sq_points, centers)
     history = [[c] for c in cost.tolist()]
     active = np.arange(len(rngs))
-    for _ in range(max_iter):
+    last = np.full(len(rngs), max_iter)  # the pass each restart ends after
+    mark, mark_pass, span = labels.copy(), np.zeros(len(rngs), dtype=int), np.ones_like(last)
+    for passes in range(1, max_iter + 1):
         labels[active], centers[active] = _update_step(points, labels[active], k)
         new_labels, cost = _assign(points, minus_2xt, sq_points, centers[active])
         for row, c in zip(active, cost.tolist()):
@@ -472,10 +493,18 @@ def _lloyd(
         moved = (new_labels != labels[active]).any(axis=1)
         labels[active[moved]] = new_labels[moved]
         active = active[moved]
+        repeat = active[(labels[active] == mark[active]).all(axis=1)]
+        period = passes - mark_pass[repeat]
+        last[repeat] = np.minimum(last[repeat], passes + (max_iter - passes) % period)
+        move = active[passes - mark_pass[active] == span[active]]
+        mark[move], mark_pass[move], span[move] = labels[move], passes, 2 * span[move]
+        ending = last[active] == passes
+        if ending.any():
+            done = active[ending]
+            labels[done], centers[done] = _update_step(points, labels[done], k)
+            active = active[~ending]
         if not active.size:
             break
-    else:
-        labels[active], centers[active] = _update_step(points, labels[active], k)
     return labels, centers, history
 
 

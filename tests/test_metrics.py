@@ -1,10 +1,15 @@
 import re
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_model
+from distclust import metrics, parallel, pipeline
 from distclust.errors import (
     DimensionMismatch,
     InvalidMatrix,
@@ -21,8 +26,9 @@ from distclust.matrixcore import (
     spd_roots,
 )
 from distclust.metrics import (
-    _bhattacharyya_row,
+    _bhattacharyya_pairs,
     _factors,
+    _pair_blocks,
     _stack,
     METRIC_BHATTACHARYYA,
     METRIC_EUCLIDEAN,
@@ -107,16 +113,16 @@ class TestBhattacharyya:
             assert bhattacharyya(a, a) == 0.0
 
     def test_singular_averaged_covariance_names_first_pair(self):
-        # a hand-built row, past the per-model checks: averaging with model 2
-        # leaves a zero eigenvalue at partners 4 and 5 only; low per-model
-        # log-determinants keep pair (2, 3)'s value positive
+        # a hand-built block of row 2, past the per-model checks: averaging
+        # with model 2 leaves a zero eigenvalue at partners 4 and 5 only; low
+        # per-model log-determinants keep pair (2, 3)'s value positive
         covs = [np.eye(3)] * 6
         covs[2] = np.diag([2.0, 0.0, 1.0])
         covs[4] = np.diag([1.0, 0.0, 3.0])
         covs[5] = np.diag([1.0, 0.0, 1.0])
         f = {"mean": np.zeros((6, 3)), "cov": np.stack(covs), "logdet": np.full(6, -10.0)}
         with pytest.raises(SingularMatrix, match=r"^pair \(2, 4\)"):
-            _bhattacharyya_row(f, 2, np.arange(3, 6), DEFAULT_TOLERANCES)
+            _bhattacharyya_pairs(f, np.full(3, 2), np.arange(3, 6), DEFAULT_TOLERANCES)
 
 
 class TestKlDivergence:
@@ -215,6 +221,10 @@ def mixed_models(n: int, d: int, rng) -> list[GaussianModel]:
     ]
 
 
+# the kernels on the calling thread alone, and on it and one more
+THREAD_SETTINGS = ("1", "2")
+
+
 class TestDistanceMatrixBuilder:
     @pytest.mark.parametrize("metric", list(SCALARS) + [METRIC_EUCLIDEAN])
     def test_public_constructor_keeps_bytes(self, metric, rng):
@@ -229,16 +239,22 @@ class TestDistanceMatrixBuilder:
             dm.values[0, 1] = 1.0
 
     @pytest.mark.parametrize("metric", list(SCALARS))
-    def test_matches_scalar_calls(self, metric, rng):
+    def test_matches_scalar_calls(self, metric, rng, monkeypatch):
+        # n = 33 is one block at d = 1, two at d = 2, and single rows and
+        # grouped short rows at d = 7
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK_BYTES", 8 * 49 * 40)
         scalar = SCALARS[metric]
         for n in (2, 3, 33):
             for d in (1, 2, 7):
                 models = mixed_models(n, d, rng)
-                dm = distance_matrix(models, metric)
-                for i, j in computed_entries(n, metric):
-                    # a computed entry and the scalar call run the same row kernel
-                    want = np.float64(scalar(models[i], models[j]))
-                    assert dm.values[i, j].tobytes() == want.tobytes(), (n, d, i, j)
+                for threads in THREAD_SETTINGS:
+                    monkeypatch.setenv("DISTCLUST_THREADS", threads)
+                    dm = distance_matrix(models, metric)
+                    for i, j in computed_entries(n, metric):
+                        # a computed entry and the scalar call run the same
+                        # pair kernel, in a block of rows or a batch of one
+                        want = np.float64(scalar(models[i], models[j]))
+                        assert dm.values[i, j].tobytes() == want.tobytes(), (n, d, i, j)
 
     @pytest.mark.parametrize("metric", [METRIC_WASSERSTEIN_SQ, METRIC_BHATTACHARYYA])
     def test_mirrored_entries_match_reversed_scalar(self, metric, rng):
@@ -260,7 +276,7 @@ class TestDistanceMatrixBuilder:
             assert np.array_equal(dm.values, dm.values.T)
 
     @pytest.mark.parametrize("metric", list(SCALARS))
-    def test_forced_value_failure_names_first_pair(self, metric, rng):
+    def test_forced_value_failure_names_first_pair(self, metric, rng, monkeypatch):
         models = [random_model(3, rng) for _ in range(7)]
         values = distance_matrix(models, metric).values
         entries = computed_entries(7, metric)
@@ -269,13 +285,16 @@ class TestDistanceMatrixBuilder:
         threshold = float(np.median([values[i, j] for i, j in entries]))
         first = next((i, j) for i, j in entries if values[i, j] < threshold)
         forced = Tolerances(negative_clamp=-threshold)
-        with pytest.raises(NumericalError, match=rf"^pair {re.escape(str(first))}: "):
-            distance_matrix(models, metric, forced)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK_BYTES", 1)  # one row per block
+        for threads in THREAD_SETTINGS:
+            monkeypatch.setenv("DISTCLUST_THREADS", threads)
+            with pytest.raises(NumericalError, match=rf"^pair {re.escape(str(first))}: "):
+                distance_matrix(models, metric, forced)
         i, j = first
         with pytest.raises(NumericalError, match=r"^pair \(0, 1\): "):
             SCALARS[metric](models[i], models[j], forced)
 
-    def test_forced_psd_failure_names_pair(self):
+    def test_forced_psd_failure_names_pair(self, monkeypatch):
         # with a floor of -0.5 an inner matrix fails once its smallest
         # eigenvalue drops below half its largest, while every model (scale
         # 0.6 or more) passes; 0.6 * 0.7 at pair (2, 4) is the first product
@@ -286,8 +305,11 @@ class TestDistanceMatrixBuilder:
             for i, s in enumerate(scales)
         ]
         forced = Tolerances(psd_floor=-0.5)
-        with pytest.raises(NotPositiveSemidefinite, match=r"^pair \(2, 4\): "):
-            distance_matrix(models, METRIC_WASSERSTEIN_SQ, forced)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK_BYTES", 1)  # one row per block
+        for threads in THREAD_SETTINGS:
+            monkeypatch.setenv("DISTCLUST_THREADS", threads)
+            with pytest.raises(NotPositiveSemidefinite, match=r"^pair \(2, 4\): "):
+                distance_matrix(models, METRIC_WASSERSTEIN_SQ, forced)
 
     @pytest.mark.parametrize("metric", list(SCALARS))
     def test_overflowing_value_names_pair(self, metric):
@@ -332,6 +354,148 @@ class TestDistanceMatrixBuilder:
     def test_mixed_dimensions_rejected(self, rng):
         with pytest.raises(DimensionMismatch):
             distance_matrix([random_model(2, rng), random_model(3, rng)], METRIC_KL)
+
+
+def worker_kernel_threads(_) -> int:
+    return parallel.kernel_threads()
+
+
+def spaced_models(n: int) -> list[GaussianModel]:
+    """1-d unit-variance models 10 apart, except pairs (2, 3) and (9, 10),
+    0.5 apart: every divergence of those two pairs is below 1, of the rest
+    above 10."""
+    means = 10.0 * np.arange(n)
+    means[3], means[10] = means[2] + 0.5, means[9] + 0.5
+    return [GaussianModel(np.array([m]), SymMatrix(np.eye(1))) for m in means]
+
+
+class TestPairBlocks:
+    @pytest.mark.parametrize("metric", [METRIC_WASSERSTEIN_SQ, METRIC_KL])
+    def test_blocks_hold_the_computed_pairs_in_row_major_order(self, metric):
+        for n in range(1, 30):
+            for size in (1, 2, 5, 17, 100):
+                count, pairs = _pair_blocks(n, metric, size)
+                got = []
+                for b in range(count):
+                    I, J = pairs(b)
+                    rows = np.broadcast_to(I, J.shape)
+                    # whole rows, grouped up to size pairs; a longer row alone
+                    assert J.size <= size or rows.min() == rows.max(), (n, size, b)
+                    got += list(zip(rows.tolist(), J.tolist()))
+                assert got == computed_entries(n, metric), (n, size)
+
+    @pytest.mark.parametrize("metric", list(SCALARS))
+    def test_threads_change_no_byte(self, metric, rng, monkeypatch):
+        # a block of about 6 pairs: dozens of blocks, each held up a little
+        # so that the second thread takes some of them
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK_BYTES", 8 * 4 * 6)
+        kernel = metrics._PAIR_KERNELS[metric]
+        seen = set()
+
+        def recorded(*args):
+            seen.add(threading.get_ident())
+            time.sleep(0.002)
+            return kernel(*args)
+
+        monkeypatch.setitem(metrics._PAIR_KERNELS, metric, recorded)
+        models = mixed_models(30, 2, rng)
+        got = {}
+        for threads in THREAD_SETTINGS:
+            monkeypatch.setenv("DISTCLUST_THREADS", threads)
+            seen.clear()
+            got[threads] = distance_matrix(models, metric).values.tobytes()
+            # kl's blocks stay on the calling thread
+            assert len(seen) == (1 if threads == "1" or metric == METRIC_KL else 2)
+        assert got["1"] == got["2"]
+
+    @pytest.mark.parametrize("metric", list(SCALARS))
+    def test_first_failing_block_names_the_error(self, metric, monkeypatch):
+        # pair (2, 3) fails in the second block and (9, 10) in a later one;
+        # the second block is held up, so with two threads the later block
+        # fails first, and the error still names (2, 3)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK_BYTES", 8 * 24)
+        models = spaced_models(12)
+        kernel = metrics._PAIR_KERNELS[metric]
+        blocks, failed = [], []
+
+        def held_up(f, I, J, tol):
+            pairs = list(zip(np.broadcast_to(I, J.shape).tolist(), J.tolist()))
+            blocks.append(pairs)
+            if (2, 3) in pairs:
+                time.sleep(0.2)
+            try:
+                return kernel(f, I, J, tol)
+            except NumericalError as exc:
+                failed.append(str(exc).split(":")[0])
+                raise
+
+        monkeypatch.setitem(metrics._PAIR_KERNELS, metric, held_up)
+        monkeypatch.setenv("DISTCLUST_THREADS", "1")
+        distance_matrix(models, metric)
+        block_of = {pair: b for b, pairs in enumerate(blocks) for pair in pairs}
+        # kl's blocks are single rows, so rows 0 and 1 come first
+        assert block_of[(2, 3)] == (2 if metric == METRIC_KL else 1)
+        assert block_of[(9, 10)] > block_of[(2, 3)]
+        forced = Tolerances(negative_clamp=-1.0)
+        for threads in THREAD_SETTINGS:
+            monkeypatch.setenv("DISTCLUST_THREADS", threads)
+            failed.clear()
+            with pytest.raises(NumericalError, match=r"^pair \(2, 3\): "):
+                distance_matrix(models, metric, forced)
+            if threads == "2" and metric != METRIC_KL:
+                assert failed == ["pair (9, 10)", "pair (2, 3)"]
+            else:
+                assert failed == ["pair (2, 3)"]
+
+    def test_helper_threads_keep_the_callers_errstate(self, monkeypatch):
+        # the overflowing pairs lie in blocks the second thread may take;
+        # under the caller's errstate no thread warns, and the error is typed
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK_BYTES", 1)  # one row per block
+        monkeypatch.setenv("DISTCLUST_THREADS", "2")
+        a = GaussianModel(np.zeros(2), SymMatrix(np.eye(2)))
+        b = GaussianModel(np.full(2, 1e160), SymMatrix(np.eye(2)))
+        models = [a] * 8 + [b]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(5):
+                with np.errstate(over="ignore"), pytest.raises(
+                    NumericalError, match=r"^pair \(0, 8\): "
+                ):
+                    distance_matrix(models, METRIC_WASSERSTEIN_SQ)
+
+    def test_pool_workers_run_kernels_on_one_thread(self, monkeypatch):
+        monkeypatch.setenv("DISTCLUST_THREADS", "2")
+        assert parallel.kernel_threads() == 2
+        assert pipeline._map_trials(worker_kernel_threads, [None, None], 2) == [1, 1]
+        assert parallel.kernel_threads() == 2
+
+
+class TestRunBlocks:
+    """The block runner under contention: more threads than cores and a
+    switch interval short enough to interleave every claim."""
+
+    @pytest.fixture(autouse=True)
+    def short_switch_interval(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_every_block_runs_once(self):
+        ran = []
+        parallel.run_blocks(ran.append, 3000, 8)
+        assert sorted(ran) == list(range(3000))
+
+    def test_lowest_failing_block_is_raised(self):
+        def work(b):
+            if b % 97 == 41:
+                raise ValueError(b)
+
+        for _ in range(20):
+            with pytest.raises(ValueError, match="^41$"):
+                parallel.run_blocks(work, 3000, 8)
 
 
 class TestMeanEuclidean:

@@ -328,6 +328,16 @@ class TestBottomEigensolver:
         w = benchmark_kernel(spectral._DENSE_MAX_N, METRIC_EUCLIDEAN)
         assert spectral_embedding(w, 5).eigensolver == "dense"
 
+    @pytest.mark.parametrize("k, n, tried", [(5, 121, True), (10, 480, False), (10, 481, True),
+                                             (20, 1000, False)])
+    def test_crossover_grows_with_k(self, k, n, tried, monkeypatch):
+        # the iteration's passes grow with k, so the dense solve stays
+        # faster up to 120 (k / 5)^2 objects
+        calls = []
+        monkeypatch.setattr(spectral, "_subspace_bottom", lambda w, k: calls.append(k))
+        spectral_embedding(block_kernel(n, 1), k)
+        assert bool(calls) == tried
+
     def test_equal_eigenvalues_fall_back(self, monkeypatch):
         # k + 1 components: lambda_k = lambda_{k+1} = 0, no certificate
         k = 2
@@ -596,6 +606,76 @@ class TestLloydParity:
                     assert result.wcss == expected_wcss
         if kind == "repeated":
             assert repairs
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cycling_restarts_match_the_full_run(self, d):
+        # with more clusters than distinct points each assignment undoes the
+        # last repair, so no restart converges: each stops once its labels
+        # repeat, at a pass congruent to max_iter, and ends as all passes would
+        case_rng = np.random.default_rng([len(self.KINDS), d])
+        points = lloyd_problem("repeated", d, case_rng)
+        for k in (5, 12):
+            for max_iter in (7, 300):
+                seed = int(case_rng.integers(2**32))
+                expected_wcss, labels, centers = reference_kmeans(
+                    points, k, np.random.default_rng(seed), restarts=2, max_iter=max_iter
+                )
+                result = kmeans(
+                    points, k, np.random.default_rng(seed), restarts=2, max_iter=max_iter
+                )
+                assert result.assignment.labels.tobytes() == labels.tobytes()
+                assert result.centers.tobytes() == centers.tobytes()
+                assert result.wcss == expected_wcss
+            generators = [np.random.default_rng(seed) for seed in range(3)]
+            _, _, history = _lloyd(points, k, generators, 300)
+            assert max(len(costs) for costs in history) < 50
+
+    def test_cycle_ends_on_the_labels_of_the_last_pass(self, monkeypatch):
+        # stand-in steps whose one label runs 0 1 2 3 4 5 3 4 5 ...: three
+        # passes of tail, then a cycle of period 3; a center holds the label
+        # it was computed from, and the assignment maps it to the next label
+        step = {-1: 0, 0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 3}
+        monkeypatch.setattr(
+            spectral, "_plus_plus_seed", lambda points, k, rng: np.full((k, 1), -1.0)
+        )
+        monkeypatch.setattr(
+            spectral,
+            "_update_step",
+            lambda points, labels, k: (labels, np.repeat(labels[:, None, :1], k, axis=1) * 1.0),
+        )
+        monkeypatch.setattr(
+            spectral,
+            "_assign",
+            lambda points, m, sq, centers: (
+                np.array([[step[int(c)]] for c in centers[:, 0, 0]]),
+                np.zeros(len(centers)),
+            ),
+        )
+        for max_iter in (*range(1, 13), 300, 301):
+            want = 0
+            for _ in range(max_iter):
+                want = step[want]
+            labels, centers, history = _lloyd(np.zeros((1, 1)), 6, [None, None], max_iter)
+            assert labels.tolist() == [[want], [want]], max_iter
+            assert centers[:, :, 0].tolist() == [[want] * 6] * 2, max_iter
+            assert len(history[0]) <= min(max_iter, 8) + 1, max_iter
+
+    def test_grid_with_more_clusters_than_points_stops_early(self):
+        # 68 points on the 25 nodes of a 5 x 5 grid, k = 28: every restart
+        # cycles through repairs, and one restart matches 300 full passes
+        rng = np.random.default_rng(0)
+        grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=float)
+        points = np.vstack([grid, grid[rng.integers(0, 25, 43)]])
+        expected_wcss, labels, centers = reference_kmeans(
+            points, 28, np.random.default_rng(1), restarts=1
+        )
+        result = kmeans(points, 28, np.random.default_rng(1), restarts=1)
+        assert result.assignment.labels.tobytes() == labels.tobytes()
+        assert result.centers.tobytes() == centers.tobytes()
+        assert result.wcss == expected_wcss
+        generators = [np.random.default_rng(seed) for seed in range(10)]
+        _, _, history = _lloyd(points, 28, generators, 300)
+        assert max(len(costs) for costs in history) < 50
 
     def test_seeding_matches_reference(self, rng):
         for d in (1, 3):
