@@ -105,6 +105,13 @@ def klpp_seed(
     return chosen
 
 
+def _state(labels: np.ndarray, means: np.ndarray, covs: np.ndarray) -> bytes:
+    """The labels and center set after a pass, which fix every later pass:
+    the next centers come from the labels, and the repair of a cluster the
+    labels leave empty reads the table of these centers."""
+    return labels.tobytes() + means.tobytes() + covs.tobytes()
+
+
 def kl_cluster(
     models: list[GaussianModel],
     k: int,
@@ -114,7 +121,18 @@ def kl_cluster(
     klpp_squared: bool = False,
 ) -> KlClusterResult:
     """Cluster Gaussian models by alternating KL assignment and closed-form
-    center updates until the assignment is stable."""
+    center updates until the assignment is stable, or for ``max_iter``
+    passes.
+
+    A run that has not converged can cycle, as when k exceeds the number of
+    distinct models and each assignment undoes the last repair. Once the
+    labels and centers after a pass equal those of p passes earlier, the
+    run repeats with period p, so it stops at the first pass congruent to
+    ``max_iter`` modulo p: its labels, centers and objective are those of
+    pass ``max_iter``. Brent's method finds the repeat, as in Lloyd's
+    k-means. ``iterations``, ``objective_history`` and ``repair_iterations``
+    cover the passes run.
+    """
     n = len(models)
     if k < 1 or k > n:
         raise InvalidConfig(f"k={k} invalid for {n} models")
@@ -128,13 +146,16 @@ def kl_cluster(
         seed_idx = klpp_seed(factors, k, rng, squared=klpp_squared)
     else:
         seed_idx = [int(i) for i in rng.choice(n, size=k, replace=False)]
-    table = kl_divergence_table(factors, factors["mean"][seed_idx], factors["cov"][seed_idx])
+    means, covs = factors["mean"][seed_idx], factors["cov"][seed_idx]
+    table = kl_divergence_table(factors, means, covs)
     labels = table.argmin(axis=1)
 
     history: list[float] = []
     repairs: list[int] = []
     converged = False
     iteration = 0
+    last = max_iter  # the pass the run ends after
+    mark, mark_pass, span = _state(labels, means, covs), 0, 1
     for iteration in range(1, max_iter + 1):
         if np.bincount(labels, minlength=k).min() == 0:
             # table still holds the divergences to the centers that left a
@@ -149,6 +170,14 @@ def kl_cluster(
             converged = True
             break
         labels = new_labels
+        state = _state(labels, means, covs)
+        if state == mark:
+            period = iteration - mark_pass
+            last = min(last, iteration + (max_iter - iteration) % period)
+        if iteration - mark_pass == span:
+            mark, mark_pass, span = state, iteration, 2 * span
+        if iteration == last:
+            break
 
     return KlClusterResult(
         assignment=ClusterAssignment(labels, k),

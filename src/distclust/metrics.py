@@ -409,9 +409,11 @@ def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
     """Pairwise Euclidean distances between model means (covariances ignored).
 
     Rows are computed in blocks, so no (n, n, d) difference array is built.
-    Both triangles are computed; m_i - m_j is exactly -(m_j - m_i), so they
-    agree bit for bit, and the diagonal is exactly 0. The one check is
-    finiteness: squared differences of finite means can overflow.
+    Each pair is computed once: a row block from its diagonal onward, its
+    transpose mirrored below. m_i - m_j is exactly -(m_j - m_i), so the
+    mirror is what the lower triangle would compute, and the diagonal is
+    exactly 0. The one check is finiteness: squared differences of finite
+    means can overflow.
     """
     _common_dim(models)
     means = np.stack([m.mean for m in models])
@@ -419,8 +421,10 @@ def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
     out = np.empty((n, n))
     rows = max(1, _EUCLIDEAN_BLOCK_BYTES // (8 * n * means.shape[1]))
     for s in range(0, n, rows):
-        diff = means[s : s + rows, None, :] - means[None, :, :]
-        out[s : s + rows] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        e = min(s + rows, n)
+        diff = means[s:e, None, :] - means[None, s:, :]
+        out[s:e, s:] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        out[e:, s:e] = out[s:e, e:].T
     if not np.isfinite(out).all():
         raise InvalidMatrix("distance entries must be finite")
     out.flags.writeable = False

@@ -12,10 +12,11 @@ thread included, and raises the exception of the lowest failing block, so
 the error is the one a serial run would raise.
 """
 
-import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from .errors import InvalidConfig
 
@@ -91,12 +92,16 @@ def run_blocks(work, count: int, threads: int) -> None:
                     errors[b] = exc
                 return
 
+    # numpy's error handling is per thread (a context variable from NumPy 2.0
+    # on, thread-local state before it), so each helper enters the caller's
+    caller_err, caller_call = np.geterr(), np.geterrcall()
+
+    def helper():
+        with np.errstate(call=caller_call, **caller_err):
+            drain()
+
     with ThreadPoolExecutor(threads - 1, thread_name_prefix="distclust-kernel") as pool:
-        # each helper runs in a copy of the caller's context, so numpy's
-        # errstate (a context variable) holds in it as in the caller
-        helpers = [
-            pool.submit(contextvars.copy_context().run, drain) for _ in range(threads - 1)
-        ]
+        helpers = [pool.submit(helper) for _ in range(threads - 1)]
         try:
             drain()
         except BaseException as exc:  # an interrupt: the helpers claim no more

@@ -13,14 +13,16 @@ upper-triangle entries of whichever values feed the kernel.
 
 ``kernelize`` checks only finiteness (the rest holds by construction). The
 bottom k eigenpairs of L_sym come from block subspace iteration on
-M = D^{-1/2} W D^{-1/2} = I - L_sym (block k + 10, one QR and one
+M = D^{-1/2} W D^{-1/2} = I - L_sym (block k + max(10, k), one QR and one
 Rayleigh-Ritz step per pass, start block from a fixed seed), stopped on the
-residuals and certified by one Cholesky factorization: divergence kernels
-and user matrices are indefinite, and the certificate proves that no
-eigenvalue of M outside the k found lies above them. Up to
-120 * max(1, k / 5)^2 objects, for k + 10 >= n, and when the iteration or
-its certificate fails, the full ``numpy.linalg.eigh`` of the Laplacian runs
-instead; ``eigensolver`` says which one did.
+residuals and certified: divergence kernels and user matrices are
+indefinite, and the certificate proves that no eigenvalue of M outside the
+k found lies above them. An O(n^2) deflation bound on the whole
+Rayleigh-Ritz block certifies first; one Cholesky factorization runs only
+where it fails. Up to 120 * min(max(1, k / 5)^2, 5) objects, for a block
+as wide as n, and when the iteration or both certificates fail, the full
+``numpy.linalg.eigh`` of the Laplacian runs instead; ``eigensolver`` says
+which one did.
 
 k-means runs Lloyd's iteration from k-means++ seeds, all restarts in
 lockstep: one batched GEMM scores every restart's centers, and rows that
@@ -196,22 +198,32 @@ def normalized_laplacian(w: AdjacencyMatrix) -> np.ndarray:
     return lap
 
 
-# The bottom-k solver. At or below _DENSE_MAX_N * max(1, k / _DENSE_K)^2
-# objects the full ``eigh`` is at least as fast as the subspace iteration: a
-# pass costs about n^2 (k + 10) and the passes grow with k, where ``eigh``
-# costs n^3 whatever k is. Dense against subspace on mean-distance kernels
+# The bottom-k solver. At or below _DENSE_MAX_N * min(max(1, k / _DENSE_K)^2,
+# _DENSE_CAP) objects the full ``eigh`` is at least as fast as the subspace
+# iteration: a pass costs about n^2 (k + max(10, k)) and up to k = 10 the
+# passes grow with k, where ``eigh`` costs n^3 whatever k is. From k = 10
+# on the block of 2k columns holds the passes near 30 or below, and the
+# crossover stays near 600. Dense against subspace on mean-distance kernels
 # (``generate_benchmark(7, k, n)``), one BLAS thread, with passes:
 #   k = 5:  2.1 against 2.7 ms (11) at n = 120, 5.3 against 3.6 ms (10) at
 #           n = 200, 245 against 57 ms (10) at n = 1000;
-#   k = 10: 5.0 against 9.4 ms (28) at n = 200, 18 against 28 ms (30) at
-#           n = 400, 39 against 36 ms (30) at n = 500, 250 against 131 ms
-#           (34) at n = 1000;
-#   k = 20: 4.8 against 16 ms (27) at n = 200, 19 against 43 ms (42) at
-#           n = 400; from n = 700 to 2000 the iteration stalls and gives up
-#           after 10 passes, a tenth of the dense time wasted.
+#   k = 9:  6.7 against 8.7-11 ms (17-25) at n = 250, 15 against 18 ms (24)
+#           at n = 350;
+#   k = 10: 3.3 against 6.3 ms (27) at n = 200, 14 against 15 ms (30) at
+#           n = 400, 25-30 against 25 ms (29) at n = 500, 60 against 47 ms
+#           (30) at n = 700;
+#   k = 12: 34 against 38-44 ms (29-36) at n = 500, 76 against 66 ms (38)
+#           at n = 700;
+#   k = 15: 42 against 46 ms (28) at n = 600, 60-68 against 64-67 ms (30)
+#           at n = 700, 224 against 157-171 ms (30) at n = 1000;
+#   k = 20: 18-21 against 13-18 ms (12) at n = 400, 71 against 27-33 ms
+#           (12) at n = 700, 1354 against 172 ms (11) at n = 2000;
+#   k = 30: 18 against 20 ms (9) at n = 400, 196 against 60-75 ms (9) at
+#           n = 1000.
 _DENSE_MAX_N = 120
 _DENSE_K = 5
-_OVERSAMPLE = 10  # block columns beyond k
+_DENSE_CAP = 5
+_OVERSAMPLE = 10  # block columns beyond k, or k if larger
 _MAX_PASSES = 50
 _RESIDUAL_TOL = 1e-10  # on every ||M v - theta v||, for unit v
 # From pass 2 * _STALL_WINDOW on, the iteration gives up once the residual's
@@ -222,6 +234,9 @@ _STALL_WINDOW = 5
 # (sqrt(k) * _RESIDUAL_TOL) and the Cholesky's rounding; a smaller gap, such
 # as lambda_k = lambda_{k+1}, leaves the certificate to rounding
 _MIN_GAP = 1e-8
+# multiple of n eps (|M|_F^2 + block columns) that the deflation bound adds
+# for the rounding of its inputs
+_BOUND_SLACK = 16
 
 
 class _Embedding(tuple):
@@ -231,6 +246,67 @@ class _Embedding(tuple):
     eigensolver: str
 
 
+def _frobenius_sq(w: AdjacencyMatrix, r: np.ndarray) -> float:
+    """|M|_F^2 = sum_i r_i^2 sum_j W_ij^2 r_j^2 for M = r W r, in row blocks,
+    so no n x n temporary is built."""
+    r2 = np.square(r[:, 0])
+    total = 0.0
+    for s in range(0, w.n, _BLOCK_ROWS):
+        total += float(r2[s : s + _BLOCK_ROWS] @ (np.square(w.values[s : s + _BLOCK_ROWS]) @ r2))
+    return total
+
+
+def _deflation_bound(
+    w: AdjacencyMatrix, r: np.ndarray, q: np.ndarray, mq: np.ndarray,
+    theta: np.ndarray, ritz: np.ndarray, k: int,
+) -> bool:
+    """Whether every x orthogonal to the k found Ritz vectors V has
+    x^T M x < c |x|^2, c midway between the k-th and (k+1)-th Ritz values,
+    shown in O(n^2) from the whole Rayleigh-Ritz block Y = q ritz.
+
+    Write x = U a + z with U the other Ritz vectors (values Theta_U, at most
+    theta_{k+1}) and z orthogonal to Y. U^T M z = R_U^T z for the residuals
+    R_U = M U - U Theta_U, and z^T M z <= gamma |z|^2, where gamma^2 =
+    |M|_F^2 - sum_i theta_i^2 bounds the Frobenius norm of M compressed
+    to the complement of Y (Y^T M Y = Theta). So x^T M x is at most the
+    top eigenvalue of [[theta_{k+1}, |R_U|_F], [|R_U|_F, gamma]] times
+    |x|^2. Every computed term is within a few n eps (|M|_F^2 + b) of its
+    exact value (b block columns; |M|_2 <= 1 as W >= 0, and the sums have
+    positive terms); that slack is added to gamma^2 and to the bound.
+    """
+    n, b = q.shape
+    top = theta[k]
+    others = q @ ritz[:, k:]
+    coupling = float(np.linalg.norm(mq @ ritz[:, k:] - others * theta[k:]))
+    fro2 = _frobenius_sq(w, r)
+    slack = _BOUND_SLACK * n * _EPS * (fro2 + b)
+    gamma = np.sqrt(max(fro2 - float(theta @ theta), 0.0) + slack)
+    bound = 0.5 * (top + gamma) + np.hypot(0.5 * (top - gamma), coupling)
+    return bound + slack < 0.5 * (theta[k - 1] + theta[k])
+
+
+def _cholesky_bound(
+    w: AdjacencyMatrix, r: np.ndarray, theta: np.ndarray, vectors: np.ndarray, k: int
+) -> bool:
+    """``_deflation_bound``'s conclusion from one Cholesky factor of
+    A = c I - (M - V (Theta + 2) V^T), built in one n x n array: a factor
+    proves A positive definite, so x^T M x < c |x|^2 for every x orthogonal
+    to V. O(n^3), but it does not need the rest of the block to have
+    converged, so it accepts results the deflation bound cannot."""
+    n = w.n
+    a = w.values * -r
+    a *= r.T
+    a.flat[:: n + 1] += 0.5 * (theta[k - 1] + theta[k])
+    lifted = vectors * (theta[:k] + 2.0)
+    for s in range(0, n, _BLOCK_ROWS):
+        a[s : s + _BLOCK_ROWS] += lifted[s : s + _BLOCK_ROWS] @ vectors.T
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The k smallest eigenvalues of L_sym and their eigenvectors by block
     subspace iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp 2011),
@@ -238,23 +314,29 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
     of ``normalized_laplacian`` is its fallback and its reference.
 
     L_sym = I - M with M = D^-1/2 W D^-1/2, so the pairs sought are the top
-    k of M, applied as ``r * (W @ (r * Q))`` without building L. The start
-    block comes from a fixed seed, so the result depends on W alone.
+    k of M, applied as ``r * (W @ (r * Q))`` without building L. The block
+    has k + max(10, k) columns: the convergence factor is the ratio of the
+    eigenvalue past the block to the k-th, and for large k a block of
+    k + 10 stalls. The start block comes from a fixed seed, so the result
+    depends on W alone.
 
     The iteration finds the k largest Ritz values of the block, but W may be
     indefinite (divergence kernels, user matrices), so an eigenvalue of M
     above them could be missing from the block. The certificate excludes
     that: with V the k Ritz vectors and c midway between the k-th and
-    (k+1)-th Ritz values, a Cholesky factor of
-    A = c I - (M - V (Theta + 2) V^T) proves A positive definite, so
-    x^T M x < c |x|^2 for every x orthogonal to V, and by Courant-Fischer no
-    eigenvalue of M but the k near the Ritz values lies above c. A gap
-    between those Ritz values under _MIN_GAP, as when the k-th and (k+1)-th
+    (k+1)-th Ritz values, it shows x^T M x < c |x|^2 for every x orthogonal
+    to V, and by Courant-Fischer no eigenvalue of M but the k near the Ritz
+    values lies above c. The O(n^2) deflation bound is tried first and the
+    O(n^3) Cholesky only when it fails. Where the bound holds, A of the
+    Cholesky is positive definite too (its off-diagonal part toward V is
+    the residuals, under 1e-10), so the returned arrays do not depend on
+    which certificate ran. A gap between
+    those Ritz values under _MIN_GAP, as when the k-th and (k+1)-th
     eigenvalues coincide, leaves no room for c and fails the certificate.
     """
     n = w.n
     r = (1.0 / np.sqrt(w.values.sum(axis=1)))[:, None]
-    start = np.random.default_rng(0).standard_normal((n, k + _OVERSAMPLE))
+    start = np.random.default_rng(0).standard_normal((n, k + max(_OVERSAMPLE, k)))
     q, _ = np.linalg.qr(start)
     worst = []  # largest residual of every pass
     for passes in range(1, _MAX_PASSES + 1):
@@ -276,16 +358,10 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
         return None
     if theta[k - 1] - theta[k] <= _MIN_GAP:
         return None
-    # A = c I - M + V (Theta + 2) V^T, built in one n x n array
-    a = w.values * -r
-    a *= r.T
-    a.flat[:: n + 1] += 0.5 * (theta[k - 1] + theta[k])
-    lifted = vectors * (theta[:k] + 2.0)
-    for s in range(0, n, _BLOCK_ROWS):
-        a[s : s + _BLOCK_ROWS] += lifted[s : s + _BLOCK_ROWS] @ vectors.T
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
+    if not (
+        _deflation_bound(w, r, q, mq, theta, ritz, k)
+        or _cholesky_bound(w, r, theta, vectors, k)
+    ):
         return None
     return 1.0 - theta[:k], vectors
 
@@ -296,15 +372,18 @@ def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarr
     Returns (embedding, eigenvalues) where eigenvalues are the k smallest,
     ascending; the pair's ``eigensolver`` is ``"subspace"`` or ``"dense"``.
     All-zero rows are left at zero rather than divided. Above
-    _DENSE_MAX_N * max(1, k / _DENSE_K)^2 objects (120 for k <= 5, 480 for
-    k = 10), and below n - _OVERSAMPLE columns, the certified subspace
-    iteration runs; the full ``eigh`` runs otherwise and whenever that
-    iteration or its certificate fails.
+    _DENSE_MAX_N * min(max(1, k / _DENSE_K)^2, _DENSE_CAP) objects (120 for
+    k <= 5, 480 for k = 10, 600 from k = 12 on), and when the block of
+    k + max(10, k) columns is narrower than n, the certified subspace
+    iteration runs: its certificate is the O(n^2) deflation bound, or the
+    O(n^3) Cholesky where that bound fails. The full ``eigh`` runs otherwise
+    and whenever the iteration or both certificates fail.
     """
     if k < 1 or k > w.n:
         raise InvalidConfig(f"k={k} invalid for {w.n} objects")
     found = None
-    if w.n > _DENSE_MAX_N * max(1.0, k / _DENSE_K) ** 2 and k + _OVERSAMPLE < w.n:
+    limit = _DENSE_MAX_N * min(max(1.0, k / _DENSE_K) ** 2, _DENSE_CAP)
+    if w.n > limit and k + max(_OVERSAMPLE, k) < w.n:
         found = _subspace_bottom(w, k)
     eigensolver = "subspace"
     if found is None:

@@ -140,6 +140,32 @@ class TestKlppSeed:
             klpp_seed(kl_factors([random_model(2, rng)]), 2, rng)
 
 
+def reference_kl_cluster(models, k, rng, seeding, max_iter):
+    """``kl_cluster``'s passes without the stop on a repeat: labels, center
+    means and covariances, objective history and repair passes."""
+    factors = kl_factors(models)
+    n = len(models)
+    if seeding == SEEDING_KLPP:
+        seed_idx = klpp_seed(factors, k, rng)
+    else:
+        seed_idx = [int(i) for i in rng.choice(n, size=k, replace=False)]
+    table = kl_divergence_table(factors, factors["mean"][seed_idx], factors["cov"][seed_idx])
+    labels = table.argmin(axis=1)
+    history, repairs = [], []
+    for iteration in range(1, max_iter + 1):
+        if np.bincount(labels, minlength=k).min() == 0:
+            labels = _repair_empty(labels, k, lambda lab: table[np.arange(n), lab])
+            repairs.append(iteration)
+        means, covs = center_update(factors, labels, k)
+        table = kl_divergence_table(factors, means, covs)
+        new_labels = table.argmin(axis=1)
+        history.append(float(table[np.arange(n), new_labels].sum()))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels, means, covs, history, repairs
+
+
 class TestKlCluster:
     @pytest.mark.parametrize("seeding", [SEEDING_RANDOM, SEEDING_KLPP])
     def test_recovers_two_blobs(self, seeding, rng):
@@ -193,6 +219,33 @@ class TestKlCluster:
         result = kl_cluster(models, 9, np.random.default_rng(0))
         assert result.repair_iterations
         assert len(set(result.assignment.labels.tolist())) == 9
+
+    @pytest.mark.parametrize("seeding", [SEEDING_RANDOM, SEEDING_KLPP])
+    def test_cycling_runs_match_the_full_run(self, seeding, rng):
+        # more clusters than distinct models: no run converges, and each
+        # repeats with period 1, 2, 4 or 6 after a few passes; it stops at
+        # a pass congruent to max_iter and ends as the full run does
+        base = [random_model(3, rng) for _ in range(3)]
+        models = [base[i] for i in rng.integers(0, 3, 57)] + base
+        for k in range(4, 9):
+            for max_iter in (7, 100):
+                result = kl_cluster(models, k, np.random.default_rng(k), seeding=seeding,
+                                    max_iter=max_iter)
+                labels, means, covs, history, repairs = reference_kl_cluster(
+                    models, k, np.random.default_rng(k), seeding, max_iter
+                )
+                assert len(history) == max_iter and not result.converged
+                assert result.assignment.labels.tobytes() == labels.tobytes()
+                for j, center in enumerate(result.centers):
+                    assert center.mean.tobytes() == means[j].tobytes()
+                    assert center.covariance.values.tobytes() == covs[j].tobytes()
+                assert result.objective_history[-1] == history[-1]
+                assert result.objective_history == tuple(history[: result.iterations])
+                assert result.repair_iterations == tuple(
+                    r for r in repairs if r <= result.iterations
+                )
+                if max_iter == 100:
+                    assert result.iterations < 30
 
     def test_klpp_squared_changes_seeding_only(self, rng):
         models = two_blobs(rng)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -266,8 +267,8 @@ class TestSpectralEmbedding:
             spectral_embedding(two_block_adjacency(), 11)
 
 
-def benchmark_kernel(n: int, metric: str, seed: int = 3) -> AdjacencyMatrix:
-    groups = generate_benchmark(4, 5, n_objects=n, samples_per_object=20, seed=seed).groups
+def benchmark_kernel(n: int, metric: str, seed: int = 3, d: int = 4) -> AdjacencyMatrix:
+    groups = generate_benchmark(d, 5, n_objects=n, samples_per_object=20, seed=seed).groups
     models = estimate_gaussians(groups, 1e-8)
     if metric == METRIC_EUCLIDEAN:
         return kernelize(mean_euclidean_matrix(models))
@@ -287,6 +288,16 @@ def dense_embedding(w: AdjacencyMatrix, k: int, monkeypatch) -> tuple:
 def block_kernel(blocks: int, size: int) -> AdjacencyMatrix:
     """Identical disconnected blocks: eigenvalue 0 of L_sym ``blocks`` times."""
     return AdjacencyMatrix(np.kron(np.eye(blocks), np.ones((size, size))), 1.0)
+
+
+def multipartite_kernel(rng, n: int = 240, parts: int = 12) -> AdjacencyMatrix:
+    """Distances 2-3 inside each of ``parts`` parts and 0-0.5 across, at
+    sigma = 1: an indefinite kernel whose negative eigenvalues crowd out
+    the small positive ones."""
+    part = np.arange(n) % parts
+    same = part[:, None] == part[None, :]
+    x = np.triu(np.where(same, rng.uniform(2.0, 3.0, (n, n)), rng.uniform(0.0, 0.5, (n, n))), 1)
+    return kernelize(DistanceMatrix(x + x.T, METRIC_WASSERSTEIN_SQ), sigma=1.0)
 
 
 def count_qr(monkeypatch) -> list:
@@ -329,10 +340,11 @@ class TestBottomEigensolver:
         assert spectral_embedding(w, 5).eigensolver == "dense"
 
     @pytest.mark.parametrize("k, n, tried", [(5, 121, True), (10, 480, False), (10, 481, True),
-                                             (20, 1000, False)])
+                                             (20, 600, False), (20, 601, True)])
     def test_crossover_grows_with_k(self, k, n, tried, monkeypatch):
-        # the iteration's passes grow with k, so the dense solve stays
-        # faster up to 120 (k / 5)^2 objects
+        # the iteration's passes grow with k up to k = 10, so the dense solve
+        # stays faster up to 120 (k / 5)^2 objects; the block of 2k columns
+        # holds the passes down beyond, and the crossover stops at 600
         calls = []
         monkeypatch.setattr(spectral, "_subspace_bottom", lambda w, k: calls.append(k))
         spectral_embedding(block_kernel(n, 1), k)
@@ -378,12 +390,10 @@ class TestBottomEigensolver:
         # 12 parts, far apart inside and close across: M = D^-1/2 W D^-1/2
         # has eleven eigenvalues near -0.08 that crowd the block out of its
         # small positive ones. At k = 2 the iteration converges to one of the
-        # negative ones, and the certificate refuses it.
-        n, parts = 240, 12
-        part = np.arange(n) % parts
-        same = part[:, None] == part[None, :]
-        x = np.triu(np.where(same, rng.uniform(2.0, 3.0, (n, n)), rng.uniform(0.0, 0.5, (n, n))), 1)
-        w = kernelize(DistanceMatrix(x + x.T, METRIC_WASSERSTEIN_SQ), sigma=1.0)
+        # negative ones, and both certificates refuse it; at k = 1 the
+        # deflation bound accepts, and no Cholesky runs.
+        w = multipartite_kernel(rng)
+        n, parts = w.n, 12
         mu = np.linalg.eigvalsh(np.eye(n) - normalized_laplacian(w))
         # all eleven negative ones outweigh every positive one but the top
         assert mu[parts - 2] < -mu[-2] < 0.0
@@ -392,7 +402,7 @@ class TestBottomEigensolver:
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.shape) or cholesky(a))
         basis, eigenvalues = embedding = spectral_embedding(w, k)
         assert embedding.eigensolver == eigensolver
-        assert factored == [(n, n)]
+        assert factored == {1: [], 2: [(n, n)]}[k]
         expected = np.linalg.eigvalsh(normalized_laplacian(w))[:k]
         assert np.abs(eigenvalues - expected).max() <= 1e-10
 
@@ -415,6 +425,18 @@ class TestBottomEigensolver:
         assert _subspace_bottom(w, 3) is None
         assert len(factored) <= 15
 
+    def test_twenty_clusters_at_a_thousand_objects_run_the_iteration(self, monkeypatch):
+        # a block of k + 10 columns stalled here and gave up for the dense
+        # solve; k + k columns converge
+        groups = generate_benchmark(7, 20, n_objects=1000, samples_per_object=30, seed=0).groups
+        w = kernelize(mean_euclidean_matrix(estimate_gaussians(groups, 1e-8)))
+        factored = count_qr(monkeypatch)
+        basis, eigenvalues = embedding = spectral_embedding(w, 20)
+        assert embedding.eigensolver == "subspace"
+        assert factored[0] == (1000, 40)
+        expected = np.linalg.eigvalsh(normalized_laplacian(w))[:20]
+        assert np.abs(eigenvalues - expected).max() <= 1e-10
+
     def test_slow_but_steady_iteration_is_kept(self, monkeypatch):
         # k = 10 mean-distance kernel at n = 2000: convergence factor
         # theta_21 / theta_10 makes for many passes, but the projection
@@ -424,6 +446,100 @@ class TestBottomEigensolver:
         factored = count_qr(monkeypatch)
         assert spectral_embedding(w, 10).eigensolver == "subspace"
         assert len(factored) > 2 * spectral._STALL_WINDOW
+
+
+def planted_kernel(n: int, parts: int, noise: float, rng) -> AdjacencyMatrix:
+    """Unit-diagonal W with entries from [1 - noise, 1] inside each part
+    and from [0, noise] across: indefinite, with ``parts`` leading
+    eigenvalues of M above a bulk of either sign."""
+    part = np.arange(n) % parts
+    same = part[:, None] == part[None, :]
+    x = np.triu(np.where(same, rng.uniform(1.0 - noise, 1.0, (n, n)), rng.uniform(0.0, noise, (n, n))), 1)
+    x += x.T
+    np.fill_diagonal(x, 1.0)
+    return AdjacencyMatrix(x, 1.0)
+
+
+def certify(w: AdjacencyMatrix, k: int, monkeypatch):
+    """Whether the deflation bound accepted ``_subspace_bottom(w, k)``'s
+    result (None if the iteration failed before it), after two checks: an
+    accepted c lies above the (k+1)-th eigenvalue of M, and the result has
+    the bytes of a run whose bound refuses, so that the Cholesky decides."""
+    decisions = []
+    bound = spectral._deflation_bound
+
+    def recorded(w, r, q, mq, theta, ritz, k):
+        accepted = bound(w, r, q, mq, theta, ritz, k)
+        decisions.append((accepted, 0.5 * (theta[k - 1] + theta[k])))
+        return accepted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_deflation_bound", recorded)
+        found = _subspace_bottom(w, k)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_deflation_bound", lambda *args: False)
+        reference = _subspace_bottom(w, k)
+    assert (found is None) == (reference is None)
+    if found is not None:
+        assert found[0].tobytes() == reference[0].tobytes()
+        assert found[1].tobytes() == reference[1].tobytes()
+    if not decisions:
+        return None
+    [(accepted, c)] = decisions
+    if accepted:
+        mu = np.linalg.eigvalsh(np.eye(w.n) - normalized_laplacian(w))
+        assert mu[-1 - k] < c
+    return bool(accepted)
+
+
+class TestDeflationBound:
+    """The O(n^2) certificate of the subspace iteration: sound wherever it
+    accepts, and the result is the same bytes whichever certificate ran."""
+
+    @pytest.mark.parametrize(
+        "metric, n, d, accepted",
+        [(metric, n, d, metric == METRIC_EUCLIDEAN or d == 4)
+         for metric in (METRIC_EUCLIDEAN, METRIC_WASSERSTEIN_SQ, METRIC_BHATTACHARYYA)
+         for n in (150, 300) for d in (4, 7)],
+    )
+    def test_benchmark_kernels(self, metric, n, d, accepted, monkeypatch):
+        assert certify(benchmark_kernel(n, metric, d=d), 5, monkeypatch) is accepted
+
+    @pytest.mark.parametrize(
+        "n, parts, noise, k, accepted",
+        [(200, 3, 0.3, 3, True), (200, 3, 0.3, 2, False), (300, 4, 0.5, 4, False),
+         (300, 4, 0.8, 3, False)],
+    )
+    def test_random_indefinite_kernels(self, n, parts, noise, k, accepted, monkeypatch):
+        for seed in range(3):
+            w = planted_kernel(n, parts, noise, np.random.default_rng(seed))
+            assert np.linalg.eigvalsh(w.values)[0] < 0.0
+            assert certify(w, k, monkeypatch) is accepted
+
+    @pytest.mark.parametrize("k, accepted", [(1, True), (2, False)])
+    def test_multipartite_kernel(self, k, accepted, monkeypatch, rng):
+        # at k = 2 the block holds a negative eigenvalue of M in place of a
+        # positive one: accepting it would be unsound
+        assert certify(multipartite_kernel(rng), k, monkeypatch) is accepted
+
+    def test_accepted_certificate_holds_no_n_by_n_array(self, monkeypatch):
+        # the Cholesky path builds A and its factor, n x n each
+        w = benchmark_kernel(1000, METRIC_EUCLIDEAN)
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: pytest.fail("Cholesky ran"))
+        tracemalloc.start()
+        try:
+            assert _subspace_bottom(w, 5) is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < w.n * w.n * 8
+
+    def test_frobenius_norm_in_row_blocks(self, monkeypatch):
+        w = benchmark_kernel(300, METRIC_EUCLIDEAN)
+        r = (1.0 / np.sqrt(w.values.sum(axis=1)))[:, None]
+        monkeypatch.setattr(spectral, "_BLOCK_ROWS", 64)
+        expected = np.linalg.norm(r * w.values * r.T) ** 2
+        assert spectral._frobenius_sq(w, r) == pytest.approx(expected, rel=1e-13)
 
 
 class TestKmeans:
