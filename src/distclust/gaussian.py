@@ -17,9 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, InvalidMatrix
-from .matrixcore import SymMatrix, _trusted, psd_check, psd_root, raise_first_failure, spd_roots
-
-LOG_2PI = float(np.log(2.0 * np.pi))
+from .matrixcore import SymMatrix, _trusted, psd_check, psd_root, raise_first_failure
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,29 +153,6 @@ def estimate_gaussian(group: SampleGroup, eps_scale: float = 1e-8) -> GaussianMo
     """Fit N(m, S) to one sample group: a batch of one through
     ``estimate_gaussians``."""
     return estimate_gaussians([group], eps_scale)[0]
-
-
-def log_density(model: GaussianModel, x: np.ndarray) -> np.ndarray | float:
-    """Gaussian log-density at x:
-    ``-(d ln 2pi + ln|S| + ||(x - m) S^{-1/2}||^2) / 2``, with ln|S| and
-    S^{-1/2} from one eigendecomposition.
-
-    Accepts a single point of shape (d,) -> float, or a batch (n, d) -> (n,).
-    """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != model.dim:
-        raise DimensionMismatch(
-            f"points of dimension {pts.shape[-1] if pts.ndim else '?'} against "
-            f"a model of dimension {model.dim}"
-        )
-    logdet, _, invroot = spd_roots(model.covariance.values[None], lambda k: "covariance")
-    z = (pts - model.mean) @ invroot[0]
-    quad = (z * z).sum(axis=1)
-    out = -0.5 * (model.dim * LOG_2PI + logdet[0] + quad)
-    return float(out[0]) if single else out
 
 
 def sample(

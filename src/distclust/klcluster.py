@@ -32,7 +32,7 @@ from .errors import EmptyCluster, InvalidConfig
 from .gaussian import GaussianModel
 from .matrixcore import SymMatrix
 from .metrics import kl_divergence_table, kl_factors
-from .spectral import ClusterAssignment, _repair_empty
+from .spectral import ClusterAssignment, _plus_plus, _repair_empty
 
 SEEDING_RANDOM = "random"
 SEEDING_KLPP = "klpp"
@@ -87,22 +87,11 @@ def klpp_seed(
     n = len(factors["mean"])
     if k < 1 or k > n:
         raise InvalidConfig(f"k={k} invalid for {n} models")
-    chosen = [int(rng.integers(n))]
-    nearest = np.full(n, np.inf)
-    for _ in range(1, k):
-        latest = chosen[-1:]
-        table = kl_divergence_table(factors, factors["mean"][latest], factors["cov"][latest])
-        nearest = np.minimum(nearest, table[:, 0])
-        weights = nearest**2 if squared else nearest
-        weights = weights.copy()
-        weights[chosen] = 0.0
-        total = weights.sum()
-        if total > 0.0:
-            chosen.append(int(rng.choice(n, p=weights / total)))
-        else:
-            pool = np.setdiff1d(np.arange(n), chosen)
-            chosen.append(int(rng.choice(pool)))
-    return chosen
+
+    def kl_to(i):
+        return kl_divergence_table(factors, factors["mean"][[i]], factors["cov"][[i]])[:, 0]
+
+    return _plus_plus(n, k, rng, kl_to, 2 if squared else 1)
 
 
 def _state(labels: np.ndarray, means: np.ndarray, covs: np.ndarray) -> bytes:

@@ -4,7 +4,7 @@ Every covariance factor the divergences, the fit and sampling use is built
 here, over (n, d, d) stacks, and a single model is a batch of one:
 
 * PSD floor: a stack passes when each smallest eigenvalue is at least
-  ``-psd_floor * max(1, lambda_max)``; owned by ``psd_check``.
+  ``-PSD_FLOOR * max(1, lambda_max)``; owned by ``psd_check``.
 * Non-positive eigenvalues: an SPD factor needs every eigenvalue above 0;
   owned by ``positive_check``.
 * Clamped square roots: ``psd_root`` clamps eigenvalues that pass the floor
@@ -30,22 +30,12 @@ import numpy as np
 
 from .errors import InvalidMatrix, NotPositiveSemidefinite, SingularMatrix
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used by the SPD operations.
-
-    psd_floor: eigenvalues below ``-psd_floor * max(1, lambda_max)`` make a
-        matrix count as indefinite rather than merely rounded.
-    negative_clamp: divergence values in ``[-negative_clamp, 0)`` are clamped
-        to 0; anything more negative is treated as a numerical failure.
-    """
-
-    psd_floor: float = 1e-10
-    negative_clamp: float = 1e-9
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# eigenvalues below -PSD_FLOOR * max(1, lambda_max) make a matrix count as
+# indefinite rather than merely rounded
+PSD_FLOOR = 1e-10
+# divergence values in [-NEGATIVE_CLAMP, 0) are clamped to 0; anything more
+# negative is a numerical failure
+NEGATIVE_CLAMP = 1e-9
 
 
 def _trusted(cls, **fields):
@@ -97,14 +87,14 @@ def raise_first_failure(name, checks) -> None:
         raise cls(f"{name(k)}: {message(k)}")
 
 
-def psd_check(w: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+def psd_check(w: np.ndarray) -> tuple:
     """The PSD-floor check for ``raise_first_failure``, from ascending
     eigenvalue rows ``w`` (n, m); only the first and last columns are read.
 
     A row fails when its smallest eigenvalue is below
-    ``-psd_floor * max(1, lambda_max)``: more negative than rounding.
+    ``-PSD_FLOOR * max(1, lambda_max)``: more negative than rounding.
     """
-    floor = -tol.psd_floor * np.maximum(1.0, w[:, -1])
+    floor = -PSD_FLOOR * np.maximum(1.0, w[:, -1])
     return (
         w[:, 0] < floor,
         NotPositiveSemidefinite,
@@ -123,7 +113,7 @@ def positive_check(w: np.ndarray, where: str) -> tuple:
     )
 
 
-def psd_root(cov: np.ndarray, name, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def psd_root(cov: np.ndarray, name) -> np.ndarray:
     """Symmetric square roots R with R @ R == S of a (n, d, d) stack of PSD
     matrices.
 
@@ -134,7 +124,7 @@ def psd_root(cov: np.ndarray, name, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     w, v = np.linalg.eigh(cov)
     root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.transpose(0, 2, 1)
     raise_first_failure(name, [
-        psd_check(w, tol),
+        psd_check(w),
         (~np.isfinite(root).all(axis=(1, 2)), InvalidMatrix,
          lambda k: "matrix entries must be finite"),
     ])

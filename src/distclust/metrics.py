@@ -25,7 +25,7 @@ count. KL k-means' model-to-center table uses the kl formula and per-model
 factors of the kl kernel, one batched column per center, with the centers
 given as stacked arrays. All values are mathematically non-negative; tiny
 negative results from rounding are clamped to zero; a value below
-``-negative_clamp``, or one that overflowed to inf or nan, raises
+``-NEGATIVE_CLAMP``, or one that overflowed to inf or nan, raises
 NumericalError.
 A failure names ``model i`` or the first failing ``pair (i, j)`` in
 row-major order.
@@ -39,8 +39,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidMatrix, NumericalError, SingularMatrix
 from .gaussian import GaussianModel
 from .matrixcore import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    NEGATIVE_CLAMP,
     _trusted,
     max_asymmetry,
     mirror_in_place,
@@ -100,19 +99,18 @@ class DistanceMatrix:
             raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidMatrix("distance entries must be finite")
-        tol = DEFAULT_TOLERANCES.negative_clamp
         diag = np.diagonal(a)
-        if np.any(np.abs(diag) > tol):
+        if np.any(np.abs(diag) > NEGATIVE_CLAMP):
             raise InvalidMatrix(
                 f"self-distance as large as {np.abs(diag).max():.6e} on the diagonal"
             )
-        if a.min() < -tol:
+        if a.min() < -NEGATIVE_CLAMP:
             raise InvalidMatrix(f"negative distance entry {a.min():.6e}")
         np.fill_diagonal(a, 0.0)
         np.clip(a, 0.0, None, out=a)
         if self.metric in SYMMETRIC_METRICS:
             gap = max_asymmetry(a)
-            if gap > tol * max(1.0, float(a.max())):
+            if gap > NEGATIVE_CLAMP * max(1.0, float(a.max())):
                 raise InvalidMatrix(
                     f"matrix tagged {self.metric!r} is asymmetric by {gap:.6e}"
                 )
@@ -136,9 +134,7 @@ def _stack(models: Sequence[GaussianModel]) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([m.mean for m in models]), np.stack([m.covariance.values for m in models])
 
 
-def _factors(
-    mean: np.ndarray, cov: np.ndarray, metric: str, tol: Tolerances, what: str = "model"
-) -> dict:
+def _factors(mean: np.ndarray, cov: np.ndarray, metric: str, what: str = "model") -> dict:
     """Per-model inputs of a metric's pair kernel, from stacked means (n, d)
     and covariances (n, d, d).
 
@@ -159,7 +155,7 @@ def _factors(
 
     if metric == METRIC_WASSERSTEIN_SQ:
         out["trace"] = np.trace(cov, axis1=1, axis2=2)
-        out["root"] = psd_root(cov, name, tol)
+        out["root"] = psd_root(cov, name)
     elif metric == METRIC_KL:
         out["logdet"], out["root"], out["invroot"] = spd_roots(cov, name)
     else:
@@ -200,27 +196,27 @@ def _cholesky_logdet(factor: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
 
 
-def _bad_values(vals: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _bad_values(vals: np.ndarray) -> np.ndarray:
     """Mask of divergence values that are non-finite or more negative than
     rounding explains."""
-    return ~np.isfinite(vals) | (vals < -tol.negative_clamp)
+    return ~np.isfinite(vals) | (vals < -NEGATIVE_CLAMP)
 
 
-def _checked(I: np.ndarray, J: np.ndarray, vals, tol: Tolerances, what: str, checks=()):
+def _checked(I: np.ndarray, J: np.ndarray, vals, what: str, checks=()):
     """Clamp a block's values to zero, or raise for its first failing pair.
 
     ``checks`` are ``(failed mask, error class, message for pair k)`` in the
     order one pair runs them; the value guard runs last and fails values
-    that are non-finite or below ``-negative_clamp``.
+    that are non-finite or below ``-NEGATIVE_CLAMP``.
     """
     raise_first_failure(lambda k: f"pair ({np.broadcast_to(I, J.shape)[k]}, {J[k]})", [
         *checks,
-        (_bad_values(vals, tol), NumericalError, lambda k: f"{what} evaluated to {vals[k]:.6e}"),
+        (_bad_values(vals), NumericalError, lambda k: f"{what} evaluated to {vals[k]:.6e}"),
     ])
     return np.clip(vals, 0.0, None)
 
 
-def _wasserstein_pairs(f: dict, I: np.ndarray, J: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _wasserstein_pairs(f: dict, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     """W2 from model I[k] to model J[k] for each pair k;
     Tr((S_i^{1/2} S_j S_i^{1/2})^{1/2}) is the sum of the square roots of
     the inner matrix's eigenvalues."""
@@ -233,13 +229,13 @@ def _wasserstein_pairs(f: dict, I: np.ndarray, J: np.ndarray, tol: Tolerances) -
     cross = np.sqrt(np.clip(w, 0.0, None)).sum(axis=1)
     diff = f["mean"][I] - f["mean"][J]
     vals = (diff * diff).sum(axis=1) + f["trace"][I] + f["trace"][J] - 2.0 * cross
-    return _checked(I, J, vals, tol, "squared Wasserstein distance", [
+    return _checked(I, J, vals, "squared Wasserstein distance", [
         (~finite, InvalidMatrix, lambda k: "Bures inner matrix entries must be finite"),
-        psd_check(w, tol),
+        psd_check(w),
     ])
 
 
-def _bhattacharyya_pairs(f: dict, I: np.ndarray, J: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _bhattacharyya_pairs(f: dict, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Bhattacharyya between models I[k] and J[k] for each pair k. One
     batched Cholesky factorization Sbar = L L^T of the averaged covariances
     gives both terms: ln|Sbar| from diag(L), and d^T Sbar^{-1} d =
@@ -259,7 +255,7 @@ def _bhattacharyya_pairs(f: dict, I: np.ndarray, J: np.ndarray, tol: Tolerances)
     quad = (z * z).sum(axis=1)
     logdet = _cholesky_logdet(factor)
     vals = 0.125 * quad + 0.5 * (logdet - 0.5 * (f["logdet"][I] + f["logdet"][J]))
-    return _checked(I, J, vals, tol, "Bhattacharyya distance", [
+    return _checked(I, J, vals, "Bhattacharyya distance", [
         (~finite, InvalidMatrix, lambda k: "averaged covariance entries must be finite"),
         (failed, SingularMatrix,
          lambda k: f"Cholesky factorization failed in averaged covariance "
@@ -279,9 +275,9 @@ def _kl(p: dict, i, q: dict, j) -> np.ndarray:
     return 0.5 * (q["logdet"][j] - p["logdet"][i] - diff.shape[1] + trace + quad)
 
 
-def _kl_pairs(f: dict, I: np.ndarray, J: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _kl_pairs(f: dict, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     """KL(model I[k] || model J[k]) for each pair k."""
-    return _checked(I, J, _kl(f, I, f, J), tol, "KL divergence")
+    return _checked(I, J, _kl(f, I, f, J), "KL divergence")
 
 
 _PAIR_KERNELS = {
@@ -291,32 +287,26 @@ _PAIR_KERNELS = {
 }
 
 
-def _scalar(metric: str, a: GaussianModel, b: GaussianModel, tol: Tolerances) -> float:
+def _scalar(metric: str, a: GaussianModel, b: GaussianModel) -> float:
     """Entry (0, 1) of the two-model matrix: a batch of one through the pair
     kernel, so errors name a as model 0 and b as model 1."""
-    f = _factors(*_stack([a, b]), metric, tol)
-    return float(_PAIR_KERNELS[metric](f, np.array([0]), np.array([1]), tol)[0])
+    f = _factors(*_stack([a, b]), metric)
+    return float(_PAIR_KERNELS[metric](f, np.array([0]), np.array([1]))[0])
 
 
-def wasserstein_sq(
-    a: GaussianModel, b: GaussianModel, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def wasserstein_sq(a: GaussianModel, b: GaussianModel) -> float:
     """Squared 2-Wasserstein distance between two Gaussians."""
-    return _scalar(METRIC_WASSERSTEIN_SQ, a, b, tol)
+    return _scalar(METRIC_WASSERSTEIN_SQ, a, b)
 
 
-def bhattacharyya(
-    a: GaussianModel, b: GaussianModel, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def bhattacharyya(a: GaussianModel, b: GaussianModel) -> float:
     """Bhattacharyya distance between two Gaussians."""
-    return _scalar(METRIC_BHATTACHARYYA, a, b, tol)
+    return _scalar(METRIC_BHATTACHARYYA, a, b)
 
 
-def kl_divergence(
-    a: GaussianModel, b: GaussianModel, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def kl_divergence(a: GaussianModel, b: GaussianModel) -> float:
     """KL(a || b) for two Gaussians. Asymmetric: KL(a||b) != KL(b||a)."""
-    return _scalar(METRIC_KL, a, b, tol)
+    return _scalar(METRIC_KL, a, b)
 
 
 def _common_dim(models: Sequence[GaussianModel]) -> int:
@@ -361,11 +351,7 @@ def _pair_blocks(n: int, metric: str, size: int):
     return len(cuts) - 1, pairs
 
 
-def distance_matrix(
-    models: Sequence[GaussianModel],
-    metric: str,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> DistanceMatrix:
+def distance_matrix(models: Sequence[GaussianModel], metric: str) -> DistanceMatrix:
     """Pairwise divergence matrix over a list of models.
 
     Per-model factors (matrix square roots, log-determinants, inverse
@@ -383,7 +369,7 @@ def distance_matrix(
     if metric == METRIC_EUCLIDEAN:
         return mean_euclidean_matrix(models)
     n = len(models)
-    f = _factors(*_stack(models), metric, tol)
+    f = _factors(*_stack(models), metric)
     kernel = _PAIR_KERNELS[metric]
     out = np.zeros((n, n))
     if metric == METRIC_KL:
@@ -396,7 +382,7 @@ def distance_matrix(
 
     def block(b):
         I, J = pairs(b)
-        out[I, J] = kernel(f, I, J, tol)
+        out[I, J] = kernel(f, I, J)
 
     run_blocks(block, count, threads)
     if metric in SYMMETRIC_METRICS:
@@ -431,17 +417,14 @@ def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
     return _trusted(DistanceMatrix, values=out, metric=METRIC_EUCLIDEAN)
 
 
-def kl_factors(models: Sequence[GaussianModel], tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
+def kl_factors(models: Sequence[GaussianModel]) -> dict:
     """Per-model inputs of ``kl_divergence_table``: the stacked ``mean`` and
     ``cov`` arrays and the kl row's factors, for reuse across calls."""
-    return _factors(*_stack(models), METRIC_KL, tol)
+    return _factors(*_stack(models), METRIC_KL)
 
 
 def kl_divergence_table(
-    factors: dict,
-    center_means: np.ndarray,
-    center_covs: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    factors: dict, center_means: np.ndarray, center_covs: np.ndarray
 ) -> np.ndarray:
     """(n_models, n_centers) table of KL(model_i || center_j).
 
@@ -452,11 +435,11 @@ def kl_divergence_table(
     """
     if center_covs.shape[1:] != factors["cov"].shape[1:]:
         raise DimensionMismatch("centers do not match model dimension")
-    center_factors = _factors(center_means, center_covs, METRIC_KL, tol, what="center")
+    center_factors = _factors(center_means, center_covs, METRIC_KL, what="center")
     out = np.empty((len(factors["mean"]), len(center_means)))
     for j in range(len(center_means)):
         out[:, j] = _kl(factors, slice(None), center_factors, j)
-    bad = np.argwhere(_bad_values(out, tol))
+    bad = np.argwhere(_bad_values(out))
     if bad.size:
         i, j = bad[0]
         raise NumericalError(f"model {i}, center {j}: KL divergence evaluated to {out[i, j]:.6e}")

@@ -7,13 +7,12 @@ threads. A process-pool worker runs its kernels on one thread
 (``one_kernel_thread`` is the pool's initializer), so workers never ask
 for more threads than the cores the setting counts.
 
-``run_blocks`` runs independent blocks of work on threads, the calling
-thread included, and raises the exception of the lowest failing block, so
-the error is the one a serial run would raise.
+``run_blocks`` runs independent blocks of work on a thread pool, or on the
+calling thread alone for one thread, and raises the exception of the lowest
+failing block, so the error is the one a serial run would raise.
 """
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -63,52 +62,26 @@ def kernel_threads() -> int:
 
 def run_blocks(work, count: int, threads: int) -> None:
     """Call ``work(b)`` for every block b in ``range(count)``, on up to
-    ``threads`` threads, the caller's one of them.
+    ``threads`` pool threads, or on the calling thread alone for one.
 
-    Threads claim blocks in ascending order, so every block below a failing
-    one has been claimed and runs to its end; blocks above the lowest
-    failure are skipped. The lowest failing block's exception is raised.
-    ``work`` must be safe to run concurrently on different blocks.
+    Results are collected in block order, so the exception raised is the
+    lowest failing block's, the one a serial run would raise; blocks not yet
+    started when it is raised are cancelled, and those running finish
+    before this returns. ``work`` must be safe to run concurrently on
+    different blocks.
     """
     threads = min(threads, count)
     if threads <= 1:
         for b in range(count):
             work(b)
         return
-    lock = threading.Lock()
-    claims = iter(range(count))
-    errors: dict[int, BaseException] = {}
-
-    def drain():
-        while True:
-            with lock:
-                b = next(claims, None)
-                if b is None or (errors and b > min(errors)):
-                    return
-            try:
-                work(b)
-            except Exception as exc:
-                with lock:
-                    errors[b] = exc
-                return
-
     # numpy's error handling is per thread (a context variable from NumPy 2.0
-    # on, thread-local state before it), so each helper enters the caller's
+    # on, thread-local state before it), so each block enters the caller's
     caller_err, caller_call = np.geterr(), np.geterrcall()
 
-    def helper():
+    def block(b):
         with np.errstate(call=caller_call, **caller_err):
-            drain()
+            work(b)
 
-    with ThreadPoolExecutor(threads - 1, thread_name_prefix="distclust-kernel") as pool:
-        helpers = [pool.submit(helper) for _ in range(threads - 1)]
-        try:
-            drain()
-        except BaseException as exc:  # an interrupt: the helpers claim no more
-            with lock:
-                errors[-1] = exc
-            raise
-        for helper in helpers:
-            helper.result()
-    if errors:
-        raise errors[min(errors)]
+    with ThreadPoolExecutor(threads, thread_name_prefix="distclust-kernel") as pool:
+        list(pool.map(block, range(count)))

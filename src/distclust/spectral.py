@@ -399,26 +399,35 @@ def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarr
     return embedding
 
 
-def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ center choice: squared-distance-weighted sampling. Each
-    point's squared distance to its nearest chosen center is kept as a
-    running minimum, updated once per pick."""
-    n = points.shape[0]
+def _plus_plus(n: int, k: int, rng: np.random.Generator, distances_to, power: int) -> list[int]:
+    """The ++ draw of k indices out of n: the first uniform, each later one
+    with probability proportional to its distance to the nearest chosen
+    index, raised to ``power``. ``distances_to(i)`` gives every index's
+    distance to index i; the nearest distance is kept as a running minimum,
+    updated once per pick. When every unchosen weight is zero the draw falls
+    back to uniform over the unchosen indices."""
     chosen = [int(rng.integers(n))]
-    d2 = np.full(n, np.inf)
+    nearest = np.full(n, np.inf)
     for _ in range(1, k):
-        diff = points - points[chosen[-1]]
-        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
-        d2[chosen] = 0.0
-        total = d2.sum()
+        np.minimum(nearest, distances_to(chosen[-1]), out=nearest)
+        weights = nearest**power
+        weights[chosen] = 0.0
+        total = weights.sum()
         if total > 0.0:
-            chosen.append(int(rng.choice(n, p=d2 / total)))
+            chosen.append(int(rng.choice(n, p=weights / total)))
         else:
-            # all remaining points coincide with a center; fall back to
-            # a uniform pick among unchosen indices
-            pool = np.setdiff1d(np.arange(n), chosen)
-            chosen.append(int(rng.choice(pool)))
-    return points[chosen].copy()
+            chosen.append(int(rng.choice(np.setdiff1d(np.arange(n), chosen))))
+    return chosen
+
+
+def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ center choice: sampling weighted by squared distance."""
+
+    def squared_distances_to(i):
+        diff = points - points[i]
+        return np.einsum("ij,ij->i", diff, diff)
+
+    return points[_plus_plus(points.shape[0], k, rng, squared_distances_to, 1)].copy()
 
 
 _EPS = np.finfo(float).eps
@@ -623,22 +632,21 @@ def ncut(w: AdjacencyMatrix, assignment: ClusterAssignment) -> float:
     """Normalized cut value (1/2) sum_i W(A_i, comp A_i) / vol(A_i).
 
     A diagnostic for the quality of a partition under the kernel; lower is
-    better. Empty clusters contribute zero.
+    better. Empty clusters contribute zero. With H the (n, k) one-hot label
+    matrix, every cut is a column sum of (W (1 - H)) * H and every volume
+    one of degrees^T H. The cut is summed directly rather than as the
+    volume minus the weight inside, which cancels when the cut is tiny.
     """
     if assignment.n != w.n:
         raise InvalidConfig(
             f"assignment over {assignment.n} objects against a {w.n}-node graph"
         )
-    degrees = w.values.sum(axis=1)
-    total = 0.0
-    for j in range(assignment.k):
-        inside = assignment.labels == j
-        if not inside.any():
-            continue
-        vol = float(degrees[inside].sum())
-        cross = float(w.values[np.ix_(inside, ~inside)].sum())
-        total += cross / vol
-    return 0.5 * total
+    h = np.zeros((w.n, assignment.k))
+    h[np.arange(w.n), assignment.labels] = 1.0
+    cut = ((w.values @ (1.0 - h)) * h).sum(axis=0)
+    vol = w.values.sum(axis=1) @ h
+    present = h.any(axis=0)
+    return 0.5 * float((cut[present] / vol[present]).sum())
 
 
 def spectral_cluster(

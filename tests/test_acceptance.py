@@ -13,9 +13,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import log_density, random_model
 from distclust.evaluation import contingency, entropy_from_counts, mutual_information, nmi
-from distclust.gaussian import GaussianModel, log_density, sample
+from distclust.gaussian import GaussianModel, sample
 from distclust.ingest import read_stock_csv
 from distclust.metrics import kl_divergence, wasserstein_sq
 from distclust.pipeline import (

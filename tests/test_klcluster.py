@@ -139,6 +139,45 @@ class TestKlppSeed:
         with pytest.raises(InvalidConfig):
             klpp_seed(kl_factors([random_model(2, rng)]), 2, rng)
 
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_matches_the_reference_draw(self, squared, rng):
+        # blobs with repeated models, whose weights drop to rounding once a
+        # copy is chosen; clones of a diagonal model, whose KL divergences
+        # are exactly 0, so every draw after the first is the uniform
+        # fallback; and clones whose divergences are equal rounding (about
+        # 3e-15), so only the chosen ones' zero weights keep them out
+        blobs = two_blobs(rng)
+        exact = [model([1.0, -2.0], np.diag([1.0, 4.0])) for _ in range(6)]
+        a = np.random.default_rng(1).standard_normal((3, 3))
+        rounded = [model(np.zeros(3), a @ a.T + 0.5 * np.eye(3)) for _ in range(6)]
+        for models, k in ((blobs + blobs[:4], 6), (exact, 4), (rounded, 4)):
+            factors = kl_factors(models)
+            for seed in range(20):
+                got = klpp_seed(factors, k, np.random.default_rng(seed), squared)
+                want = reference_klpp_seed(factors, k, np.random.default_rng(seed), squared)
+                assert got == want, (len(models), seed)
+
+
+def reference_klpp_seed(factors, k, rng, squared=False):
+    """A frozen copy of the ++ seeding loop, independent of the program's:
+    each model's KL divergence to its nearest chosen center, a fresh table
+    column per pick."""
+    n = len(factors["mean"])
+    chosen = [int(rng.integers(n))]
+    nearest = np.full(n, np.inf)
+    for _ in range(1, k):
+        latest = chosen[-1:]
+        table = kl_divergence_table(factors, factors["mean"][latest], factors["cov"][latest])
+        nearest = np.minimum(nearest, table[:, 0])
+        weights = (nearest**2 if squared else nearest).copy()
+        weights[chosen] = 0.0
+        total = weights.sum()
+        if total > 0.0:
+            chosen.append(int(rng.choice(n, p=weights / total)))
+        else:
+            chosen.append(int(rng.choice(np.setdiff1d(np.arange(n), chosen))))
+    return chosen
+
 
 def reference_kl_cluster(models, k, rng, seeding, max_iter):
     """``kl_cluster``'s passes without the stop on a repeat: labels, center
@@ -146,7 +185,7 @@ def reference_kl_cluster(models, k, rng, seeding, max_iter):
     factors = kl_factors(models)
     n = len(models)
     if seeding == SEEDING_KLPP:
-        seed_idx = klpp_seed(factors, k, rng)
+        seed_idx = reference_klpp_seed(factors, k, rng)
     else:
         seed_idx = [int(i) for i in rng.choice(n, size=k, replace=False)]
     table = kl_divergence_table(factors, factors["mean"][seed_idx], factors["cov"][seed_idx])

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
+from distclust import matrixcore
 from distclust.errors import InvalidMatrix, NotPositiveSemidefinite, SingularMatrix
 from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussian
-from distclust.matrixcore import (
-    DEFAULT_TOLERANCES,
-    SymMatrix,
-    Tolerances,
-    psd_root,
-    spd_roots,
-)
+from distclust.matrixcore import NEGATIVE_CLAMP, PSD_FLOOR, SymMatrix, psd_root, spd_roots
 from distclust.metrics import METRIC_WASSERSTEIN_SQ, _factors
 from distclust.spectral import AdjacencyMatrix, normalized_laplacian, spectral_embedding
 
@@ -200,14 +195,14 @@ class TestOnePsdVerdict:
     def test_model_root_and_w2_factors_agree(self, top, side, rng):
         # the smallest eigenvalue sits 1% below (side 1.01) or above (0.99)
         # the floor; rotation rounding is orders of magnitude under that gap
-        floor = -DEFAULT_TOLERANCES.psd_floor * max(1.0, top)
+        floor = -PSD_FLOOR * max(1.0, top)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         cov = SymMatrix((q * [side * floor, top / 2.0, top]) @ q.T).values
         verdicts = []
         for check in (
             lambda: GaussianModel(np.zeros(3), SymMatrix(cov)),
             lambda: psd_root(cov[None], str),
-            lambda: _factors(np.zeros((1, 3)), cov[None], METRIC_WASSERSTEIN_SQ, DEFAULT_TOLERANCES),
+            lambda: _factors(np.zeros((1, 3)), cov[None], METRIC_WASSERSTEIN_SQ),
         ):
             try:
                 check()
@@ -216,6 +211,23 @@ class TestOnePsdVerdict:
                 verdicts.append(type(exc))
         expected = NotPositiveSemidefinite if side > 1.0 else None
         assert verdicts == [expected] * 3
+
+    def test_floor_is_read_at_call_time(self, rng, monkeypatch):
+        # a smallest eigenvalue ten times past the floor fails every check,
+        # and passes every one once the floor is a hundred times wider
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        cov = SymMatrix((q * [-10.0 * PSD_FLOOR, 0.5, 1.0]) @ q.T).values
+        checks = (
+            lambda: GaussianModel(np.zeros(3), SymMatrix(cov)),
+            lambda: psd_root(cov[None], str),
+            lambda: _factors(np.zeros((1, 3)), cov[None], METRIC_WASSERSTEIN_SQ),
+        )
+        for check in checks:
+            with pytest.raises(NotPositiveSemidefinite):
+                check()
+        monkeypatch.setattr(matrixcore, "PSD_FLOOR", 100.0 * PSD_FLOOR)
+        for check in checks:
+            check()
 
 
 class TestRegularize:
@@ -247,6 +259,5 @@ class TestRegularize:
 
 class TestTolerances:
     def test_defaults(self):
-        tol = Tolerances()
-        assert tol.psd_floor == 1e-10
-        assert tol.negative_clamp == 1e-9
+        assert PSD_FLOOR == 1e-10
+        assert NEGATIVE_CLAMP == 1e-9

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from distclust import metrics, parallel, pipeline
+from distclust import matrixcore, metrics, parallel, pipeline
 from distclust.errors import (
     DimensionMismatch,
     InvalidMatrix,
@@ -18,13 +18,7 @@ from distclust.errors import (
     SingularMatrix,
 )
 from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussian
-from distclust.matrixcore import (
-    DEFAULT_TOLERANCES,
-    SymMatrix,
-    Tolerances,
-    psd_root,
-    spd_roots,
-)
+from distclust.matrixcore import SymMatrix, psd_root, spd_roots
 from distclust.metrics import (
     _bhattacharyya_pairs,
     _factors,
@@ -122,7 +116,7 @@ class TestBhattacharyya:
         covs[5] = np.diag([1.0, 0.0, 1.0])
         f = {"mean": np.zeros((6, 3)), "cov": np.stack(covs), "logdet": np.full(6, -10.0)}
         with pytest.raises(SingularMatrix, match=r"^pair \(2, 4\)"):
-            _bhattacharyya_pairs(f, np.full(3, 2), np.arange(3, 6), DEFAULT_TOLERANCES)
+            _bhattacharyya_pairs(f, np.full(3, 2), np.arange(3, 6))
 
 
 class TestKlDivergence:
@@ -284,15 +278,15 @@ class TestDistanceMatrixBuilder:
         # names the first of them in row-major order, whatever row it is in
         threshold = float(np.median([values[i, j] for i, j in entries]))
         first = next((i, j) for i, j in entries if values[i, j] < threshold)
-        forced = Tolerances(negative_clamp=-threshold)
+        monkeypatch.setattr(metrics, "NEGATIVE_CLAMP", -threshold)
         monkeypatch.setattr(metrics, "_PAIR_BLOCK_BYTES", 1)  # one row per block
         for threads in THREAD_SETTINGS:
             monkeypatch.setenv("DISTCLUST_THREADS", threads)
             with pytest.raises(NumericalError, match=rf"^pair {re.escape(str(first))}: "):
-                distance_matrix(models, metric, forced)
+                distance_matrix(models, metric)
         i, j = first
         with pytest.raises(NumericalError, match=r"^pair \(0, 1\): "):
-            SCALARS[metric](models[i], models[j], forced)
+            SCALARS[metric](models[i], models[j])
 
     def test_forced_psd_failure_names_pair(self, monkeypatch):
         # with a floor of -0.5 an inner matrix fails once its smallest
@@ -304,12 +298,12 @@ class TestDistanceMatrixBuilder:
             GaussianModel(np.full(2, float(i)), SymMatrix(np.diag([s, 1.0])))
             for i, s in enumerate(scales)
         ]
-        forced = Tolerances(psd_floor=-0.5)
+        monkeypatch.setattr(matrixcore, "PSD_FLOOR", -0.5)
         monkeypatch.setattr(metrics, "_PAIR_BLOCK_BYTES", 1)  # one row per block
         for threads in THREAD_SETTINGS:
             monkeypatch.setenv("DISTCLUST_THREADS", threads)
             with pytest.raises(NotPositiveSemidefinite, match=r"^pair \(2, 4\): "):
-                distance_matrix(models, METRIC_WASSERSTEIN_SQ, forced)
+                distance_matrix(models, METRIC_WASSERSTEIN_SQ)
 
     @pytest.mark.parametrize("metric", list(SCALARS))
     def test_overflowing_value_names_pair(self, metric):
@@ -418,13 +412,13 @@ class TestPairBlocks:
         kernel = metrics._PAIR_KERNELS[metric]
         blocks, failed = [], []
 
-        def held_up(f, I, J, tol):
+        def held_up(f, I, J):
             pairs = list(zip(np.broadcast_to(I, J.shape).tolist(), J.tolist()))
             blocks.append(pairs)
             if (2, 3) in pairs:
                 time.sleep(0.2)
             try:
-                return kernel(f, I, J, tol)
+                return kernel(f, I, J)
             except NumericalError as exc:
                 failed.append(str(exc).split(":")[0])
                 raise
@@ -436,12 +430,12 @@ class TestPairBlocks:
         # kl's blocks are single rows, so rows 0 and 1 come first
         assert block_of[(2, 3)] == (2 if metric == METRIC_KL else 1)
         assert block_of[(9, 10)] > block_of[(2, 3)]
-        forced = Tolerances(negative_clamp=-1.0)
+        monkeypatch.setattr(metrics, "NEGATIVE_CLAMP", -1.0)
         for threads in THREAD_SETTINGS:
             monkeypatch.setenv("DISTCLUST_THREADS", threads)
             failed.clear()
             with pytest.raises(NumericalError, match=r"^pair \(2, 3\): "):
-                distance_matrix(models, metric, forced)
+                distance_matrix(models, metric)
             if threads == "2" and metric != METRIC_KL:
                 assert failed == ["pair (9, 10)", "pair (2, 3)"]
             else:
@@ -497,6 +491,26 @@ class TestRunBlocks:
             with pytest.raises(ValueError, match="^41$"):
                 parallel.run_blocks(work, 3000, 8)
 
+    def test_failure_cancels_blocks_not_started(self):
+        # block 0 fails at once while the others take a millisecond each:
+        # the blocks not started when its error is raised are cancelled, so
+        # far fewer than all start, and none starts after run_blocks returns
+        started = []
+
+        def work(b):
+            started.append(b)
+            if b == 0:
+                raise ValueError(b)
+            time.sleep(0.001)
+
+        with pytest.raises(ValueError, match="^0$"):
+            parallel.run_blocks(work, 3000, 8)
+        ran = len(started)
+        assert ran < 3000
+        assert not [t for t in threading.enumerate() if t.name.startswith("distclust-kernel")]
+        time.sleep(0.05)
+        assert len(started) == ran
+
 
 class TestMeanEuclidean:
     def test_hand_case(self):
@@ -547,9 +561,9 @@ class TestStackedFactors:
     @pytest.mark.parametrize("d", [1, 2, 7])
     def test_equal_per_model_calls_bytes(self, d, rng):
         models = mixed_models(9, d, rng)
-        w2 = _factors(*_stack(models), METRIC_WASSERSTEIN_SQ, DEFAULT_TOLERANCES)
-        bh = _factors(*_stack(models), METRIC_BHATTACHARYYA, DEFAULT_TOLERANCES)
-        kl = _factors(*_stack(models), METRIC_KL, DEFAULT_TOLERANCES)
+        w2 = _factors(*_stack(models), METRIC_WASSERSTEIN_SQ)
+        bh = _factors(*_stack(models), METRIC_BHATTACHARYYA)
+        kl = _factors(*_stack(models), METRIC_KL)
         for i, m in enumerate(models):
             # each factor of the stack equals the model's own batch of one
             cov = m.covariance.values[None]
@@ -570,7 +584,7 @@ class TestStackedFactors:
         for i in (2, 4):
             models[i] = GaussianModel(np.zeros(2), SymMatrix(np.diag([1.0, 0.0])))
         with pytest.raises(SingularMatrix, match=r"^model 2: non-positive eigenvalue"):
-            _factors(*_stack(models), metric, DEFAULT_TOLERANCES)
+            _factors(*_stack(models), metric)
 
     def test_cholesky_failure_names_first_model(self, rng):
         # a rank-deficient covariance whose rounding leaves eigh a tiny
@@ -593,20 +607,19 @@ class TestStackedFactors:
         with pytest.raises(SingularMatrix, match=r"^model 2: Cholesky factorization failed"):
             distance_matrix(models, METRIC_BHATTACHARYYA)
 
-    def test_psd_failure_names_model(self):
+    def test_psd_failure_names_model(self, monkeypatch):
         # a negative floor turns the PSD check into a conditioning check that
         # only the two flat covariances fail
         models = [GaussianModel(np.zeros(2), SymMatrix(np.eye(2))) for _ in range(5)]
         for i in (3, 4):
             models[i] = GaussianModel(np.zeros(2), SymMatrix(np.diag([1.0, 1e-6])))
+        monkeypatch.setattr(matrixcore, "PSD_FLOOR", -1e-3)
         with pytest.raises(NotPositiveSemidefinite, match=r"^center 3: min eigenvalue"):
-            _factors(
-                *_stack(models), METRIC_WASSERSTEIN_SQ, Tolerances(psd_floor=-1e-3), what="center"
-            )
+            _factors(*_stack(models), METRIC_WASSERSTEIN_SQ, what="center")
 
 
-def kl_table(models, centers, **kwargs):
-    return kl_divergence_table(kl_factors(models), *_stack(centers), **kwargs)
+def kl_table(models, centers):
+    return kl_divergence_table(kl_factors(models), *_stack(centers))
 
 
 class TestKlDivergenceTable:
@@ -640,15 +653,15 @@ class TestKlDivergenceTable:
             want = distance_matrix(models, METRIC_KL).values
             assert np.allclose(table[off], want[off], rtol=1e-12, atol=0.0), d
 
-    def test_forced_value_failure_names_model_and_center(self, rng):
+    def test_forced_value_failure_names_model_and_center(self, rng, monkeypatch):
         models = [random_model(3, rng) for _ in range(5)]
         centers = [random_model(3, rng) for _ in range(3)]
         table = kl_table(models, centers)
         threshold = float(np.median(table))
         i, j = np.argwhere(table < threshold)[0]
-        forced = Tolerances(negative_clamp=-threshold)
+        monkeypatch.setattr(metrics, "NEGATIVE_CLAMP", -threshold)
         with pytest.raises(NumericalError, match=rf"^model {i}, center {j}: "):
-            kl_table(models, centers, tol=forced)
+            kl_table(models, centers)
 
     def test_overflowing_value_names_model_and_center(self):
         a = GaussianModel(np.zeros(2), SymMatrix(np.eye(2)))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -829,6 +830,24 @@ class TestNcut:
     def test_size_mismatch(self):
         with pytest.raises(InvalidConfig):
             ncut(two_block_adjacency(), ClusterAssignment(np.array([0, 1]), 2))
+
+    def test_tiny_cut_keeps_its_digits(self, rng):
+        # cross weights near 1e-12 next to weights near 1 inside: a cut taken
+        # as the volume minus the weight inside would keep only the volume's
+        # rounding; summed directly, it matches exactly rounded sums
+        labels = np.repeat(np.arange(3), [40, 60, 50])
+        inside = labels[:, None] == labels[None, :]
+        values = rng.uniform(0.5, 1.0, (150, 150))
+        values = np.where(inside, values, 1e-12 * values)
+        values = (values + values.T) / 2.0
+        np.fill_diagonal(values, 1.0)
+        want = 0.5 * sum(
+            math.fsum(values[labels == j][:, labels != j].ravel())
+            / math.fsum(values[labels == j].ravel())
+            for j in range(3)
+        )
+        got = ncut(AdjacencyMatrix(values, 1.0), ClusterAssignment(labels, 3))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestSpectralCluster:
