@@ -16,8 +16,8 @@ Each divergence has one pair kernel: for index arrays (I, J) it stacks the
 pairs' matrices into (b, d, d) arrays and makes one batched LAPACK call for
 them, a symmetric eigensolve for W2 and one Cholesky factorization of the
 averaged covariances for Bhattacharyya. The matrix builder cuts the pairs,
-in row-major order, into blocks of whole rows and runs W2 and Bhattacharyya
-blocks on threads (the batched LAPACK calls release the GIL); a scalar
+in row-major order, into blocks of whole rows and runs W2 blocks on threads
+(the batched LAPACK calls release the GIL); a scalar
 entry point is a batch of one through the same kernel. A matrix's LAPACK
 and BLAS calls run once per matrix whatever stack it sits in, so a matrix
 entry equals the scalar call bit for bit at any block size and thread
@@ -358,9 +358,10 @@ def distance_matrix(models: Sequence[GaussianModel], metric: str) -> DistanceMat
     roots) are computed once. The computed pairs, in row-major order, are
     cut into blocks of whole rows, up to ``_PAIR_BLOCK_BYTES`` per
     (pairs, d, d) stack, and one pair-kernel call per block fails
-    non-finite values and clamps the rest to zero. W2 and Bhattacharyya
-    blocks run on ``kernel_threads()`` threads; the error is the first
-    failing block's, so it names the first failing pair in row-major order.
+    non-finite values and clamps the rest to zero. W2 blocks run on
+    ``kernel_threads()`` threads, the others on the calling thread; the
+    error is the first failing block's, so it names the first failing pair
+    in row-major order.
     Symmetric metrics fill the upper triangle and add its exact transpose;
     kl fills both triangles independently.
     """
@@ -372,12 +373,11 @@ def distance_matrix(models: Sequence[GaussianModel], metric: str) -> DistanceMat
     f = _factors(*_stack(models), metric)
     kernel = _PAIR_KERNELS[metric]
     out = np.zeros((n, n))
-    if metric == METRIC_KL:
-        # kl's kernel is light: grouped rows and a second thread both
-        # measured slower than one row at a time on the calling thread
-        size, threads = 1, 1
-    else:
-        size, threads = max(1, _PAIR_BLOCK_BYTES // (8 * f["cov"][0].size)), kernel_threads()
+    # kl's kernel is light: grouped rows and a second thread both measured
+    # slower than one row at a time on the calling thread. Bhattacharyya's
+    # blocks measured no faster on a second thread; W2's eigensolves gain
+    size = 1 if metric == METRIC_KL else max(1, _PAIR_BLOCK_BYTES // (8 * f["cov"][0].size))
+    threads = kernel_threads() if metric == METRIC_WASSERSTEIN_SQ else 1
     count, pairs = _pair_blocks(n, metric, size)
 
     def block(b):

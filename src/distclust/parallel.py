@@ -2,10 +2,12 @@
 
 ``resolve_threads`` is the one thread setting: an explicit count, else
 ``DISTCLUST_THREADS``, else the CPUs the process may run on. The benchmark
-harness sizes its process pool with it and the divergence kernels their
-threads. A process-pool worker runs its kernels on one thread
-(``one_kernel_thread`` is the pool's initializer), so workers never ask
-for more threads than the cores the setting counts.
+harness counts its trial processes with it, the calling process among
+them, and the divergence kernels their threads. Every process that runs
+trials runs its kernels on one thread (a pool worker's initializer calls
+``one_kernel_thread``, ``kernels_on_one_thread`` pins the caller for the
+length of the map), so the processes never ask for more threads than the
+cores the setting counts.
 
 ``run_blocks`` runs independent blocks of work on a thread pool, or on the
 calling thread alone for one thread, and raises the exception of the lowest
@@ -14,6 +16,7 @@ failing block, so the error is the one a serial run would raise.
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,7 +24,8 @@ from .errors import InvalidConfig
 
 THREADS_ENV_VAR = "DISTCLUST_THREADS"
 
-# set to 1 in process-pool workers; None reads resolve_threads()
+# 1 in process-pool workers and in a caller running trials; None reads
+# resolve_threads()
 _kernel_threads: int | None = None
 
 
@@ -49,14 +53,27 @@ def resolve_threads(explicit: int | None = None) -> int:
 
 
 def one_kernel_thread() -> None:
-    """Process-pool initializer: this process runs its kernels on one thread."""
+    """For a process-pool initializer: this process runs its kernels on one
+    thread."""
     global _kernel_threads
     _kernel_threads = 1
 
 
+@contextmanager
+def kernels_on_one_thread():
+    """Run this process's kernels on one thread inside the block, as a pool
+    worker's run; the previous setting comes back however the block ends."""
+    global _kernel_threads
+    previous, _kernel_threads = _kernel_threads, 1
+    try:
+        yield
+    finally:
+        _kernel_threads = previous
+
+
 def kernel_threads() -> int:
-    """Threads for one in-process kernel: 1 in a pool worker, else
-    ``resolve_threads()``."""
+    """Threads for one in-process kernel: 1 in a pool worker or a caller
+    running trials, else ``resolve_threads()``."""
     return _kernel_threads or resolve_threads()
 
 
@@ -65,10 +82,11 @@ def run_blocks(work, count: int, threads: int) -> None:
     ``threads`` pool threads, or on the calling thread alone for one.
 
     Results are collected in block order, so the exception raised is the
-    lowest failing block's, the one a serial run would raise; blocks not yet
-    started when it is raised are cancelled, and those running finish
-    before this returns. ``work`` must be safe to run concurrently on
-    different blocks.
+    lowest failing block's, the one a serial run would raise. Once a block
+    has failed no further block is handed to the pool; when the error is
+    raised the blocks not yet started are cancelled, lowest first, and
+    those running finish before this returns. ``work`` must be safe to run
+    concurrently on different blocks.
     """
     threads = min(threads, count)
     if threads <= 1:
@@ -78,10 +96,28 @@ def run_blocks(work, count: int, threads: int) -> None:
     # numpy's error handling is per thread (a context variable from NumPy 2.0
     # on, thread-local state before it), so each block enters the caller's
     caller_err, caller_call = np.geterr(), np.geterrcall()
+    failed = []
 
     def block(b):
-        with np.errstate(call=caller_call, **caller_err):
-            work(b)
+        try:
+            with np.errstate(call=caller_call, **caller_err):
+                work(b)
+        except BaseException:
+            failed.append(b)
+            raise
 
     with ThreadPoolExecutor(threads, thread_name_prefix="distclust-kernel") as pool:
-        list(pool.map(block, range(count)))
+        futures = []
+        try:
+            # the pool starts blocks while this loop submits the rest; after
+            # a failure only lower blocks, all submitted already, can matter
+            for b in range(count):
+                if failed:
+                    break
+                futures.append(pool.submit(block, b))
+            for future in futures:
+                future.result()
+        except BaseException:
+            # empties the queue in submission order, lowest block first
+            pool.shutdown(cancel_futures=True)
+            raise

@@ -18,9 +18,9 @@ cell's ``wall_time_s`` sums each trial's measured clustering seconds after
 that shared fit. Trial seeds are derived from the base seed with a fixed
 mixing function, so reports are reproducible and independent of how trials
 are scheduled. With
-``threads > 1`` trials run in worker processes: one benchmark job starts at
-most one pool, shared by the trials of all its cells, and shuts it down
-before it returns.
+``threads > 1`` trials run in ``threads`` processes, the calling one and
+``threads - 1`` spawned workers: one benchmark job starts at most one pool,
+shared by the trials of all its cells, and shuts it down before it returns.
 """
 
 import time
@@ -44,7 +44,7 @@ from .metrics import (
     distance_matrix,
     mean_euclidean_matrix,
 )
-from .parallel import one_kernel_thread, resolve_threads
+from .parallel import kernels_on_one_thread, one_kernel_thread, resolve_threads
 from .spectral import ClusterAssignment, kernelize, kmeans, spectral_cluster
 from .synthgen import derive_trial_seed, generate_benchmark
 
@@ -238,15 +238,82 @@ def cluster_matrix(dm: DistanceMatrix, config: PipelineConfig) -> tuple[ClusterA
     }
 
 
+# a pool worker's view of the job's claim table, set by _start_worker
+_claims = None
+
+
+def _start_worker(claims) -> None:
+    """Pool initializer: kernels on one thread, and the job's claim table."""
+    global _claims
+    one_kernel_thread()
+    _claims = claims
+
+
+def _claim(claims, index: int) -> bool:
+    """Mark trial ``index`` started; False if another process already has."""
+    with claims.get_lock():
+        if claims[index]:
+            return False
+        claims[index] = 1
+        return True
+
+
+def _claimed_call(fn, index: int, args):
+    """A worker's task: run the trial unless the caller claimed it first."""
+    return fn(args) if _claim(_claims, index) else None
+
+
 def _map_trials(fn, args_list, threads: int):
-    if threads <= 1 or len(args_list) <= 1:
+    """``[fn(args) for args in args_list]`` on ``threads`` processes.
+
+    For ``threads > 1`` the caller is one of them: it starts a spawn pool of
+    ``threads - 1`` workers (fewer for few trials), hands it every trial in
+    order, and then runs trials itself from the last one down while the
+    workers boot and take them from the first one up. A shared table of
+    started trials decides who runs each, so every trial runs once and the
+    caller stops only when none is left unstarted; its kernels run on one
+    thread meanwhile, as a worker's do. The error raised is the
+    lowest-index failing trial's, whichever process ran it; an interrupt
+    in the caller cancels the trials not yet handed to a worker.
+    """
+    count = len(args_list)
+    if threads <= 1 or count <= 1:
         return [fn(args) for args in args_list]
-    with ProcessPoolExecutor(
-        max_workers=min(threads, len(args_list)),
-        mp_context=get_context("spawn"),
-        initializer=one_kernel_thread,
+    context = get_context("spawn")
+    claims = context.Array("b", count)
+    outcomes = {}  # trials the caller ran: index -> (result, exception)
+    with kernels_on_one_thread(), ProcessPoolExecutor(
+        max_workers=min(threads - 1, count - 1),
+        mp_context=context,
+        initializer=_start_worker,
+        initargs=(claims,),
     ) as pool:
-        return list(pool.map(fn, args_list))
+        futures = [pool.submit(_claimed_call, fn, i, args) for i, args in enumerate(args_list)]
+        try:
+            for i in reversed(range(count)):
+                # a cancelled future never reaches a worker; one already
+                # queued to a worker is claimed through the table
+                if futures[i].cancel() or _claim(claims, i):
+                    try:
+                        outcomes[i] = fn(args_list[i]), None
+                    except Exception as exc:
+                        # a lower trial's error wins, so run on
+                        outcomes[i] = None, exc
+            results = []
+            for i, future in enumerate(futures):
+                if i in outcomes:
+                    result, exc = outcomes[i]
+                    if exc is not None:
+                        raise exc
+                else:
+                    result = future.result()
+                results.append(result)
+            return results
+        except BaseException:
+            # only an interrupt in the claim loop leaves trials unstarted; a
+            # trial's error is read after every trial has started
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _score_cells(keys, per_trial, trials: int, algorithms) -> list[dict]:

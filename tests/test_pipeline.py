@@ -1,13 +1,17 @@
 import json
+import multiprocessing
 import os
 import pickle
+import time
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from distclust import pipeline
+from distclust import parallel, pipeline
 from distclust.errors import InvalidConfig, InvalidMatrix, RowError, SingularMatrix
 from distclust.pipeline import (
     ALGO_BHATTACHARYYA,
@@ -84,13 +88,14 @@ def fits(monkeypatch) -> list:
 
 @pytest.fixture
 def pools(monkeypatch) -> list:
-    """The worker pools the pipeline creates, in creation order."""
+    """The ``max_workers`` of each worker pool the pipeline creates, in
+    creation order."""
     created = []
 
     class CountingPool(pipeline.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            created.append(self)
+            created.append(kwargs["max_workers"])
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
     return created
@@ -364,6 +369,82 @@ class TestBenchmarkStock:
             benchmark_stock(groups, k_list=[2], noise_sigmas=[1.0], trials=0)
 
 
+def wait_for_file(folder: Path, pattern: str) -> None:
+    deadline = time.monotonic() + 60
+    while not any(folder.glob(pattern)) and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def scripted_trial(args: dict) -> tuple[int, int]:
+    """A trial that leaves ``<i>.caller`` or ``<i>.worker`` in ``dir`` as it
+    starts, waits up to a minute for a file matching ``wait_for``, sleeps
+    ``delay`` seconds, then raises ``raises`` if given; returns its pid and
+    its kernel threads."""
+    folder = Path(args["dir"])
+    where = "caller" if multiprocessing.parent_process() is None else "worker"
+    (folder / f"{args['i']}.{where}").touch()
+    if "wait_for" in args:
+        wait_for_file(folder, args["wait_for"])
+    time.sleep(args.get("delay", 0.0))
+    if "raises" in args:
+        raise args["raises"]
+    return os.getpid(), parallel.kernel_threads()
+
+
+def trial_files(folder) -> list[str]:
+    return sorted(p.name for p in Path(folder).iterdir())
+
+
+class SlowToUnpickle:
+    """Unpickling this sleeps for ``seconds``: a worker handed a trial that
+    carries it claims the trial that much later."""
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+
+    def __reduce__(self):
+        return time.sleep, (self.seconds,)
+
+
+def scripted_failure(i: int) -> Exception:
+    return pipeline._seed_named(ValueError("scripted failure"), i)
+
+
+# the benchmark trials as imported, before a test patches them
+REAL_TRIALS = {name: getattr(pipeline, name) for name in ("_synth_trial", "_stock_trial")}
+WORKER_MARKS = "DISTCLUST_TEST_WORKER_MARKS"
+
+
+def trial_once_a_worker_started(name: str, args: dict):
+    """The benchmark trial ``name``. A pool worker first leaves a file in
+    the folder ``WORKER_MARKS`` names; the caller first waits up to a minute
+    for one, so a worker runs some trial of the job."""
+    folder = Path(os.environ[WORKER_MARKS])
+    if multiprocessing.parent_process() is not None:
+        (folder / str(os.getpid())).touch()
+    else:
+        wait_for_file(folder, "*")
+    return REAL_TRIALS[name](args)
+
+
+@pytest.fixture
+def worker_joins(monkeypatch, tmp_path):
+    """Call before a pooled job: its caller holds its first trial until a
+    worker has started one. Returns the folder of the workers' files."""
+    jobs = []
+
+    def arm() -> Path:
+        folder = tmp_path / f"job{len(jobs)}"
+        folder.mkdir()
+        jobs.append(folder)
+        monkeypatch.setenv(WORKER_MARKS, str(folder))
+        for name in REAL_TRIALS:
+            monkeypatch.setattr(pipeline, name, partial(trial_once_a_worker_started, name))
+        return folder
+
+    return arm
+
+
 class TestThreads:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("DISTCLUST_THREADS", "7")
@@ -395,27 +476,107 @@ class TestThreads:
         with pytest.raises(InvalidConfig):
             resolve_threads(None)
 
-    def test_worker_pool_matches_inline(self, pools):
+    def test_worker_pool_matches_inline(self, pools, worker_joins):
         kwargs = dict(
             d_list=[2, 3], k_list=[2, 3], trials=2, base_seed=4,
             n_objects=10, samples_per_object=6,
         )
         inline = benchmark_synthetic(threads=1, **kwargs)
         assert pools == []
-        pooled = benchmark_synthetic(threads=2, **kwargs)
-        assert len(pools) == 1
-        assert len(pooled["cells"]) == 4 * len(ALGORITHMS)
-        assert canonical_json_bytes(inline) == canonical_json_bytes(pooled)
+        for threads in (2, 3):
+            marks = worker_joins()
+            pooled = benchmark_synthetic(threads=threads, **kwargs)
+            assert any(marks.iterdir())
+            assert len(pooled["cells"]) == 4 * len(ALGORITHMS)
+            assert canonical_json_bytes(inline) == canonical_json_bytes(pooled)
+        # one pool per job, the caller counted among the threads
+        assert pools == [1, 2]
 
-    def test_stock_worker_pool_matches_inline(self, pools, rng):
+    def test_stock_worker_pool_matches_inline(self, pools, worker_joins, rng):
         groups, _ = separated_groups(rng, per_cluster=4)
         kwargs = dict(k_list=[2, 3], noise_sigmas=[0.5, 1.0], trials=2, base_seed=6)
         inline = benchmark_stock(groups, threads=1, **kwargs)
         assert pools == []
-        pooled = benchmark_stock(groups, threads=2, **kwargs)
-        assert len(pools) == 1
-        assert len(pooled["cells"]) == 4 * len(ALGORITHMS)
-        assert canonical_json_bytes(inline) == canonical_json_bytes(pooled)
+        for threads in (2, 3):
+            marks = worker_joins()
+            pooled = benchmark_stock(groups, threads=threads, **kwargs)
+            assert any(marks.iterdir())
+            assert len(pooled["cells"]) == 4 * len(ALGORITHMS)
+            assert canonical_json_bytes(inline) == canonical_json_bytes(pooled)
+        assert pools == [1, 2]
+
+
+class TestTrialMap:
+    """The caller runs trials from the last one down while the pool's
+    workers take them from the first one up."""
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_caller_and_workers_share_the_trials(self, threads, tmp_path, pools, monkeypatch):
+        monkeypatch.setenv("DISTCLUST_THREADS", "4")
+        # the caller holds its first trial until a worker has started one
+        args = [{"i": i, "dir": str(tmp_path), "wait_for": "*.worker"} for i in range(30)]
+        ran = pipeline._map_trials(scripted_trial, args, threads)
+        assert pools == [threads - 1]
+        pids = [pid for pid, _ in ran]
+        assert os.getpid() in pids
+        assert len(set(pids)) >= 2
+        # every process runs its kernels on one thread during the map
+        assert {kernel_threads for _, kernel_threads in ran} == {1}
+        assert parallel.kernel_threads() == 4
+        # each trial started once, in one process
+        assert sorted(int(name.split(".")[0]) for name in trial_files(tmp_path)) == list(range(30))
+        assert pids[-1] == os.getpid()
+
+    def test_fewer_trials_than_threads_start_fewer_workers(self, tmp_path, pools):
+        args = [{"i": i, "dir": str(tmp_path)} for i in range(2)]
+        assert len(pipeline._map_trials(scripted_trial, args, 8)) == 2
+        assert pools == [1]
+
+    def test_lower_failure_in_a_worker_wins_over_the_callers(self, tmp_path):
+        # one worker: the caller takes trial 1 and fails it as soon as the
+        # worker has started trial 0, which fails later
+        common = {"dir": str(tmp_path)}
+        args = [
+            {**common, "i": 0, "delay": 0.3, "raises": scripted_failure(0)},
+            {**common, "i": 1, "wait_for": "0.worker", "raises": scripted_failure(1)},
+        ]
+        with pytest.raises(ValueError, match=r"^trial seed 0: scripted failure$"):
+            pipeline._map_trials(scripted_trial, args, 2)
+        assert trial_files(tmp_path) == ["0.worker", "1.caller"]
+
+    def test_lower_failure_in_the_caller_wins_over_a_workers(self, tmp_path):
+        # two workers: the caller holds trial 2 until a worker has started
+        # trial 1, which fails at once; the worker handed trial 0 is still
+        # unpickling it, so the caller claims trial 0 and fails it later
+        common = {"dir": str(tmp_path)}
+        args = [
+            {**common, "i": 0, "slow": SlowToUnpickle(2.0), "raises": scripted_failure(0)},
+            {**common, "i": 1, "raises": scripted_failure(1)},
+            {**common, "i": 2, "wait_for": "1.worker"},
+        ]
+        with pytest.raises(ValueError, match=r"^trial seed 0: scripted failure$"):
+            pipeline._map_trials(scripted_trial, args, 3)
+        assert trial_files(tmp_path) == ["0.caller", "1.worker", "2.caller"]
+
+    def test_kernel_threads_come_back_after_a_failing_map(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DISTCLUST_THREADS", "3")
+        common = {"dir": str(tmp_path)}
+        args = [{**common, "i": i, "raises": scripted_failure(i)} for i in range(3)]
+        with pytest.raises(ValueError, match=r"^trial seed 0: "):
+            pipeline._map_trials(scripted_trial, args, 2)
+        assert parallel.kernel_threads() == 3
+
+    def test_interrupt_in_the_caller_cancels_unstarted_trials(self, tmp_path):
+        # the caller's first trial is interrupted before the worker boots:
+        # only the trials already queued to the worker may still run
+        common = {"dir": str(tmp_path)}
+        args = [{**common, "i": i} for i in range(30)]
+        args[-1]["raises"] = KeyboardInterrupt()
+        with pytest.raises(KeyboardInterrupt):
+            pipeline._map_trials(scripted_trial, args, 2)
+        files = trial_files(tmp_path)
+        assert "29.caller" in files
+        assert len([f for f in files if f.endswith(".worker")]) <= 2
 
 
 class TestWriteReport:
