@@ -4,10 +4,9 @@
 ``DISTCLUST_THREADS``, else the CPUs the process may run on. The benchmark
 harness counts its trial processes with it, the calling process among
 them, and the divergence kernels their threads. Every process that runs
-trials runs its kernels on one thread (a pool worker's initializer calls
-``one_kernel_thread``, ``kernels_on_one_thread`` pins the caller for the
-length of the map), so the processes never ask for more threads than the
-cores the setting counts.
+trials, the caller and each pool worker, runs its kernels on one thread
+inside ``kernels_on_one_thread``, so the processes never ask for more
+threads than the cores the setting counts.
 
 ``run_blocks`` runs independent blocks of work on a thread pool, or on the
 calling thread alone for one thread, and raises the exception of the lowest
@@ -24,8 +23,7 @@ from .errors import InvalidConfig
 
 THREADS_ENV_VAR = "DISTCLUST_THREADS"
 
-# 1 in process-pool workers and in a caller running trials; None reads
-# resolve_threads()
+# 1 in a process running trials; None reads resolve_threads()
 _kernel_threads: int | None = None
 
 
@@ -52,17 +50,11 @@ def resolve_threads(explicit: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def one_kernel_thread() -> None:
-    """For a process-pool initializer: this process runs its kernels on one
-    thread."""
-    global _kernel_threads
-    _kernel_threads = 1
-
-
 @contextmanager
 def kernels_on_one_thread():
-    """Run this process's kernels on one thread inside the block, as a pool
-    worker's run; the previous setting comes back however the block ends."""
+    """Run this process's kernels on one thread inside the block, as every
+    process running trials does; the previous setting comes back however
+    the block ends."""
     global _kernel_threads
     previous, _kernel_threads = _kernel_threads, 1
     try:
@@ -72,8 +64,8 @@ def kernels_on_one_thread():
 
 
 def kernel_threads() -> int:
-    """Threads for one in-process kernel: 1 in a pool worker or a caller
-    running trials, else ``resolve_threads()``."""
+    """Threads for one in-process kernel: 1 in a process running trials,
+    else ``resolve_threads()``."""
     return _kernel_threads or resolve_threads()
 
 

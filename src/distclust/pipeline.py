@@ -19,8 +19,9 @@ that shared fit. Trial seeds are derived from the base seed with a fixed
 mixing function, so reports are reproducible and independent of how trials
 are scheduled. With
 ``threads > 1`` trials run in ``threads`` processes, the calling one and
-``threads - 1`` spawned workers: one benchmark job starts at most one pool,
-shared by the trials of all its cells, and shuts it down before it returns.
+``threads - 1`` spawned workers, each taking the next unstarted trial off
+one shared counter: one benchmark job starts at most one pool, shared by
+the trials of all its cells, and shuts it down before it returns.
 """
 
 import time
@@ -44,7 +45,7 @@ from .metrics import (
     distance_matrix,
     mean_euclidean_matrix,
 )
-from .parallel import kernels_on_one_thread, one_kernel_thread, resolve_threads
+from .parallel import kernels_on_one_thread, resolve_threads
 from .spectral import ClusterAssignment, kernelize, kmeans, spectral_cluster
 from .synthgen import derive_trial_seed, generate_benchmark
 
@@ -117,7 +118,6 @@ class PipelineConfig:
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
     assignment: ClusterAssignment
-    models: tuple
     algorithm: str
     diagnostics: dict = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
@@ -158,7 +158,6 @@ def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
         )
         return PipelineResult(
             result.assignment,
-            models,
             config.algorithm,
             diagnostics={"wcss": result.wcss},
             warnings=warnings,
@@ -175,7 +174,7 @@ def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
             config,
         )
         return PipelineResult(
-            assignment, models, config.algorithm, diagnostics=diagnostics, warnings=warnings
+            assignment, config.algorithm, diagnostics=diagnostics, warnings=warnings
         )
 
     seeding = SEEDING_KLPP if config.algorithm == ALGO_KLPP else SEEDING_RANDOM
@@ -189,7 +188,6 @@ def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
     )
     return PipelineResult(
         result.assignment,
-        models,
         config.algorithm,
         diagnostics={
             "iterations": result.iterations,
@@ -238,82 +236,80 @@ def cluster_matrix(dm: DistanceMatrix, config: PipelineConfig) -> tuple[ClusterA
     }
 
 
-# a pool worker's view of the job's claim table, set by _start_worker
-_claims = None
+# a pool worker's view of the job's next-trial counter, set by _start_worker
+_next_trial = None
 
 
-def _start_worker(claims) -> None:
-    """Pool initializer: kernels on one thread, and the job's claim table."""
-    global _claims
-    one_kernel_thread()
-    _claims = claims
+def _start_worker(next_trial) -> None:
+    """Pool initializer: the job's next-trial counter."""
+    global _next_trial
+    _next_trial = next_trial
 
 
-def _claim(claims, index: int) -> bool:
-    """Mark trial ``index`` started; False if another process already has."""
-    with claims.get_lock():
-        if claims[index]:
-            return False
-        claims[index] = 1
-        return True
-
-
-def _claimed_call(fn, index: int, args):
-    """A worker's task: run the trial unless the caller claimed it first."""
-    return fn(args) if _claim(_claims, index) else None
+def _run_trials(fn, args_list, next_trial=None) -> dict:
+    """One process's share of a pooled map, the caller's and every worker's:
+    take the next unstarted trial off the job's counter (a worker's from
+    ``_start_worker``) and run it, kernels on one thread, until none is
+    left. Returns index -> (result, exception). After a failure no process
+    starts another trial: every lower one has started already."""
+    next_trial = _next_trial if next_trial is None else next_trial
+    count = len(args_list)
+    outcomes = {}
+    with kernels_on_one_thread():
+        while True:
+            with next_trial.get_lock():
+                i = next_trial.value
+                next_trial.value = i + 1
+            if i >= count:
+                return outcomes
+            try:
+                outcomes[i] = fn(args_list[i]), None
+            except Exception as exc:
+                next_trial.value = count
+                outcomes[i] = None, exc
 
 
 def _map_trials(fn, args_list, threads: int):
     """``[fn(args) for args in args_list]`` on ``threads`` processes.
 
     For ``threads > 1`` the caller is one of them: it starts a spawn pool of
-    ``threads - 1`` workers (fewer for few trials), hands it every trial in
-    order, and then runs trials itself from the last one down while the
-    workers boot and take them from the first one up. A shared table of
-    started trials decides who runs each, so every trial runs once and the
-    caller stops only when none is left unstarted; its kernels run on one
-    thread meanwhile, as a worker's do. The error raised is the
-    lowest-index failing trial's, whichever process ran it; an interrupt
-    in the caller cancels the trials not yet handed to a worker.
+    ``threads - 1`` workers (fewer for few trials), hands each worker one
+    ``_run_trials`` task over the whole list, and runs ``_run_trials``
+    itself. Every process takes the next unstarted trial off one shared
+    counter, so every trial runs once and the caller returns only when
+    none is left unstarted. The error raised is the lowest-index failing
+    trial's, whichever process ran it; an interrupt in the caller leaves
+    no trial for a process to start.
     """
     count = len(args_list)
     if threads <= 1 or count <= 1:
         return [fn(args) for args in args_list]
+    workers = min(threads - 1, count - 1)
     context = get_context("spawn")
-    claims = context.Array("b", count)
-    outcomes = {}  # trials the caller ran: index -> (result, exception)
-    with kernels_on_one_thread(), ProcessPoolExecutor(
-        max_workers=min(threads - 1, count - 1),
+    next_trial = context.Value("i", 0)
+    with ProcessPoolExecutor(
+        max_workers=workers,
         mp_context=context,
         initializer=_start_worker,
-        initargs=(claims,),
+        initargs=(next_trial,),
     ) as pool:
-        futures = [pool.submit(_claimed_call, fn, i, args) for i, args in enumerate(args_list)]
         try:
-            for i in reversed(range(count)):
-                # a cancelled future never reaches a worker; one already
-                # queued to a worker is claimed through the table
-                if futures[i].cancel() or _claim(claims, i):
-                    try:
-                        outcomes[i] = fn(args_list[i]), None
-                    except Exception as exc:
-                        # a lower trial's error wins, so run on
-                        outcomes[i] = None, exc
-            results = []
-            for i, future in enumerate(futures):
-                if i in outcomes:
-                    result, exc = outcomes[i]
-                    if exc is not None:
-                        raise exc
-                else:
-                    result = future.result()
-                results.append(result)
-            return results
+            futures = [pool.submit(_run_trials, fn, args_list) for _ in range(workers)]
+            outcomes = _run_trials(fn, args_list, next_trial)
+            for future in futures:
+                outcomes.update(future.result())
         except BaseException:
-            # only an interrupt in the claim loop leaves trials unstarted; a
-            # trial's error is read after every trial has started
+            next_trial.value = count
             pool.shutdown(cancel_futures=True)
             raise
+    results = []
+    # every trial below the lowest failing one has run
+    for i in range(count):
+        result, exc = outcomes[i]
+        if exc is not None:
+            raise exc
+        results.append(result)
+    return results
 
 
 def _score_cells(keys, per_trial, trials: int, algorithms) -> list[dict]:

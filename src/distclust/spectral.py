@@ -116,7 +116,6 @@ class KMeansResult:
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
     assignment: ClusterAssignment
-    embedding: np.ndarray
     eigenvalues: np.ndarray
     ncut: float
     bandwidth_sigma: float
@@ -239,13 +238,6 @@ _MIN_GAP = 1e-8
 _BOUND_SLACK = 16
 
 
-class _Embedding(tuple):
-    """``spectral_embedding``'s ``(basis, eigenvalues)`` pair, which unpacks
-    as before; ``eigensolver`` names the solver that produced it."""
-
-    eigensolver: str
-
-
 def _frobenius_sq(w: AdjacencyMatrix, r: np.ndarray) -> float:
     """|M|_F^2 = sum_i r_i^2 sum_j W_ij^2 r_j^2 for M = r W r, in row blocks,
     so no n x n temporary is built."""
@@ -366,11 +358,11 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
     return 1.0 - theta[:k], vectors
 
 
-def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray, str]:
     """Rows of the k bottom eigenvectors of L_sym, row-normalized.
 
-    Returns (embedding, eigenvalues) where eigenvalues are the k smallest,
-    ascending; the pair's ``eigensolver`` is ``"subspace"`` or ``"dense"``.
+    Returns (embedding, eigenvalues, eigensolver): eigenvalues are the k
+    smallest, ascending, and eigensolver is ``"subspace"`` or ``"dense"``.
     All-zero rows are left at zero rather than divided. Above
     _DENSE_MAX_N * min(max(1, k / _DENSE_K)^2, _DENSE_CAP) objects (120 for
     k <= 5, 480 for k = 10, 600 from k = 12 on), and when the block of
@@ -394,9 +386,7 @@ def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarr
     norms = np.linalg.norm(basis, axis=1)
     keep = norms > 0.0
     basis[keep] /= norms[keep, None]
-    embedding = _Embedding((basis, eigenvalues))
-    embedding.eigensolver = eigensolver
-    return embedding
+    return basis, eigenvalues, eigensolver
 
 
 def _plus_plus(n: int, k: int, rng: np.random.Generator, distances_to, power: int) -> list[int]:
@@ -657,14 +647,12 @@ def spectral_cluster(
     max_iter: int = 300,
 ) -> SpectralResult:
     """Cluster graph nodes by k-means on the normalized spectral embedding."""
-    embedding = spectral_embedding(w, k)
-    basis, eigenvalues = embedding
+    basis, eigenvalues, eigensolver = spectral_embedding(w, k)
     result = kmeans(basis, k, rng, restarts=restarts, max_iter=max_iter)
     return SpectralResult(
         assignment=result.assignment,
-        embedding=basis,
         eigenvalues=eigenvalues,
         ncut=ncut(w, result.assignment),
         bandwidth_sigma=w.bandwidth_sigma,
-        eigensolver=embedding.eigensolver,
+        eigensolver=eigensolver,
     )

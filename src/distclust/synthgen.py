@@ -19,23 +19,11 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 
-@dataclass(frozen=True)
-class SynthParams:
-    d: int
-    k: int
-    n_objects: int
-    samples_per_object: int
-    seed: int
-    spectrum: tuple[float, ...]
-    simplex_boundary: bool
-
-
 @dataclass(frozen=True, eq=False)
 class SyntheticBenchmark:
     groups: tuple[SampleGroup, ...]
     truth: np.ndarray
     generators: tuple[GaussianModel, ...]
-    params: SynthParams
 
 
 def derive_trial_seed(base_seed: int, trial: int) -> int:
@@ -132,13 +120,4 @@ def generate_benchmark(
         for t in range(n_objects)
     )
     truth.flags.writeable = False
-    params = SynthParams(
-        d=d,
-        k=k,
-        n_objects=n_objects,
-        samples_per_object=samples_per_object,
-        seed=seed,
-        spectrum=tuple(float(s) for s in spec_arr),
-        simplex_boundary=simplex_boundary,
-    )
-    return SyntheticBenchmark(groups, truth, generators, params)
+    return SyntheticBenchmark(groups, truth, generators)

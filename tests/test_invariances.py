@@ -92,3 +92,62 @@ def test_root_wasserstein_triangle_inequality():
         p, q, r = (model(d, cond, rng) for _ in range(3))
         pq, qr, pr = (np.sqrt(wasserstein_sq(x, y)) for x, y in ((p, q), (q, r), (p, r)))
         assert pr <= (pq + qr) * (1.0 + rtol(cond)), (d, cond, pr, pq + qr)
+
+
+def psd_root(s: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(s)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+
+
+def below(x: float, y: float, cond: float) -> bool:
+    """x <= y up to the rounding ``close`` allows."""
+    return x <= y + rtol(cond) * max(1.0, abs(y))
+
+
+def test_bhattacharyya_below_half_of_either_kl():
+    # Jensen: -ln E_p[sqrt(q/p)] <= E_p[-ln sqrt(q/p)] = KL(p||q) / 2
+    for d, cond, rng in cases(16):
+        p, q = model(d, cond, rng), model(d, cond, rng)
+        bound = 0.5 * min(kl_divergence(p, q), kl_divergence(q, p))
+        assert below(bhattacharyya(p, q), bound, cond), (d, cond)
+
+
+def test_wasserstein_above_the_gelbrich_mean_term():
+    for d, cond, rng in cases(17):
+        p, q = model(d, cond, rng), model(d, cond, rng)
+        mean_term = float(np.sum((p.mean - q.mean) ** 2))
+        assert below(mean_term, wasserstein_sq(p, q), cond), (d, cond)
+
+
+def test_wasserstein_below_the_root_difference_bound():
+    # Tr((S_p^1/2 S_q S_p^1/2)^1/2) is the nuclear norm of S_p^1/2 S_q^1/2,
+    # at least its trace, with equality when the covariances commute
+    for d, cond, rng in cases(18):
+        p, q = model(d, cond, rng), model(d, cond, rng)
+        root_p, root_q = psd_root(p.covariance.values), psd_root(q.covariance.values)
+        bound = float(np.sum((p.mean - q.mean) ** 2) + np.sum((root_p - root_q) ** 2))
+        assert below(wasserstein_sq(p, q), bound, cond), (d, cond)
+
+
+def test_wasserstein_of_commuting_covariances_is_the_root_difference():
+    for d, cond, rng in cases(19):
+        basis = orthogonal(d, rng)
+        spectra = [np.logspace(0.0, np.log10(cond), d) * 10.0 ** rng.uniform(-2.0, 2.0)
+                   for _ in range(2)]
+        p, q = (GaussianModel(rng.standard_normal(d), SymMatrix((basis * rng.permutation(s)) @ basis.T))
+                for s in spectra)
+        root_p, root_q = psd_root(p.covariance.values), psd_root(q.covariance.values)
+        exact = float(np.sum((p.mean - q.mean) ** 2) + np.sum((root_p - root_q) ** 2))
+        assert close(wasserstein_sq(p, q), exact, cond), (d, cond)
+
+
+def test_equal_covariances_leave_the_mahalanobis_term():
+    # B = (1/8) D and KL = (1/2) D in both directions, D = delta^T S^-1 delta
+    for d, cond, rng in cases(20):
+        p, q = model(d, cond, rng), model(d, cond, rng)
+        q = GaussianModel(q.mean, p.covariance)
+        delta = p.mean - q.mean
+        mahalanobis = float(delta @ np.linalg.solve(p.covariance.values, delta))
+        assert close(bhattacharyya(p, q), mahalanobis / 8.0, cond), (d, cond)
+        assert close(kl_divergence(p, q), mahalanobis / 2.0, cond), (d, cond)
+        assert close(kl_divergence(q, p), mahalanobis / 2.0, cond), (d, cond)

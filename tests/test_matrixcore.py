@@ -69,7 +69,7 @@ class TestSymEigen:
 
     @staticmethod
     def check_bottom_pairs(w: AdjacencyMatrix, k: int, tol: float):
-        _, eigenvalues = spectral_embedding(w, k)
+        _, eigenvalues, _ = spectral_embedding(w, k)
         assert np.all(np.diff(eigenvalues) >= 0)
         expected = np.linalg.eigvalsh(normalized_laplacian(w))[:k]
         assert np.abs(eigenvalues - expected).max() <= tol
@@ -79,7 +79,7 @@ class TestSymEigen:
         # eigenvalues 0 and 2a/(1+a), eigenvectors (1, 1) and (1, -1) / sqrt 2
         a = 0.5
         w = AdjacencyMatrix([[1.0, a], [a, 1.0]], 1.0)
-        basis, eigenvalues = spectral_embedding(w, 2)
+        basis, eigenvalues, _ = spectral_embedding(w, 2)
         np.testing.assert_allclose(eigenvalues, [0.0, 2.0 * a / (1.0 + a)], atol=1e-12)
         np.testing.assert_allclose(np.abs(basis), 1.0 / np.sqrt(2.0), atol=1e-12)
         assert basis[0, 0] * basis[1, 0] > 0 and basis[0, 1] * basis[1, 1] < 0
@@ -95,7 +95,7 @@ class TestSymEigen:
             np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-10)
             np.testing.assert_allclose((v * eigenvalues) @ v.T, lap, atol=1e-10)
             # the embedding is exactly this solve's bottom k columns, row-normalized
-            basis, _ = spectral_embedding(w, k)
+            basis, _, _ = spectral_embedding(w, k)
             want = v[:, :k] / np.linalg.norm(v[:, :k], axis=1)[:, None]
             assert basis.tobytes() == want.tobytes()
             self.check_bottom_pairs(w, k, 1e-12 * n)

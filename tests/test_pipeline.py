@@ -395,17 +395,6 @@ def trial_files(folder) -> list[str]:
     return sorted(p.name for p in Path(folder).iterdir())
 
 
-class SlowToUnpickle:
-    """Unpickling this sleeps for ``seconds``: a worker handed a trial that
-    carries it claims the trial that much later."""
-
-    def __init__(self, seconds: float):
-        self.seconds = seconds
-
-    def __reduce__(self):
-        return time.sleep, (self.seconds,)
-
-
 def scripted_failure(i: int) -> Exception:
     return pipeline._seed_named(ValueError("scripted failure"), i)
 
@@ -507,8 +496,8 @@ class TestThreads:
 
 
 class TestTrialMap:
-    """The caller runs trials from the last one down while the pool's
-    workers take them from the first one up."""
+    """The caller and the pool's workers each take the next unstarted trial
+    off one shared counter."""
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_caller_and_workers_share_the_trials(self, threads, tmp_path, pools, monkeypatch):
@@ -525,7 +514,16 @@ class TestTrialMap:
         assert parallel.kernel_threads() == 4
         # each trial started once, in one process
         assert sorted(int(name.split(".")[0]) for name in trial_files(tmp_path)) == list(range(30))
-        assert pids[-1] == os.getpid()
+
+    def test_many_short_trials_on_more_processes_than_cores_start_once(self, tmp_path):
+        # four processes race over the counter for 2,000 trials that only
+        # leave their file; a lost update would start some trial twice
+        args = [{"i": i, "dir": str(tmp_path)} for i in range(2000)]
+        args[0]["wait_for"] = "*.worker"
+        ran = pipeline._map_trials(scripted_trial, args, 4)
+        assert len(ran) == 2000
+        started = sorted(int(name.split(".")[0]) for name in trial_files(tmp_path))
+        assert started == list(range(2000))
 
     def test_fewer_trials_than_threads_start_fewer_workers(self, tmp_path, pools):
         args = [{"i": i, "dir": str(tmp_path)} for i in range(2)]
@@ -533,30 +531,40 @@ class TestTrialMap:
         assert pools == [1]
 
     def test_lower_failure_in_a_worker_wins_over_the_callers(self, tmp_path):
-        # one worker: the caller takes trial 1 and fails it as soon as the
-        # worker has started trial 0, which fails later
+        # one worker: the caller holds trial 0 until the worker has taken
+        # trial 1, then takes trial 2 and fails it before trial 1 fails
         common = {"dir": str(tmp_path)}
         args = [
-            {**common, "i": 0, "delay": 0.3, "raises": scripted_failure(0)},
-            {**common, "i": 1, "wait_for": "0.worker", "raises": scripted_failure(1)},
+            {**common, "i": 0, "wait_for": "1.worker"},
+            {**common, "i": 1, "delay": 0.3, "raises": scripted_failure(1)},
+            {**common, "i": 2, "raises": scripted_failure(2)},
+        ]
+        with pytest.raises(ValueError, match=r"^trial seed 1: scripted failure$"):
+            pipeline._map_trials(scripted_trial, args, 2)
+        assert trial_files(tmp_path) == ["0.caller", "1.worker", "2.caller"]
+
+    def test_lower_failure_in_the_caller_wins_over_a_workers(self, tmp_path):
+        # one worker: the caller holds trial 0 until the worker has taken
+        # trial 1, which fails at once; trial 0 fails later
+        common = {"dir": str(tmp_path)}
+        args = [
+            {**common, "i": 0, "wait_for": "1.worker", "delay": 0.3,
+             "raises": scripted_failure(0)},
+            {**common, "i": 1, "raises": scripted_failure(1)},
         ]
         with pytest.raises(ValueError, match=r"^trial seed 0: scripted failure$"):
             pipeline._map_trials(scripted_trial, args, 2)
-        assert trial_files(tmp_path) == ["0.worker", "1.caller"]
+        assert trial_files(tmp_path) == ["0.caller", "1.worker"]
 
-    def test_lower_failure_in_the_caller_wins_over_a_workers(self, tmp_path):
-        # two workers: the caller holds trial 2 until a worker has started
-        # trial 1, which fails at once; the worker handed trial 0 is still
-        # unpickling it, so the caller claims trial 0 and fails it later
+    def test_failure_leaves_no_trial_to_start(self, tmp_path):
+        # the caller's first trial fails before the worker boots: every
+        # lower trial has started, so no process starts another
         common = {"dir": str(tmp_path)}
-        args = [
-            {**common, "i": 0, "slow": SlowToUnpickle(2.0), "raises": scripted_failure(0)},
-            {**common, "i": 1, "raises": scripted_failure(1)},
-            {**common, "i": 2, "wait_for": "1.worker"},
-        ]
-        with pytest.raises(ValueError, match=r"^trial seed 0: scripted failure$"):
-            pipeline._map_trials(scripted_trial, args, 3)
-        assert trial_files(tmp_path) == ["0.caller", "1.worker", "2.caller"]
+        args = [{**common, "i": i} for i in range(30)]
+        args[0]["raises"] = scripted_failure(0)
+        with pytest.raises(ValueError, match=r"^trial seed 0: "):
+            pipeline._map_trials(scripted_trial, args, 2)
+        assert trial_files(tmp_path) == ["0.caller"]
 
     def test_kernel_threads_come_back_after_a_failing_map(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DISTCLUST_THREADS", "3")
@@ -568,15 +576,13 @@ class TestTrialMap:
 
     def test_interrupt_in_the_caller_cancels_unstarted_trials(self, tmp_path):
         # the caller's first trial is interrupted before the worker boots:
-        # only the trials already queued to the worker may still run
+        # the worker finds no trial left
         common = {"dir": str(tmp_path)}
         args = [{**common, "i": i} for i in range(30)]
-        args[-1]["raises"] = KeyboardInterrupt()
+        args[0]["raises"] = KeyboardInterrupt()
         with pytest.raises(KeyboardInterrupt):
             pipeline._map_trials(scripted_trial, args, 2)
-        files = trial_files(tmp_path)
-        assert "29.caller" in files
-        assert len([f for f in files if f.endswith(".worker")]) <= 2
+        assert trial_files(tmp_path) == ["0.caller"]
 
 
 class TestWriteReport:

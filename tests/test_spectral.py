@@ -249,14 +249,14 @@ class TestNormalizedLaplacian:
 class TestSpectralEmbedding:
     def test_rows_unit_norm(self):
         w = two_block_adjacency()
-        basis, eigenvalues = spectral_embedding(w, 2)
+        basis, eigenvalues, _ = spectral_embedding(w, 2)
         assert basis.shape == (10, 2)
         assert eigenvalues.shape == (2,)
         norms = np.linalg.norm(basis, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_two_blocks_give_two_tight_point_groups(self):
-        basis, eigenvalues = spectral_embedding(two_block_adjacency(), 2)
+        basis, eigenvalues, _ = spectral_embedding(two_block_adjacency(), 2)
         assert np.all(eigenvalues < 1e-6)
         within_a = np.abs(basis[:5] - basis[0]).max()
         within_b = np.abs(basis[5:] - basis[5]).max()
@@ -282,7 +282,7 @@ def dense_embedding(w: AdjacencyMatrix, k: int, monkeypatch) -> tuple:
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_DENSE_MAX_N", w.n)
         embedding = spectral_embedding(w, k)
-    assert embedding.eigensolver == "dense"
+    assert embedding[2] == "dense"
     return embedding
 
 
@@ -332,13 +332,13 @@ class TestBottomEigensolver:
             outside = reference[:, :k] - vectors @ (vectors.T @ reference[:, :k])
             assert np.linalg.norm(outside, 2) <= 1e-6
         if n > spectral._DENSE_MAX_N:
-            embedding = spectral_embedding(w, k)
-            assert embedding.eigensolver == "subspace"
-            assert embedding[1].tobytes() == eigenvalues.tobytes()
+            _, values, eigensolver = spectral_embedding(w, k)
+            assert eigensolver == "subspace"
+            assert values.tobytes() == eigenvalues.tobytes()
 
     def test_at_or_below_crossover_runs_dense(self):
         w = benchmark_kernel(spectral._DENSE_MAX_N, METRIC_EUCLIDEAN)
-        assert spectral_embedding(w, 5).eigensolver == "dense"
+        assert spectral_embedding(w, 5)[2] == "dense"
 
     @pytest.mark.parametrize("k, n, tried", [(5, 121, True), (10, 480, False), (10, 481, True),
                                              (20, 600, False), (20, 601, True)])
@@ -356,20 +356,20 @@ class TestBottomEigensolver:
         k = 2
         w = block_kernel(k + 1, 50)
         assert w.n > spectral._DENSE_MAX_N
-        embedding = spectral_embedding(w, k)
-        assert embedding.eigensolver == "dense"
+        basis, eigenvalues, eigensolver = spectral_embedding(w, k)
+        assert eigensolver == "dense"
         reference = dense_embedding(w, k, monkeypatch)
-        assert embedding[0].tobytes() == reference[0].tobytes()
-        assert embedding[1].tobytes() == reference[1].tobytes()
+        assert basis.tobytes() == reference[0].tobytes()
+        assert eigenvalues.tobytes() == reference[1].tobytes()
 
     def test_iteration_cap_falls_back(self, monkeypatch):
         w = benchmark_kernel(200, METRIC_EUCLIDEAN)
         reference = dense_embedding(w, 5, monkeypatch)
         monkeypatch.setattr(spectral, "_MAX_PASSES", 1)
-        embedding = spectral_embedding(w, 5)
-        assert embedding.eigensolver == "dense"
-        assert embedding[0].tobytes() == reference[0].tobytes()
-        assert embedding[1].tobytes() == reference[1].tobytes()
+        basis, eigenvalues, eigensolver = spectral_embedding(w, 5)
+        assert eigensolver == "dense"
+        assert basis.tobytes() == reference[0].tobytes()
+        assert eigenvalues.tobytes() == reference[1].tobytes()
 
     def test_bytes_independent_of_global_random_state(self):
         w = benchmark_kernel(200, METRIC_EUCLIDEAN)
@@ -382,7 +382,7 @@ class TestBottomEigensolver:
             b = spectral_embedding(w, 5)
         finally:
             np.random.set_state(saved)
-        assert a.eigensolver == b.eigensolver == "subspace"
+        assert a[2] == b[2] == "subspace"
         assert a[0].tobytes() == b[0].tobytes()
         assert a[1].tobytes() == b[1].tobytes()
 
@@ -401,8 +401,8 @@ class TestBottomEigensolver:
         factored = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.shape) or cholesky(a))
-        basis, eigenvalues = embedding = spectral_embedding(w, k)
-        assert embedding.eigensolver == eigensolver
+        basis, eigenvalues, solver = spectral_embedding(w, k)
+        assert solver == eigensolver
         assert factored == {1: [], 2: [(n, n)]}[k]
         expected = np.linalg.eigvalsh(normalized_laplacian(w))[:k]
         assert np.abs(eigenvalues - expected).max() <= 1e-10
@@ -432,8 +432,8 @@ class TestBottomEigensolver:
         groups = generate_benchmark(7, 20, n_objects=1000, samples_per_object=30, seed=0).groups
         w = kernelize(mean_euclidean_matrix(estimate_gaussians(groups, 1e-8)))
         factored = count_qr(monkeypatch)
-        basis, eigenvalues = embedding = spectral_embedding(w, 20)
-        assert embedding.eigensolver == "subspace"
+        basis, eigenvalues, eigensolver = spectral_embedding(w, 20)
+        assert eigensolver == "subspace"
         assert factored[0] == (1000, 40)
         expected = np.linalg.eigvalsh(normalized_laplacian(w))[:20]
         assert np.abs(eigenvalues - expected).max() <= 1e-10
@@ -445,7 +445,7 @@ class TestBottomEigensolver:
         groups = generate_benchmark(7, 10, n_objects=2000, samples_per_object=30, seed=0).groups
         w = kernelize(mean_euclidean_matrix(estimate_gaussians(groups, 1e-8)))
         factored = count_qr(monkeypatch)
-        assert spectral_embedding(w, 10).eigensolver == "subspace"
+        assert spectral_embedding(w, 10)[2] == "subspace"
         assert len(factored) > 2 * spectral._STALL_WINDOW
 
 
@@ -581,7 +581,7 @@ class TestKmeans:
         # spectral_embedding imposes no eigenvector sign convention, which
         # rests on this: differences and means negate exactly
         for seed in range(5):
-            points, _ = spectral_embedding(two_block_adjacency(20, 13, cross=0.3), k)
+            points, _, _ = spectral_embedding(two_block_adjacency(20, 13, cross=0.3), k)
             points = points + 0.05 * rng.standard_normal(points.shape)
             signs = np.where(rng.random(k) < 0.5, -1.0, 1.0)
             signs[0] = -1.0
