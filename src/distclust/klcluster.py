@@ -14,7 +14,9 @@ empty-cluster repairs, which may raise it.
 Seeding is either ``random`` (k distinct models drawn uniformly) or ``klpp``,
 the ++-style scheme that picks each next center with probability
 proportional to the model's KL divergence to its nearest chosen center
-(optionally the squared divergence).
+(optionally the squared divergence). kl++ runs the lockstep ++ draw of
+k-means++ in ``spectral`` as a batch of one: one uniform per pick, looked
+up in the normalized cumulative weights (the inverse CDF).
 
 The iteration runs on stacked arrays from start to finish: ``kl_factors``
 stacks and factors the models once, and every center set is a (k, d) mean
@@ -82,16 +84,18 @@ def klpp_seed(
     each later one is drawn with probability proportional to the model's KL
     divergence to its nearest already-chosen center (or that divergence
     squared). When every candidate has zero divergence the draw falls back
-    to uniform over unchosen indices.
+    to uniform over unchosen indices. Each pick takes one ``rng.random()``
+    and the inverse CDF of the weights, as ``rng.choice(n, p=...)`` would;
+    weights that overflow raise ``NumericalError``.
     """
     n = len(factors["mean"])
     if k < 1 or k > n:
         raise InvalidConfig(f"k={k} invalid for {n} models")
 
-    def kl_to(i):
-        return kl_divergence_table(factors, factors["mean"][[i]], factors["cov"][[i]])[:, 0]
+    def kl_to(idx):
+        return kl_divergence_table(factors, factors["mean"][idx], factors["cov"][idx]).T
 
-    return _plus_plus(n, k, rng, kl_to, 2 if squared else 1)
+    return _plus_plus(n, k, [rng], kl_to, 2 if squared else 1)[0].tolist()
 
 
 def _state(labels: np.ndarray, means: np.ndarray, covs: np.ndarray) -> bytes:

@@ -26,7 +26,9 @@ factors of the kl kernel, one batched column per center, with the centers
 given as stacked arrays. All values are mathematically non-negative; tiny
 negative results from rounding are clamped to zero; a value below
 ``-NEGATIVE_CLAMP``, or one that overflowed to inf or nan, raises
-NumericalError.
+NumericalError. W2 cancels to 0 for equal models at any scale, so a W2 pair
+adds its own rounding bound, scaled by eps d (tr S_i + tr S_j + |dm|^2),
+to ``NEGATIVE_CLAMP``.
 A failure names ``model i`` or the first failing ``pair (i, j)`` in
 row-major order.
 """
@@ -70,6 +72,11 @@ _EUCLIDEAN_BLOCK_BYTES = 1 << 22
 # overhead, which a second thread waits on under the GIL; larger ones raise
 # peak memory and the page faults of fresh temporaries
 _PAIR_BLOCK_BYTES = 1 << 18
+
+_EPS = np.finfo(float).eps
+# margin on the unit constants of a W2 pair's rounding slack (see
+# _wasserstein_pairs)
+_W2_SLACK = 16
 
 # kl is a directed divergence; everything else is a metric-like symmetric value
 SYMMETRIC_METRICS = frozenset(
@@ -196,22 +203,24 @@ def _cholesky_logdet(factor: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
 
 
-def _bad_values(vals: np.ndarray) -> np.ndarray:
+def _bad_values(vals: np.ndarray, slack=0.0) -> np.ndarray:
     """Mask of divergence values that are non-finite or more negative than
-    rounding explains."""
-    return ~np.isfinite(vals) | (vals < -NEGATIVE_CLAMP)
+    rounding explains: below -(NEGATIVE_CLAMP + slack), where ``slack`` is
+    a value's own rounding bound."""
+    return ~np.isfinite(vals) | (vals < -(NEGATIVE_CLAMP + slack))
 
 
-def _checked(I: np.ndarray, J: np.ndarray, vals, what: str, checks=()):
+def _checked(I: np.ndarray, J: np.ndarray, vals, what: str, checks=(), slack=0.0):
     """Clamp a block's values to zero, or raise for its first failing pair.
 
     ``checks`` are ``(failed mask, error class, message for pair k)`` in the
     order one pair runs them; the value guard runs last and fails values
-    that are non-finite or below ``-NEGATIVE_CLAMP``.
+    that are non-finite or below ``-(NEGATIVE_CLAMP + slack)``.
     """
     raise_first_failure(lambda k: f"pair ({np.broadcast_to(I, J.shape)[k]}, {J[k]})", [
         *checks,
-        (_bad_values(vals), NumericalError, lambda k: f"{what} evaluated to {vals[k]:.6e}"),
+        (_bad_values(vals, slack), NumericalError,
+         lambda k: f"{what} evaluated to {vals[k]:.6e}"),
     ])
     return np.clip(vals, 0.0, None)
 
@@ -219,20 +228,38 @@ def _checked(I: np.ndarray, J: np.ndarray, vals, what: str, checks=()):
 def _wasserstein_pairs(f: dict, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     """W2 from model I[k] to model J[k] for each pair k;
     Tr((S_i^{1/2} S_j S_i^{1/2})^{1/2}) is the sum of the square roots of
-    the inner matrix's eigenvalues."""
+    the inner matrix's eigenvalues.
+
+    W2 = |dm|^2 + tr S_i + tr S_j - 2 sum sqrt(w) cancels, to 0 for a model
+    and its copy, so a pair's negative rounding is bounded per pair, not by
+    ``NEGATIVE_CLAMP`` alone. The sums round by a few eps d (|dm|^2 +
+    tr S_i + tr S_j); forming the inner matrix and its eigensolve move each
+    eigenvalue by up to delta = eps d tr S_i tr S_j, which can raise its
+    root by up to sqrt(w) - sqrt(w - delta), all of sqrt(w) where w <=
+    delta (near-singular covariances). The pair's slack is the sums'
+    rounding plus twice those root increases, with eps scaled by
+    ``_W2_SLACK``.
+    """
     root = f["root"][I]
     inner = root @ f["cov"][J] @ root
     inner = (inner + inner.transpose(0, 2, 1)) / 2.0
     finite = np.isfinite(inner).all(axis=(1, 2))
     inner[~finite] = 0.0
     w = np.linalg.eigvalsh(inner)
-    cross = np.sqrt(np.clip(w, 0.0, None)).sum(axis=1)
+    roots = np.sqrt(np.clip(w, 0.0, None))
+    cross = roots.sum(axis=1)
     diff = f["mean"][I] - f["mean"][J]
-    vals = (diff * diff).sum(axis=1) + f["trace"][I] + f["trace"][J] - 2.0 * cross
+    scale = (diff * diff).sum(axis=1) + f["trace"][I] + f["trace"][J]
+    vals = scale - 2.0 * cross
+    with np.errstate(over="ignore"):  # an inf term only widens the slack
+        unit = _W2_SLACK * _EPS * w.shape[1]
+        delta = unit * (f["trace"][I] * f["trace"][J])
+        lifted = roots - np.sqrt(np.clip(w - delta[:, None], 0.0, None))
+        slack = unit * scale + 2.0 * lifted.sum(axis=1)
     return _checked(I, J, vals, "squared Wasserstein distance", [
         (~finite, InvalidMatrix, lambda k: "Bures inner matrix entries must be finite"),
         psd_check(w),
-    ])
+    ], slack)
 
 
 def _bhattacharyya_pairs(f: dict, I: np.ndarray, J: np.ndarray) -> np.ndarray:

@@ -24,14 +24,19 @@ as wide as n, and when the iteration or both certificates fail, the full
 ``numpy.linalg.eigh`` of the Laplacian runs instead; ``eigensolver`` says
 which one did.
 
-k-means runs Lloyd's iteration from k-means++ seeds, all restarts in
-lockstep: one batched GEMM scores every restart's centers, and rows that
+k-means runs all restarts in lockstep, from seeding to scoring. The
+k-means++ draw seeds every restart at once on (restarts, n) arrays: each
+pick takes one uniform from each restart's generator and looks it up in
+that restart's normalized cumulative weights (the inverse CDF), the index
+``Generator.choice`` with those probabilities would return. In Lloyd's
+iteration one batched GEMM scores every restart's centers, and rows that
 its rounding could misorder are scored again in the exact difference form,
-so the labels are those of one restart run alone. The within-cluster sum
-of squares that picks the best restart is evaluated once per restart, on
-its final labels. Eigenvector signs are left as LAPACK returns them:
-negating a column negates every difference, product and mean exactly, so
-seeds, labels and sums of squares do not change.
+so the labels are those of one restart run alone. The within-cluster sums
+of squares that pick the best restart are scored for every restart in one
+pass, over points sorted by (restart, label). Eigenvector signs are left
+as LAPACK returns them: negating a column negates every difference,
+product and mean exactly, so seeds, labels and sums of squares do not
+change.
 """
 
 from dataclasses import dataclass
@@ -43,6 +48,7 @@ from .errors import (
     InvalidConfig,
     InvalidMatrix,
     MetricNotSymmetric,
+    NumericalError,
 )
 from .matrixcore import _BLOCK_ROWS, _trusted, max_asymmetry, mirror_in_place
 from .metrics import DistanceMatrix
@@ -389,35 +395,62 @@ def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarr
     return basis, eigenvalues, eigensolver
 
 
-def _plus_plus(n: int, k: int, rng: np.random.Generator, distances_to, power: int) -> list[int]:
-    """The ++ draw of k indices out of n: the first uniform, each later one
-    with probability proportional to its distance to the nearest chosen
-    index, raised to ``power``. ``distances_to(i)`` gives every index's
-    distance to index i; the nearest distance is kept as a running minimum,
-    updated once per pick. When every unchosen weight is zero the draw falls
-    back to uniform over the unchosen indices."""
-    chosen = [int(rng.integers(n))]
-    nearest = np.full(n, np.inf)
-    for _ in range(1, k):
-        np.minimum(nearest, distances_to(chosen[-1]), out=nearest)
-        weights = nearest**power
-        weights[chosen] = 0.0
-        total = weights.sum()
-        if total > 0.0:
-            chosen.append(int(rng.choice(n, p=weights / total)))
-        else:
-            chosen.append(int(rng.choice(np.setdiff1d(np.arange(n), chosen))))
+def _plus_plus(n: int, k: int, rngs, distances_to, power: int) -> np.ndarray:
+    """The ++ draw of k indices out of n for every generator at once, one
+    row of the returned (R, k) array per generator: the first index is
+    uniform, each later one is drawn with probability proportional to its
+    distance to the nearest index chosen in its row, raised to ``power``.
+    ``distances_to(idx)`` gives, for an (R,) array of indices, every index's
+    distance to each of them as an (R, n) array; the nearest distances are
+    kept as an (R, n) running minimum, updated once per pick.
+
+    Each pick takes one ``random()`` from each row's generator and looks it
+    up in that row's normalized cumulative weights, the first index whose
+    cumulative weight exceeds it. That is the inverse-CDF lookup of
+    ``Generator.choice(n, p=weights / total)``, on the same cumulative sum,
+    so a row draws the index that call would. A row whose unchosen weights
+    are all zero falls back to a uniform draw over its unchosen indices.
+    Weights that overflow to inf, or are nan, raise ``NumericalError``
+    naming the row (restart) and the pick.
+    """
+    r = len(rngs)
+    rows = np.arange(r)
+    chosen = np.empty((r, k), dtype=np.intp)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    nearest = np.full((r, n), np.inf)
+    for pick in range(1, k):
+        np.minimum(nearest, distances_to(chosen[:, pick - 1]), out=nearest)
+        with np.errstate(over="ignore"):  # an overflow fails the totals check
+            weights = nearest**power
+            weights[rows[:, None], chosen[:, :pick]] = 0.0
+            totals = weights.sum(axis=1)
+        bad = ~np.isfinite(totals)
+        if bad.any():
+            row = int(bad.argmax())
+            raise NumericalError(
+                f"restart {row}, pick {pick}: ++ weights sum to {totals[row]:.6e}"
+            )
+        live = totals > 0.0
+        for row in np.flatnonzero(~live):
+            unchosen = np.setdiff1d(np.arange(n), chosen[row, :pick])
+            chosen[row, pick] = rngs[row].choice(unchosen)
+        cdf = np.cumsum(weights[live] / totals[live, None], axis=1)
+        cdf /= cdf[:, -1:]
+        draws = np.array([rngs[row].random() for row in np.flatnonzero(live)])
+        chosen[live, pick] = np.count_nonzero(cdf <= draws[:, None], axis=1)
     return chosen
 
 
-def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ center choice: sampling weighted by squared distance."""
+def _plus_plus_seed(points: np.ndarray, k: int, rngs) -> np.ndarray:
+    """k-means++ center choice, sampling weighted by squared distance: the
+    (R, k, d) center sets of R restarts, one per generator, drawn in
+    lockstep."""
 
-    def squared_distances_to(i):
-        diff = points - points[i]
-        return np.einsum("ij,ij->i", diff, diff)
+    def squared_distances_to(idx):
+        diff = points - points[idx][:, None, :]
+        return np.einsum("rnd,rnd->rn", diff, diff)
 
-    return points[_plus_plus(points.shape[0], k, rng, squared_distances_to, 1)].copy()
+    return points[_plus_plus(points.shape[0], k, rngs, squared_distances_to, 1)]
 
 
 _EPS = np.finfo(float).eps
@@ -502,6 +535,27 @@ def wcss(points: np.ndarray, labels: np.ndarray, k: int) -> float:
     return total
 
 
+def _restart_wcss(points: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``wcss`` of every restart's labels (R, n), scored about its centers
+    (R, k, d), the means of those labels, in one pass.
+
+    The points are ordered by (restart, label) with a stable sort, so each
+    cluster's squared deviations form one contiguous block, its members in
+    index order. ``.sum()`` over a block is the pairwise sum ``wcss`` takes
+    over the cluster's (members, d) array, and the cluster sums are added in
+    label order from 0.0, so every score equals ``wcss`` to the byte.
+    """
+    r, n = labels.shape
+    k = centers.shape[1]
+    cells = (labels + k * np.arange(r)[:, None]).ravel()
+    order = np.argsort(cells, kind="stable")
+    sq = points[order % n] - centers.reshape(r * k, -1)[cells[order]]
+    sq = np.square(sq, out=sq).ravel()
+    ends = np.cumsum(np.bincount(cells, minlength=r * k)) * points.shape[1]
+    sums = [sq[s:e].sum() for s, e in zip([0, *ends[:-1].tolist()], ends.tolist())]
+    return np.cumsum(np.reshape(sums, (r, k)), axis=1)[:, -1]
+
+
 def _update_step(
     points: np.ndarray, labels: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -542,8 +596,8 @@ def _lloyd(
     iteration never raises that cost (up to their rounding); an
     empty-cluster repair lowers it too.
 
-    Each restart seeds its own k-means++ centers and leaves the active set
-    when an assignment leaves its labels unchanged, or after ``max_iter``
+    The restarts' k-means++ centers are drawn together, one row per
+    generator, and each restart leaves the active set when an assignment leaves its labels unchanged, or after ``max_iter``
     passes and one last update; so every restart ends as it would alone.
     A pass's labels are a function of the labels before it (repair, means,
     assignment), so once a restart's labels equal those of p passes earlier
@@ -557,7 +611,7 @@ def _lloyd(
     """
     minus_2xt = -2.0 * points.T
     sq_points = np.einsum("ij,ij->i", points, points)
-    centers = np.stack([_plus_plus_seed(points, k, rng) for rng in rngs])
+    centers = _plus_plus_seed(points, k, rngs)
     labels, cost = _assign(points, minus_2xt, sq_points, centers)
     history = [[c] for c in cost.tolist()]
     active = np.arange(len(rngs))
@@ -596,8 +650,8 @@ def kmeans(
     """k-means with k-means++ seeding and multiple restarts.
 
     The best restart is the one with the lowest within-cluster sum of
-    squares of its final labels, computed once per restart; ties keep the
-    earliest restart. Restarts use generators derived from a single
+    squares of its final labels, scored for all restarts in one pass; ties
+    keep the earliest restart. Restarts use generators derived from a single
     base seed drawn from ``rng``, so results depend only on the incoming
     generator state.
     """
@@ -611,7 +665,7 @@ def kmeans(
     seed_base = int(rng.integers(0, 2**63))
     subs = [np.random.default_rng(seed_base + r) for r in range(restarts)]
     labels, centers, _ = _lloyd(pts, k, subs, max_iter)
-    scores = [wcss(pts, lab, k) for lab in labels]
+    scores = _restart_wcss(pts, labels, centers).tolist()
     best = min(range(restarts), key=scores.__getitem__)  # the earliest of ties
     return KMeansResult(
         ClusterAssignment(labels[best].copy(), k), centers[best].copy(), scores[best]

@@ -151,3 +151,22 @@ def test_equal_covariances_leave_the_mahalanobis_term():
         assert close(bhattacharyya(p, q), mahalanobis / 8.0, cond), (d, cond)
         assert close(kl_divergence(p, q), mahalanobis / 2.0, cond), (d, cond)
         assert close(kl_divergence(q, p), mahalanobis / 2.0, cond), (d, cond)
+
+
+def test_wasserstein_of_a_model_with_its_copy_is_zero():
+    # |dm|^2 + tr S + tr S - 2 tr S cancels: rounding of a few eps d tr S,
+    # and up to sqrt(eps) where S is near-singular, is clamped, not failed
+    for seed in range(11, 21):
+        for d, cond, rng in cases(seed):
+            p = model(d, cond, rng)
+            copy = GaussianModel(p.mean.copy(), SymMatrix(p.covariance.values.copy()))
+            trace = float(np.trace(p.covariance.values))
+            assert 0.0 <= wasserstein_sq(p, copy) <= rtol(cond) * trace, (seed, d, cond)
+
+
+def test_wasserstein_scales_with_the_square_of_a_dilation():
+    for d, cond, rng in cases(21):
+        p, q = model(d, cond, rng), model(d, cond, rng)
+        a = 10.0 ** rng.uniform(-3.0, 3.0)
+        dilated = wasserstein_sq(*(moved(m, a * np.eye(d), np.zeros(d)) for m in (p, q)))
+        assert close(dilated, a * a * wasserstein_sq(p, q), cond), (d, cond, a)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_model
-from distclust.errors import EmptyCluster, InvalidConfig
+from distclust.errors import EmptyCluster, InvalidConfig, NumericalError
 from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussian
 from distclust.klcluster import (
     SEEDING_KLPP,
@@ -150,12 +152,25 @@ class TestKlppSeed:
         exact = [model([1.0, -2.0], np.diag([1.0, 4.0])) for _ in range(6)]
         a = np.random.default_rng(1).standard_normal((3, 3))
         rounded = [model(np.zeros(3), a @ a.T + 0.5 * np.eye(3)) for _ in range(6)]
-        for models, k in ((blobs + blobs[:4], 6), (exact, 4), (rounded, 4)):
+        spread = [random_model(3, rng, spread=3.0) for _ in range(25)]
+        for models, k in ((blobs + blobs[:4], 6), (exact, 4), (rounded, 4), (spread, 8)):
             factors = kl_factors(models)
             for seed in range(20):
                 got = klpp_seed(factors, k, np.random.default_rng(seed), squared)
                 want = reference_klpp_seed(factors, k, np.random.default_rng(seed), squared)
                 assert got == want, (len(models), seed)
+
+
+    def test_overflowing_squared_weights_raise_a_typed_error(self):
+        # KL between unit-covariance models 1e100 apart is finite (~1e200);
+        # its square overflows at the first pick
+        models = [model(np.full(2, v), np.eye(2)) for v in (0.0, 1e100, -1e100, 1.0)]
+        factors = kl_factors(models)
+        assert len(klpp_seed(factors, 3, np.random.default_rng(0))) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"^restart 0, pick 1: .* sum to inf$"):
+                klpp_seed(factors, 3, np.random.default_rng(0), squared=True)
 
 
 def reference_klpp_seed(factors, k, rng, squared=False):

@@ -17,7 +17,7 @@ from distclust.errors import (
     NumericalError,
     SingularMatrix,
 )
-from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussian
+from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussian, estimate_gaussians
 from distclust.matrixcore import SymMatrix, psd_root, spd_roots
 from distclust.metrics import (
     _bhattacharyya_pairs,
@@ -74,6 +74,24 @@ class TestWassersteinSq:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             wasserstein_sq(random_model(2, rng), random_model(3, rng))
+
+
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
+    def test_duplicate_groups_at_any_scale(self, scale):
+        # W2 between the models of two equal groups cancels to rounding that
+        # grows with the data's scale, beyond NEGATIVE_CLAMP from about 1;
+        # it is clamped to 0 in the matrix, and the pair clusters together
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x, y = (scale * (rng.standard_normal((30, 7)) @ rng.standard_normal((7, 7)))
+                    for _ in range(2))
+            groups = [SampleGroup("a", x), SampleGroup("b", x.copy()), SampleGroup("c", y)]
+            dm = distance_matrix(estimate_gaussians(groups), METRIC_WASSERSTEIN_SQ)
+            assert 0.0 <= dm.values[0, 1] <= 1e-10 * dm.values[0, 2], seed
+            if seed < 5:
+                config = pipeline.PipelineConfig(algorithm="wasserstein_spectral", k=2)
+                labels = pipeline.run_pipeline(groups, config).assignment.labels
+                assert labels[0] == labels[1] != labels[2], seed
 
 
 class TestBhattacharyya:

@@ -12,6 +12,7 @@ from distclust.errors import (
     InvalidConfig,
     InvalidMatrix,
     MetricNotSymmetric,
+    NumericalError,
 )
 from distclust.gaussian import estimate_gaussians
 from distclust.metrics import (
@@ -609,6 +610,17 @@ class TestKmeans:
         labels = np.array([0, 0, 1])
         assert wcss(points, labels, 2) == pytest.approx(2.0)
 
+    def test_overflowing_seed_weights_raise_a_typed_error(self):
+        # every squared distance from the first center to a point at
+        # +-1e200 overflows, so the weights sum to inf at the first pick
+        points = np.array([[1e200], [-1e200], [0.0], [3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NumericalError, match=r"^restart 0, pick 1: \+\+ weights sum to inf$"
+            ):
+                kmeans(points, 2, np.random.default_rng(0))
+
     def test_invalid_inputs(self, rng):
         points = rng.standard_normal((4, 2))
         with pytest.raises(InvalidConfig):
@@ -753,7 +765,8 @@ class TestLloydParity:
         # it was computed from, and the assignment maps it to the next label
         step = {-1: 0, 0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 3}
         monkeypatch.setattr(
-            spectral, "_plus_plus_seed", lambda points, k, rng: np.full((k, 1), -1.0)
+            spectral, "_plus_plus_seed",
+            lambda points, k, rngs: np.full((len(rngs), k, 1), -1.0),
         )
         monkeypatch.setattr(
             spectral,
@@ -798,9 +811,38 @@ class TestLloydParity:
         for d in (1, 3):
             points = np.round(rng.standard_normal((50, d)), 1)
             for k in (1, 4, 50):
-                a = spectral._plus_plus_seed(points, k, np.random.default_rng(k))
+                a = spectral._plus_plus_seed(points, k, [np.random.default_rng(k)])[0]
                 b = reference_plus_plus_seed(points, k, np.random.default_rng(k))
                 assert a.tobytes() == b.tobytes()
+
+    def test_lockstep_seeding_matches_reference_per_restart(self):
+        # ten restarts drawn in one batch, each against the reference run
+        # alone. Squared distances among 0, 1e-162 and 2e-162 are 0 (1e-324
+        # underflows) but for the two ends (4e-324, the smallest subnormal):
+        # a restart that starts on the middle point falls back to the
+        # uniform draw at its first pick while the others draw by weight
+        case_rng = np.random.default_rng(7)
+        fuzzy = np.array([[0.0], [1e-162], [2e-162]])
+        problems = [
+            (fuzzy, 3),
+            (lloyd_problem("repeated", 2, case_rng), 6),
+            (lloyd_problem("grid", 2, case_rng), 8),
+            (lloyd_problem("normal", 3, case_rng), 5),
+        ]
+        mixed = 0  # batches of the three points with both kinds of row
+        for points, k in problems:
+            for _ in range(5):
+                seeds = case_rng.integers(2**32, size=10).tolist()
+                got = spectral._plus_plus_seed(
+                    points, k, [np.random.default_rng(seed) for seed in seeds]
+                )
+                for row, seed in enumerate(seeds):
+                    want = reference_plus_plus_seed(points, k, np.random.default_rng(seed))
+                    assert got[row].tobytes() == want.tobytes(), (k, seed)
+                if points is fuzzy:
+                    middle = got[:, 0, 0] == fuzzy[1, 0]
+                    mixed += bool(middle.any() and not middle.all())
+        assert mixed >= 3
 
     def test_exact_tie_far_from_the_origin_keeps_the_first_center(self, rng):
         # the first point is exactly 2 from both centers, a distance of 4 in
