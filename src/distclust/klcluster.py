@@ -18,12 +18,14 @@ proportional to the model's KL divergence to its nearest chosen center
 k-means++ in ``spectral`` as a batch of one: one uniform per pick, looked
 up in the normalized cumulative weights (the inverse CDF).
 
-The iteration runs on stacked arrays from start to finish: ``kl_factors``
-stacks and factors the models once, and every center set is a (k, d) mean
-array and a (k, d, d) covariance array. The returned centers are built as
-``GaussianModel`` objects once, at the end. An empty cluster is refilled by
-the repair that Lloyd's k-means in ``spectral`` uses, with each model's KL
-divergence to its own center as its cost.
+The iteration is Lloyd's Bregman hard-clustering loop,
+``spectral._hard_cluster``, as a batch of one, on stacked arrays:
+``kl_factors`` stacks and factors the models once, and every center set is
+a (k, d) mean array and a (k, d, d) covariance array. The returned centers
+become ``GaussianModel`` objects once, at the end, unvalidated: the last
+table already factored them. The checkpoint is the labels and the centers,
+since the repair of a cluster left empty (Lloyd's repair, with each model's
+KL divergence to its own center as its cost) reads the last table.
 """
 
 from dataclasses import dataclass
@@ -32,9 +34,9 @@ import numpy as np
 
 from .errors import EmptyCluster, InvalidConfig
 from .gaussian import GaussianModel
-from .matrixcore import SymMatrix
+from .matrixcore import SymMatrix, _trusted
 from .metrics import kl_divergence_table, kl_factors
-from .spectral import ClusterAssignment, _plus_plus, _repair_empty
+from .spectral import ClusterAssignment, _cluster_means, _hard_cluster, _plus_plus, _repair_empty
 
 SEEDING_RANDOM = "random"
 SEEDING_KLPP = "klpp"
@@ -58,20 +60,19 @@ def center_update(
     (k, d) and covariances (k, d, d).
 
     Averages the stacked ``mean`` and ``cov`` arrays of ``kl_factors(models)``
-    over each cluster's members; each covariance gets the (X + X^T)/2 that
+    over each cluster's members, as ``np.mean`` does, and adds each
+    cluster's scatter; each covariance gets the (X + X^T)/2 that
     ``SymMatrix`` applies. Raises EmptyCluster if any label in [0, k) has no
     members; callers are expected to repair the assignment first.
     """
-    means = np.empty((k, factors["mean"].shape[1]))
-    covs = np.empty((k, *factors["cov"].shape[1:]))
+    counts = np.bincount(labels, minlength=k)
+    if counts.min() == 0:
+        raise EmptyCluster(f"cluster {int(counts.argmin())} has no members")
+    means = _cluster_means(factors["mean"], labels[None], k)[0]
+    covs = _cluster_means(factors["cov"], labels[None], k)[0]
     for j in range(k):
-        member_idx = np.flatnonzero(labels == j)
-        if member_idx.size == 0:
-            raise EmptyCluster(f"cluster {j} has no members")
-        members = factors["mean"][member_idx]
-        means[j] = members.mean(axis=0)
-        dev = members - means[j]
-        covs[j] = factors["cov"][member_idx].mean(axis=0) + (dev.T @ dev) / member_idx.size
+        dev = factors["mean"][labels == j] - means[j]
+        covs[j] += (dev.T @ dev) / counts[j]
     return means, (covs + covs.transpose(0, 2, 1)) / 2.0
 
 
@@ -98,13 +99,6 @@ def klpp_seed(
     return _plus_plus(n, k, [rng], kl_to, 2 if squared else 1)[0].tolist()
 
 
-def _state(labels: np.ndarray, means: np.ndarray, covs: np.ndarray) -> bytes:
-    """The labels and center set after a pass, which fix every later pass:
-    the next centers come from the labels, and the repair of a cluster the
-    labels leave empty reads the table of these centers."""
-    return labels.tobytes() + means.tobytes() + covs.tobytes()
-
-
 def kl_cluster(
     models: list[GaussianModel],
     k: int,
@@ -117,14 +111,9 @@ def kl_cluster(
     center updates until the assignment is stable, or for ``max_iter``
     passes.
 
-    A run that has not converged can cycle, as when k exceeds the number of
-    distinct models and each assignment undoes the last repair. Once the
-    labels and centers after a pass equal those of p passes earlier, the
-    run repeats with period p, so it stops at the first pass congruent to
-    ``max_iter`` modulo p: its labels, centers and objective are those of
-    pass ``max_iter``. Brent's method finds the repeat, as in Lloyd's
-    k-means. ``iterations``, ``objective_history`` and ``repair_iterations``
-    cover the passes run.
+    A run that cycles stops early and ends as pass ``max_iter`` would (see
+    ``spectral._hard_cluster``). ``iterations``, ``objective_history`` and
+    ``repair_iterations`` cover the passes run.
     """
     n = len(models)
     if k < 1 or k > n:
@@ -141,44 +130,35 @@ def kl_cluster(
         seed_idx = [int(i) for i in rng.choice(n, size=k, replace=False)]
     means, covs = factors["mean"][seed_idx], factors["cov"][seed_idx]
     table = kl_divergence_table(factors, means, covs)
-    labels = table.argmin(axis=1)
+    labels = table.argmin(axis=1)[None]
+    repaired = []  # whether each pass began with a repair
 
-    history: list[float] = []
-    repairs: list[int] = []
-    converged = False
-    iteration = 0
-    last = max_iter  # the pass the run ends after
-    mark, mark_pass, span = _state(labels, means, covs), 0, 1
-    for iteration in range(1, max_iter + 1):
-        if np.bincount(labels, minlength=k).min() == 0:
-            # table still holds the divergences to the centers that left a
-            # cluster empty
-            labels = _repair_empty(labels, k, lambda lab: table[np.arange(n), lab])
-            repairs.append(iteration)
-        means, covs = center_update(factors, labels, k)
+    def step(rows):
+        nonlocal means, covs, table
+        repaired.append(np.bincount(labels[0], minlength=k).min() == 0)
+        if repaired[-1]:
+            # table still holds the divergences to the last centers
+            labels[0] = _repair_empty(labels[0], k, lambda lab: table[np.arange(n), lab])
+        means, covs = center_update(factors, labels[0], k)
         table = kl_divergence_table(factors, means, covs)
         new_labels = table.argmin(axis=1)
-        history.append(float(table[np.arange(n), new_labels].sum()))
-        if np.array_equal(new_labels, labels):
-            converged = True
-            break
-        labels = new_labels
-        state = _state(labels, means, covs)
-        if state == mark:
-            period = iteration - mark_pass
-            last = min(last, iteration + (max_iter - iteration) % period)
-        if iteration - mark_pass == span:
-            mark, mark_pass, span = state, iteration, 2 * span
-        if iteration == last:
-            break
+        return new_labels[None], table[np.arange(n), new_labels].sum(keepdims=True)
 
+    def state(rows):
+        raw = labels.tobytes() + means.tobytes() + covs.tobytes()
+        return np.tile(np.frombuffer(raw, dtype=np.uint8), (len(rows), 1))
+
+    converged, (history,) = _hard_cluster(labels, step, state, max_iter)
+    means.flags.writeable = covs.flags.writeable = False
     return KlClusterResult(
-        assignment=ClusterAssignment(labels, k),
+        assignment=ClusterAssignment(labels[0], k),
         centers=tuple(
-            GaussianModel(means[j], SymMatrix(covs[j]), group_id=f"center_{j}") for j in range(k)
+            _trusted(GaussianModel, mean=mu, covariance=_trusted(SymMatrix, values=cov),
+                     group_id=f"center_{j}")
+            for j, (mu, cov) in enumerate(zip(means, covs))
         ),
-        iterations=iteration,
-        converged=converged,
+        iterations=len(history),
+        converged=bool(converged[0]),
         objective_history=tuple(history),
-        repair_iterations=tuple(repairs),
+        repair_iterations=tuple(p for p, r in enumerate(repaired, 1) if r),
     )

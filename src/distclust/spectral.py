@@ -31,12 +31,15 @@ that restart's normalized cumulative weights (the inverse CDF), the index
 ``Generator.choice`` with those probabilities would return. In Lloyd's
 iteration one batched GEMM scores every restart's centers, and rows that
 its rounding could misorder are scored again in the exact difference form,
-so the labels are those of one restart run alone. The within-cluster sums
-of squares that pick the best restart are scored for every restart in one
-pass, over points sorted by (restart, label). Eigenvector signs are left
-as LAPACK returns them: negating a column negates every difference,
-product and mean exactly, so seeds, labels and sums of squares do not
-change.
+so the labels are those of one restart run alone. Lloyd's iteration and
+KL k-means (``klcluster``) are both Bregman hard clustering and share one
+loop, ``_hard_cluster``, with the convergence test, the ``max_iter`` cap
+and Brent's cycle stop; each caller passes its pass and its checkpoint.
+The within-cluster sums of squares that pick the best restart are scored
+for every restart in one pass, over points sorted by (restart, label).
+Eigenvector signs are left as LAPACK returns them: negating a column
+negates every difference, product and mean exactly, so seeds, labels and
+sums of squares do not change.
 """
 
 from dataclasses import dataclass
@@ -512,16 +515,33 @@ def _repair_empty(labels: np.ndarray, k: int, own_cost) -> np.ndarray:
     return labels
 
 
+def _cluster_means(values: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """The means (R, k, ...) of ``values`` (n, ...) over each cluster of
+    every label row (R, n), 0 for an empty cluster.
+
+    They are ``np.mean``'s: over more than one column it adds a cluster's
+    rows in index order, as ``np.bincount`` does over label-plus-row offsets
+    (one block of offsets per column), and divides by the count. A single
+    column it sums pairwise, so there each cluster is summed as it does.
+    """
+    r, n = labels.shape
+    flat = values.reshape(n, -1)
+    f = flat.shape[1]
+    cells = (labels + k * np.arange(r)[:, None]).ravel()
+    counts = np.bincount(cells, minlength=r * k)
+    if f == 1:
+        sums = np.array([[flat[lab == j].sum() for j in range(k)] for lab in labels])
+    else:
+        offsets = (cells + r * k * np.arange(f)[:, None]).ravel()
+        weights = np.broadcast_to(flat.T[:, None, :], (f, r, n)).ravel()
+        sums = np.bincount(offsets, weights=weights, minlength=f * r * k).reshape(f, r * k).T
+    means = sums.reshape(r * k, f) / np.maximum(counts, 1)[:, None]
+    return means.reshape(r, k, *values.shape[1:])
+
+
 def _sq_dist_to_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Each point's squared distance to the mean of its cluster."""
-    counts = np.bincount(labels, minlength=k)
-    centers = np.stack(
-        [
-            points[labels == j].mean(axis=0) if counts[j] > 0 else np.zeros(points.shape[1])
-            for j in range(k)
-        ]
-    )
-    diff = points - centers[labels]
+    diff = points - _cluster_means(points, labels[None], k)[0, labels]
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -560,84 +580,84 @@ def _update_step(
     points: np.ndarray, labels: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Repair the label rows (R, n) that leave a cluster empty, in place,
-    then return them with their (R, k, d) cluster means.
+    then return them with their (R, k, d) cluster means."""
+    r = len(labels)
+    counts = np.bincount((labels + k * np.arange(r)[:, None]).ravel(), minlength=r * k)
+    for row in np.flatnonzero(counts.reshape(r, k).min(axis=1) == 0):
+        labels[row] = _repair_empty(labels[row], k, lambda lab: _sq_dist_to_means(points, lab, k))
+    return labels, _cluster_means(points, labels, k)
 
-    The means are ``np.mean``'s: for d >= 2 it adds a cluster's rows in
-    index order, as ``np.bincount`` does over label-plus-row offsets (one
-    block of offsets per coordinate), and divides by the count. A 1-d
-    column it sums pairwise, so there each cluster is summed as it does.
+
+def _hard_cluster(labels: np.ndarray, step, state, max_iter: int) -> tuple[np.ndarray, list]:
+    """Bregman hard clustering (Banerjee, Merugu, Dhillon & Ghosh 2005) of R
+    runs in lockstep from their label rows (R, n), updated in place: whether
+    each run converged, and its cost after every pass it ran.
+
+    ``step(rows)`` runs a pass of the runs ``rows``: it repairs their labels
+    in place, updates their centers and returns their new labels and costs.
+    A run converges when a pass leaves its labels unchanged, and ends after
+    ``max_iter`` passes otherwise. ``state(rows)`` copies each run's row of
+    what its next pass reads, so once that equals the state of p passes
+    earlier the run repeats with period p, as when k exceeds the number of
+    distinct points and each assignment undoes the last repair. It then
+    stops at the first pass congruent to ``max_iter`` modulo p, which ends
+    as pass ``max_iter`` would. Brent's method finds the repeat: the state
+    is compared with a checkpoint that moves to the current pass each
+    time the passes since it reach a power of two, so a cycle shows within
+    about twice its start plus its period.
     """
-    r, n = labels.shape
-    d = points.shape[1]
-    cells = (labels + k * np.arange(r)[:, None]).ravel()
-    counts = np.bincount(cells, minlength=r * k)
-    if counts.min() == 0:
-        for row in np.flatnonzero(counts.reshape(r, k).min(axis=1) == 0):
-            labels[row] = _repair_empty(
-                labels[row], k, lambda lab: _sq_dist_to_means(points, lab, k)
-            )
-        cells = (labels + k * np.arange(r)[:, None]).ravel()
-        counts = np.bincount(cells, minlength=r * k)
-    if d == 1:
-        sums = np.array([[points[lab == j].sum() for j in range(k)] for lab in labels])
-    else:
-        offsets = (cells + r * k * np.arange(d)[:, None]).ravel()
-        weights = np.broadcast_to(points.T[:, None, :], (d, r, n)).ravel()
-        sums = np.bincount(offsets, weights=weights, minlength=d * r * k).reshape(d, r * k).T
-    return labels, (sums.reshape(r * k, d) / counts[:, None]).reshape(r, k, d)
+    runs = len(labels)
+    history = [[] for _ in range(runs)]
+    converged = np.zeros(runs, dtype=bool)
+    active = np.arange(runs)
+    last = np.full(runs, max_iter)  # the pass each run ends after
+    mark, mark_pass, span = state(active), np.zeros_like(last), np.ones_like(last)
+    for passes in range(1, max_iter + 1):
+        new_labels, cost = step(active)
+        for row, c in zip(active, cost.tolist()):
+            history[row].append(c)
+        moved = (new_labels != labels[active]).any(axis=1)
+        converged[active[~moved]] = True
+        labels[active[moved]] = new_labels[moved]
+        active = active[moved]
+        now = state(active)
+        repeat = active[(now == mark[active]).all(axis=1)]
+        period = passes - mark_pass[repeat]
+        last[repeat] = np.minimum(last[repeat], passes + (max_iter - passes) % period)
+        moving = passes - mark_pass[active] == span[active]
+        move = active[moving]
+        mark[move], mark_pass[move], span[move] = now[moving], passes, 2 * span[move]
+        active = active[last[active] != passes]
+        if not active.size:
+            break
+    return converged, history
 
 
 def _lloyd(
     points: np.ndarray, k: int, rngs: list[np.random.Generator], max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
-    """Lloyd's iteration for one restart per generator, all in lockstep:
-    labels (R, n), centers (R, k, d), and each restart's assignment cost
-    after every assignment step it ran, from the GEMM distances. Lloyd's
-    iteration never raises that cost (up to their rounding); an
-    empty-cluster repair lowers it too.
-
-    The restarts' k-means++ centers are drawn together, one row per
-    generator, and each restart leaves the active set when an assignment leaves its labels unchanged, or after ``max_iter``
-    passes and one last update; so every restart ends as it would alone.
+    """Lloyd's iteration for one restart per generator, in lockstep through
+    ``_hard_cluster``: labels (R, n), centers (R, k, d), and each restart's
+    cost after every assignment, from the GEMM distances. Lloyd's iteration
+    never raises that cost (up to their rounding); a repair lowers it too.
     A pass's labels are a function of the labels before it (repair, means,
-    assignment), so once a restart's labels equal those of p passes earlier
-    the rest of its run repeats with period p, as when k exceeds the number
-    of distinct points and each assignment undoes the last repair. It then
-    stops at the first pass congruent to ``max_iter`` modulo p, whose labels
-    are those of pass ``max_iter``, and takes its last update there. Brent's
-    method finds the repeat: the labels are compared with a checkpoint that
-    moves to the current pass each time the passes since it reach a power
-    of two, so a cycle shows within about twice its start plus its period.
+    assignment), so they are the checkpoint. A restart that did not
+    converge takes one last update, so every restart ends as it would alone.
     """
     minus_2xt = -2.0 * points.T
     sq_points = np.einsum("ij,ij->i", points, points)
     centers = _plus_plus_seed(points, k, rngs)
     labels, cost = _assign(points, minus_2xt, sq_points, centers)
-    history = [[c] for c in cost.tolist()]
-    active = np.arange(len(rngs))
-    last = np.full(len(rngs), max_iter)  # the pass each restart ends after
-    mark, mark_pass, span = labels.copy(), np.zeros(len(rngs), dtype=int), np.ones_like(last)
-    for passes in range(1, max_iter + 1):
-        labels[active], centers[active] = _update_step(points, labels[active], k)
-        new_labels, cost = _assign(points, minus_2xt, sq_points, centers[active])
-        for row, c in zip(active, cost.tolist()):
-            history[row].append(c)
-        moved = (new_labels != labels[active]).any(axis=1)
-        labels[active[moved]] = new_labels[moved]
-        active = active[moved]
-        repeat = active[(labels[active] == mark[active]).all(axis=1)]
-        period = passes - mark_pass[repeat]
-        last[repeat] = np.minimum(last[repeat], passes + (max_iter - passes) % period)
-        move = active[passes - mark_pass[active] == span[active]]
-        mark[move], mark_pass[move], span[move] = labels[move], passes, 2 * span[move]
-        ending = last[active] == passes
-        if ending.any():
-            done = active[ending]
-            labels[done], centers[done] = _update_step(points, labels[done], k)
-            active = active[~ending]
-        if not active.size:
-            break
-    return labels, centers, history
+
+    def step(rows):
+        labels[rows], centers[rows] = _update_step(points, labels[rows], k)
+        return _assign(points, minus_2xt, sq_points, centers[rows])
+
+    converged, history = _hard_cluster(labels, step, lambda rows: labels[rows], max_iter)
+    ended = np.flatnonzero(~converged)
+    if ended.size:
+        labels[ended], centers[ended] = _update_step(points, labels[ended], k)
+    return labels, centers, [[c, *costs] for c, costs in zip(cost.tolist(), history)]
 
 
 def kmeans(

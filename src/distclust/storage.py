@@ -201,12 +201,12 @@ def read_labels_json(path: str | Path) -> ClusterAssignment:
         raise SchemaError(f"{path}: not valid JSON ({err})") from None
     if (
         not isinstance(payload, dict)
-        or not isinstance(payload.get("k"), int)
+        or type(payload.get("k")) is not int  # excludes bool, an int subclass
         or not isinstance(payload.get("labels"), list)
     ):
         raise SchemaError(f'{path}: expected {{"k": int, "labels": [...]}}')
     labels = payload["labels"]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in labels):
+    if not all(type(v) is int for v in labels):
         raise SchemaError(f"{path}: labels must be integers")
     return ClusterAssignment(np.array(labels, dtype=int), payload["k"])
 
@@ -271,7 +271,7 @@ def read_distance_matrix_json(path: str | Path) -> DistanceMatrix:
     if (
         not isinstance(payload, dict)
         or not isinstance(payload.get("metric"), str)
-        or not isinstance(payload.get("n"), int)
+        or type(payload.get("n")) is not int
         or not isinstance(payload.get("rows"), list)
     ):
         raise SchemaError(f'{path}: expected {{"metric", "n", "rows"}}')

@@ -259,6 +259,15 @@ class TestLabelsJson:
         with pytest.raises(SchemaError):
             read_labels_json(path)
 
+    @pytest.mark.parametrize("payload", ['{"k": true, "labels": [0, 0, 0]}',
+                                         '{"k": 2, "labels": [0, true, false]}'])
+    def test_boolean_integers_rejected(self, payload, tmp_path):
+        # bool is an int subclass in Python; JSON true must not read as 1
+        path = tmp_path / "labels.json"
+        path.write_text(payload)
+        with pytest.raises(SchemaError):
+            read_labels_json(path)
+
 
 class TestModelsJson:
     def test_round_trip_bitwise(self, tmp_path, rng):
@@ -321,6 +330,13 @@ class TestDistanceMatrixIo:
     def test_shape_mismatch_detected(self, tmp_path):
         path = tmp_path / "dm.json"
         path.write_text(json.dumps({"metric": "kl", "n": 3, "rows": [[0.0]]}))
+        with pytest.raises(SchemaError):
+            read_distance_matrix_json(path)
+
+    def test_boolean_n_rejected(self, tmp_path):
+        # JSON true would otherwise read as n = 1 and load a 1 x 1 matrix
+        path = tmp_path / "dm.json"
+        path.write_text(json.dumps({"metric": "wasserstein_sq", "n": True, "rows": [[0.0]]}))
         with pytest.raises(SchemaError):
             read_distance_matrix_json(path)
 
