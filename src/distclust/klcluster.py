@@ -112,7 +112,9 @@ def kl_cluster(
     passes.
 
     A run that cycles stops early and ends as pass ``max_iter`` would (see
-    ``spectral._hard_cluster``). ``iterations``, ``objective_history`` and
+    ``spectral._hard_cluster``). A run that did not converge takes one last
+    repair and center update, as a Lloyd's restart does, so its labels fill
+    all k clusters. ``iterations``, ``objective_history`` and
     ``repair_iterations`` cover the passes run.
     """
     n = len(models)
@@ -133,14 +135,20 @@ def kl_cluster(
     labels = table.argmin(axis=1)[None]
     repaired = []  # whether each pass began with a repair
 
-    def step(rows):
+    def update() -> bool:
+        """Repair the labels if they leave a cluster empty, then update the
+        centers and their table; whether a repair ran."""
         nonlocal means, covs, table
-        repaired.append(np.bincount(labels[0], minlength=k).min() == 0)
-        if repaired[-1]:
+        empty = np.bincount(labels[0], minlength=k).min() == 0
+        if empty:
             # table still holds the divergences to the last centers
             labels[0] = _repair_empty(labels[0], k, lambda lab: table[np.arange(n), lab])
         means, covs = center_update(factors, labels[0], k)
         table = kl_divergence_table(factors, means, covs)
+        return empty
+
+    def step(rows):
+        repaired.append(update())
         new_labels = table.argmin(axis=1)
         return new_labels[None], table[np.arange(n), new_labels].sum(keepdims=True)
 
@@ -149,6 +157,8 @@ def kl_cluster(
         return np.tile(np.frombuffer(raw, dtype=np.uint8), (len(rows), 1))
 
     converged, (history,) = _hard_cluster(labels, step, state, max_iter)
+    if not converged[0]:
+        update()  # a run that did not converge ends as Lloyd's does
     means.flags.writeable = covs.flags.writeable = False
     return KlClusterResult(
         assignment=ClusterAssignment(labels[0], k),

@@ -1,19 +1,22 @@
-"""The thread setting, and the block runner of the in-process kernels.
+"""The thread setting, and the one claim loop of kernel blocks and trials.
 
 ``resolve_threads`` is the one thread setting: an explicit count, else
 ``DISTCLUST_THREADS``, else the CPUs the process may run on. The benchmark
 harness counts its trial processes with it, the calling process among
-them, and the divergence kernels their threads. Every process that runs
-trials, the caller and each pool worker, runs its kernels on one thread
-inside ``kernels_on_one_thread``, so the processes never ask for more
-threads than the cores the setting counts.
+them, and the divergence kernels their threads, the calling thread among
+them. Every process that runs trials, the caller and each pool worker,
+runs its kernels on one thread inside ``kernels_on_one_thread``, so the
+processes never ask for more threads than the cores the setting counts.
 
-``run_blocks`` runs independent blocks of work on a thread pool, or on the
-calling thread alone for one thread, and raises the exception of the lowest
-failing block, so the error is the one a serial run would raise.
+``claim`` is the one claim loop, of kernel blocks and of trials alike: a
+worker takes the next index off a shared counter until none is left.
+``run_claimed`` runs it on the caller and on pool helpers, threads for
+``run_blocks`` and spawn processes for ``pipeline``, and raises the lowest
+failing index's exception, the one a serial run would raise.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -69,47 +72,84 @@ def kernel_threads() -> int:
     return _kernel_threads or resolve_threads()
 
 
-def run_blocks(work, count: int, threads: int) -> None:
-    """Call ``work(b)`` for every block b in ``range(count)``, on up to
-    ``threads`` pool threads, or on the calling thread alone for one.
+class _Counter:
+    """A ``multiprocessing.Value``'s ``value`` and ``get_lock()`` for threads."""
 
-    Results are collected in block order, so the exception raised is the
-    lowest failing block's, the one a serial run would raise. Once a block
-    has failed no further block is handed to the pool; when the error is
-    raised the blocks not yet started are cancelled, lowest first, and
-    those running finish before this returns. ``work`` must be safe to run
-    concurrently on different blocks.
+    def __init__(self):
+        self.value, self._lock = 0, threading.Lock()
+
+    def get_lock(self):
+        return self._lock
+
+
+def claim(fn, items, counter) -> dict:
+    """One worker's share of ``items``: take the next index off ``counter``
+    under its lock and run ``fn`` on its item, until none is left; index ->
+    (result, exception). A failure sets the counter past the end."""
+    count = len(items)
+    outcomes = {}
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= count:
+            return outcomes
+        try:
+            outcomes[i] = fn(items[i]), None
+        except Exception as exc:
+            outcomes[i] = None, exc
+            _stop(counter, count)
+
+
+def _stop(counter, count: int) -> None:
+    with counter.get_lock():
+        counter.value = count
+
+
+def run_claimed(fn, items, counter, pool, helpers: int, task) -> list:
+    """``[fn(item) for item in items]`` on the calling thread, running
+    ``claim`` over ``counter``, and on ``helpers`` pool tasks ``task()``,
+    each a ``claim`` over the same counter. Raises the lowest failing
+    index's exception. An exception that escapes ``claim``, such as an
+    interrupt in the caller, sets the counter past the end, cancels the
+    helpers not yet started and is raised once the running ones return.
     """
+    try:
+        futures = [pool.submit(task) for _ in range(helpers)]
+        outcomes = claim(fn, items, counter)
+        for future in futures:
+            outcomes.update(future.result())
+    except BaseException:
+        _stop(counter, len(items))
+        pool.shutdown(cancel_futures=True)
+        raise
+    results = []
+    # every index below the lowest failing one has run
+    for _, (result, exc) in sorted(outcomes.items()):
+        if exc is not None:
+            raise exc
+        results.append(result)
+    return results
+
+
+def run_blocks(work, count: int, threads: int) -> None:
+    """Call ``work(b)`` for every block b in ``range(count)`` on ``threads``
+    threads, the calling one and ``threads - 1`` pool threads, through
+    ``run_claimed``. ``work`` must be safe to run concurrently on
+    different blocks."""
     threads = min(threads, count)
     if threads <= 1:
         for b in range(count):
             work(b)
         return
     # numpy's error handling is per thread (a context variable from NumPy 2.0
-    # on, thread-local state before it), so each block enters the caller's
+    # on, thread-local state before it), so each helper enters the caller's
     caller_err, caller_call = np.geterr(), np.geterrcall()
-    failed = []
+    counter = _Counter()
 
-    def block(b):
-        try:
-            with np.errstate(call=caller_call, **caller_err):
-                work(b)
-        except BaseException:
-            failed.append(b)
-            raise
+    def helper():
+        with np.errstate(call=caller_call, **caller_err):
+            return claim(work, range(count), counter)
 
-    with ThreadPoolExecutor(threads, thread_name_prefix="distclust-kernel") as pool:
-        futures = []
-        try:
-            # the pool starts blocks while this loop submits the rest; after
-            # a failure only lower blocks, all submitted already, can matter
-            for b in range(count):
-                if failed:
-                    break
-                futures.append(pool.submit(block, b))
-            for future in futures:
-                future.result()
-        except BaseException:
-            # empties the queue in submission order, lowest block first
-            pool.shutdown(cancel_futures=True)
-            raise
+    with ThreadPoolExecutor(threads - 1, thread_name_prefix="distclust-kernel") as pool:
+        run_claimed(work, range(count), counter, pool, threads - 1, helper)

@@ -17,17 +17,18 @@ A trial fits its groups once and runs every algorithm on those models; a
 cell's ``wall_time_s`` sums each trial's measured clustering seconds after
 that shared fit. Trial seeds are derived from the base seed with a fixed
 mixing function, so reports are reproducible and independent of how trials
-are scheduled. With
-``threads > 1`` trials run in ``threads`` processes, the calling one and
-``threads - 1`` spawned workers, each taking the next unstarted trial off
-one shared counter: one benchmark job starts at most one pool, shared by
-the trials of all its cells, and shuts it down before it returns.
+are scheduled. With ``threads > 1`` trials run in ``threads`` processes,
+the calling one and ``threads - 1`` spawned workers, each in
+``parallel.claim``, the claim loop the kernel blocks run in too: one
+benchmark job starts at most one pool, shared by the trials of all its
+cells, and shuts it down before it returns.
 """
 
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -45,7 +46,7 @@ from .metrics import (
     distance_matrix,
     mean_euclidean_matrix,
 )
-from .parallel import kernels_on_one_thread, resolve_threads
+from .parallel import claim, kernels_on_one_thread, resolve_threads, run_claimed
 from .spectral import ClusterAssignment, kernelize, kmeans, spectral_cluster
 from .synthgen import derive_trial_seed, generate_benchmark
 
@@ -246,40 +247,17 @@ def _start_worker(next_trial) -> None:
     _next_trial = next_trial
 
 
-def _run_trials(fn, args_list, next_trial=None) -> dict:
-    """One process's share of a pooled map, the caller's and every worker's:
-    take the next unstarted trial off the job's counter (a worker's from
-    ``_start_worker``) and run it, kernels on one thread, until none is
-    left. Returns index -> (result, exception). After a failure no process
-    starts another trial: every lower one has started already."""
-    next_trial = _next_trial if next_trial is None else next_trial
-    count = len(args_list)
-    outcomes = {}
+def _run_trials(fn, args_list) -> dict:
+    """A pool worker's ``parallel.claim`` over the job's trials."""
     with kernels_on_one_thread():
-        while True:
-            with next_trial.get_lock():
-                i = next_trial.value
-                next_trial.value = i + 1
-            if i >= count:
-                return outcomes
-            try:
-                outcomes[i] = fn(args_list[i]), None
-            except Exception as exc:
-                next_trial.value = count
-                outcomes[i] = None, exc
+        return claim(fn, args_list, _next_trial)
 
 
 def _map_trials(fn, args_list, threads: int):
-    """``[fn(args) for args in args_list]`` on ``threads`` processes.
-
-    For ``threads > 1`` the caller is one of them: it starts a spawn pool of
-    ``threads - 1`` workers (fewer for few trials), hands each worker one
-    ``_run_trials`` task over the whole list, and runs ``_run_trials``
-    itself. Every process takes the next unstarted trial off one shared
-    counter, so every trial runs once and the caller returns only when
-    none is left unstarted. The error raised is the lowest-index failing
-    trial's, whichever process ran it; an interrupt in the caller leaves
-    no trial for a process to start.
+    """``[fn(args) for args in args_list]`` on ``threads`` processes: the
+    caller and a spawn pool of ``threads - 1`` workers (fewer for few
+    trials), one ``_run_trials`` task each, through
+    ``parallel.run_claimed``; every process runs its kernels on one thread.
     """
     count = len(args_list)
     if threads <= 1 or count <= 1:
@@ -288,28 +266,10 @@ def _map_trials(fn, args_list, threads: int):
     context = get_context("spawn")
     next_trial = context.Value("i", 0)
     with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=context,
-        initializer=_start_worker,
-        initargs=(next_trial,),
-    ) as pool:
-        try:
-            futures = [pool.submit(_run_trials, fn, args_list) for _ in range(workers)]
-            outcomes = _run_trials(fn, args_list, next_trial)
-            for future in futures:
-                outcomes.update(future.result())
-        except BaseException:
-            next_trial.value = count
-            pool.shutdown(cancel_futures=True)
-            raise
-    results = []
-    # every trial below the lowest failing one has run
-    for i in range(count):
-        result, exc = outcomes[i]
-        if exc is not None:
-            raise exc
-        results.append(result)
-    return results
+        max_workers=workers, mp_context=context, initializer=_start_worker, initargs=(next_trial,)
+    ) as pool, kernels_on_one_thread():
+        task = partial(_run_trials, fn, args_list)
+        return run_claimed(fn, args_list, next_trial, pool, workers, task)
 
 
 def _score_cells(keys, per_trial, trials: int, algorithms) -> list[dict]:

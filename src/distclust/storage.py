@@ -222,6 +222,25 @@ def write_models_json(path: str | Path, models) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _is_number_tree(node) -> bool:
+    """Whether every leaf of nested JSON lists is a number, an int or a
+    float: numpy would read a bool as 1.0 or 0.0 and parse a string."""
+    if isinstance(node, list):
+        return all(map(_is_number_tree, node))
+    return type(node) in (int, float)
+
+
+def _number_array(node, what: str) -> np.ndarray:
+    """Nested JSON lists of numbers as a float array; SchemaError for any
+    other leaf or a ragged nesting."""
+    if not _is_number_tree(node):
+        raise SchemaError(f"{what} must hold only numbers")
+    try:
+        return np.asarray(node, dtype=float)
+    except (ValueError, OverflowError) as err:
+        raise SchemaError(f"{what}: {err}") from None
+
+
 def read_models_json(path: str | Path) -> tuple[GaussianModel, ...]:
     path = Path(path)
     try:
@@ -234,11 +253,8 @@ def read_models_json(path: str | Path) -> tuple[GaussianModel, ...]:
     for i, entry in enumerate(payload):
         if not isinstance(entry, dict) or "mean" not in entry or "cov" not in entry:
             raise SchemaError(f'{path}: model {i} must have "mean" and "cov"')
-        try:
-            mean = np.asarray(entry["mean"], dtype=float)
-            cov = np.asarray(entry["cov"], dtype=float)
-        except (TypeError, ValueError) as err:
-            raise SchemaError(f"{path}: model {i}: {err}") from None
+        mean = _number_array(entry["mean"], f"{path}: model {i}: mean")
+        cov = _number_array(entry["cov"], f"{path}: model {i}: cov")
         models.append(GaussianModel(mean, SymMatrix(cov), group_id=str(i)))
     return tuple(models)
 
@@ -275,7 +291,7 @@ def read_distance_matrix_json(path: str | Path) -> DistanceMatrix:
         or not isinstance(payload.get("rows"), list)
     ):
         raise SchemaError(f'{path}: expected {{"metric", "n", "rows"}}')
-    rows = np.asarray(payload["rows"], dtype=float)
+    rows = _number_array(payload["rows"], f"{path}: rows")
     if rows.shape != (payload["n"], payload["n"]):
         raise SchemaError(
             f"{path}: rows shape {rows.shape} does not match n={payload['n']}"

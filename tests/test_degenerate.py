@@ -77,10 +77,13 @@ def two_blobs(rng, scale):
 def test_constant_groups(scale, levels):
     outcomes = sweep(point_masses(levels), scale)
     # a failure may come only from a covariance inverse, which the
-    # mean-only algorithms never take
+    # mean-only algorithms never take; labels fill all k clusters, also
+    # when every group is one model and k-means ends on a repair
     for (seed, algorithm), outcome in outcomes.items():
         if algorithm_family(algorithm) == FAMILY_MEAN_ONLY:
             assert isinstance(outcome, np.ndarray), (seed, algorithm, outcome)
+        if isinstance(outcome, np.ndarray):
+            assert set(outcome.tolist()) == {0, 1}, (seed, algorithm, outcome)
 
 
 @pytest.mark.parametrize("scale", SCALES)

@@ -195,8 +195,9 @@ def reference_klpp_seed(factors, k, rng, squared=False):
 
 
 def reference_kl_cluster(models, k, rng, seeding, max_iter):
-    """``kl_cluster``'s passes without the stop on a repeat: labels, center
-    means and covariances, objective history and repair passes."""
+    """``kl_cluster``'s passes without the stop on a repeat, and its last
+    update for a run that did not converge: labels, center means and
+    covariances, objective history and repair passes."""
     factors = kl_factors(models)
     n = len(models)
     if seeding == SEEDING_KLPP:
@@ -217,6 +218,11 @@ def reference_kl_cluster(models, k, rng, seeding, max_iter):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
+    else:
+        # a run that did not converge ends on one last repair and update
+        if np.bincount(labels, minlength=k).min() == 0:
+            labels = _repair_empty(labels, k, lambda lab: table[np.arange(n), lab])
+        means, covs = center_update(factors, labels, k)
     return labels, means, covs, history, repairs
 
 

@@ -529,6 +529,55 @@ class TestRunBlocks:
         time.sleep(0.05)
         assert len(started) == ran
 
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_caller_runs_blocks_next_to_fewer_pool_threads(self, threads):
+        # 200 blocks of a millisecond: the calling thread claims some of
+        # them, and at most threads - 1 kernel threads run the rest
+        caller = threading.current_thread().name
+        ran = {}
+
+        def work(b):
+            ran[b] = threading.current_thread().name
+            time.sleep(0.001)
+
+        parallel.run_blocks(work, 200, threads)
+        assert sorted(ran) == list(range(200))
+        helpers = set(ran.values()) - {caller}
+        assert caller in ran.values()
+        assert len(helpers) <= threads - 1
+        assert all(name.startswith("distclust-kernel") for name in helpers)
+
+    def test_interrupt_in_a_caller_block_stops_the_claims(self, monkeypatch):
+        # each kernel thread holds its first block until the counter is set
+        # past the end; the caller's first block waits for them and is
+        # interrupted, so no block starts after the interrupt
+        threads, caller = 4, threading.current_thread()
+        started, stopped = [], threading.Event()
+        stop = parallel._stop
+
+        def stop_and_tell(*args):
+            stop(*args)
+            stopped.set()
+
+        def work(b):
+            started.append(b)
+            if threading.current_thread() is not caller:
+                if len(started) <= threads:
+                    stopped.wait(timeout=5)
+                return
+            while len(started) < threads:
+                time.sleep(0.001)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(parallel, "_stop", stop_and_tell)
+        with pytest.raises(KeyboardInterrupt):
+            parallel.run_blocks(work, 200, threads)
+        assert stopped.is_set()
+        assert len(started) == threads
+        assert not [t for t in threading.enumerate() if t.name.startswith("distclust-kernel")]
+        time.sleep(0.05)
+        assert len(started) == threads
+
 
 class TestMeanEuclidean:
     def test_hand_case(self):

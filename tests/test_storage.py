@@ -299,6 +299,20 @@ class TestModelsJson:
             read_models_json(path)
 
 
+    @pytest.mark.parametrize("mean, cov", [
+        (["1.5", 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        ([1.5, True], [[1.0, 0.0], [0.0, 1.0]]),
+        ([1.5, 0.0], [[1.0, "0"], [0.0, 1.0]]),
+        ([1.5, 0.0], [[1.0, 0.0], [None, 1.0]]),
+    ])
+    def test_non_number_entries_rejected(self, tmp_path, mean, cov):
+        # numpy would parse the string and read true as 1.0
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps([{"mean": mean, "cov": cov}]))
+        with pytest.raises(SchemaError, match="must hold only numbers"):
+            read_models_json(path)
+
+
 class TestDistanceMatrixIo:
     def test_json_round_trip(self, tmp_path):
         dm = DistanceMatrix([[0.0, 1.5], [1.5, 0.0]], METRIC_WASSERSTEIN_SQ)
@@ -337,6 +351,19 @@ class TestDistanceMatrixIo:
         # JSON true would otherwise read as n = 1 and load a 1 x 1 matrix
         path = tmp_path / "dm.json"
         path.write_text(json.dumps({"metric": "wasserstein_sq", "n": True, "rows": [[0.0]]}))
+        with pytest.raises(SchemaError):
+            read_distance_matrix_json(path)
+
+    @pytest.mark.parametrize("rows", [[[0, "3"], ["3", 0]], [[0, True], [True, 0]]])
+    def test_non_number_rows_rejected(self, tmp_path, rows):
+        path = tmp_path / "dm.json"
+        path.write_text(json.dumps({"metric": "wasserstein_sq", "n": 2, "rows": rows}))
+        with pytest.raises(SchemaError, match="must hold only numbers"):
+            read_distance_matrix_json(path)
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        path = tmp_path / "dm.json"
+        path.write_text(json.dumps({"metric": "kl", "n": 2, "rows": [[0.0, 1.0], [1.0]]}))
         with pytest.raises(SchemaError):
             read_distance_matrix_json(path)
 
