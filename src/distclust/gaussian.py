@@ -1,4 +1,4 @@
-"""Per-object Gaussian estimation.
+"""Per-object Gaussian estimation and sampling.
 
 Each object in a dataset is a group of sample vectors assumed drawn from a
 single hidden Gaussian. This module holds the group container, the fitted
@@ -9,6 +9,8 @@ bucketed by sample count, and each bucket's means, covariances, ridges and
 PSD check are single numpy calls over a (groups, q, d) array. The checks run
 once over the stack, so the fitted models are built without re-validating
 each one. ``estimate_gaussian`` is a batch of one through the same pass.
+Drawing works the same way: ``_draw_groups`` draws many groups into one
+read-only stack, and ``sample`` is a batch of one through it.
 """
 
 from dataclasses import dataclass, field
@@ -155,6 +157,49 @@ def estimate_gaussian(group: SampleGroup, eps_scale: float = 1e-8) -> GaussianMo
     return estimate_gaussians([group], eps_scale)[0]
 
 
+def _draw_groups(
+    models: Sequence[GaussianModel],
+    which: np.ndarray,
+    count: int,
+    rng: np.random.Generator,
+    group_ids: Sequence[str],
+) -> tuple[SampleGroup, ...]:
+    """One group of ``count`` draws from ``models[which[t]]`` for each t.
+
+    Each model's symmetric root comes from one stacked ``psd_root``. The
+    normals are drawn in blocks of groups, ``rng.standard_normal((b, count,
+    d))`` each, which is the stream of draws of shape (count, d) one group
+    at a time. Group t is ``mean + z[t] @ root`` of its model, the bytes of
+    that product taken one group at a time, written into one (len(which),
+    count, d) stack. Finiteness is checked once over the stack, and the
+    groups are read-only views of it.
+    """
+    if count < 2:
+        raise InsufficientSamples(f"needs at least 2 samples, got {count}")
+    roots = psd_root(
+        np.stack([m.covariance.values for m in models]), lambda k: "covariance"
+    )
+    means = np.stack([m.mean for m in models])
+    n, d = len(which), means.shape[1]
+    x = np.empty((n, count, d))
+    # blocks of about 64 KiB keep the temporaries small: a whole-stack draw
+    # holds two more (n, count, d) arrays, and measured slower
+    step = max(1, 8192 // (count * d))
+    for a in range(0, n, step):
+        w, block = which[a:a + step], x[a:a + step]
+        np.matmul(rng.standard_normal((len(w), count, d)), roots[w], out=block)
+        block += means[w][:, None, :]
+    raise_first_failure(lambda t: f"group {group_ids[t]!r}", [
+        (~np.isfinite(x).all(axis=(1, 2)), InvalidMatrix,
+         lambda t: "samples must be finite"),
+    ])
+    x.flags.writeable = False
+    return tuple(
+        _trusted(SampleGroup, group_id=group_id, samples=x[t])
+        for t, group_id in enumerate(group_ids)
+    )
+
+
 def sample(
     model: GaussianModel,
     count: int,
@@ -164,10 +209,9 @@ def sample(
     """Draw ``count`` points from the model as a new SampleGroup.
 
     Uses mean + z @ sqrt(cov) with the symmetric matrix square root, so the
-    draw is deterministic given the generator state.
+    draw is deterministic given the generator state: a batch of one through
+    the stacked draw of ``_draw_groups``.
     """
-    if count < 2:
-        raise InsufficientSamples(f"needs at least 2 samples, got {count}")
-    root = psd_root(model.covariance.values[None], lambda k: "covariance")[0]
-    z = rng.standard_normal((count, model.dim))
-    return SampleGroup(group_id or model.group_id, model.mean + z @ root)
+    return _draw_groups(
+        [model], np.zeros(1, dtype=np.intp), count, rng, [group_id or model.group_id]
+    )[0]

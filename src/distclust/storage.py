@@ -3,8 +3,9 @@
 Formats are deliberately plain so other tools can produce or consume them:
 
 * groups CSV: header ``object_id,sample_index,x_0,...,x_{d-1}``, one row per
-  sample. Readers group rows by object_id, order by sample_index, and
-  return groups sorted by object_id (numeric-aware, so obj_2 < obj_10).
+  sample, CRLF line ends. Readers group rows by object_id, order by
+  sample_index, and return groups sorted by object_id (numeric-aware, so
+  obj_2 < obj_10).
 * labels JSON: ``{"k": int, "labels": [int, ...]}``.
 * models JSON: ``[{"mean": [...], "cov": [[...], ...]}, ...]``.
 * distance matrix: headerless CSV of the square values, or JSON
@@ -13,6 +14,7 @@ Formats are deliberately plain so other tools can produce or consume them:
 """
 
 import csv
+import io
 import json
 import math
 import re
@@ -21,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RowError, SchemaError
+from .errors import InsufficientSamples, RowError, SchemaError
 from .gaussian import GaussianModel, SampleGroup
-from .matrixcore import SymMatrix
+from .matrixcore import SymMatrix, _trusted
 from .metrics import DistanceMatrix
 from .spectral import ClusterAssignment
 
@@ -36,16 +38,49 @@ def _natural_key(text: str):
     )
 
 
+def _id_cell(object_id) -> str:
+    """An object_id's cell as ``csv.writer`` writes it inside a row of more
+    than one field (a lone empty field would be quoted, an inner one not)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([object_id, 0])
+    return buf.getvalue()[: -len(",0\r\n")]
+
+
 def write_groups_csv(path: str | Path, groups) -> None:
+    """Write groups as a groups CSV, the bytes ``csv.writer`` would write.
+
+    Lines end in CRLF, an object_id is quoted as ``csv.writer`` quotes it,
+    and each value is the ``repr`` of its float, which reads back to the
+    same double. Groups the reader would refuse raise ``SchemaError`` before
+    the file is opened: groups of mixed dimension, and object_ids that are
+    empty or equal to another's once stripped of surrounding whitespace, as
+    the reader strips them.
+    """
     if not groups:
         raise SchemaError("no groups to write")
     d = groups[0].dim
+    seen: dict[str, int] = {}
+    for i, g in enumerate(groups):
+        if g.dim != d:
+            raise SchemaError(
+                f"group {g.group_id!r} has dimension {g.dim}, group 0 has {d}"
+            )
+        name = str(g.group_id).strip()
+        if not name:
+            raise SchemaError(f"group {i}: empty object_id {g.group_id!r}")
+        if name in seen:
+            raise SchemaError(
+                f"groups {seen[name]} and {i} share the object_id {name!r}"
+            )
+        seen[name] = i
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(_GROUP_HEADER_FIRST) + [f"x_{i}" for i in range(d)])
+        fh.write(",".join(_GROUP_HEADER_FIRST + tuple(f"x_{i}" for i in range(d))) + "\r\n")
         for g in groups:
-            for idx, row in enumerate(g.samples):
-                writer.writerow([g.group_id, idx] + [repr(float(v)) for v in row])
+            prefix = _id_cell(g.group_id) + ","
+            fh.write("".join(
+                f"{prefix}{idx},{','.join(map(repr, row))}\r\n"
+                for idx, row in enumerate(g.samples.tolist())
+            ))
 
 
 def read_groups_csv(path: str | Path) -> tuple[SampleGroup, ...]:
@@ -149,11 +184,21 @@ def _parse_groups_bulk(body: str, d: int) -> tuple[SampleGroup, ...] | None:
     row_rank, index = row_rank[rows], index[rows]
     if np.any((row_rank[1:] == row_rank[:-1]) & (index[1:] == index[:-1])):
         return None  # a duplicate sample_index
+    counts = np.bincount(row_rank, minlength=len(names))
+    if np.any(counts < 2):
+        r = int(np.argmax(counts < 2))
+        raise InsufficientSamples(
+            f"group {names[order[r]]!r}: needs at least 2 samples, got {counts[r]}"
+        )
+    # the checks above are the ones SampleGroup runs, so the groups are
+    # read-only views of one sorted stack
     samples = values[rows]
-    ends = np.cumsum(np.bincount(row_rank, minlength=len(names))).tolist()
+    samples.flags.writeable = False
+    ends = np.cumsum(counts).tolist()
     starts = [0] + ends[:-1]
     return tuple(
-        SampleGroup(names[g], samples[a:b]) for g, a, b in zip(order, starts, ends)
+        _trusted(SampleGroup, group_id=names[g], samples=samples[a:b])
+        for g, a, b in zip(order, starts, ends)
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .gaussian import GaussianModel, SampleGroup, sample
+from .gaussian import GaussianModel, SampleGroup, _draw_groups
 from .matrixcore import SymMatrix
 
 _MASK64 = (1 << 64) - 1
@@ -84,7 +84,12 @@ def generate_benchmark(
     """Draw one benchmark instance: generators, balanced truth, and groups.
 
     All randomness flows from a single generator seeded with ``seed``, so a
-    benchmark is fully reproducible from its parameters.
+    benchmark is fully reproducible from its parameters. The stream is read
+    in this order: for each generator in turn its mean, then its rotation;
+    then every object's (samples_per_object, d) normals, object by object.
+    Object t is ``mean + z_t @ sqrt(cov)`` of generator ``t mod k``. All
+    groups are read-only views of one (n_objects, samples_per_object, d)
+    stack, checked for finite values once.
     """
     if d < 2:
         raise InvalidConfig(f"d must be at least 2, got {d}")
@@ -110,14 +115,12 @@ def generate_benchmark(
     )
     truth = np.arange(n_objects) % k
     width = len(str(n_objects - 1))
-    groups = tuple(
-        sample(
-            generators[truth[t]],
-            samples_per_object,
-            rng,
-            group_id=f"obj_{t:0{width}d}",
-        )
-        for t in range(n_objects)
+    groups = _draw_groups(
+        generators,
+        truth,
+        samples_per_object,
+        rng,
+        [f"obj_{t:0{width}d}" for t in range(n_objects)],
     )
     truth.flags.writeable = False
     return SyntheticBenchmark(groups, truth, generators)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import pickle
@@ -13,6 +14,7 @@ from distclust.errors import InsufficientSamples, InvalidMatrix, RowError, Schem
 from distclust.gaussian import SampleGroup
 from distclust.metrics import METRIC_KL, METRIC_WASSERSTEIN_SQ, DistanceMatrix
 from distclust.spectral import ClusterAssignment
+from distclust.synthgen import generate_benchmark
 from distclust.storage import (
     canonical_json_bytes,
     read_distance_matrix_json,
@@ -97,6 +99,56 @@ class TestGroupsCsv:
     def test_empty_write_rejected(self, tmp_path):
         with pytest.raises(SchemaError):
             write_groups_csv(tmp_path / "g.csv", [])
+
+    @pytest.mark.parametrize("first, second", [
+        (("a", 2), ("b", 3)),
+        (("a", 2), ("a", 2)),
+        (("a", 2), (" a", 2)),
+        (("a", 2), ("\t ", 2)),
+    ], ids=["mixed dimension", "equal ids", "equal after strip", "empty after strip"])
+    def test_write_rejects_what_the_reader_refuses(self, first, second, tmp_path, rng):
+        groups = [SampleGroup(name, rng.standard_normal((2, d))) for name, d in (first, second)]
+        refused = tmp_path / "refused.csv"
+        reference_write_groups_csv(refused, groups)
+        with pytest.raises(RowError):
+            read_groups_csv(refused)
+        path = tmp_path / "g.csv"
+        path.write_text("kept\n")
+        with pytest.raises(SchemaError):
+            write_groups_csv(path, groups)
+        assert path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_write_matches_csv_writer(self, d, tmp_path):
+        ids = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "crlf\r\n", " padded ",
+               "\u00e9t\u00e9", "\u6771\u4eac", "plain"]
+        values = np.array([-0.0, 5e-324, 1e16, 1e-5, 1e22, -1.5, 0.1, 2.0 / 3.0, -7e-300])
+        groups = [
+            SampleGroup(name, np.roll(values, i)[: 2 * d].reshape(2, d) * (1 + i))
+            for i, name in enumerate(ids)
+        ]
+        write_groups_csv(tmp_path / "new.csv", groups)
+        reference_write_groups_csv(tmp_path / "ref.csv", groups)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_write_bytes_of_a_benchmark(self, tmp_path):
+        path = tmp_path / "g.csv"
+        write_groups_csv(path, generate_benchmark(7, 5, 200, 30, seed=1).groups)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5a29cbabe59647bfa6ab5af3836a9f36d3d5c8610e39aad8114e43a6bfa204f9"
+        )
+
+
+def reference_write_groups_csv(path, groups):
+    """The groups-CSV writer as it was, one ``csv.writer`` row per sample:
+    the reference for the bulk writer."""
+    d = groups[0].dim
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["object_id", "sample_index"] + [f"x_{i}" for i in range(d)])
+        for g in groups:
+            for idx, row in enumerate(g.samples):
+                writer.writerow([g.group_id, idx] + [repr(float(v)) for v in row])
 
 
 def reference_read_groups_csv(path):
@@ -237,6 +289,13 @@ class TestGroupsCsvParity:
         monkeypatch.setattr(storage, "_parse_groups_rows", no_row_loop)
         assert outcome(read_groups_csv, path) == expected
         assert [g[1] for g in expected] == [f"obj_{i}" for i in range(12)]
+
+    def test_bulk_groups_are_read_only(self, tmp_path, rng):
+        path = tmp_path / "g.csv"
+        write_groups_csv(path, [SampleGroup(f"obj_{i}", rng.standard_normal((3, 2))) for i in range(3)])
+        for g in read_groups_csv(path):
+            with pytest.raises(ValueError):
+                g.samples[0, 0] = 1.0
 
 
 class TestLabelsJson:

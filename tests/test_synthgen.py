@@ -2,12 +2,29 @@ import numpy as np
 import pytest
 
 from distclust.errors import InvalidConfig
+from distclust.matrixcore import psd_root
 from distclust.synthgen import (
     derive_trial_seed,
     generate_benchmark,
+    make_generator,
     random_orthogonal,
     random_simplex_point,
 )
+
+
+def reference_groups(d, k, n, q, seed, spectrum=None, simplex_boundary=False):
+    """The groups as drawn one object at a time, each with its generator's
+    own root: the reference for the stacked draw."""
+    rng = np.random.default_rng(seed)
+    spec = np.arange(1.0, d + 1.0) if spectrum is None else np.asarray(spectrum, float)
+    gens = [make_generator(d, rng, spec, simplex_boundary, f"gen_{g}") for g in range(k)]
+    width = len(str(n - 1))
+    groups = []
+    for t in range(n):
+        gen = gens[t % k]
+        root = psd_root(gen.covariance.values[None], lambda i: "covariance")[0]
+        groups.append((f"obj_{t:0{width}d}", gen.mean + rng.standard_normal((q, d)) @ root))
+    return groups
 
 
 class TestRandomOrthogonal:
@@ -109,6 +126,31 @@ class TestGenerateBenchmark:
             assert np.array_equal(ga.samples, gb.samples)
         c = generate_benchmark(d=4, k=3, n_objects=9, samples_per_object=4, seed=12)
         assert not np.array_equal(a.groups[0].samples, c.groups[0].samples)
+
+    @pytest.mark.parametrize("d, k, n, q, spectrum, boundary", [
+        (2, 2, 7, 2, None, False),
+        (3, 5, 13, 30, None, True),
+        (7, 5, 23, 30, None, False),
+        (7, 3, 10, 2, None, True),
+        (3, 2, 9, 4, (0.25, 3.0, 40.0), False),
+        (7, 5, 12, 3, (1e-3, 0.5, 1.0, 2.0, 8.0, 9.0, 1e3), True),
+        (7, 5, 97, 30, None, False),  # several draw blocks, the last one short
+        (12, 2, 3, 700, None, False),  # one group per draw block
+    ])
+    def test_stacked_draw_matches_one_object_at_a_time(self, d, k, n, q, spectrum, boundary):
+        bench = generate_benchmark(d, k, n, q, seed=d + n, spectrum=spectrum,
+                                   simplex_boundary=boundary)
+        expected = reference_groups(d, k, n, q, d + n, spectrum, boundary)
+        assert [g.group_id for g in bench.groups] == [name for name, _ in expected]
+        for g, (_, samples) in zip(bench.groups, expected):
+            assert g.samples.shape == (q, d)
+            assert g.samples.tobytes() == samples.tobytes()
+
+    def test_groups_are_read_only(self):
+        bench = generate_benchmark(d=3, k=2, n_objects=4, samples_per_object=3, seed=0)
+        for g in bench.groups:
+            with pytest.raises(ValueError):
+                g.samples[0, 0] = 1.0
 
     def test_group_ids_zero_padded(self):
         bench = generate_benchmark(d=2, k=2, n_objects=12, samples_per_object=2, seed=0)
