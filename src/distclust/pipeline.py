@@ -333,6 +333,20 @@ def _synth_trial(args: dict) -> dict[str, tuple[float, float]]:
         raise _seed_named(exc, args["trial_seed"]) from exc
 
 
+def _check_benchmark(trials: int, **lists) -> None:
+    """InvalidConfig for a benchmark that would score no cell: no trials, an
+    empty list or an unknown algorithm. ``lists`` holds each list the cells
+    are crossed from, by its parameter name, ``algorithms`` among them."""
+    if trials < 1:
+        raise InvalidConfig(f"trials must be positive, got {trials}")
+    for name, values in lists.items():
+        if len(values) == 0:
+            raise InvalidConfig(f"{name} must not be empty")
+    for algorithm in lists["algorithms"]:
+        if algorithm not in ALGORITHMS:
+            raise InvalidConfig(f"unknown algorithm {algorithm!r}")
+
+
 def benchmark_synthetic(
     d_list,
     k_list,
@@ -351,11 +365,7 @@ def benchmark_synthetic(
     t)`` and runs all algorithms on the same data; the same seed also drives
     each algorithm's internal randomness.
     """
-    if trials < 1:
-        raise InvalidConfig(f"trials must be positive, got {trials}")
-    for algorithm in algorithms:
-        if algorithm not in ALGORITHMS:
-            raise InvalidConfig(f"unknown algorithm {algorithm!r}")
+    _check_benchmark(trials, d_list=d_list, k_list=k_list, algorithms=algorithms)
     base = config or PipelineConfig(algorithm=ALGORITHMS[0], k=2)
     keys = [{"d": int(d), "k": int(k)} for d in d_list for k in k_list]
     args_list = [
@@ -422,14 +432,10 @@ def benchmark_stock(
     against that reference. Clustering seeds are held fixed at
     ``base_seed``, so sigma = 0 reproduces the reference exactly.
     """
-    if trials < 1:
-        raise InvalidConfig(f"trials must be positive, got {trials}")
+    _check_benchmark(trials, k_list=k_list, noise_sigmas=noise_sigmas, algorithms=algorithms)
     for sigma in noise_sigmas:
         if sigma < 0:
             raise InvalidConfig(f"noise sigma must be non-negative, got {sigma}")
-    for algorithm in algorithms:
-        if algorithm not in ALGORITHMS:
-            raise InvalidConfig(f"unknown algorithm {algorithm!r}")
     base = config or PipelineConfig(algorithm=ALGORITHMS[0], k=2)
     # only the clean passes run in this loop; the noisy trials of every cell
     # share the one map below

@@ -13,14 +13,12 @@ upper-triangle entries of whichever values feed the kernel.
 
 ``kernelize`` checks only finiteness (the rest holds by construction). The
 bottom k eigenpairs of L_sym come from block subspace iteration on
-M = D^{-1/2} W D^{-1/2} = I - L_sym (block k + max(10, k), one QR and one
-Rayleigh-Ritz step per pass, start block from a fixed seed), stopped on the
-residuals and certified: divergence kernels and user matrices are
-indefinite, and the certificate proves that no eigenvalue of M outside the
-k found lies above them. An O(n^2) deflation bound on the whole
-Rayleigh-Ritz block certifies first; one Cholesky factorization runs only
-where it fails. Up to 120 * min(max(1, k / 5)^2, 5) objects, for a block
-as wide as n, and when the iteration or both certificates fail, the full
+M = D^{-1/2} W D^{-1/2} = I - L_sym (block b = k + min(5k, 30), one QR and
+one Rayleigh-Ritz step per pass, start block from a fixed seed), stopped on
+the residuals and certified: divergence kernels and user matrices are
+indefinite, and an O(n^2) deflation bound on the whole Rayleigh-Ritz block
+proves that no eigenvalue of M outside the k found lies above them. Up to
+6 b objects, and when the iteration stalls or the bound refuses, the full
 ``numpy.linalg.eigh`` of the Laplacian runs instead; ``eigensolver`` says
 which one did.
 
@@ -125,7 +123,6 @@ class KMeansResult:
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
     assignment: ClusterAssignment
-    eigenvalues: np.ndarray
     ncut: float
     bandwidth_sigma: float
     eigensolver: str  # "subspace" or "dense", as in spectral_embedding
@@ -206,32 +203,16 @@ def normalized_laplacian(w: AdjacencyMatrix) -> np.ndarray:
     return lap
 
 
-# The bottom-k solver. At or below _DENSE_MAX_N * min(max(1, k / _DENSE_K)^2,
-# _DENSE_CAP) objects the full ``eigh`` is at least as fast as the subspace
-# iteration: a pass costs about n^2 (k + max(10, k)) and up to k = 10 the
-# passes grow with k, where ``eigh`` costs n^3 whatever k is. From k = 10
-# on the block of 2k columns holds the passes near 30 or below, and the
-# crossover stays near 600. Dense against subspace on mean-distance kernels
-# (``generate_benchmark(7, k, n)``), one BLAS thread, with passes:
-#   k = 5:  2.1 against 2.7 ms (11) at n = 120, 5.3 against 3.6 ms (10) at
-#           n = 200, 245 against 57 ms (10) at n = 1000;
-#   k = 9:  6.7 against 8.7-11 ms (17-25) at n = 250, 15 against 18 ms (24)
-#           at n = 350;
-#   k = 10: 3.3 against 6.3 ms (27) at n = 200, 14 against 15 ms (30) at
-#           n = 400, 25-30 against 25 ms (29) at n = 500, 60 against 47 ms
-#           (30) at n = 700;
-#   k = 12: 34 against 38-44 ms (29-36) at n = 500, 76 against 66 ms (38)
-#           at n = 700;
-#   k = 15: 42 against 46 ms (28) at n = 600, 60-68 against 64-67 ms (30)
-#           at n = 700, 224 against 157-171 ms (30) at n = 1000;
-#   k = 20: 18-21 against 13-18 ms (12) at n = 400, 71 against 27-33 ms
-#           (12) at n = 700, 1354 against 172 ms (11) at n = 2000;
-#   k = 30: 18 against 20 ms (9) at n = 400, 196 against 60-75 ms (9) at
-#           n = 1000.
-_DENSE_MAX_N = 120
-_DENSE_K = 5
-_DENSE_CAP = 5
-_OVERSAMPLE = 10  # block columns beyond k, or k if larger
+# The bottom-k solver. The block has b = k + min(5k, _OVERSAMPLE) columns:
+# the deflation bound holds only once the block carries nearly all of M's
+# Frobenius mass, and on d = 7 W2 and Bhattacharyya kernels at k = 5, 30
+# columns were the fewest that certified every one tried (240 at n = 200,
+# 12 at n = 600, 2 at n = 2000). With it the iteration takes 6-12 passes at
+# every k. A pass costs about n^2 b and the full ``eigh`` n^3; on one BLAS
+# thread they broke even between 6 b and 8 b objects for k = 3-30 (10 b at
+# k = 2), so the iteration runs for n > _DENSE_PER_COLUMN b.
+_OVERSAMPLE = 30
+_DENSE_PER_COLUMN = 6
 _MAX_PASSES = 50
 _RESIDUAL_TOL = 1e-10  # on every ||M v - theta v||, for unit v
 # From pass 2 * _STALL_WINDOW on, the iteration gives up once the residual's
@@ -239,7 +220,7 @@ _RESIDUAL_TOL = 1e-10  # on every ||M v - theta v||, for unit v
 # _RESIDUAL_TOL within _MAX_PASSES: the dense fallback then runs at once.
 _STALL_WINDOW = 5
 # c must clear the k-th and (k+1)-th Ritz values by more than the residuals
-# (sqrt(k) * _RESIDUAL_TOL) and the Cholesky's rounding; a smaller gap, such
+# (sqrt(k) * _RESIDUAL_TOL) and the bound's rounding; a smaller gap, such
 # as lambda_k = lambda_{k+1}, leaves the certificate to rounding
 _MIN_GAP = 1e-8
 # multiple of n eps (|M|_F^2 + block columns) that the deflation bound adds
@@ -286,26 +267,9 @@ def _deflation_bound(
     return bound + slack < 0.5 * (theta[k - 1] + theta[k])
 
 
-def _cholesky_bound(
-    w: AdjacencyMatrix, r: np.ndarray, theta: np.ndarray, vectors: np.ndarray, k: int
-) -> bool:
-    """``_deflation_bound``'s conclusion from one Cholesky factor of
-    A = c I - (M - V (Theta + 2) V^T), built in one n x n array: a factor
-    proves A positive definite, so x^T M x < c |x|^2 for every x orthogonal
-    to V. O(n^3), but it does not need the rest of the block to have
-    converged, so it accepts results the deflation bound cannot."""
-    n = w.n
-    a = w.values * -r
-    a *= r.T
-    a.flat[:: n + 1] += 0.5 * (theta[k - 1] + theta[k])
-    lifted = vectors * (theta[:k] + 2.0)
-    for s in range(0, n, _BLOCK_ROWS):
-        a[s : s + _BLOCK_ROWS] += lifted[s : s + _BLOCK_ROWS] @ vectors.T
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _block_columns(k: int) -> int:
+    """Columns of the subspace iteration's block for k eigenpairs."""
+    return k + min(5 * k, _OVERSAMPLE)
 
 
 def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -316,10 +280,10 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
 
     L_sym = I - M with M = D^-1/2 W D^-1/2, so the pairs sought are the top
     k of M, applied as ``r * (W @ (r * Q))`` without building L. The block
-    has k + max(10, k) columns: the convergence factor is the ratio of the
-    eigenvalue past the block to the k-th, and for large k a block of
-    k + 10 stalls. The start block comes from a fixed seed, so the result
-    depends on W alone.
+    has ``_block_columns(k)`` columns: the convergence factor is the ratio
+    of the eigenvalue past the block to the k-th, and the certificate needs
+    the block to hold nearly all of M's Frobenius mass. The start block
+    comes from a fixed seed, so the result depends on W alone.
 
     The iteration finds the k largest Ritz values of the block, but W may be
     indefinite (divergence kernels, user matrices), so an eigenvalue of M
@@ -327,17 +291,15 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
     that: with V the k Ritz vectors and c midway between the k-th and
     (k+1)-th Ritz values, it shows x^T M x < c |x|^2 for every x orthogonal
     to V, and by Courant-Fischer no eigenvalue of M but the k near the Ritz
-    values lies above c. The O(n^2) deflation bound is tried first and the
-    O(n^3) Cholesky only when it fails. Where the bound holds, A of the
-    Cholesky is positive definite too (its off-diagonal part toward V is
-    the residuals, under 1e-10), so the returned arrays do not depend on
-    which certificate ran. A gap between
-    those Ritz values under _MIN_GAP, as when the k-th and (k+1)-th
-    eigenvalues coincide, leaves no room for c and fails the certificate.
+    values lies above c. The certificate is the O(n^2) deflation bound
+    alone; where it refuses, as when M has more negative eigenvalue mass
+    than the block leaves room for, the result is None. A gap between those
+    Ritz values under _MIN_GAP, as when the k-th and (k+1)-th eigenvalues
+    coincide, leaves no room for c and fails the certificate.
     """
     n = w.n
     r = (1.0 / np.sqrt(w.values.sum(axis=1)))[:, None]
-    start = np.random.default_rng(0).standard_normal((n, k + max(_OVERSAMPLE, k)))
+    start = np.random.default_rng(0).standard_normal((n, _block_columns(k)))
     q, _ = np.linalg.qr(start)
     worst = []  # largest residual of every pass
     for passes in range(1, _MAX_PASSES + 1):
@@ -357,12 +319,7 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
         q, _ = np.linalg.qr(mq)
     else:
         return None
-    if theta[k - 1] - theta[k] <= _MIN_GAP:
-        return None
-    if not (
-        _deflation_bound(w, r, q, mq, theta, ritz, k)
-        or _cholesky_bound(w, r, theta, vectors, k)
-    ):
+    if theta[k - 1] - theta[k] <= _MIN_GAP or not _deflation_bound(w, r, q, mq, theta, ritz, k):
         return None
     return 1.0 - theta[:k], vectors
 
@@ -373,18 +330,16 @@ def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarr
     Returns (embedding, eigenvalues, eigensolver): eigenvalues are the k
     smallest, ascending, and eigensolver is ``"subspace"`` or ``"dense"``.
     All-zero rows are left at zero rather than divided. Above
-    _DENSE_MAX_N * min(max(1, k / _DENSE_K)^2, _DENSE_CAP) objects (120 for
-    k <= 5, 480 for k = 10, 600 from k = 12 on), and when the block of
-    k + max(10, k) columns is narrower than n, the certified subspace
-    iteration runs: its certificate is the O(n^2) deflation bound, or the
-    O(n^3) Cholesky where that bound fails. The full ``eigh`` runs otherwise
-    and whenever the iteration or both certificates fail.
+    _DENSE_PER_COLUMN objects per block column, n > 6 (k + min(5k, 30))
+    (72 at k = 2, 180 at k = 5, 240 at k = 10, 360 from k = 30 on), the
+    subspace iteration runs, certified by the O(n^2) deflation bound. The
+    full ``eigh`` runs otherwise and whenever the iteration stalls or the
+    bound refuses.
     """
     if k < 1 or k > w.n:
         raise InvalidConfig(f"k={k} invalid for {w.n} objects")
     found = None
-    limit = _DENSE_MAX_N * min(max(1.0, k / _DENSE_K) ** 2, _DENSE_CAP)
-    if w.n > limit and k + max(_OVERSAMPLE, k) < w.n:
+    if w.n > _DENSE_PER_COLUMN * _block_columns(k):
         found = _subspace_bottom(w, k)
     eigensolver = "subspace"
     if found is None:
@@ -721,11 +676,10 @@ def spectral_cluster(
     max_iter: int = 300,
 ) -> SpectralResult:
     """Cluster graph nodes by k-means on the normalized spectral embedding."""
-    basis, eigenvalues, eigensolver = spectral_embedding(w, k)
+    basis, _, eigensolver = spectral_embedding(w, k)
     result = kmeans(basis, k, rng, restarts=restarts, max_iter=max_iter)
     return SpectralResult(
         assignment=result.assignment,
-        eigenvalues=eigenvalues,
         ncut=ncut(w, result.assignment),
         bandwidth_sigma=w.bandwidth_sigma,
         eigensolver=eigensolver,

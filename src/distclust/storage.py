@@ -51,10 +51,10 @@ def write_groups_csv(path: str | Path, groups) -> None:
 
     Lines end in CRLF, an object_id is quoted as ``csv.writer`` quotes it,
     and each value is the ``repr`` of its float, which reads back to the
-    same double. Groups the reader would refuse raise ``SchemaError`` before
-    the file is opened: groups of mixed dimension, and object_ids that are
-    empty or equal to another's once stripped of surrounding whitespace, as
-    the reader strips them.
+    same double. Groups the reader would refuse or read back otherwise
+    raise ``SchemaError`` before the file is opened: groups of mixed
+    dimension, and object_ids that are empty, that start or end with
+    whitespace (the reader strips it) or that equal another's.
     """
     if not groups:
         raise SchemaError("no groups to write")
@@ -65,9 +65,14 @@ def write_groups_csv(path: str | Path, groups) -> None:
             raise SchemaError(
                 f"group {g.group_id!r} has dimension {g.dim}, group 0 has {d}"
             )
-        name = str(g.group_id).strip()
-        if not name:
+        name = str(g.group_id)
+        if not name.strip():
             raise SchemaError(f"group {i}: empty object_id {g.group_id!r}")
+        if name != name.strip():
+            raise SchemaError(
+                f"group {i}: object_id {name!r} starts or ends with whitespace,"
+                " which the reader strips"
+            )
         if name in seen:
             raise SchemaError(
                 f"groups {seen[name]} and {i} share the object_id {name!r}"
@@ -89,7 +94,8 @@ def read_groups_csv(path: str | Path) -> tuple[SampleGroup, ...]:
     The body is parsed in bulk (``_parse_groups_bulk``). Whenever that parse
     declines the text or fails, the row loop (``_parse_groups_rows``) reads
     the file instead; it is the one place that raises ``RowError``, with the
-    line number of the first bad row.
+    line number of the first bad row. A file with no sample rows after its
+    header raises ``SchemaError``.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -105,6 +111,8 @@ def read_groups_csv(path: str | Path) -> tuple[SampleGroup, ...]:
             reader = csv.reader(fh)
             next(reader)
             groups = _parse_groups_rows(reader, d)
+    if not groups:
+        raise SchemaError(f"{path}: no sample rows after the header")
     return groups
 
 

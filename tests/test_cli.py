@@ -186,6 +186,16 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert entrypoint(["--help"]) == 0
 
+    @pytest.mark.parametrize("command", ["estimate", "cluster"])
+    def test_header_only_groups_file_is_data_error(self, command, tmp_path, capsys):
+        groups = tmp_path / "g.csv"
+        groups.write_text("object_id,sample_index,x_0\n")
+        out = tmp_path / "out.json"
+        args = ["--algorithm", "kmeans_means", "--k", "2"] if command == "cluster" else []
+        assert entrypoint([command, str(groups), *args, "--out", str(out)]) == 2
+        assert "no sample rows after the header" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNmiCommand:
     def test_prints_score(self, tmp_path, capsys):
@@ -283,6 +293,21 @@ class TestBenchCommands:
         else:
             assert code == 0
             assert "warning: skipped line 14" in err
+
+    @pytest.mark.parametrize("args, name", [
+        (["bench-synth", "--d-list", "2", "--k-list", ""], "k_list"),
+        (["bench-synth", "--d-list", "2", "--k-list", "2", "--algorithms", ""], "algorithms"),
+        (["bench-stock", "PRICES", "--k-list", "2", "--sigma-list", ""], "noise_sigmas"),
+    ], ids=["bench-synth k-list", "bench-synth algorithms", "bench-stock sigma-list"])
+    def test_empty_list_is_usage_error(self, args, name, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(STOCK_CSV)
+        args = [str(prices) if a == "PRICES" else a for a in args]
+        out = tmp_path / "out"
+        code = entrypoint([*args, "--trials", "1", "--threads", "1", "--out-dir", str(out)])
+        assert code == 1
+        assert f"{name} must not be empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_list_is_usage_error(self, tmp_path):
         code = entrypoint(

@@ -256,6 +256,9 @@ class TestBenchmarkSynthetic:
             benchmark_synthetic(
                 d_list=[2], k_list=[2], trials=1, algorithms=("unknown",)
             )
+        for empty in ({"d_list": []}, {"k_list": []}, {"algorithms": ()}):
+            with pytest.raises(InvalidConfig, match=f"^{next(iter(empty))} must not be empty$"):
+                benchmark_synthetic(**{"d_list": [2], "k_list": [2], "trials": 1, **empty})
 
 
 class TestTrialFailures:
@@ -367,6 +370,9 @@ class TestBenchmarkStock:
             benchmark_stock(groups, k_list=[2], noise_sigmas=[-1.0], trials=1)
         with pytest.raises(InvalidConfig):
             benchmark_stock(groups, k_list=[2], noise_sigmas=[1.0], trials=0)
+        for empty in ({"k_list": []}, {"noise_sigmas": []}, {"algorithms": ()}):
+            with pytest.raises(InvalidConfig, match=f"^{next(iter(empty))} must not be empty$"):
+                benchmark_stock(groups, **{"k_list": [2], "noise_sigmas": [1.0], "trials": 1, **empty})
 
 
 def wait_for_file(folder: Path, pattern: str) -> None:

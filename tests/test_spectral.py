@@ -281,7 +281,7 @@ def dense_embedding(w: AdjacencyMatrix, k: int, monkeypatch) -> tuple:
     """``spectral_embedding`` with the crossover raised past n: the full
     ``eigh`` path, the reference of every fallback."""
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_DENSE_MAX_N", w.n)
+        patch.setattr(spectral, "_DENSE_PER_COLUMN", w.n)
         embedding = spectral_embedding(w, k)
     assert embedding[2] == "dense"
     return embedding
@@ -332,21 +332,22 @@ class TestBottomEigensolver:
             # sine of the largest principal angle between the two subspaces
             outside = reference[:, :k] - vectors @ (vectors.T @ reference[:, :k])
             assert np.linalg.norm(outside, 2) <= 1e-6
-        if n > spectral._DENSE_MAX_N:
+        if n > spectral._DENSE_PER_COLUMN * spectral._block_columns(k):
             _, values, eigensolver = spectral_embedding(w, k)
             assert eigensolver == "subspace"
             assert values.tobytes() == eigenvalues.tobytes()
 
     def test_at_or_below_crossover_runs_dense(self):
-        w = benchmark_kernel(spectral._DENSE_MAX_N, METRIC_EUCLIDEAN)
+        w = benchmark_kernel(spectral._DENSE_PER_COLUMN * spectral._block_columns(5), METRIC_EUCLIDEAN)
         assert spectral_embedding(w, 5)[2] == "dense"
 
-    @pytest.mark.parametrize("k, n, tried", [(5, 121, True), (10, 480, False), (10, 481, True),
-                                             (20, 600, False), (20, 601, True)])
+    @pytest.mark.parametrize("k, n, tried", [(5, 180, False), (5, 181, True), (10, 240, False),
+                                             (10, 481, True), (20, 300, False), (20, 601, True)])
     def test_crossover_grows_with_k(self, k, n, tried, monkeypatch):
-        # the iteration's passes grow with k up to k = 10, so the dense solve
-        # stays faster up to 120 (k / 5)^2 objects; the block of 2k columns
-        # holds the passes down beyond, and the crossover stops at 600
+        # a pass costs about n^2 b for the block of b = k + min(5k, 30)
+        # columns and the passes hardly change with k, so the dense solve
+        # stays faster up to 6 b objects: 180 at k = 5, 240 at k = 10, 300
+        # at k = 20
         calls = []
         monkeypatch.setattr(spectral, "_subspace_bottom", lambda w, k: calls.append(k))
         spectral_embedding(block_kernel(n, 1), k)
@@ -356,7 +357,7 @@ class TestBottomEigensolver:
         # k + 1 components: lambda_k = lambda_{k+1} = 0, no certificate
         k = 2
         w = block_kernel(k + 1, 50)
-        assert w.n > spectral._DENSE_MAX_N
+        assert w.n > spectral._DENSE_PER_COLUMN * spectral._block_columns(k)
         basis, eigenvalues, eigensolver = spectral_embedding(w, k)
         assert eigensolver == "dense"
         reference = dense_embedding(w, k, monkeypatch)
@@ -392,8 +393,8 @@ class TestBottomEigensolver:
         # 12 parts, far apart inside and close across: M = D^-1/2 W D^-1/2
         # has eleven eigenvalues near -0.08 that crowd the block out of its
         # small positive ones. At k = 2 the iteration converges to one of the
-        # negative ones, and both certificates refuse it; at k = 1 the
-        # deflation bound accepts, and no Cholesky runs.
+        # negative ones, and the deflation bound refuses it; at k = 1 it
+        # accepts. No n x n factorization runs either way.
         w = multipartite_kernel(rng)
         n, parts = w.n, 12
         mu = np.linalg.eigvalsh(np.eye(n) - normalized_laplacian(w))
@@ -404,7 +405,7 @@ class TestBottomEigensolver:
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.shape) or cholesky(a))
         basis, eigenvalues, solver = spectral_embedding(w, k)
         assert solver == eigensolver
-        assert factored == {1: [], 2: [(n, n)]}[k]
+        assert factored == []
         expected = np.linalg.eigvalsh(normalized_laplacian(w))[:k]
         assert np.abs(eigenvalues - expected).max() <= 1e-10
 
@@ -429,24 +430,29 @@ class TestBottomEigensolver:
 
     def test_twenty_clusters_at_a_thousand_objects_run_the_iteration(self, monkeypatch):
         # a block of k + 10 columns stalled here and gave up for the dense
-        # solve; k + k columns converge
+        # solve; k + 30 columns converge
         groups = generate_benchmark(7, 20, n_objects=1000, samples_per_object=30, seed=0).groups
         w = kernelize(mean_euclidean_matrix(estimate_gaussians(groups, 1e-8)))
         factored = count_qr(monkeypatch)
         basis, eigenvalues, eigensolver = spectral_embedding(w, 20)
         assert eigensolver == "subspace"
-        assert factored[0] == (1000, 40)
+        assert factored[0] == (1000, 50)
         expected = np.linalg.eigvalsh(normalized_laplacian(w))[:20]
         assert np.abs(eigenvalues - expected).max() <= 1e-10
 
     def test_slow_but_steady_iteration_is_kept(self, monkeypatch):
-        # k = 10 mean-distance kernel at n = 2000: convergence factor
-        # theta_21 / theta_10 makes for many passes, but the projection
-        # reaches the tolerance within the cap and must not stop it
+        # k = 10 mean-distance kernel at n = 2000 on a block of 2k columns:
+        # convergence factor theta_21 / theta_10 makes for 34 passes, but the
+        # projection reaches the tolerance within the cap and must not stop
+        # the iteration before its certificate
         groups = generate_benchmark(7, 10, n_objects=2000, samples_per_object=30, seed=0).groups
         w = kernelize(mean_euclidean_matrix(estimate_gaussians(groups, 1e-8)))
+        monkeypatch.setattr(spectral, "_block_columns", lambda k: 2 * k)
+        bound, reached = spectral._deflation_bound, []
+        monkeypatch.setattr(spectral, "_deflation_bound", lambda *args: reached.append(1) or bound(*args))
         factored = count_qr(monkeypatch)
-        assert spectral_embedding(w, 10)[2] == "subspace"
+        _subspace_bottom(w, 10)
+        assert reached
         assert len(factored) > 2 * spectral._STALL_WINDOW
 
 
@@ -465,8 +471,8 @@ def planted_kernel(n: int, parts: int, noise: float, rng) -> AdjacencyMatrix:
 def certify(w: AdjacencyMatrix, k: int, monkeypatch):
     """Whether the deflation bound accepted ``_subspace_bottom(w, k)``'s
     result (None if the iteration failed before it), after two checks: an
-    accepted c lies above the (k+1)-th eigenvalue of M, and the result has
-    the bytes of a run whose bound refuses, so that the Cholesky decides."""
+    accepted c lies above the (k+1)-th eigenvalue of M, and the result is
+    None exactly when the bound refuses."""
     decisions = []
     bound = spectral._deflation_bound
 
@@ -478,33 +484,44 @@ def certify(w: AdjacencyMatrix, k: int, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_deflation_bound", recorded)
         found = _subspace_bottom(w, k)
-    with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_deflation_bound", lambda *args: False)
-        reference = _subspace_bottom(w, k)
-    assert (found is None) == (reference is None)
-    if found is not None:
-        assert found[0].tobytes() == reference[0].tobytes()
-        assert found[1].tobytes() == reference[1].tobytes()
     if not decisions:
+        assert found is None
         return None
     [(accepted, c)] = decisions
+    assert (found is not None) == bool(accepted)
     if accepted:
         mu = np.linalg.eigvalsh(np.eye(w.n) - normalized_laplacian(w))
         assert mu[-1 - k] < c
     return bool(accepted)
 
 
+def assert_certified_in_small_memory(w: AdjacencyMatrix, monkeypatch) -> None:
+    """The k = 5 solve of w is certified with no factorization of an n x n
+    matrix and no n x n array alive at once."""
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: pytest.fail("Cholesky ran"))
+    tracemalloc.start()
+    try:
+        assert _subspace_bottom(w, 5) is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w.n * w.n * 8
+
+
 class TestDeflationBound:
     """The O(n^2) certificate of the subspace iteration: sound wherever it
-    accepts, and the result is the same bytes whichever certificate ran."""
+    accepts, and a refusal leaves the solve to the dense ``eigh``."""
 
     @pytest.mark.parametrize(
         "metric, n, d, accepted",
-        [(metric, n, d, metric == METRIC_EUCLIDEAN or d == 4)
+        [(metric, n, d, True)
          for metric in (METRIC_EUCLIDEAN, METRIC_WASSERSTEIN_SQ, METRIC_BHATTACHARYYA)
          for n in (150, 300) for d in (4, 7)],
     )
     def test_benchmark_kernels(self, metric, n, d, accepted, monkeypatch):
+        # the d = 7 divergence kernels carry negative eigenvalue mass that a
+        # block of 15 columns left outside, and the bound refused them; 30
+        # columns hold enough of M's Frobenius mass
         assert certify(benchmark_kernel(n, metric, d=d), 5, monkeypatch) is accepted
 
     @pytest.mark.parametrize(
@@ -525,16 +542,15 @@ class TestDeflationBound:
         assert certify(multipartite_kernel(rng), k, monkeypatch) is accepted
 
     def test_accepted_certificate_holds_no_n_by_n_array(self, monkeypatch):
-        # the Cholesky path builds A and its factor, n x n each
-        w = benchmark_kernel(1000, METRIC_EUCLIDEAN)
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: pytest.fail("Cholesky ran"))
-        tracemalloc.start()
-        try:
-            assert _subspace_bottom(w, 5) is not None
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < w.n * w.n * 8
+        assert_certified_in_small_memory(benchmark_kernel(1000, METRIC_EUCLIDEAN), monkeypatch)
+
+    @pytest.mark.parametrize("metric", [METRIC_WASSERSTEIN_SQ, METRIC_BHATTACHARYYA])
+    def test_divergence_kernels_certify_without_an_n_by_n_array(self, metric, monkeypatch):
+        # d = 7 and q = 20: the indefinite kernels that a narrower block left
+        # to an n x n Cholesky factorization
+        w = benchmark_kernel(600, metric, d=7)
+        assert spectral._DENSE_PER_COLUMN * spectral._block_columns(5) < w.n
+        assert_certified_in_small_memory(w, monkeypatch)
 
     def test_frobenius_norm_in_row_blocks(self, monkeypatch):
         w = benchmark_kernel(300, METRIC_EUCLIDEAN)

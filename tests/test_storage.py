@@ -120,7 +120,7 @@ class TestGroupsCsv:
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_write_matches_csv_writer(self, d, tmp_path):
-        ids = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "crlf\r\n", " padded ",
+        ids = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "crlf\r\nhere", "inner space",
                "\u00e9t\u00e9", "\u6771\u4eac", "plain"]
         values = np.array([-0.0, 5e-324, 1e16, 1e-5, 1e22, -1.5, 0.1, 2.0 / 3.0, -7e-300])
         groups = [
@@ -130,6 +130,22 @@ class TestGroupsCsv:
         write_groups_csv(tmp_path / "new.csv", groups)
         reference_write_groups_csv(tmp_path / "ref.csv", groups)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", [" padded ", "padded ", "\tpadded", "crlf\r\n"])
+    def test_padded_id_is_refused_before_the_file_opens(self, name, tmp_path, rng):
+        # the reader strips an id, so " padded " would read back as "padded"
+        path = tmp_path / "g.csv"
+        with pytest.raises(SchemaError, match="whitespace"):
+            write_groups_csv(path, [SampleGroup(name, rng.standard_normal((2, 2)))])
+        assert not path.exists()
+
+    def test_inner_whitespace_round_trips(self, tmp_path, rng):
+        groups = [SampleGroup(name, rng.standard_normal((3, 2))) for name in ("a b", "c\td")]
+        write_groups_csv(tmp_path / "g.csv", groups)
+        back = read_groups_csv(tmp_path / "g.csv")
+        assert [g.group_id for g in back] == ["a b", "c\td"]
+        for a, b in zip(groups, back):
+            assert a.samples.tobytes() == b.samples.tobytes()
 
     def test_write_bytes_of_a_benchmark(self, tmp_path):
         path = tmp_path / "g.csv"
@@ -178,6 +194,8 @@ def reference_read_groups_csv(path):
                     f"duplicate sample_index {sample_index} for {object_id!r}", line
                 )
             per_object[sample_index] = values
+    if not rows:
+        raise SchemaError(f"{path}: no sample rows after the header")
     groups = []
     for object_id in sorted(rows, key=storage._natural_key):
         samples = rows[object_id]
@@ -248,6 +266,7 @@ class TestGroupsCsvParity:
             "float index": (RowError, 2),
             "nan in last row": (RowError, 5),
             "one-sample group": (InsufficientSamples, None),
+            "header only": (SchemaError, None),
         }
         for case, (cls, line) in expected.items():
             path = tmp_path / "g.csv"
