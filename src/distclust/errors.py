@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
 import copyreg
+import math
 
 
 class DistclustError(Exception):
@@ -65,3 +66,9 @@ class RowError(DistclustError):
         # rebuild from the formatted message and the line attribute without
         # calling __init__, so the error survives a trip through a worker pool
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+
+
+def _check_non_negative(name: str, value: float) -> None:
+    """InvalidConfig naming a ridge scale or noise sigma not finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidConfig(f"{name} must be finite and non-negative, got {value}")

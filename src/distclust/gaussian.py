@@ -8,9 +8,9 @@ The estimator fits every group of a dataset in one stacked pass: groups are
 bucketed by sample count, and each bucket's means, covariances, ridges and
 PSD check are single numpy calls over a (groups, q, d) array. The checks run
 once over the stack, so the fitted models are built without re-validating
-each one. ``estimate_gaussian`` is a batch of one through the same pass.
-Drawing works the same way: ``_draw_groups`` draws many groups into one
-read-only stack, and ``sample`` is a batch of one through it.
+each one. ``_ridged`` is the one finishing step of a fitted covariance, the
+trace-scaled ridge; KL k-means ends its centers in it too. Drawing works
+the same way: ``_draw_groups`` draws many groups into one read-only stack.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientSamples, InvalidMatrix
+from .errors import DimensionMismatch, InsufficientSamples, InvalidMatrix, _check_non_negative
 from .matrixcore import SymMatrix, _trusted, psd_check, psd_root, raise_first_failure
 
 
@@ -87,21 +87,27 @@ class GaussianModel:
         return self.mean.size
 
 
+def _ridged(cov: np.ndarray, eps_scale: float) -> np.ndarray:
+    """A (b, d, d) covariance stack plus eps_scale * tr / d on each diagonal,
+    or eps_scale where the trace is 0: the last step of every fitted
+    covariance. It keeps an exactly symmetric stack exactly symmetric."""
+    d = cov.shape[-1]
+    trace = np.trace(cov, axis1=1, axis2=2)
+    eps = np.where(trace > 0, eps_scale * trace / d, eps_scale)
+    return cov + eps[:, None, None] * np.eye(d)
+
+
 def _fit_stack(x: np.ndarray, eps_scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Means and ridged covariances of a (b, q, d) stack of sample groups.
 
     The same operations, in the same order, as fitting one group at a time:
-    unbiased covariance, symmetrize, trace-scaled ridge, symmetrize.
+    unbiased covariance, symmetrize, trace-scaled ridge (``_ridged``).
     """
-    q, d = x.shape[1:]
+    q = x.shape[1]
     mean = x.mean(axis=1)
     dev = x - mean[:, None, :]
     cov = (dev.transpose(0, 2, 1) @ dev) / (q - 1)
-    cov = (cov + cov.transpose(0, 2, 1)) / 2.0
-    trace = np.trace(cov, axis1=1, axis2=2)
-    eps = np.where(trace > 0, eps_scale * trace / d, eps_scale)
-    cov = cov + eps[:, None, None] * np.eye(d)
-    return mean, (cov + cov.transpose(0, 2, 1)) / 2.0
+    return mean, _ridged((cov + cov.transpose(0, 2, 1)) / 2.0, eps_scale)
 
 
 def estimate_gaussians(
@@ -117,8 +123,7 @@ def estimate_gaussians(
     and a failure names the first failing group. The returned models share
     read-only stacked arrays.
     """
-    if eps_scale < 0:
-        raise InvalidMatrix(f"eps_scale must be non-negative, got {eps_scale}")
+    _check_non_negative("eps_scale", eps_scale)
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, group in enumerate(groups):
         buckets.setdefault(group.samples.shape, []).append(i)
@@ -149,12 +154,6 @@ def estimate_gaussians(
                 group_id=groups[i].group_id,
             )
     return tuple(models)
-
-
-def estimate_gaussian(group: SampleGroup, eps_scale: float = 1e-8) -> GaussianModel:
-    """Fit N(m, S) to one sample group: a batch of one through
-    ``estimate_gaussians``."""
-    return estimate_gaussians([group], eps_scale)[0]
 
 
 def _draw_groups(
@@ -199,19 +198,3 @@ def _draw_groups(
         for t, group_id in enumerate(group_ids)
     )
 
-
-def sample(
-    model: GaussianModel,
-    count: int,
-    rng: np.random.Generator,
-    group_id: str = "",
-) -> SampleGroup:
-    """Draw ``count`` points from the model as a new SampleGroup.
-
-    Uses mean + z @ sqrt(cov) with the symmetric matrix square root, so the
-    draw is deterministic given the generator state: a batch of one through
-    the stacked draw of ``_draw_groups``.
-    """
-    return _draw_groups(
-        [model], np.zeros(1, dtype=np.intp), count, rng, [group_id or model.group_id]
-    )[0]

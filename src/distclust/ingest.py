@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientSamples, InvalidConfig, RowError, SchemaError
+from .errors import InsufficientSamples, InvalidConfig, RowError, SchemaError, _check_non_negative
 from .gaussian import SampleGroup
 
 REQUIRED_COLUMNS = ("date", "symbol", "open", "close", "low", "high")
@@ -140,8 +140,7 @@ def add_noise(groups, sigma: float, rng: np.random.Generator) -> tuple[SampleGro
     sigma = 0 returns byte-identical copies without consuming any random
     numbers, so noise-free runs do not depend on generator state.
     """
-    if sigma < 0:
-        raise InvalidConfig(f"sigma must be non-negative, got {sigma}")
+    _check_non_negative("sigma", sigma)
     if sigma == 0:
         return tuple(SampleGroup(g.group_id, g.samples) for g in groups)
     return tuple(

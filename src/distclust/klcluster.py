@@ -9,7 +9,9 @@ closed-form center
 
 so the usual two-step iteration applies: update centers, reassign each model
 to its nearest center by KL. The objective is non-increasing except across
-empty-cluster repairs, which may raise it.
+empty-cluster repairs, which may raise it. X_j then takes the models' own
+ridge (``gaussian._ridged``), so centers over point masses stay invertible;
+it moves the objective slightly, and ``eps_scale = 0`` leaves X_j exact.
 
 Seeding is either ``random`` (k distinct models drawn uniformly) or ``klpp``,
 the ++-style scheme that picks each next center with probability
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCluster, InvalidConfig
-from .gaussian import GaussianModel
+from .errors import EmptyCluster, InvalidConfig, _check_non_negative
+from .gaussian import GaussianModel, _ridged
 from .matrixcore import SymMatrix, _trusted
 from .metrics import kl_divergence_table, kl_factors
 from .spectral import ClusterAssignment, _cluster_means, _hard_cluster, _plus_plus, _repair_empty
@@ -54,26 +56,25 @@ class KlClusterResult:
 
 
 def center_update(
-    factors: dict, labels: np.ndarray, k: int
+    factors: dict, labels: np.ndarray, k: int, eps_scale: float = 1e-8
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form KL centers for the given assignment, as stacked means
     (k, d) and covariances (k, d, d).
 
-    Averages the stacked ``mean`` and ``cov`` arrays of ``kl_factors(models)``
-    over each cluster's members, as ``np.mean`` does, and adds each
-    cluster's scatter; each covariance gets the (X + X^T)/2 that
-    ``SymMatrix`` applies. Raises EmptyCluster if any label in [0, k) has no
-    members; callers are expected to repair the assignment first.
+    One pass over ``kl_factors(models)``: a_j is the members' mean of m_i
+    and X_j their mean of the exactly symmetric S_i + (m_i - a_j)(m_i -
+    a_j)^T, both as ``np.mean`` gives them; X_j then takes the fit's ridge
+    (``gaussian._ridged``). Raises
+    EmptyCluster if any label in [0, k) has no members; callers are
+    expected to repair the assignment first.
     """
     counts = np.bincount(labels, minlength=k)
     if counts.min() == 0:
         raise EmptyCluster(f"cluster {int(counts.argmin())} has no members")
     means = _cluster_means(factors["mean"], labels[None], k)[0]
-    covs = _cluster_means(factors["cov"], labels[None], k)[0]
-    for j in range(k):
-        dev = factors["mean"][labels == j] - means[j]
-        covs[j] += (dev.T @ dev) / counts[j]
-    return means, (covs + covs.transpose(0, 2, 1)) / 2.0
+    dev = factors["mean"] - means[labels]
+    scatter = factors["cov"] + dev[:, :, None] * dev[:, None, :]
+    return means, _ridged(_cluster_means(scatter, labels[None], k)[0], eps_scale)
 
 
 def klpp_seed(
@@ -106,6 +107,7 @@ def kl_cluster(
     seeding: str = SEEDING_RANDOM,
     max_iter: int = 100,
     klpp_squared: bool = False,
+    eps_scale: float = 1e-8,
 ) -> KlClusterResult:
     """Cluster Gaussian models by alternating KL assignment and closed-form
     center updates until the assignment is stable, or for ``max_iter``
@@ -115,7 +117,8 @@ def kl_cluster(
     ``spectral._hard_cluster``). A run that did not converge takes one last
     repair and center update, as a Lloyd's restart does, so its labels fill
     all k clusters. ``iterations``, ``objective_history`` and
-    ``repair_iterations`` cover the passes run.
+    ``repair_iterations`` cover the passes run. Centers take the ridge of
+    ``eps_scale``, the models' fit setting; 0 leaves them unridged.
     """
     n = len(models)
     if k < 1 or k > n:
@@ -124,6 +127,7 @@ def kl_cluster(
         raise InvalidConfig(f"unknown seeding {seeding!r}")
     if max_iter < 1:
         raise InvalidConfig("max_iter must be positive")
+    _check_non_negative("eps_scale", eps_scale)
 
     factors = kl_factors(models)
     if seeding == SEEDING_KLPP:
@@ -143,7 +147,7 @@ def kl_cluster(
         if empty:
             # table still holds the divergences to the last centers
             labels[0] = _repair_empty(labels[0], k, lambda lab: table[np.arange(n), lab])
-        means, covs = center_update(factors, labels[0], k)
+        means, covs = center_update(factors, labels[0], k, eps_scale)
         table = kl_divergence_table(factors, means, covs)
         return empty
 

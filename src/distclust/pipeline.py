@@ -33,7 +33,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, _check_non_negative
 from .evaluation import nmi
 from .gaussian import estimate_gaussians
 from .ingest import add_noise
@@ -106,8 +106,7 @@ class PipelineConfig:
             raise InvalidConfig(f"k must be at least 2, got {self.k}")
         if self.sigma is not None and not self.sigma > 0:
             raise InvalidConfig(f"sigma must be positive, got {self.sigma}")
-        if self.eps_scale < 0:
-            raise InvalidConfig(f"eps_scale must be non-negative, got {self.eps_scale}")
+        _check_non_negative("eps_scale", self.eps_scale)
         if self.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
         if self.max_iter is not None and self.max_iter < 1:
@@ -186,6 +185,7 @@ def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
         seeding=seeding,
         max_iter=config.max_iter or 100,
         klpp_squared=config.klpp_squared,
+        eps_scale=config.eps_scale,
     )
     return PipelineResult(
         result.assignment,
@@ -434,8 +434,7 @@ def benchmark_stock(
     """
     _check_benchmark(trials, k_list=k_list, noise_sigmas=noise_sigmas, algorithms=algorithms)
     for sigma in noise_sigmas:
-        if sigma < 0:
-            raise InvalidConfig(f"noise sigma must be non-negative, got {sigma}")
+        _check_non_negative("noise sigma", sigma)
     base = config or PipelineConfig(algorithm=ALGORITHMS[0], k=2)
     # only the clean passes run in this loop; the noisy trials of every cell
     # share the one map below

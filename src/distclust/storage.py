@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientSamples, RowError, SchemaError
+from .errors import InsufficientSamples, InvalidConfig, RowError, SchemaError
 from .gaussian import GaussianModel, SampleGroup
 from .matrixcore import SymMatrix, _trusted
 from .metrics import DistanceMatrix
@@ -261,7 +261,10 @@ def read_labels_json(path: str | Path) -> ClusterAssignment:
     labels = payload["labels"]
     if not all(type(v) is int for v in labels):
         raise SchemaError(f"{path}: labels must be integers")
-    return ClusterAssignment(np.array(labels, dtype=int), payload["k"])
+    try:
+        return ClusterAssignment(np.array(labels, dtype=int), payload["k"])
+    except (InvalidConfig, OverflowError) as err:
+        raise SchemaError(f"{path}: {err}") from None
 
 
 def write_models_json(path: str | Path, models) -> None:

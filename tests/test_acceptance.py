@@ -15,7 +15,7 @@ import pytest
 
 from conftest import log_density, random_model
 from distclust.evaluation import contingency, entropy_from_counts, mutual_information, nmi
-from distclust.gaussian import GaussianModel, sample
+from distclust.gaussian import GaussianModel, _draw_groups
 from distclust.ingest import read_stock_csv
 from distclust.metrics import kl_divergence, wasserstein_sq
 from distclust.pipeline import (
@@ -140,7 +140,7 @@ def test_criterion_4_kl_closed_form_matches_monte_carlo():
         )
         closed = kl_divergence(a, b)
         assert closed > 0.3
-        points = sample(a, draws, rng, group_id="mc").samples
+        points = _draw_groups([a], np.zeros(1, dtype=np.intp), draws, rng, ["mc"])[0].samples
         mc = float(np.mean(log_density(a, points) - log_density(b, points)))
         worst = max(worst, abs(mc - closed) / closed)
     elapsed = time.perf_counter() - started

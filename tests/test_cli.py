@@ -197,6 +197,20 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["estimate", "cluster"])
+    def test_bad_eps_scale_is_usage_error(self, command, value, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        args = ["--algorithm", "kl", "--k", "2"] if command == "cluster" else []
+        code = entrypoint(
+            [command, str(synth_dir / "groups.csv"), *args, "--eps-scale", value, "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"eps_scale must be finite and non-negative, got {float(value)}" in err
+        assert not out.exists()
+
+
 class TestNmiCommand:
     def test_prints_score(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -205,6 +219,14 @@ class TestNmiCommand:
         b.write_text('{"k": 2, "labels": [1, 1, 0, 0]}')
         assert entrypoint(["nmi", str(a), str(b)]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0)
+
+    def test_label_out_of_range_is_data_error(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text('{"k": 2, "labels": [0, 0, 1, 1]}')
+        b.write_text('{"k": 2, "labels": [0, 2, 1, 1]}')
+        assert entrypoint(["nmi", str(a), str(b)]) == 2
+        assert f"error: {b}: labels must lie in [0, 2)" in capsys.readouterr().err
 
 
 class TestBenchCommands:
@@ -307,6 +329,21 @@ class TestBenchCommands:
         code = entrypoint([*args, "--trials", "1", "--threads", "1", "--out-dir", str(out)])
         assert code == 1
         assert f"{name} must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigmas", ["nan", "1,inf", "-1"])
+    def test_bad_noise_sigma_is_usage_error(self, sigmas, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(STOCK_CSV)
+        out = tmp_path / "out"
+        code = entrypoint(
+            ["bench-stock", str(prices), "--k-list", "2", "--sigma-list", sigmas,
+             "--trials", "1", "--threads", "1", "--out-dir", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "noise sigma must be finite and non-negative" in err
+        assert "Warning" not in err
         assert not out.exists()
 
     def test_bad_list_is_usage_error(self, tmp_path):

@@ -17,6 +17,8 @@ from distclust.errors import InvalidBandwidth, NumericalError, SingularMatrix
 from distclust.evaluation import nmi
 from distclust.gaussian import SampleGroup
 from distclust.pipeline import (
+    ALGO_KL,
+    ALGO_KLPP,
     ALGORITHMS,
     FAMILY_MEAN_ONLY,
     PipelineConfig,
@@ -76,11 +78,13 @@ def two_blobs(rng, scale):
 @pytest.mark.parametrize("scale", SCALES)
 def test_constant_groups(scale, levels):
     outcomes = sweep(point_masses(levels), scale)
-    # a failure may come only from a covariance inverse, which the
-    # mean-only algorithms never take; labels fill all k clusters, also
-    # when every group is one model and k-means ends on a repair
+    # a failure may come only from a divergence matrix's covariance inverse,
+    # which the mean-only algorithms never take, and KL k-means centers take
+    # the models' ridge, so they stay invertible over point masses; labels
+    # fill all k clusters, also when every group is one model and k-means
+    # ends on a repair
     for (seed, algorithm), outcome in outcomes.items():
-        if algorithm_family(algorithm) == FAMILY_MEAN_ONLY:
+        if algorithm_family(algorithm) == FAMILY_MEAN_ONLY or algorithm in (ALGO_KL, ALGO_KLPP):
             assert isinstance(outcome, np.ndarray), (seed, algorithm, outcome)
         if isinstance(outcome, np.ndarray):
             assert set(outcome.tolist()) == {0, 1}, (seed, algorithm, outcome)

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import log_density, random_model, random_spd
-from distclust.errors import DimensionMismatch, InsufficientSamples, InvalidMatrix
-from distclust.gaussian import (
-    GaussianModel,
-    SampleGroup,
-    estimate_gaussian,
-    estimate_gaussians,
-    sample,
-)
+from distclust.errors import DimensionMismatch, InsufficientSamples, InvalidConfig, InvalidMatrix
+from distclust.gaussian import GaussianModel, SampleGroup, _draw_groups, estimate_gaussians
 from distclust.matrixcore import SymMatrix
 
 
@@ -19,6 +13,11 @@ def regularize(m: SymMatrix, eps_scale: float) -> SymMatrix:
     trace = float(np.trace(m.values))
     eps = eps_scale * trace / m.dim if trace > 0 else eps_scale
     return SymMatrix(m.values + eps * np.eye(m.dim))
+
+
+def draw(model: GaussianModel, count: int, rng, group_id: str = "") -> SampleGroup:
+    """One group of ``count`` draws from ``model``."""
+    return _draw_groups([model], np.zeros(1, dtype=np.intp), count, rng, [group_id])[0]
 
 
 def one_at_a_time_fit(group: SampleGroup, eps_scale: float):
@@ -79,12 +78,12 @@ class TestEstimateGaussian:
         g = SampleGroup(
             "sq", np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
         )
-        model = estimate_gaussian(g, eps_scale=0.0)
+        model = estimate_gaussians([g], eps_scale=0.0)[0]
         np.testing.assert_allclose(model.mean, [1.0, 1.0])
         np.testing.assert_allclose(model.covariance.values, (4.0 / 3.0) * np.eye(2))
 
     def test_one_dimensional_pair(self):
-        model = estimate_gaussian(SampleGroup("p", [[0.0], [2.0]]), eps_scale=0.0)
+        model = estimate_gaussians([SampleGroup("p", [[0.0], [2.0]])], eps_scale=0.0)[0]
         np.testing.assert_allclose(model.mean, [1.0])
         np.testing.assert_allclose(model.covariance.values, [[2.0]])
 
@@ -92,28 +91,28 @@ class TestEstimateGaussian:
         g = SampleGroup(
             "sq", np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
         )
-        model = estimate_gaussian(g, eps_scale=0.3)
+        model = estimate_gaussians([g], eps_scale=0.3)[0]
         # trace of the raw covariance is 8/3, so the ridge is 0.3 * (8/3) / 2
         expected = (4.0 / 3.0 + 0.3 * (8.0 / 3.0) / 2.0) * np.eye(2)
         np.testing.assert_allclose(model.covariance.values, expected)
 
     def test_fewer_samples_than_dims_still_usable(self, rng):
         g = SampleGroup("thin", rng.standard_normal((3, 6)))
-        model = estimate_gaussian(g)
+        model = estimate_gaussians([g])[0]
         assert np.all(np.linalg.eigvalsh(model.covariance.values) > 0)
 
     def test_recovers_population_parameters(self, rng):
         mean = np.array([1.0, -2.0, 0.5])
         cov = random_spd(3, rng)
         truth = GaussianModel(mean, SymMatrix(cov))
-        g = sample(truth, 60000, rng, group_id="big")
-        fitted = estimate_gaussian(g, eps_scale=0.0)
+        g = draw(truth, 60000, rng)
+        fitted = estimate_gaussians([g], eps_scale=0.0)[0]
         np.testing.assert_allclose(fitted.mean, mean, atol=0.05)
         np.testing.assert_allclose(fitted.covariance.values, cov, atol=0.15)
 
     def test_keeps_group_id(self):
         g = SampleGroup("tag", np.array([[0.0], [1.0]]))
-        assert estimate_gaussian(g).group_id == "tag"
+        assert estimate_gaussians([g])[0].group_id == "tag"
 
 
 class TestLogDensity:
@@ -154,15 +153,17 @@ class TestLogDensity:
 
 
 class TestSample:
+    """One group through the stacked draw of ``_draw_groups``."""
+
     def test_deterministic_for_seed(self, rng):
         model = random_model(3, rng)
-        a = sample(model, 10, np.random.default_rng(5))
-        b = sample(model, 10, np.random.default_rng(5))
+        a = draw(model, 10, np.random.default_rng(5))
+        b = draw(model, 10, np.random.default_rng(5))
         assert np.array_equal(a.samples, b.samples)
 
     def test_population_moments(self, rng):
         model = random_model(2, rng)
-        g = sample(model, 80000, rng)
+        g = draw(model, 80000, rng)
         np.testing.assert_allclose(g.samples.mean(axis=0), model.mean, atol=0.05)
         np.testing.assert_allclose(
             np.cov(g.samples.T), model.covariance.values, atol=0.1
@@ -170,11 +171,11 @@ class TestSample:
 
     def test_needs_two_points(self, rng):
         with pytest.raises(InsufficientSamples):
-            sample(random_model(2, rng), 1, rng)
+            draw(random_model(2, rng), 1, rng)
 
     def test_group_id_override(self, rng):
         model = random_model(2, rng)
-        assert sample(model, 5, rng, group_id="x").group_id == "x"
+        assert model.group_id != "x" and draw(model, 5, rng, group_id="x").group_id == "x"
 
 
 class TestEstimateGaussians:
@@ -190,7 +191,8 @@ class TestEstimateGaussians:
         batched = estimate_gaussians(groups, eps_scale)
         assert [m.group_id for m in batched] == [g.group_id for g in groups]
         for group, model in zip(groups, batched):
-            for other in (one_at_a_time_fit(group, eps_scale), estimate_gaussian(group, eps_scale)):
+            alone = estimate_gaussians([group], eps_scale)[0]
+            for other in (one_at_a_time_fit(group, eps_scale), alone):
                 assert model.mean.tobytes() == other.mean.tobytes()
                 assert model.covariance.values.tobytes() == other.covariance.values.tobytes()
 
@@ -222,8 +224,10 @@ class TestEstimateGaussians:
         with pytest.raises(InvalidMatrix, match="^group 'early': matrix entries must be finite"):
             estimate_gaussians(groups)
         with pytest.raises(InvalidMatrix, match="^group 'late': "):
-            estimate_gaussian(groups[2])
+            estimate_gaussians([groups[2]])
 
     def test_negative_eps_scale(self, rng):
-        with pytest.raises(InvalidMatrix):
-            estimate_gaussians([SampleGroup("a", rng.standard_normal((3, 2)))], -1.0)
+        # a setting out of range, not a matrix: NaN and infinities with it
+        for eps_scale in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidConfig, match="^eps_scale must be finite and non-negative"):
+                estimate_gaussians([SampleGroup("a", rng.standard_normal((3, 2)))], eps_scale)

@@ -176,5 +176,6 @@ class TestAddNoise:
         assert np.array_equal(a[0].samples, b[0].samples)
 
     def test_negative_sigma_rejected(self, rng):
-        with pytest.raises(InvalidConfig):
-            add_noise([SampleGroup("A", np.ones((2, 2)))], -1.0, rng)
+        for sigma in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidConfig, match="^sigma must be finite and non-negative"):
+                add_noise([SampleGroup("A", np.ones((2, 2)))], sigma, rng)

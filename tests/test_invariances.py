@@ -2,7 +2,8 @@
 
 KL and Bhattacharyya are invariant under a shared invertible affine map, W2
 under a shared rotation plus translation; Bhattacharyya and W2 are symmetric,
-KL(p||p) = 0 and sqrt(W2) is a metric. Covariances run up to condition
+KL(p||p) = 0 and sqrt(W2) is a metric; an unridged KL k-means center
+minimizes its members' summed KL. Covariances run up to condition
 number 1e12, past the ~5e8 that the estimation ridge alone leaves when
 q - 1 < d. Rounding in the inputs moves a divergence by about
 ``eps * cond`` relative, so each comparison allows a fixed multiple of it.
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from distclust.gaussian import GaussianModel
+from distclust.klcluster import kl_cluster
 from distclust.matrixcore import SymMatrix
 from distclust.metrics import bhattacharyya, kl_divergence, wasserstein_sq
 
@@ -170,3 +172,38 @@ def test_wasserstein_scales_with_the_square_of_a_dilation():
         a = 10.0 ** rng.uniform(-3.0, 3.0)
         dilated = wasserstein_sq(*(moved(m, a * np.eye(d), np.zeros(d)) for m in (p, q)))
         assert close(dilated, a * a * wasserstein_sq(p, q), cond), (d, cond, a)
+
+
+def test_unridged_kl_centers_minimize_their_members_divergence():
+    # for a fixed assignment, sum_i KL(model_i || N(a, C)) is strictly convex
+    # in (a, C^-1), minimized by the moment match (Banerjee, Merugu, Dhillon &
+    # Ghosh, JMLR 2005; Davis & Dhillon, NIPS 2006). With eps_scale = 0 no
+    # perturbation of a returned center lowers its members' sum: a shifted
+    # mean, a congruence E C E with E = exp(delta * sym), which keeps C SPD
+    # while it shrinks, grows and rotates it, or a PSD rank-one addition
+    rng = np.random.default_rng(22)
+    for cond in CONDITIONS:
+        for _ in range(4):
+            d = int(rng.integers(1, 8))
+            models = [model(d, cond, rng) for _ in range(8)]
+            result = kl_cluster(models, 2, rng, eps_scale=0.0)
+            for j, center in enumerate(result.centers):
+                members = [models[i] for i in np.flatnonzero(result.assignment.labels == j)]
+                a, c = center.mean, center.covariance.values
+                scale = float(np.trace(c)) / d
+
+                def summed(mean, cov):
+                    candidate = GaussianModel(mean, SymMatrix(cov))
+                    return sum(kl_divergence(m, candidate) for m in members)
+
+                best = summed(a, c)
+                for delta in (1e-4, 1e-2, 0.3):
+                    sym = rng.standard_normal((d, d))
+                    w, v = np.linalg.eigh((sym + sym.T) / 2.0)
+                    e = (v * np.exp(delta * w)) @ v.T
+                    u = rng.standard_normal(d)
+                    shifted = a + delta * np.sqrt(scale) * rng.standard_normal(d)
+                    for mean, cov in ((shifted, c), (a, e @ c @ e),
+                                      (a, c + delta * scale * np.outer(u, u)),
+                                      (shifted, e @ c @ e)):
+                        assert below(best, summed(mean, cov), cond), (d, cond, delta, j)

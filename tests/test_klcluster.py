@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_model
 from distclust.errors import EmptyCluster, InvalidConfig, NumericalError
-from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussian
+from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussians
 from distclust.klcluster import (
     SEEDING_KLPP,
     SEEDING_RANDOM,
@@ -37,20 +37,50 @@ def two_blobs(rng, per_side: int = 6, gap: float = 8.0):
     return left + right
 
 
+def member_list_center(members, eps_scale):
+    """The KL center of ``members`` one member at a time: the mean of the
+    member means a, the mean of S_i + (m_i - a)(m_i - a)^T, then the fit's
+    ridge, eps_scale * tr / d, or eps_scale where the trace is 0."""
+    a = np.stack([m.mean for m in members]).mean(axis=0)
+    cov = np.mean([m.covariance.values + np.outer(m.mean - a, m.mean - a) for m in members], axis=0)
+    trace = np.trace(cov)
+    eps = eps_scale * trace / len(a) if trace > 0 else eps_scale
+    return a, cov + eps * np.eye(len(a))
+
+
 class TestCenterUpdate:
     def test_stacked_factors_match_member_lists_bytes(self, rng):
-        models = [random_model(3, rng, spread=4.0) for _ in range(20)]
-        labels = rng.integers(0, 3, size=20)
-        labels[:3] = [0, 1, 2]
-        center_means, center_covs = center_update(kl_factors(models), labels, 3)
-        assert center_means.shape == (3, 3) and center_covs.shape == (3, 3, 3)
-        for j in range(3):
-            members = [models[i] for i in np.flatnonzero(labels == j)]
-            means = np.stack([m.mean for m in members])
-            dev = means - means.mean(axis=0)
-            cov = np.mean([m.covariance.values for m in members], axis=0) + (dev.T @ dev) / len(members)
-            assert center_means[j].tobytes() == means.mean(axis=0).tobytes()
-            assert center_covs[j].tobytes() == SymMatrix(cov).values.tobytes()
+        for d in (1, 2, 3, 7):
+            models = [random_model(d, rng, spread=4.0) for _ in range(20)]
+            labels = rng.integers(0, 3, size=20)
+            labels[:3] = [0, 1, 2]
+            for eps_scale in (0.0, 1e-8, 0.3):
+                center_means, center_covs = center_update(kl_factors(models), labels, 3, eps_scale)
+                assert center_means.shape == (3, d) and center_covs.shape == (3, d, d)
+                for j in range(3):
+                    mean, cov = member_list_center(
+                        [models[i] for i in np.flatnonzero(labels == j)], eps_scale
+                    )
+                    assert center_means[j].tobytes() == mean.tobytes(), (d, eps_scale, j)
+                    assert center_covs[j].tobytes() == cov.tobytes(), (d, eps_scale, j)
+                    assert np.array_equal(center_covs[j], center_covs[j].T)
+
+    def test_zero_eps_scale_leaves_centers_unridged(self, rng):
+        # a run's centers are the moment match of its labels, ridged by the
+        # run's eps_scale, so at 0 they are the bare moment match
+        models = [random_model(3, rng, spread=4.0) for _ in range(15)]
+        for eps_scale in (0.0, 1e-8):
+            result = kl_cluster(models, 3, np.random.default_rng(1), eps_scale=eps_scale)
+            for j, center in enumerate(result.centers):
+                members = [models[i] for i in np.flatnonzero(result.assignment.labels == j)]
+                cov = member_list_center(members, eps_scale)[1]
+                assert center.covariance.values.tobytes() == cov.tobytes(), (eps_scale, j)
+
+    def test_bad_eps_scale_is_a_config_error(self, rng):
+        models = [random_model(2, rng) for _ in range(4)]
+        for eps_scale in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidConfig, match="^eps_scale must be finite and non-negative"):
+                kl_cluster(models, 2, np.random.default_rng(0), eps_scale=eps_scale)
 
     def test_hand_case(self):
         members = [model([0.0, 0.0], np.eye(2)), model([2.0, 0.0], np.eye(2))]
@@ -79,7 +109,7 @@ class TestCenterUpdate:
             members = [
                 random_model(d, rng)
                 if i % 2 == 0
-                else estimate_gaussian(SampleGroup(f"g{i}", rng.standard_normal((max(2, d), d))))
+                else estimate_gaussians([SampleGroup(f"g{i}", rng.standard_normal((max(2, d), d)))])[0]
                 for i in range(6)
             ]
             means, covs = center_update(kl_factors(members), np.zeros(6, dtype=int), 1)
@@ -243,7 +273,7 @@ class TestKlCluster:
         # ridge (condition numbers near 5e8); a center equal to a model must
         # still give KL 0 rather than a rounding error past the clamp
         models = [
-            estimate_gaussian(SampleGroup(f"g{i}", rng.standard_normal((3, 7))))
+            estimate_gaussians([SampleGroup(f"g{i}", rng.standard_normal((3, 7)))])[0]
             for i in range(12)
         ]
         for seed in range(4):

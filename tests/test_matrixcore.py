@@ -3,8 +3,8 @@ import pytest
 
 from conftest import random_spd
 from distclust import matrixcore
-from distclust.errors import InvalidMatrix, NotPositiveSemidefinite, SingularMatrix
-from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussian
+from distclust.errors import InvalidConfig, InvalidMatrix, NotPositiveSemidefinite, SingularMatrix
+from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussians
 from distclust.matrixcore import NEGATIVE_CLAMP, PSD_FLOOR, SymMatrix, psd_root, spd_roots
 from distclust.metrics import METRIC_WASSERSTEIN_SQ, _factors
 from distclust.spectral import AdjacencyMatrix, normalized_laplacian, spectral_embedding
@@ -236,25 +236,25 @@ class TestRegularize:
     def test_trace_scaled_ridge(self):
         # raw covariance diag(4, 0): the ridge is 0.5 * 4 / 2
         group = SampleGroup("g", [[2.0, 0.0], [-2.0, 0.0], [0.0, 0.0]])
-        out = estimate_gaussian(group, 0.5).covariance
+        out = estimate_gaussians([group], 0.5)[0].covariance
         np.testing.assert_allclose(out.values, [[5.0, 0.0], [0.0, 1.0]])
 
     def test_zero_trace_falls_back_to_eps(self):
         # identical samples leave an all-zero covariance, so the ridge is
         # eps_scale itself
-        out = estimate_gaussian(SampleGroup("g", np.full((4, 3), 2.5)), 1e-4).covariance
+        out = estimate_gaussians([SampleGroup("g", np.full((4, 3), 2.5))], 1e-4)[0].covariance
         np.testing.assert_array_equal(out.values, 1e-4 * np.eye(3))
 
     def test_zero_eps_is_identity_op(self, rng):
         samples = rng.standard_normal((5, 3))
         dev = samples - samples.mean(axis=0)
         raw = SymMatrix((dev.T @ dev) / 4).values
-        out = estimate_gaussian(SampleGroup("g", samples), 0.0).covariance
+        out = estimate_gaussians([SampleGroup("g", samples)], 0.0)[0].covariance
         assert out.values.tobytes() == raw.tobytes()
 
     def test_negative_eps_rejected(self):
-        with pytest.raises(InvalidMatrix):
-            estimate_gaussian(SampleGroup("g", np.eye(2)), -1e-8)
+        with pytest.raises(InvalidConfig):
+            estimate_gaussians([SampleGroup("g", np.eye(2))], -1e-8)
 
 
 class TestTolerances:

@@ -17,7 +17,7 @@ from distclust.errors import (
     NumericalError,
     SingularMatrix,
 )
-from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussian, estimate_gaussians
+from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussians
 from distclust.matrixcore import SymMatrix, psd_root, spd_roots
 from distclust.metrics import (
     _bhattacharyya_pairs,
@@ -121,7 +121,7 @@ class TestBhattacharyya:
             a = GaussianModel(rng.standard_normal(d), SymMatrix((q * spectrum) @ q.T))
             assert bhattacharyya(a, a) == 0.0, cond
         for _ in range(5):
-            a = estimate_gaussian(SampleGroup("g", rng.standard_normal((max(2, d), d))))
+            a = estimate_gaussians([SampleGroup("g", rng.standard_normal((max(2, d), d)))])[0]
             assert bhattacharyya(a, a) == 0.0
 
     def test_singular_averaged_covariance_names_first_pair(self):
@@ -228,7 +228,7 @@ def mixed_models(n: int, d: int, rng) -> list[GaussianModel]:
     return [
         random_model(d, rng)
         if i % 2 == 0
-        else estimate_gaussian(SampleGroup(f"g{i}", rng.standard_normal((max(2, d), d))))
+        else estimate_gaussians([SampleGroup(f"g{i}", rng.standard_normal((max(2, d), d)))])[0]
         for i in range(n)
     ]
 

@@ -109,8 +109,9 @@ class TestPipelineConfig:
             PipelineConfig(algorithm=ALGO_KL, k=1)
         with pytest.raises(InvalidConfig):
             PipelineConfig(algorithm=ALGO_KL, k=2, sigma=0.0)
-        with pytest.raises(InvalidConfig):
-            PipelineConfig(algorithm=ALGO_KL, k=2, eps_scale=-1.0)
+        for eps_scale in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidConfig, match="^eps_scale must be finite and non-negative"):
+                PipelineConfig(algorithm=ALGO_KL, k=2, eps_scale=eps_scale)
         with pytest.raises(InvalidConfig):
             PipelineConfig(algorithm=ALGO_KL, k=2, seed=-4)
         with pytest.raises(InvalidConfig):
@@ -135,6 +136,21 @@ class TestRunPipeline:
         assert a.assignment.n == len(groups)
         assert np.array_equal(a.assignment.labels, b.assignment.labels)
         assert a.algorithm == algorithm
+
+    @pytest.mark.parametrize("algorithm", [ALGO_KL, ALGO_KLPP])
+    def test_kl_centers_take_the_configured_eps_scale(self, algorithm, rng, monkeypatch):
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["eps_scale"])
+            return real(*args, **kwargs)
+
+        real = pipeline.kl_cluster
+        monkeypatch.setattr(pipeline, "kl_cluster", recording)
+        groups, _ = separated_groups(rng, per_cluster=3)
+        for eps_scale in (0.0, 1e-8, 0.3):
+            run_pipeline(groups, PipelineConfig(algorithm=algorithm, k=2, eps_scale=eps_scale))
+        assert seen == [0.0, 1e-8, 0.3]
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_separated_families_recovered(self, algorithm, rng):
@@ -370,6 +386,9 @@ class TestBenchmarkStock:
             benchmark_stock(groups, k_list=[2], noise_sigmas=[-1.0], trials=1)
         with pytest.raises(InvalidConfig):
             benchmark_stock(groups, k_list=[2], noise_sigmas=[1.0], trials=0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidConfig, match="^noise sigma must be finite and non-negative"):
+                benchmark_stock(groups, k_list=[2], noise_sigmas=[1.0, bad], trials=1)
         for empty in ({"k_list": []}, {"noise_sigmas": []}, {"algorithms": ()}):
             with pytest.raises(InvalidConfig, match=f"^{next(iter(empty))} must not be empty$"):
                 benchmark_stock(groups, **{"k_list": [2], "noise_sigmas": [1.0], "trials": 1, **empty})

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -344,6 +345,21 @@ class TestLabelsJson:
         path = tmp_path / "labels.json"
         path.write_text(payload)
         with pytest.raises(SchemaError):
+            read_labels_json(path)
+
+
+    @pytest.mark.parametrize("payload, message", [
+        ('{"k": 2, "labels": []}', "labels must be a non-empty 1-d array"),
+        ('{"k": 2, "labels": [0, 2, 1]}', r"labels must lie in \[0, 2\)"),
+        ('{"k": 2, "labels": [0, -1, 1]}', r"labels must lie in \[0, 2\)"),
+        ('{"k": 0, "labels": [0, 0]}', "k=0 invalid for 2 objects"),
+        ('{"k": 3, "labels": [0, 1]}', "k=3 invalid for 2 objects"),
+        ('{"k": 2, "labels": [0, 1, 100000000000000000000]}', "too large"),
+    ], ids=["empty", "above-k", "negative", "k-zero", "k-above-n", "overflow"])
+    def test_out_of_range_is_schema_error(self, payload, message, tmp_path):
+        path = tmp_path / "labels.json"
+        path.write_text(payload)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: .*{message}"):
             read_labels_json(path)
 
 
