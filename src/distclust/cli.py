@@ -10,6 +10,7 @@ errors (unreadable files, schema violations, numerical failures).
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import DistclustError, InvalidConfig
@@ -25,7 +26,6 @@ from .pipeline import (
     cluster_matrix,
     run_pipeline,
     spectral_metric,
-    write_report,
 )
 from .spectral import ClusterAssignment
 from .storage import (
@@ -37,6 +37,7 @@ from .storage import (
     write_groups_csv,
     write_labels_json,
     write_models_json,
+    write_report,
 )
 from .synthgen import generate_benchmark
 
@@ -50,26 +51,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+def _list_of(item):
+    """An argparse type: a comma-separated list, each non-blank part read
+    by ``item``; a ValueError from it is a usage error."""
+
+    def parse(text: str) -> list:
+        try:
+            return [item(part.strip()) for part in text.split(",") if part.strip()]
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"{text!r}: {err}") from None
+
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-
-
-def _algo_list(text: str) -> list[str]:
-    algos = [part.strip() for part in text.split(",") if part.strip() != ""]
-    for a in algos:
-        if a not in ALGORITHMS:
-            raise argparse.ArgumentTypeError(f"unknown algorithm {a!r}")
-    return algos
+def _algorithm(name: str) -> str:
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    return name
 
 
 def _add_cluster_options(p: argparse.ArgumentParser):
@@ -130,28 +128,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench-synth", help="synthetic benchmark over (d, k) grid")
-    p.add_argument("--d-list", type=_int_list, required=True)
-    p.add_argument("--k-list", type=_int_list, required=True)
+    p.add_argument("--d-list", type=_list_of(int), required=True)
+    p.add_argument("--k-list", type=_list_of(int), required=True)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-objects", type=int, default=200)
     p.add_argument("--samples-per-object", type=int, default=30)
     p.add_argument("--simplex-boundary", action="store_true")
-    p.add_argument("--algorithms", type=_algo_list, default=list(ALGORITHMS))
+    p.add_argument("--algorithms", type=_list_of(_algorithm), default=list(ALGORITHMS))
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_bench_synth)
 
     p = sub.add_parser("bench-stock", help="noise-stability benchmark on OHLC data")
     p.add_argument("input", help="stock CSV (date,symbol,open,close,low,high)")
-    p.add_argument("--k-list", type=_int_list, required=True)
-    p.add_argument("--sigma-list", type=_float_list, required=True)
+    p.add_argument("--k-list", type=_list_of(int), required=True)
+    p.add_argument("--sigma-list", type=_list_of(float), required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-days", type=int, default=2)
     p.add_argument("--strict", action="store_true", help="fail on malformed rows")
     p.add_argument("--log-returns", action="store_true")
-    p.add_argument("--algorithms", type=_algo_list, default=list(ALGORITHMS))
+    p.add_argument("--algorithms", type=_list_of(_algorithm), default=list(ALGORITHMS))
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_bench_stock)
@@ -176,17 +174,8 @@ def cmd_distmat(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    config = PipelineConfig(
-        algorithm=args.algorithm,
-        k=args.k,
-        sigma=args.sigma,
-        eps_scale=args.eps_scale,
-        seed=args.seed,
-        max_iter=args.max_iter,
-        restarts=args.restarts,
-        kernel_on_sqrt=args.kernel_on_sqrt,
-        klpp_squared=args.klpp_squared,
-    )
+    # every PipelineConfig field is a cluster option of the same name
+    config = PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
     if args.input.lower().endswith(".json"):
         spectral_metric(config.algorithm)  # a usage error before the file is read
         assignment, diagnostics = cluster_matrix(read_distance_matrix_json(args.input), config)
@@ -234,13 +223,17 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _print_cells(report: dict, keys) -> None:
+def _write_and_print(report: dict, out_dir, keys) -> int:
+    """Write the report, then print each cell's scores and the paths."""
+    json_path, csv_path = write_report(report, out_dir)
     for cell in report["cells"]:
         front = " ".join(f"{key}={cell[key]}" for key in keys)
         print(
             f"{front} {cell['algorithm']}: mean_nmi={cell['mean_nmi']:.4f} "
             f"var={cell['var_nmi']:.4f} ({cell['trials']} trials)"
         )
+    print(f"wrote {json_path} and {csv_path}")
+    return 0
 
 
 def cmd_bench_synth(args) -> int:
@@ -255,10 +248,7 @@ def cmd_bench_synth(args) -> int:
         simplex_boundary=args.simplex_boundary,
         threads=args.threads,
     )
-    json_path, csv_path = write_report(report, args.out_dir)
-    _print_cells(report, ("d", "k"))
-    print(f"wrote {json_path} and {csv_path}")
-    return 0
+    return _write_and_print(report, args.out_dir, ("d", "k"))
 
 
 def cmd_bench_stock(args) -> int:
@@ -279,10 +269,7 @@ def cmd_bench_stock(args) -> int:
         algorithms=args.algorithms,
         threads=args.threads,
     )
-    json_path, csv_path = write_report(report, args.out_dir)
-    _print_cells(report, ("k", "noise_sigma"))
-    print(f"wrote {json_path} and {csv_path}")
-    return 0
+    return _write_and_print(report, args.out_dir, ("k", "noise_sigma"))
 
 
 def entrypoint(argv=None) -> int:

@@ -2,6 +2,7 @@
 
 import copyreg
 import math
+from contextlib import contextmanager
 
 
 class DistclustError(Exception):
@@ -72,3 +73,20 @@ def _check_non_negative(name: str, value: float) -> None:
     """InvalidConfig naming a ridge scale or noise sigma not finite and >= 0."""
     if not (math.isfinite(value) and value >= 0):
         raise InvalidConfig(f"{name} must be finite and non-negative, got {value}")
+
+
+def _prefixed(exc: Exception, prefix: str) -> Exception:
+    """The same error class and attributes, its message prefixed with where
+    it arose: the trial seed that raised it, or the file and model."""
+    named = type(exc).__new__(type(exc), f"{prefix}: {exc}")
+    named.__dict__.update(exc.__dict__)
+    return named
+
+
+@contextmanager
+def _decoding(path):
+    """SchemaError naming ``path`` for text read from it that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path}: not UTF-8 text ({err})") from None

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientSamples, InvalidConfig, RowError, SchemaError, _check_non_negative
+from .errors import (
+    InsufficientSamples, InvalidConfig, RowError, SchemaError, _check_non_negative, _decoding
+)
 from .gaussian import SampleGroup
 
 REQUIRED_COLUMNS = ("date", "symbol", "open", "close", "low", "high")
@@ -62,13 +64,14 @@ def read_stock_csv(
 
     Symbols with fewer than ``max(min_days, 2)`` distinct dates are dropped
     (two rows is the covariance-estimation minimum); a file that leaves no
-    symbol raises InsufficientSamples. Groups come back sorted by symbol.
+    symbol raises InsufficientSamples, and one that is not UTF-8 text
+    SchemaError. Groups come back sorted by symbol.
     """
     if min_days < 0:
         raise InvalidConfig(f"min_days must be non-negative, got {min_days}")
     floor_days = max(min_days, 2)
     path = Path(path)
-    with path.open(newline="") as fh:
+    with _decoding(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

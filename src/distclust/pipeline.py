@@ -21,19 +21,22 @@ are scheduled. With ``threads > 1`` trials run in ``threads`` processes,
 the calling one and ``threads - 1`` spawned workers, each in
 ``parallel.claim``, the claim loop the kernel blocks run in too: one
 benchmark job starts at most one pool, shared by the trials of all its
-cells, and shuts it down before it returns.
+cells, and shuts it down before it returns. A trial's arguments are the
+report's ``params``, its cell key and its seed, and every run clusters with
+``PipelineConfig(algorithm, k, seed)`` after the default ridge, as the CLI
+does, so a report names every setting it ran with.
 """
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
 
-from .errors import InvalidConfig, _check_non_negative
+from .errors import InvalidConfig, _check_non_negative, _prefixed
 from .evaluation import nmi
 from .gaussian import estimate_gaussians
 from .ingest import add_noise
@@ -47,7 +50,7 @@ from .metrics import (
     mean_euclidean_matrix,
 )
 from .parallel import claim, kernels_on_one_thread, resolve_threads, run_claimed
-from .spectral import ClusterAssignment, kernelize, kmeans, spectral_cluster
+from .spectral import ClusterAssignment, _kernel_scale, kernelize, kmeans, spectral_cluster
 from .synthgen import derive_trial_seed, generate_benchmark
 
 ALGO_KMEANS_MEANS = "kmeans_means"
@@ -104,8 +107,8 @@ class PipelineConfig:
             raise InvalidConfig(f"unknown algorithm {self.algorithm!r}")
         if self.k < 2:
             raise InvalidConfig(f"k must be at least 2, got {self.k}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise InvalidConfig(f"sigma must be positive, got {self.sigma}")
+        if self.sigma is not None:
+            _kernel_scale(self.sigma, InvalidConfig)
         _check_non_negative("eps_scale", self.eps_scale)
         if self.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
@@ -272,13 +275,16 @@ def _map_trials(fn, args_list, threads: int):
         return run_claimed(fn, args_list, next_trial, pool, workers, task)
 
 
-def _score_cells(keys, per_trial, trials: int, algorithms) -> list[dict]:
-    """Report cells from one flat list of trial results: ``trials``
-    consecutive results per cell key, in key order, one cell per algorithm."""
+def _report(kind: str, trial, args_list, keys, params: dict, threads) -> dict:
+    """A benchmark report: the job's trials through one ``_map_trials``
+    call, ``params["trials"]`` consecutive results per cell key in key
+    order, scored as one cell per algorithm of ``params["algorithms"]``."""
+    per_trial = _map_trials(trial, args_list, resolve_threads(threads))
+    trials = params["trials"]
     cells = []
     for i, key in enumerate(keys):
         chunk = per_trial[i * trials : (i + 1) * trials]
-        for algorithm in algorithms:
+        for algorithm in params["algorithms"]:
             scores = np.asarray([t[algorithm][0] for t in chunk], dtype=float)
             cells.append(
                 {
@@ -292,22 +298,20 @@ def _score_cells(keys, per_trial, trials: int, algorithms) -> list[dict]:
                     "wall_time_s": sum(t[algorithm][1] for t in chunk),
                 }
             )
-    return cells
-
-
-def _seed_named(exc: Exception, seed: int) -> Exception:
-    """The same error class and attributes, its message prefixed with the
-    trial seed that raised it."""
-    named = type(exc).__new__(type(exc), f"trial seed {seed}: {exc}")
-    named.__dict__.update(exc.__dict__)
-    return named
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "kind": kind,
+        "created_at": datetime.now(timezone.utc).isoformat(),
+        "params": params,
+        "cells": cells,
+    }
 
 
 def _cluster_each(models, args: dict, seed: int):
     """Yield each of a trial's algorithms with its labels on the trial's
     fitted models and the seconds its clustering took."""
     for algorithm in args["algorithms"]:
-        config = replace(args["config"], algorithm=algorithm, k=args["k"], seed=seed)
+        config = PipelineConfig(algorithm=algorithm, k=args["k"], seed=seed)
         started = time.perf_counter()
         labels = _cluster_models(models, config).assignment.labels
         yield algorithm, labels, time.perf_counter() - started
@@ -324,13 +328,13 @@ def _synth_trial(args: dict) -> dict[str, tuple[float, float]]:
             seed=args["trial_seed"],
             simplex_boundary=args["simplex_boundary"],
         )
-        models = estimate_gaussians(bench.groups, args["config"].eps_scale)
+        models = estimate_gaussians(bench.groups)
         return {
             algorithm: (nmi(bench.truth, labels), seconds)
             for algorithm, labels, seconds in _cluster_each(models, args, args["trial_seed"])
         }
     except Exception as exc:
-        raise _seed_named(exc, args["trial_seed"]) from exc
+        raise _prefixed(exc, f"trial seed {args['trial_seed']}") from exc
 
 
 def _check_benchmark(trials: int, **lists) -> None:
@@ -356,7 +360,6 @@ def benchmark_synthetic(
     n_objects: int = 200,
     samples_per_object: int = 30,
     simplex_boundary: bool = False,
-    config: PipelineConfig | None = None,
     threads: int | None = None,
 ) -> dict:
     """NMI of each algorithm against synthetic ground truth, per (d, k) cell.
@@ -366,39 +369,23 @@ def benchmark_synthetic(
     each algorithm's internal randomness.
     """
     _check_benchmark(trials, d_list=d_list, k_list=k_list, algorithms=algorithms)
-    base = config or PipelineConfig(algorithm=ALGORITHMS[0], k=2)
-    keys = [{"d": int(d), "k": int(k)} for d in d_list for k in k_list]
+    params = {
+        "d_list": [int(d) for d in d_list],
+        "k_list": [int(k) for k in k_list],
+        "trials": trials,
+        "base_seed": base_seed,
+        "n_objects": n_objects,
+        "samples_per_object": samples_per_object,
+        "simplex_boundary": simplex_boundary,
+        "algorithms": list(algorithms),
+    }
+    keys = [{"d": d, "k": k} for d in params["d_list"] for k in params["k_list"]]
     args_list = [
-        {
-            **key,
-            "n_objects": n_objects,
-            "samples_per_object": samples_per_object,
-            "simplex_boundary": simplex_boundary,
-            "trial_seed": derive_trial_seed(base_seed, t),
-            "algorithms": tuple(algorithms),
-            "config": base,
-        }
+        {**params, **key, "trial_seed": derive_trial_seed(base_seed, t)}
         for key in keys
         for t in range(trials)
     ]
-    per_trial = _map_trials(_synth_trial, args_list, resolve_threads(threads))
-    cells = _score_cells(keys, per_trial, trials, algorithms)
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "kind": "synthetic",
-        "created_at": datetime.now(timezone.utc).isoformat(),
-        "params": {
-            "d_list": [int(d) for d in d_list],
-            "k_list": [int(k) for k in k_list],
-            "trials": trials,
-            "base_seed": base_seed,
-            "n_objects": n_objects,
-            "samples_per_object": samples_per_object,
-            "simplex_boundary": simplex_boundary,
-            "algorithms": list(algorithms),
-        },
-        "cells": cells,
-    }
+    return _report("synthetic", _synth_trial, args_list, keys, params, threads)
 
 
 def _stock_trial(args: dict) -> dict[str, tuple[float, float]]:
@@ -406,13 +393,13 @@ def _stock_trial(args: dict) -> dict[str, tuple[float, float]]:
     try:
         rng = np.random.default_rng(args["noise_seed"])
         noised = add_noise(args["groups"], args["noise_sigma"], rng)
-        models = estimate_gaussians(noised, args["config"].eps_scale)
+        models = estimate_gaussians(noised)
         return {
             algorithm: (nmi(np.asarray(args["clean_labels"][algorithm]), labels), seconds)
-            for algorithm, labels, seconds in _cluster_each(models, args, args["cluster_seed"])
+            for algorithm, labels, seconds in _cluster_each(models, args, args["base_seed"])
         }
     except Exception as exc:
-        raise _seed_named(exc, args["noise_seed"]) from exc
+        raise _prefixed(exc, f"trial seed {args['noise_seed']}") from exc
 
 
 def benchmark_stock(
@@ -422,7 +409,6 @@ def benchmark_stock(
     trials: int,
     base_seed: int = 0,
     algorithms=ALGORITHMS,
-    config: PipelineConfig | None = None,
     threads: int | None = None,
 ) -> dict:
     """Noise-stability benchmark on real groups with no external truth.
@@ -435,72 +421,34 @@ def benchmark_stock(
     _check_benchmark(trials, k_list=k_list, noise_sigmas=noise_sigmas, algorithms=algorithms)
     for sigma in noise_sigmas:
         _check_non_negative("noise sigma", sigma)
-    base = config or PipelineConfig(algorithm=ALGORITHMS[0], k=2)
+    params = {
+        "n_groups": len(groups),
+        "k_list": [int(k) for k in k_list],
+        "noise_sigmas": [float(s) for s in noise_sigmas],
+        "trials": trials,
+        "base_seed": base_seed,
+        "algorithms": list(algorithms),
+    }
     # only the clean passes run in this loop; the noisy trials of every cell
     # share the one map below
     keys = []
     args_list = []
-    for k in k_list:
+    for k in params["k_list"]:
         clean_labels = {}
         for algorithm in algorithms:
-            clean = run_pipeline(
-                groups, replace(base, algorithm=algorithm, k=int(k), seed=base_seed)
-            )
+            clean = run_pipeline(groups, PipelineConfig(algorithm=algorithm, k=k, seed=base_seed))
             clean_labels[algorithm] = [int(v) for v in clean.assignment.labels]
-        for s_idx, noise_sigma in enumerate(noise_sigmas):
-            keys.append({"k": int(k), "noise_sigma": float(noise_sigma)})
+        for s_idx, noise_sigma in enumerate(params["noise_sigmas"]):
+            key = {"k": k, "noise_sigma": noise_sigma}
+            keys.append(key)
             args_list += [
                 {
+                    **params,
+                    **key,
                     "groups": groups,
-                    "k": int(k),
-                    "noise_sigma": float(noise_sigma),
-                    "noise_seed": derive_trial_seed(
-                        base_seed, 1 + s_idx * trials + t
-                    ),
-                    "cluster_seed": base_seed,
-                    "algorithms": tuple(algorithms),
                     "clean_labels": clean_labels,
-                    "config": base,
+                    "noise_seed": derive_trial_seed(base_seed, 1 + s_idx * trials + t),
                 }
                 for t in range(trials)
             ]
-    per_trial = _map_trials(_stock_trial, args_list, resolve_threads(threads))
-    cells = _score_cells(keys, per_trial, trials, algorithms)
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "kind": "stock",
-        "created_at": datetime.now(timezone.utc).isoformat(),
-        "params": {
-            "n_groups": len(groups),
-            "k_list": [int(k) for k in k_list],
-            "noise_sigmas": [float(s) for s in noise_sigmas],
-            "trials": trials,
-            "base_seed": base_seed,
-            "algorithms": list(algorithms),
-        },
-        "cells": cells,
-    }
-
-
-def write_report(report: dict, out_dir) -> tuple[str, str]:
-    """Write report.json plus a flat summary.csv into out_dir."""
-    import csv
-    import json
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = out / "report.json"
-    json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-    key_fields = (
-        ["d", "k"] if report["kind"] == "synthetic" else ["k", "noise_sigma"]
-    )
-    columns = key_fields + ["algorithm", "family", "trials", "mean_nmi", "var_nmi"]
-    csv_path = out / "summary.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for cell in report["cells"]:
-            writer.writerow([cell[c] for c in columns])
-    return str(json_path), str(csv_path)
+    return _report("stock", _stock_trial, args_list, keys, params, threads)

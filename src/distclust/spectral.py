@@ -149,6 +149,20 @@ def median_bandwidth(x: np.ndarray) -> float:
     return float(np.mean(middle))
 
 
+def _kernel_scale(sigma: float, error=InvalidBandwidth) -> float:
+    """2 sigma^2, the kernel's divisor; ``error`` for a sigma that is not
+    positive or whose 2 sigma^2 overflows."""
+    if not sigma > 0:
+        raise error(f"sigma must be positive, got {sigma}")
+    try:
+        scale = 2.0 * sigma**2
+    except OverflowError:  # float ** raises where float * returns inf
+        scale = np.inf
+    if not np.isfinite(scale):
+        raise error(f"sigma {sigma} is too large: 2 sigma^2 overflows")
+    return scale
+
+
 def kernelize(
     dm: DistanceMatrix, sigma: float | None = None, on_sqrt: bool = False
 ) -> AdjacencyMatrix:
@@ -166,14 +180,7 @@ def kernelize(
     x = np.sqrt(dm.values) if on_sqrt else dm.values
     if sigma is None:
         sigma = median_bandwidth(x)
-    if not sigma > 0:
-        raise InvalidBandwidth(f"sigma must be positive, got {sigma}")
-    try:
-        scale = 2.0 * sigma**2
-    except OverflowError:  # float ** raises where float * returns inf
-        scale = np.inf
-    if not np.isfinite(scale):
-        raise InvalidBandwidth(f"sigma {sigma} is too large: 2 sigma^2 overflows")
+    scale = _kernel_scale(sigma)
     # exp(-(x**2) / (2 sigma^2)), one operation at a time in one array; an
     # underflowed scale makes 0/0 here, which the finiteness check reports
     w = np.square(x)

@@ -11,6 +11,11 @@ Formats are deliberately plain so other tools can produce or consume them:
 * distance matrix: headerless CSV of the square values, or JSON
   ``{"metric": str, "n": int, "rows": [[...], ...]}`` (JSON keeps the
   metric tag, which round-trips; CSV does not).
+* benchmark report: ``report.json``, the report with sorted keys, and
+  ``summary.csv``, one row of keys and NMI summary per cell.
+
+Every file is UTF-8 text; a reader raises ``SchemaError`` naming a file
+that is not.
 """
 
 import csv
@@ -23,13 +28,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientSamples, InvalidConfig, RowError, SchemaError
+from .errors import (
+    DistclustError, InsufficientSamples, InvalidConfig, RowError, SchemaError, _decoding, _prefixed
+)
 from .gaussian import GaussianModel, SampleGroup
 from .matrixcore import SymMatrix, _trusted
 from .metrics import DistanceMatrix
 from .spectral import ClusterAssignment
 
 _GROUP_HEADER_FIRST = ("object_id", "sample_index")
+
+# report keys whose values differ from run to run: a timestamp and
+# wall-clock durations
+_VOLATILE_KEYS = frozenset(("created_at", "wall_time_s"))
 
 
 def _natural_key(text: str):
@@ -78,7 +89,7 @@ def write_groups_csv(path: str | Path, groups) -> None:
                 f"groups {seen[name]} and {i} share the object_id {name!r}"
             )
         seen[name] = i
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_GROUP_HEADER_FIRST + tuple(f"x_{i}" for i in range(d))) + "\r\n")
         for g in groups:
             prefix = _id_cell(g.group_id) + ","
@@ -98,14 +109,10 @@ def read_groups_csv(path: str | Path) -> tuple[SampleGroup, ...]:
     header raises ``SchemaError``.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with _decoding(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         d = _read_group_header(reader, path)
-        try:
-            body = fh.read()
-        except UnicodeDecodeError:  # the row loop raises it at its row
-            body = None
-        groups = None if body is None else _parse_groups_bulk(body, d)
+        groups = _parse_groups_bulk(fh.read(), d)
         if groups is None:
             fh.seek(0)
             reader = csv.reader(fh)
@@ -243,15 +250,27 @@ def _parse_groups_rows(reader, d: int) -> tuple[SampleGroup, ...]:
 
 def write_labels_json(path: str | Path, assignment: ClusterAssignment) -> None:
     payload = {"k": int(assignment.k), "labels": [int(v) for v in assignment.labels]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json(path, payload)
+
+
+def _write_json(path: str | Path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def _read_json(path: Path):
+    """The JSON value in a file; SchemaError naming the file for text that
+    is not UTF-8 or not JSON."""
+    with _decoding(path):
+        text = path.read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise SchemaError(f"{path}: not valid JSON ({err})") from None
 
 
 def read_labels_json(path: str | Path) -> ClusterAssignment:
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"{path}: not valid JSON ({err})") from None
+    payload = _read_json(path)
     if (
         not isinstance(payload, dict)
         or type(payload.get("k")) is not int  # excludes bool, an int subclass
@@ -275,7 +294,7 @@ def write_models_json(path: str | Path, models) -> None:
         }
         for m in models
     ]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json(path, payload)
 
 
 def _is_number_tree(node) -> bool:
@@ -298,11 +317,10 @@ def _number_array(node, what: str) -> np.ndarray:
 
 
 def read_models_json(path: str | Path) -> tuple[GaussianModel, ...]:
+    """Models from a models JSON; an entry that is no valid model raises
+    its error class, its message prefixed with the file and the index."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"{path}: not valid JSON ({err})") from None
+    payload = _read_json(path)
     if not isinstance(payload, list) or not payload:
         raise SchemaError(f"{path}: expected a non-empty list of models")
     models = []
@@ -311,7 +329,10 @@ def read_models_json(path: str | Path) -> tuple[GaussianModel, ...]:
             raise SchemaError(f'{path}: model {i} must have "mean" and "cov"')
         mean = _number_array(entry["mean"], f"{path}: model {i}: mean")
         cov = _number_array(entry["cov"], f"{path}: model {i}: cov")
-        models.append(GaussianModel(mean, SymMatrix(cov), group_id=str(i)))
+        try:
+            models.append(GaussianModel(mean, SymMatrix(cov), group_id=str(i)))
+        except DistclustError as err:
+            raise _prefixed(err, f"{path}: model {i}") from None
     return tuple(models)
 
 
@@ -324,9 +345,9 @@ def write_distance_matrix(path: str | Path, dm: DistanceMatrix) -> None:
             "n": dm.n,
             "rows": [[float(v) for v in row] for row in dm.values],
         }
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        _write_json(path, payload)
     elif path.suffix.lower() == ".csv":
-        with path.open("w", newline="") as fh:
+        with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             for row in dm.values:
                 writer.writerow([repr(float(v)) for v in row])
@@ -336,10 +357,7 @@ def write_distance_matrix(path: str | Path, dm: DistanceMatrix) -> None:
 
 def read_distance_matrix_json(path: str | Path) -> DistanceMatrix:
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"{path}: not valid JSON ({err})") from None
+    payload = _read_json(path)
     if (
         not isinstance(payload, dict)
         or not isinstance(payload.get("metric"), str)
@@ -355,18 +373,34 @@ def read_distance_matrix_json(path: str | Path) -> DistanceMatrix:
     return DistanceMatrix(rows, payload["metric"])
 
 
-def canonical_json_bytes(payload, volatile_keys=("created_at", "wall_time_s")) -> bytes:
+def write_report(report: dict, out_dir) -> tuple[str, str]:
+    """Write a benchmark report into out_dir as report.json and a flat
+    summary.csv, one row per cell; returns the two paths."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    json_path = out / "report.json"
+    json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    keys = ["d", "k"] if report["kind"] == "synthetic" else ["k", "noise_sigma"]
+    columns = keys + ["algorithm", "family", "trials", "mean_nmi", "var_nmi"]
+    csv_path = out / "summary.csv"
+    with csv_path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([cell[c] for c in columns] for cell in report["cells"])
+    return str(json_path), str(csv_path)
+
+
+def canonical_json_bytes(payload) -> bytes:
     """Deterministic byte serialization of a JSON-able payload.
 
-    Keys whose values are timestamps or wall-clock durations vary from run
-    to run and are stripped (recursively) before encoding, so two runs with
-    identical inputs produce identical bytes.
+    The ``_VOLATILE_KEYS`` vary from run to run and are stripped
+    (recursively) before encoding, so two runs with identical inputs
+    produce identical bytes.
     """
-    drop = set(volatile_keys)
 
     def strip(node):
         if isinstance(node, dict):
-            return {k: strip(v) for k, v in node.items() if k not in drop}
+            return {k: strip(v) for k, v in node.items() if k not in _VOLATILE_KEYS}
         if isinstance(node, list):
             return [strip(v) for v in node]
         return node

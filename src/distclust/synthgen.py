@@ -101,6 +101,8 @@ def generate_benchmark(
         raise InvalidConfig(
             f"need at least 2 samples per object, got {samples_per_object}"
         )
+    if seed < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
     if spectrum is None:
         spec_arr = np.arange(1.0, d + 1.0)
     else:

@@ -41,6 +41,13 @@ class TestSynthCommand:
         assert truth["k"] == 2
         assert len(truth["labels"]) == 16
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = entrypoint(["synth", "--d", "3", "--k", "2", "--seed", "-1", "--out-dir", str(out)])
+        assert code == 1
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimateAndDistmat:
     def test_full_chain(self, synth_dir, tmp_path, capsys):
@@ -65,6 +72,20 @@ class TestEstimateAndDistmat:
         ) == 0
         values = np.loadtxt(dm_csv, delimiter=",")
         assert values.shape == (16, 16)
+
+    @pytest.mark.parametrize("second, message", [
+        ({"mean": [0.0, 0.0], "cov": [[-1.0, 0.0], [0.0, 1.0]]}, "covariance: min eigenvalue"),
+        ({"mean": [0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}, "mean dimension 1 does not match"),
+    ])
+    def test_bad_model_error_names_file_and_index(self, second, message, tmp_path, capsys):
+        models = tmp_path / "models.json"
+        first = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        models.write_text(json.dumps([first, second]))
+        out = tmp_path / "dm.json"
+        code = entrypoint(["distmat", str(models), "--metric", "kl", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {models}: model 1: {message}")
+        assert not out.exists()
 
 
 class TestClusterCommand:
@@ -128,19 +149,32 @@ class TestClusterCommand:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("entry, sigma", [(1e200, []), (1.0, ["--sigma", "1e155"])])
-    def test_overflowing_bandwidth_is_data_error(self, tmp_path, capsys, entry, sigma):
-        # the median bandwidth of 1e200 entries, or an explicit 1e155, has a
-        # 2 sigma^2 that overflows
+    def test_overflowing_median_bandwidth_is_data_error(self, tmp_path, capsys):
+        # the median bandwidth of 1e200 entries has a 2 sigma^2 that overflows
         dm = tmp_path / "dm.json"
-        rows = (entry * (1.0 - np.eye(3))).tolist()
+        rows = (1e200 * (1.0 - np.eye(3))).tolist()
         dm.write_text(json.dumps({"metric": "wasserstein_sq", "n": 3, "rows": rows}))
         code = entrypoint(
             ["cluster", str(dm), "--algorithm", "wasserstein_spectral", "--k", "2",
-             "--out", str(tmp_path / "l.json"), *sigma]
+             "--out", str(tmp_path / "l.json")]
         )
         assert code == 2
         assert "2 sigma^2 overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["inf", "1e300", "1e155", "1e154", "nan", "0"])
+    def test_bad_sigma_is_usage_error(self, sigma, tmp_path, capsys):
+        # a given bandwidth that is not positive, or whose 2 sigma^2
+        # overflows, is a bad setting, refused before the matrix is read
+        dm = tmp_path / "dm.json"
+        dm.write_text(json.dumps({"metric": "wasserstein_sq", "n": 2, "rows": [[0, 1], [1, 0]]}))
+        out = tmp_path / "l.json"
+        code = entrypoint(
+            ["cluster", str(dm), "--algorithm", "wasserstein_spectral", "--k", "2",
+             "--sigma", sigma, "--out", str(out)]
+        )
+        assert code == 1
+        assert "error: sigma " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_comes_before_reading_the_matrix(self, tmp_path, capsys):
         code = entrypoint(
@@ -208,6 +242,32 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert f"eps_scale must be finite and non-negative, got {float(value)}" in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("name, text, args", [
+        ("a.json", '{"k": 2, "labels": [0, 1]}', ["nmi", "IN", "IN"]),
+        ("m.json", '[{"mean": [0.0], "cov": [[1.0]]}]',
+         ["distmat", "IN", "--metric", "kl", "--out", "OUT"]),
+        ("dm.json", '{"metric": "wasserstein_sq", "n": 2, "rows": [[0, 1], [1, 0]]}',
+         ["cluster", "IN", "--algorithm", "wasserstein_spectral", "--k", "2", "--out", "OUT"]),
+        ("g.csv", "object_id,sample_index,x_0\na,0,1.0\na,1,2.0\nb,0,1.0\nb,1,3.0\n",
+         ["cluster", "IN", "--algorithm", "kmeans_means", "--k", "2", "--out", "OUT"]),
+        ("prices.csv", STOCK_CSV,
+         ["bench-stock", "IN", "--k-list", "2", "--sigma-list", "1", "--trials", "1",
+          "--threads", "1", "--out-dir", "OUT"]),
+        ("g.csv", "obj\xffect_id,sample_index,x_0\na,0,1.0\na,1,2.0\n",
+         ["estimate", "IN", "--out", "OUT"]),
+    ], ids=["nmi", "distmat", "cluster matrix", "cluster groups", "bench-stock", "estimate header"])
+    def test_non_utf8_file_is_data_error(self, name, text, args, tmp_path, capsys):
+        # one 0xff byte: in the header for estimate, else near the end
+        bad = tmp_path / name
+        data = text.encode("latin-1")
+        bad.write_bytes(data if b"\xff" in data else data[:-3] + b"\xff" + data[-3:])
+        out = tmp_path / "out"
+        args = [str(bad) if a == "IN" else str(out) if a == "OUT" else a for a in args]
+        assert entrypoint(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
         assert not out.exists()
 
 

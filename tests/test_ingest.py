@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,12 @@ class TestReadStockCsv:
         )
         result = read_stock_csv(write(tmp_path, text))
         np.testing.assert_allclose(result.groups[0].samples[0], [9.0, 9.0, 9.0, 9.0])
+
+    def test_non_utf8_text_is_schema_error(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(GOOD_CSV.encode().replace(b"BBB", b"B\xffB", 1))
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            read_stock_csv(path)
 
     def test_lenient_skips_with_line_numbers(self, tmp_path):
         text = (

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import time
 from dataclasses import replace
 from functools import partial
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from distclust import parallel, pipeline
-from distclust.errors import InvalidConfig, InvalidMatrix, RowError, SingularMatrix
+from distclust.errors import InvalidConfig, InvalidMatrix, RowError, _prefixed
 from distclust.pipeline import (
     ALGO_BHATTACHARYYA,
     ALGO_KL,
@@ -30,9 +31,8 @@ from distclust.pipeline import (
     cluster_matrix,
     resolve_threads,
     run_pipeline,
-    write_report,
 )
-from distclust.storage import canonical_json_bytes
+from distclust.storage import canonical_json_bytes, write_report
 from distclust.synthgen import derive_trial_seed, generate_benchmark
 from distclust.evaluation import nmi
 from distclust.gaussian import SampleGroup, estimate_gaussians
@@ -118,6 +118,14 @@ class TestPipelineConfig:
             PipelineConfig(algorithm=ALGO_KL, k=2, max_iter=0)
         with pytest.raises(InvalidConfig):
             PipelineConfig(algorithm=ALGO_KL, k=2, restarts=0)
+
+    @pytest.mark.parametrize("sigma", [np.inf, 1e300, 1e155, 1e154])
+    def test_sigma_whose_kernel_divisor_overflows_is_rejected(self, sigma):
+        # the check kernelize makes of a median bandwidth, made when the
+        # bandwidth is a setting: 2 sigma^2 overflows from about 9.5e153
+        with pytest.raises(InvalidConfig, match=rf"^sigma {re.escape(str(sigma))} is too large: 2 sigma\^2 overflows$"):
+            PipelineConfig(algorithm=ALGO_WASSERSTEIN, k=2, sigma=sigma)
+        PipelineConfig(algorithm=ALGO_WASSERSTEIN, k=2, sigma=9e153)
 
     def test_family_tags(self):
         assert algorithm_family(ALGO_KMEANS_MEANS) == FAMILY_MEAN_ONLY
@@ -278,33 +286,36 @@ class TestBenchmarkSynthetic:
 
 
 class TestTrialFailures:
-    """Without a ridge, groups with q - 1 < d have singular covariances, so
-    Bhattacharyya's log-determinant fails inside the trial."""
-
-    SINGULAR = PipelineConfig(algorithm=ALGO_BHATTACHARYYA, k=2, eps_scale=0.0)
+    """An error inside a trial keeps its class and gains the trial's seed,
+    whichever process ran the trial."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_synthetic_trial_names_its_seed(self, threads):
-        seed = derive_trial_seed(3, 0)
-        with pytest.raises(SingularMatrix, match=rf"^trial seed {seed}: model \d+: non-positive"):
-            benchmark_synthetic(
-                d_list=[4], k_list=[2], trials=2, base_seed=3,
-                algorithms=(ALGO_BHATTACHARYYA,), n_objects=12, samples_per_object=3,
-                config=self.SINGULAR, threads=threads,
-            )
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_stock_trial_names_its_seed(self, threads, rng):
-        groups = [SampleGroup(f"g{i}", rng.standard_normal((3, 4))) for i in range(8)]
+        # a draw of fewer objects than clusters fails in the trial's draw
         args = [
             {
-                "groups": groups, "k": 2, "noise_sigma": 0.5, "noise_seed": seed,
-                "cluster_seed": 0, "algorithms": (ALGO_BHATTACHARYYA,),
-                "clean_labels": {ALGO_BHATTACHARYYA: [0, 1] * 4}, "config": self.SINGULAR,
+                "d": 2, "k": 3, "n_objects": 2, "samples_per_object": 5,
+                "simplex_boundary": False, "trial_seed": seed, "algorithms": (ALGO_KL,),
             }
             for seed in (41, 42)
         ]
-        with pytest.raises(SingularMatrix, match=r"^trial seed 41: model \d+: non-positive"):
+        with pytest.raises(InvalidConfig, match=r"^trial seed 41: need at least k=3 objects, got 2$"):
+            pipeline._map_trials(pipeline._synth_trial, args, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stock_trial_names_its_seed(self, threads, rng):
+        # noise of 1e200 overflows the fitted covariances
+        groups = [SampleGroup(f"g{i}", rng.standard_normal((3, 4))) for i in range(8)]
+        args = [
+            {
+                "groups": groups, "k": 2, "noise_sigma": 1e200, "noise_seed": seed,
+                "base_seed": 0, "algorithms": (ALGO_BHATTACHARYYA,),
+                "clean_labels": {ALGO_BHATTACHARYYA: [0, 1] * 4},
+            }
+            for seed in (41, 42)
+        ]
+        with pytest.raises(InvalidMatrix, match=r"^trial seed 41: group 'g0'"):
             pipeline._map_trials(pipeline._stock_trial, args, threads)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -323,7 +334,7 @@ class TestTrialFailures:
         assert len(pools) == (1 if threads > 1 else 0)
 
     def test_named_error_keeps_class_and_attributes(self):
-        named = pickle.loads(pickle.dumps(pipeline._seed_named(RowError("bad cell", 4), 9)))
+        named = pickle.loads(pickle.dumps(_prefixed(RowError("bad cell", 4), "trial seed 9")))
         assert type(named) is RowError
         assert str(named) == "trial seed 9: line 4: bad cell"
         assert named.line == 4
@@ -421,7 +432,7 @@ def trial_files(folder) -> list[str]:
 
 
 def scripted_failure(i: int) -> Exception:
-    return pipeline._seed_named(ValueError("scripted failure"), i)
+    return _prefixed(ValueError("scripted failure"), f"trial seed {i}")
 
 
 # the benchmark trials as imported, before a test patches them

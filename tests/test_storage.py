@@ -2,16 +2,28 @@ import csv
 import hashlib
 import json
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_model
+import distclust
 from distclust import storage
-from distclust.errors import InsufficientSamples, InvalidMatrix, RowError, SchemaError
+from distclust.errors import (
+    DimensionMismatch,
+    InsufficientSamples,
+    InvalidMatrix,
+    NotPositiveSemidefinite,
+    RowError,
+    SchemaError,
+)
 from distclust.gaussian import SampleGroup
 from distclust.metrics import METRIC_KL, METRIC_WASSERSTEIN_SQ, DistanceMatrix
 from distclust.spectral import ClusterAssignment
@@ -64,6 +76,20 @@ class TestGroupsCsv:
         (tmp_path / "g.csv").write_text("id,sample_index,x_0\na,0,1\na,1,2\n")
         with pytest.raises(SchemaError):
             read_groups_csv(tmp_path / "g.csv")
+
+    @pytest.mark.parametrize("at", ["header", "body"])
+    def test_non_utf8_text_is_schema_error(self, at, tmp_path):
+        # a bad byte in the header, or past the first read-ahead buffer of
+        # the body, where the bulk read meets it
+        text = "object_id,sample_index,x_0\r\n" + "".join(
+            f"g{i % 3},{i},{float(i)}\r\n" for i in range(4000)
+        )
+        data = text.encode()
+        cut = 5 if at == "header" else len(data) - 10
+        path = tmp_path / "g.csv"
+        path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            read_groups_csv(path)
 
     def test_non_contiguous_feature_columns(self, tmp_path):
         (tmp_path / "g.csv").write_text("object_id,sample_index,x_0,x_2\na,0,1,1\n")
@@ -383,6 +409,21 @@ class TestModelsJson:
         with pytest.raises(SchemaError):
             read_models_json(path)
 
+    @pytest.mark.parametrize("second, error, message", [
+        ({"mean": [0.0, 0.0], "cov": [[-1.0, 0.0], [0.0, 1.0]]},
+         NotPositiveSemidefinite, "covariance: min eigenvalue -1.000000e+00"),
+        ({"mean": [0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+         DimensionMismatch, "mean dimension 1 does not match covariance dimension 2"),
+        ({"mean": [0.0, 0.0], "cov": [[1.0, 0.0]]},
+         InvalidMatrix, "expected a square matrix"),
+    ])
+    def test_invalid_model_names_the_file_and_index(self, second, error, message, tmp_path):
+        path = tmp_path / "models.json"
+        first = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        path.write_text(json.dumps([first, second]))
+        with pytest.raises(error, match=rf"^{re.escape(str(path))}: model 1: {re.escape(message)}"):
+            read_models_json(path)
+
     def test_covariance_that_overflows_when_symmetrized_fails_at_load(self, tmp_path):
         # every entry is finite, but symmetrizing overflows to inf; loading
         # fails here rather than as a nan divergence in a later command
@@ -460,6 +501,35 @@ class TestDistanceMatrixIo:
         path.write_text(json.dumps({"metric": "kl", "n": 2, "rows": [[0.0, 1.0], [1.0]]}))
         with pytest.raises(SchemaError):
             read_distance_matrix_json(path)
+
+
+class TestTextEncoding:
+    @pytest.mark.parametrize("reader, text", [
+        (read_labels_json, '{"k": 2, "labels": [0, 1]}'),
+        (read_models_json, '[{"mean": [0.0], "cov": [[1.0]]}]'),
+        (read_distance_matrix_json, '{"metric": "kl", "n": 1, "rows": [[0.0]]}'),
+    ])
+    def test_non_utf8_json_is_schema_error(self, reader, text, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_bytes(text.encode()[:-1] + b"\xff" + text.encode()[-1:])
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            reader(path)
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # under the C locale without UTF-8 mode, text files default to ASCII;
+        # a non-ASCII id is still written and read back as UTF-8
+        script = (
+            "import sys, numpy as np\n"
+            "from distclust.gaussian import SampleGroup\n"
+            "from distclust.storage import read_groups_csv, write_groups_csv\n"
+            "write_groups_csv(sys.argv[1], [SampleGroup('\\u00e9t\\u00e9', np.eye(2))])\n"
+            "assert read_groups_csv(sys.argv[1])[0].group_id == '\\u00e9t\\u00e9'\n"
+        )
+        src = str(Path(distclust.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
+        path = tmp_path / "g.csv"
+        subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+        assert path.read_bytes().startswith(b"object_id,sample_index,x_0,x_1\r\n\xc3\xa9t\xc3\xa9,0,")
 
 
 class TestCanonicalJsonBytes:

@@ -118,6 +118,10 @@ class TestGenerateBenchmark:
                 gen.covariance.values, 2.0 * np.eye(3), atol=1e-10
             )
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidConfig, match="^seed must be non-negative, got -1$"):
+            generate_benchmark(d=3, k=2, n_objects=4, samples_per_object=2, seed=-1)
+
     def test_reproducible(self):
         a = generate_benchmark(d=4, k=3, n_objects=9, samples_per_object=4, seed=11)
         b = generate_benchmark(d=4, k=3, n_objects=9, samples_per_object=4, seed=11)
