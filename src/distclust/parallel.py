@@ -11,8 +11,10 @@ processes never ask for more threads than the cores the setting counts.
 ``claim`` is the one claim loop, of kernel blocks and of trials alike: a
 worker takes the next index off a shared counter until none is left.
 ``run_claimed`` runs it on the caller and on pool helpers, threads for
-``run_blocks`` and spawn processes for ``pipeline``, and raises the lowest
-failing index's exception, the one a serial run would raise.
+``run_blocks`` and worker processes for ``pipeline`` (forked on Linux from
+a single-threaded caller, spawned elsewhere; see
+``pipeline._start_method``), and raises the lowest failing index's
+exception, the one a serial run would raise.
 """
 
 import os

@@ -18,15 +18,21 @@ cell's ``wall_time_s`` sums each trial's measured clustering seconds after
 that shared fit. Trial seeds are derived from the base seed with a fixed
 mixing function, so reports are reproducible and independent of how trials
 are scheduled. With ``threads > 1`` trials run in ``threads`` processes,
-the calling one and ``threads - 1`` spawned workers, each in
+the calling one and ``threads - 1`` pool workers, each in
 ``parallel.claim``, the claim loop the kernel blocks run in too: one
 benchmark job starts at most one pool, shared by the trials of all its
-cells, and shuts it down before it returns. A trial's arguments are the
-report's ``params``, its cell key and its seed, and every run clusters with
-``PipelineConfig(algorithm, k, seed)`` after the default ridge, as the CLI
-does, so a report names every setting it ran with.
+cells, and shuts it down before it returns. The workers are forked where
+that is safe, on Linux from a caller running one Python thread, so they
+start with the program imported and take trials within milliseconds; they
+are spawned everywhere else (``_start_method``). A trial's arguments are
+the report's ``params``, its cell key and its seed, and every run clusters
+with ``PipelineConfig(algorithm, k, seed)`` after the default ridge, as
+the CLI does, so a report names every setting it ran with.
 """
 
+import signal
+import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -51,7 +57,7 @@ from .metrics import (
 )
 from .parallel import claim, kernels_on_one_thread, resolve_threads, run_claimed
 from .spectral import ClusterAssignment, _kernel_scale, kernelize, kmeans, spectral_cluster
-from .synthgen import derive_trial_seed, generate_benchmark
+from .synthgen import check_benchmark_shape, derive_trial_seed, generate_benchmark
 
 ALGO_KMEANS_MEANS = "kmeans_means"
 ALGO_SPECTRAL_MEANS = "spectral_means"
@@ -245,9 +251,21 @@ _next_trial = None
 
 
 def _start_worker(next_trial) -> None:
-    """Pool initializer: the job's next-trial counter."""
+    """Pool initializer: the job's next-trial counter, and SIGTERM's default
+    action, which a forked worker would otherwise inherit from the caller."""
     global _next_trial
     _next_trial = next_trial
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _start_method() -> str:
+    """How the trial pool starts its workers: ``fork`` on Linux from a
+    process running one Python thread, ``spawn`` everywhere else, where
+    fork is missing (Windows), unsafe (macOS) or may copy a lock that
+    another thread holds into a child that then waits on it forever."""
+    if sys.platform == "linux" and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
 
 
 def _run_trials(fn, args_list) -> dict:
@@ -258,15 +276,18 @@ def _run_trials(fn, args_list) -> dict:
 
 def _map_trials(fn, args_list, threads: int):
     """``[fn(args) for args in args_list]`` on ``threads`` processes: the
-    caller and a spawn pool of ``threads - 1`` workers (fewer for few
-    trials), one ``_run_trials`` task each, through
-    ``parallel.run_claimed``; every process runs its kernels on one thread.
+    caller and a pool of ``threads - 1`` workers (fewer for few trials),
+    one ``_run_trials`` task each, through ``parallel.run_claimed``; every
+    process runs its kernels on one thread. The pool starts its workers by
+    ``_start_method()``: forked, a worker has the program imported and
+    takes trials at once; spawned, it first boots an interpreter and
+    imports numpy and distclust, which takes a good part of a short job.
     """
     count = len(args_list)
     if threads <= 1 or count <= 1:
         return [fn(args) for args in args_list]
     workers = min(threads - 1, count - 1)
-    context = get_context("spawn")
+    context = get_context(_start_method())
     next_trial = context.Value("i", 0)
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=context, initializer=_start_worker, initargs=(next_trial,)
@@ -369,6 +390,9 @@ def benchmark_synthetic(
     each algorithm's internal randomness.
     """
     _check_benchmark(trials, d_list=d_list, k_list=k_list, algorithms=algorithms)
+    for d in d_list:
+        for k in k_list:
+            check_benchmark_shape(d, k, n_objects, samples_per_object)
     params = {
         "d_list": [int(d) for d in d_list],
         "k_list": [int(k) for k in k_list],

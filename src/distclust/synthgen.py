@@ -72,6 +72,21 @@ def make_generator(
     return GaussianModel(mean, SymMatrix(cov), group_id=group_id)
 
 
+def check_benchmark_shape(d: int, k: int, n_objects: int, samples_per_object: int) -> None:
+    """InvalidConfig for a benchmark no draw can give: d < 2, k < 2, fewer
+    objects than clusters, or fewer than 2 samples per object."""
+    if d < 2:
+        raise InvalidConfig(f"d must be at least 2, got {d}")
+    if k < 2:
+        raise InvalidConfig(f"k must be at least 2, got {k}")
+    if n_objects < k:
+        raise InvalidConfig(f"need at least k={k} objects, got {n_objects}")
+    if samples_per_object < 2:
+        raise InvalidConfig(
+            f"need at least 2 samples per object, got {samples_per_object}"
+        )
+
+
 def generate_benchmark(
     d: int,
     k: int,
@@ -91,16 +106,7 @@ def generate_benchmark(
     groups are read-only views of one (n_objects, samples_per_object, d)
     stack, checked for finite values once.
     """
-    if d < 2:
-        raise InvalidConfig(f"d must be at least 2, got {d}")
-    if k < 2:
-        raise InvalidConfig(f"k must be at least 2, got {k}")
-    if n_objects < k:
-        raise InvalidConfig(f"need at least k={k} objects, got {n_objects}")
-    if samples_per_object < 2:
-        raise InvalidConfig(
-            f"need at least 2 samples per object, got {samples_per_object}"
-        )
+    check_benchmark_shape(d, k, n_objects, samples_per_object)
     if seed < 0:
         raise InvalidConfig(f"seed must be non-negative, got {seed}")
     if spectrum is None:

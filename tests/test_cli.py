@@ -391,6 +391,18 @@ class TestBenchCommands:
         assert f"{name} must not be empty" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_synth_shape_no_draw_can_give_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = entrypoint(
+            ["bench-synth", "--d-list", "1", "--k-list", "2", "--trials", "4",
+             "--threads", "2", "--out-dir", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "d must be at least 2, got 1" in err
+        assert "trial seed" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigmas", ["nan", "1,inf", "-1"])
     def test_bad_noise_sigma_is_usage_error(self, sigmas, tmp_path, capsys):
         prices = tmp_path / "prices.csv"

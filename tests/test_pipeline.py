@@ -3,6 +3,9 @@ import multiprocessing
 import os
 import pickle
 import re
+import signal
+import sys
+import threading
 import time
 from dataclasses import replace
 from functools import partial
@@ -284,6 +287,18 @@ class TestBenchmarkSynthetic:
             with pytest.raises(InvalidConfig, match=f"^{next(iter(empty))} must not be empty$"):
                 benchmark_synthetic(**{"d_list": [2], "k_list": [2], "trials": 1, **empty})
 
+    @pytest.mark.parametrize("shape, message", [
+        ({"d_list": [3, 1]}, "d must be at least 2, got 1"),
+        ({"k_list": [2, 1]}, "k must be at least 2, got 1"),
+        ({"k_list": [2, 5], "n_objects": 4}, "need at least k=5 objects, got 4"),
+        ({"samples_per_object": 1}, "need at least 2 samples per object, got 1"),
+    ], ids=["d", "k", "n_objects", "samples_per_object"])
+    def test_shape_no_draw_can_give_fails_before_any_trial(self, shape, message, pools):
+        kwargs = {"d_list": [2], "k_list": [2], "trials": 4, "n_objects": 8, **shape}
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+            benchmark_synthetic(threads=2, **kwargs)
+        assert pools == []
+
 
 class TestTrialFailures:
     """An error inside a trial keeps its class and gains the trial's seed,
@@ -405,9 +420,10 @@ class TestBenchmarkStock:
                 benchmark_stock(groups, **{"k_list": [2], "noise_sigmas": [1.0], "trials": 1, **empty})
 
 
-def wait_for_file(folder: Path, pattern: str) -> None:
+def wait_for_file(folder: Path, pattern: str, count: int = 1) -> None:
+    """Wait up to a minute for ``count`` files in ``folder`` matching ``pattern``."""
     deadline = time.monotonic() + 60
-    while not any(folder.glob(pattern)) and time.monotonic() < deadline:
+    while len(list(folder.glob(pattern))) < count and time.monotonic() < deadline:
         time.sleep(0.005)
 
 
@@ -435,8 +451,40 @@ def scripted_failure(i: int) -> Exception:
     return _prefixed(ValueError("scripted failure"), f"trial seed {i}")
 
 
+def square_after_20_ms(args: dict) -> int:
+    """``args["i"]`` squared, after leaving ``<i>.<pid>`` in ``dir`` and
+    sleeping 20 ms."""
+    (Path(args["dir"]) / f"{args['i']}.{os.getpid()}").touch()
+    time.sleep(0.02)
+    return args["i"] ** 2
+
+
+def sigterm_action(args: dict) -> tuple[bool, bool]:
+    """Whether this process is a pool worker, and whether SIGTERM takes its
+    default action in it. A worker first leaves ``<pid>.worker`` in
+    ``dir``; every process then waits up to a minute for ``workers`` such
+    files, so each worker runs some trial."""
+    folder = Path(args["dir"])
+    worker = multiprocessing.parent_process() is not None
+    if worker:
+        (folder / f"{os.getpid()}.worker").touch()
+    wait_for_file(folder, "*.worker", args["workers"])
+    return worker, signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+
+
+def start_once_the_trials_are_spent(count: int, next_trial) -> None:
+    """A pool initializer that holds its worker up to a minute, until the
+    job's counter has passed its last trial ``count - 1``, then starts it as
+    ``pipeline._start_worker`` does."""
+    deadline = time.monotonic() + 60
+    while next_trial.value < count and time.monotonic() < deadline:
+        time.sleep(0.005)
+    REAL_START_WORKER(next_trial)
+
+
 # the benchmark trials as imported, before a test patches them
 REAL_TRIALS = {name: getattr(pipeline, name) for name in ("_synth_trial", "_stock_trial")}
+REAL_START_WORKER = pipeline._start_worker
 WORKER_MARKS = "DISTCLUST_TEST_WORKER_MARKS"
 
 
@@ -455,7 +503,8 @@ def trial_once_a_worker_started(name: str, args: dict):
 @pytest.fixture
 def worker_joins(monkeypatch, tmp_path):
     """Call before a pooled job: its caller holds its first trial until a
-    worker has started one. Returns the folder of the workers' files."""
+    worker has started one, so a worker runs some trial however its start
+    races the caller's trials. Returns the folder of the workers' files."""
     jobs = []
 
     def arm() -> Path:
@@ -531,6 +580,40 @@ class TestThreads:
         assert pools == [1, 2]
 
 
+@pytest.fixture
+def workers_held_until_spent(monkeypatch):
+    """Call with a job's trial count before a pooled map: its workers start
+    only once the job's counter has passed the last trial, as a worker
+    would that booted after the caller's first trial had failed."""
+
+    def hold(count: int) -> None:
+        monkeypatch.setattr(pipeline, "_start_worker", partial(start_once_the_trials_are_spent, count))
+
+    return hold
+
+
+class TestStartMethod:
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers fork only on Linux")
+    def test_fork_on_linux_from_one_thread(self):
+        assert threading.active_count() == 1
+        assert pipeline._start_method() == "fork"
+
+    @pytest.mark.parametrize("platform", ["darwin", "win32"])
+    def test_spawn_off_linux(self, platform, monkeypatch):
+        monkeypatch.setattr(sys, "platform", platform)
+        assert pipeline._start_method() == "spawn"
+
+    def test_spawn_while_a_second_thread_runs(self):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert pipeline._start_method() == "spawn"
+        finally:
+            release.set()
+            other.join()
+
+
 class TestTrialMap:
     """The caller and the pool's workers each take the next unstarted trial
     off one shared counter."""
@@ -592,12 +675,41 @@ class TestTrialMap:
             pipeline._map_trials(scripted_trial, args, 2)
         assert trial_files(tmp_path) == ["0.caller", "1.worker"]
 
-    def test_failure_leaves_no_trial_to_start(self, tmp_path):
-        # the caller's first trial fails before the worker boots: every
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers fork only on Linux")
+    def test_forked_worker_takes_trials_unheld(self, tmp_path, pools):
+        # nothing holds the caller: a forked worker starts within
+        # milliseconds, well inside 20 trials of 20 ms each
+        assert pipeline._start_method() == "fork"
+        args = [{"i": i, "dir": str(tmp_path)} for i in range(20)]
+        assert pipeline._map_trials(square_after_20_ms, args, 2) == [i * i for i in range(20)]
+        assert pools == [1]
+        pids = {int(name.split(".")[1]) for name in trial_files(tmp_path)}
+        assert len(pids) == 2 and os.getpid() in pids
+        assert sorted(int(name.split(".")[0]) for name in trial_files(tmp_path)) == list(range(20))
+
+    def test_workers_take_sigterms_default_action(self, tmp_path):
+        # a caller's SIGTERM handler that exits would turn a worker's
+        # SIGTERM into a failed task
+        def exit_on_sigterm(signum, frame):
+            sys.exit(128 + signum)
+
+        args = [{"dir": str(tmp_path), "workers": 2} for _ in range(6)]
+        previous = signal.signal(signal.SIGTERM, exit_on_sigterm)
+        try:
+            ran = pipeline._map_trials(sigterm_action, args, 3)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert len(list(tmp_path.glob("*.worker"))) == 2
+        assert {default for worker, default in ran if worker} == {True}
+        assert all(not default for worker, default in ran if not worker)
+
+    def test_failure_leaves_no_trial_to_start(self, tmp_path, workers_held_until_spent):
+        # the caller's first trial fails before the worker starts: every
         # lower trial has started, so no process starts another
         common = {"dir": str(tmp_path)}
         args = [{**common, "i": i} for i in range(30)]
         args[0]["raises"] = scripted_failure(0)
+        workers_held_until_spent(len(args))
         with pytest.raises(ValueError, match=r"^trial seed 0: "):
             pipeline._map_trials(scripted_trial, args, 2)
         assert trial_files(tmp_path) == ["0.caller"]
@@ -610,12 +722,13 @@ class TestTrialMap:
             pipeline._map_trials(scripted_trial, args, 2)
         assert parallel.kernel_threads() == 3
 
-    def test_interrupt_in_the_caller_cancels_unstarted_trials(self, tmp_path):
-        # the caller's first trial is interrupted before the worker boots:
+    def test_interrupt_in_the_caller_cancels_unstarted_trials(self, tmp_path, workers_held_until_spent):
+        # the caller's first trial is interrupted before the worker starts:
         # the worker finds no trial left
         common = {"dir": str(tmp_path)}
         args = [{**common, "i": i} for i in range(30)]
         args[0]["raises"] = KeyboardInterrupt()
+        workers_held_until_spent(len(args))
         with pytest.raises(KeyboardInterrupt):
             pipeline._map_trials(scripted_trial, args, 2)
         assert trial_files(tmp_path) == ["0.caller"]
