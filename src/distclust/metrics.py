@@ -389,8 +389,8 @@ def distance_matrix(models: Sequence[GaussianModel], metric: str) -> DistanceMat
     ``kernel_threads()`` threads, the others on the calling thread; the
     error is the first failing block's, so it names the first failing pair
     in row-major order.
-    Symmetric metrics fill the upper triangle and add its exact transpose;
-    kl fills both triangles independently.
+    Symmetric metrics fill the upper triangle and mirror it in place, in
+    row blocks; kl fills both triangles independently.
     """
     if metric not in KNOWN_METRICS:
         raise InvalidMatrix(f"unknown metric tag {metric!r}")
@@ -413,7 +413,8 @@ def distance_matrix(models: Sequence[GaussianModel], metric: str) -> DistanceMat
 
     run_blocks(block, count, threads)
     if metric in SYMMETRIC_METRICS:
-        out = out + out.T
+        # the lower triangle is still zero: upper + 0.0 is upper + lower
+        mirror_in_place(out, lambda upper, lower: upper + 0.0)
     out.flags.writeable = False
     return _trusted(DistanceMatrix, values=out, metric=metric)
 
@@ -421,7 +422,8 @@ def distance_matrix(models: Sequence[GaussianModel], metric: str) -> DistanceMat
 def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
     """Pairwise Euclidean distances between model means (covariances ignored).
 
-    Rows are computed in blocks, so no (n, n, d) difference array is built.
+    Rows are computed in blocks, each block's differences in one reused
+    buffer, so no (n, n, d) difference array is built.
     Each pair is computed once: a row block from its diagonal onward, its
     transpose mirrored below. m_i - m_j is exactly -(m_j - m_i), so the
     mirror is what the lower triangle would compute, and the diagonal is
@@ -430,16 +432,18 @@ def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
     """
     _common_dim(models)
     means = np.stack([m.mean for m in models])
-    n = len(means)
+    n, d = means.shape
     out = np.empty((n, n))
-    rows = max(1, _EUCLIDEAN_BLOCK_BYTES // (8 * n * means.shape[1]))
+    rows = min(n, max(1, _EUCLIDEAN_BLOCK_BYTES // (8 * n * d)))
+    buffer = np.empty(rows * n * d)  # every block's differences, in turn
     for s in range(0, n, rows):
         e = min(s + rows, n)
-        diff = means[s:e, None, :] - means[None, s:, :]
+        diff = buffer[: (e - s) * (n - s) * d].reshape(e - s, n - s, d)
+        np.subtract(means[s:e, None, :], means[None, s:, :], out=diff)
         out[s:e, s:] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        if not np.isfinite(out[s:e, s:]).all():
+            raise InvalidMatrix("distance entries must be finite")
         out[e:, s:e] = out[s:e, e:].T
-    if not np.isfinite(out).all():
-        raise InvalidMatrix("distance entries must be finite")
     out.flags.writeable = False
     return _trusted(DistanceMatrix, values=out, metric=METRIC_EUCLIDEAN)
 

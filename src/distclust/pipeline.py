@@ -174,14 +174,7 @@ def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
 
     metric = _SPECTRAL_METRICS.get(config.algorithm)
     if metric is not None:
-        # the matrix goes in as a temporary, so cluster_matrix can drop the
-        # last reference to it before the eigensolve
-        assignment, diagnostics = cluster_matrix(
-            mean_euclidean_matrix(models)
-            if metric == METRIC_EUCLIDEAN
-            else distance_matrix(models, metric),
-            config,
-        )
+        assignment, diagnostics = cluster_matrix(_spectral_input(models, metric), config)
         return PipelineResult(
             assignment, config.algorithm, diagnostics=diagnostics, warnings=warnings
         )
@@ -209,6 +202,20 @@ def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
     )
 
 
+def _spectral_input(models, metric: str) -> DistanceMatrix:
+    """The matrix a spectral run clusters, built for that run alone and
+    passed on as a temporary, so ``cluster_matrix`` holds the last
+    reference to it. The mean distances come writeable, and ``kernelize``
+    turns them into the kernel in their own buffer. A divergence matrix
+    stays read-only and intact, as callers that wrap ``distance_matrix``
+    may keep it; ``cluster_matrix`` drops it before the eigensolve."""
+    if metric != METRIC_EUCLIDEAN:
+        return distance_matrix(models, metric)
+    dm = mean_euclidean_matrix(models)
+    dm.values.flags.writeable = True
+    return dm
+
+
 def spectral_metric(algorithm: str) -> str:
     """The metric of the matrix a spectral algorithm clusters; InvalidConfig
     for an algorithm that clusters no distance matrix."""
@@ -228,8 +235,9 @@ def cluster_matrix(dm: DistanceMatrix, config: PipelineConfig) -> tuple[ClusterA
     if dm.metric != expected:
         raise InvalidConfig(f"{config.algorithm} expects a {expected} matrix, got {dm.metric}")
     adjacency = kernelize(dm, sigma=config.sigma, on_sqrt=config.kernel_on_sqrt)
-    # past the kernel the divergence matrix is dead weight; dropping it
-    # takes one n x n array off the peak of the eigensolve
+    # past the kernel a divergence matrix that ``kernelize`` left intact is
+    # dead weight; dropping it takes one n x n array off the peak of the
+    # eigensolve
     del dm
     result = spectral_cluster(
         adjacency,

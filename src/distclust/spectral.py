@@ -9,7 +9,14 @@ The kernel ``exp(-x^2 / (2 sigma^2))`` is applied to matrix entries as
 stored; for the squared-Wasserstein metric the entries are already squared
 distances, and ``on_sqrt=True`` switches to kernelizing their square roots
 instead. The default bandwidth is the median of the strictly positive
-upper-triangle entries of whichever values feed the kernel.
+upper-triangle entries of whichever values feed the kernel; past one row
+block of entries it is selected by radix on their bits, in row blocks, so
+the triangle is never copied.
+``kernelize`` builds the kernel in the matrix's own array when that array
+is writeable, as the pipeline makes the mean-distance matrix it builds for
+one run, and in a new array otherwise; a public ``DistanceMatrix`` is
+read-only, so a caller's matrix is never written. So ``spectral_means``
+holds one n x n array, and the divergence runs two while they kernelize.
 
 ``kernelize`` checks only finiteness (the rest holds by construction). The
 bottom k eigenpairs of L_sym come from block subspace iteration on
@@ -132,21 +139,113 @@ def median_bandwidth(x: np.ndarray) -> float:
     """Median of the strictly positive upper-triangle entries, or 1.0 if
     every off-diagonal entry is zero.
 
-    One partition of the upper triangle: its non-positive entries sort
-    first, so the positive ones hold the ranks from their count on. The
-    result is ``np.median``'s: the middle entry, or the mean of the middle
-    pair, the lower of which is the largest entry below the upper one.
+    The result is ``np.median``'s: the middle entry, or the mean of the
+    middle pair. A triangle of at most one row block of entries (n <= 2
+    _BLOCK_ROWS + 1) has its positive entries gathered and partitioned.
+    A larger one is never copied: a radix select on the entries' bits, in
+    row blocks, counts them by their top 16 bits in one pass and gathers and
+    partitions only the bin that holds the middle rank(s) in a second; a bin
+    of more than a row block is counted again on its next 16 bits instead.
     """
+    x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    upper = np.concatenate([x[i, i + 1:] for i in range(n)]) if n > 1 else np.empty(0)
-    low = np.count_nonzero(upper <= 0.0)
-    size = np.count_nonzero(upper > 0.0)
+    gather = n * (n - 1) // 2 <= _BLOCK_ROWS * n
+    if gather:
+        found = np.concatenate([part[part > 0.0] for part in _upper_parts(x)])
+        size = found.size
+    else:
+        counts = _digit_counts(x, 0, _TOP_SHIFT)[: _POSITIVE_END >> _TOP_SHIFT]
+        size = int(counts.sum())
     if size == 0:
         return 1.0
-    mid = low + size // 2
-    upper.partition(mid)  # one kth: numpy partitions for two kth ~5x slower
-    middle = upper[mid : mid + 1] if size % 2 else np.array([upper[:mid].max(), upper[mid]])
-    return float(np.mean(middle))
+    mid = size // 2
+    ranks = [mid] if size % 2 else [mid - 1, mid]
+    values = _ranked(found, ranks) if gather else _select(x, ranks, counts, 0, _TOP_SHIFT)
+    return float(np.mean(np.array(values)))
+
+
+def _ranked(found: np.ndarray, ranks: list) -> list:
+    """The entries of ``found`` at one or two consecutive ascending ranks;
+    ``found`` is partitioned in place."""
+    top = ranks[-1]
+    found.partition(top)  # one kth: numpy partitions for two kth ~5x slower
+    return [found[:top].max(), found[top]] if len(ranks) == 2 else [found[top]]
+
+
+# The median's radix select reads a float's key, its bits minus one as
+# uint64, 16 bits at a time, top first. The strictly positive floats,
+# infinity included, take the keys below _POSITIVE_END (the bits of
+# infinity) in the order of their values; zero, negatives and nan take the
+# keys above. The first digit holds the exponent and 4 mantissa bits, so a
+# bin spans a factor of at most 2^(1/16) of the values.
+_DIGIT_BITS = 16
+_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
+_TOP_SHIFT = 64 - _DIGIT_BITS
+_POSITIVE_END = 0x7FF0_0000_0000_0000
+_ONE = np.uint64(1)
+
+
+def _upper_parts(x: np.ndarray):
+    """A square array's upper-triangle entries, one row block at a time:
+    the block's part of the diagonal square as a 1-d copy, then the rest of
+    its rows as a view."""
+    n = x.shape[0]
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        yield x[s:e, s:e][np.triu(np.ones((e - s, e - s), dtype=bool), 1)]
+        yield x[s:e, e:]
+
+
+def _in_bin(part: np.ndarray, prefix: int, shift: int) -> np.ndarray:
+    """The entries of ``part`` whose keys are ``prefix`` above ``shift``:
+    the positive floats from bits ``(prefix << shift) + 1`` to
+    ``(prefix + 1) << shift``."""
+    lo, hi = np.array([(prefix << shift) + 1, (prefix + 1) << shift], dtype=np.uint64).view(float)
+    return part[(part >= lo) & (part <= hi)]
+
+
+def _digit_counts(x: np.ndarray, prefix: int, shift: int) -> np.ndarray:
+    """How many upper entries hold each value of the digit at ``shift`` in
+    their keys. At the top digit every entry counts, the non-positive ones
+    from digit ``_POSITIVE_END >> _TOP_SHIFT`` on; below it, only the
+    positive entries whose keys are ``prefix`` above ``shift +
+    _DIGIT_BITS``."""
+    counts = np.zeros(1 << _DIGIT_BITS, dtype=np.intp)
+    for part in _upper_parts(x):
+        if shift < _TOP_SHIFT:
+            part = _in_bin(part, prefix, shift + _DIGIT_BITS)
+        key = part.view(np.uint64) - _ONE
+        key >>= shift
+        key &= _DIGIT_MASK
+        counts += np.bincount(key.view(np.int64).ravel(), minlength=1 << _DIGIT_BITS)
+    return counts
+
+
+def _select(x: np.ndarray, ranks: list, counts: np.ndarray, prefix: int, shift: int) -> list:
+    """The values at ``ranks``, one or two consecutive ascending 0-based
+    ranks among the positive upper entries whose keys are ``prefix`` above
+    ``shift + _DIGIT_BITS``; ``counts`` are their digits at ``shift``.
+
+    A rank's digit is the bin whose running count passes it. A bin of at
+    most one row block of entries is gathered and partitioned; a larger one
+    is counted again on its next digit, and after the last digit its key is
+    the value's.
+    """
+    ends = np.cumsum(counts)
+    values = []
+    for digit in sorted({int(np.searchsorted(ends, r, side="right")) for r in ranks}):
+        start, end = int(ends[digit] - counts[digit]), int(ends[digit])
+        inside = [r - start for r in ranks if start <= r < end]
+        bin_prefix = (prefix << _DIGIT_BITS) | digit
+        if shift == 0:
+            values += [np.array(bin_prefix + 1, dtype=np.uint64).view(float)[()]] * len(inside)
+        elif end - start <= _BLOCK_ROWS * x.shape[0]:
+            found = np.concatenate([_in_bin(part, bin_prefix, shift) for part in _upper_parts(x)])
+            values += _ranked(found, inside)
+        else:
+            sub = _digit_counts(x, bin_prefix, shift - _DIGIT_BITS)
+            values += _select(x, inside, sub, bin_prefix, shift - _DIGIT_BITS)
+    return values
 
 
 def _kernel_scale(sigma: float, error=InvalidBandwidth) -> float:
@@ -172,24 +271,34 @@ def kernelize(
     the median heuristic over the kernelized values. W is exactly symmetric
     with a unit diagonal and entries in [0, 1] by construction; the one check
     is finiteness, as 2 sigma^2 can underflow and turn a zero entry into 0/0.
+
+    W is built one operation at a time in one array: the root (for
+    ``on_sqrt``), square, negation, division and exp. That array is
+    ``dm.values`` itself when it is writeable, which hands the matrix over
+    to W and leaves ``dm`` holding the kernel, read-only; for a read-only
+    matrix, as every public ``DistanceMatrix`` is, it is a new one and
+    ``dm`` is left as it was.
     """
     if not dm.is_symmetric:
         raise MetricNotSymmetric(
             f"metric {dm.metric!r} is asymmetric; kernel needs a symmetric matrix"
         )
-    x = np.sqrt(dm.values) if on_sqrt else dm.values
+    x = dm.values
+    w = x if x.flags.writeable else np.empty_like(x)
+    if on_sqrt:
+        x = np.sqrt(x, out=w)
     if sigma is None:
         sigma = median_bandwidth(x)
     scale = _kernel_scale(sigma)
     # exp(-(x**2) / (2 sigma^2)), one operation at a time in one array; an
     # underflowed scale makes 0/0 here, which the finiteness check reports
-    w = np.square(x)
+    np.square(x, out=w)
     np.negative(w, out=w)
     with np.errstate(divide="ignore", invalid="ignore"):
         w /= scale
         np.exp(w, out=w)
     np.fill_diagonal(w, 1.0)
-    if not np.isfinite(w).all():
+    if not all(np.isfinite(w[s : s + _BLOCK_ROWS]).all() for s in range(0, len(w), _BLOCK_ROWS)):
         raise InvalidMatrix("adjacency entries must be finite")
     w.flags.writeable = False
     return _trusted(AdjacencyMatrix, values=w, bandwidth_sigma=float(sigma))

@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -220,6 +221,47 @@ class TestRunPipeline:
             cluster_matrix(distance_matrix(models, "wasserstein_sq"), config)
         with pytest.raises(InvalidConfig, match="kl cannot run from a saved distance matrix"):
             cluster_matrix(distance_matrix(models, "kl"), replace(config, algorithm=ALGO_KL))
+
+    def test_spectral_means_holds_one_n_by_n_array(self):
+        n = 2000
+        models = estimate_gaussians(generate_benchmark(7, 5, n, 30).groups)
+        tracemalloc.start()
+        try:
+            pipeline._cluster_models(models, PipelineConfig(ALGO_SPECTRAL_MEANS, k=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the kernel is built in the mean distances' own array: 1.19 n * n * 8
+        # with the row-block temporaries, where a second array made it 2.13
+        assert peak < 1.3 * n * n * 8
+
+    @pytest.mark.parametrize("on_sqrt", [False, True])
+    def test_cluster_matrix_leaves_a_callers_matrix_intact(self, on_sqrt, rng):
+        groups, _ = separated_groups(rng, per_cluster=5)
+        dm = distance_matrix(estimate_gaussians(groups, 1e-8), "wasserstein_sq")
+        before = dm.values.tobytes()
+        cluster_matrix(dm, PipelineConfig(ALGO_WASSERSTEIN, k=2, kernel_on_sqrt=on_sqrt))
+        assert dm.values.tobytes() == before
+        assert not dm.values.flags.writeable
+
+    @pytest.mark.parametrize("on_sqrt", [False, True])
+    @pytest.mark.parametrize("algorithm", [ALGO_WASSERSTEIN, ALGO_BHATTACHARYYA])
+    def test_divergence_matrices_stay_intact(self, algorithm, on_sqrt, rng, monkeypatch):
+        # a caller that wraps distance_matrix, as a tracing harness does, may
+        # keep the matrices it returns
+        kept = []
+
+        def keeping(models, metric):
+            kept.append((models, metric, real(models, metric)))
+            return kept[-1][2]
+
+        real = pipeline.distance_matrix
+        monkeypatch.setattr(pipeline, "distance_matrix", keeping)
+        groups, _ = separated_groups(rng, per_cluster=5)
+        run_pipeline(groups, PipelineConfig(algorithm, k=2, kernel_on_sqrt=on_sqrt))
+        assert len(kept) == 1
+        for models, metric, dm in kept:
+            assert dm.values.tobytes() == real(models, metric).values.tobytes()
 
     def test_too_few_groups(self, rng):
         groups, _ = separated_groups(rng, per_cluster=1)

@@ -144,14 +144,36 @@ class TestKernelize:
         assert median_bandwidth(x) == 5.0
 
     def test_median_bandwidth_matches_masked_median(self, rng):
+        def check(x):
+            positive = x[np.triu(x > 0.0, 1)]
+            expected = float(np.median(positive)) if positive.size else 1.0
+            assert median_bandwidth(x) == expected
+
         # odd and even counts of positive entries, all-zero and 1 x 1 matrices
         for n in range(1, 9):
             for _ in range(10):
                 upper = np.triu(rng.uniform(0.0, 4.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
-                x = upper + upper.T
-                positive = x[np.triu(x > 0.0, 1)]
-                expected = float(np.median(positive)) if positive.size else 1.0
-                assert median_bandwidth(x) == expected
+                check(upper + upper.T)
+        # past one row block, gathered at n = 300 and by radix select at
+        # n = 700 and 2000: every positive equal (at n = 700 that bin is
+        # counted down to its last digit), two distinct values, half zeros,
+        # values from 1e-300 to 1e300, subnormals, and a band too narrow for
+        # the first digit to split
+        draws = [
+            lambda shape: np.full(shape, 2.5),
+            lambda shape: rng.choice([1.0, 3.0], shape),
+            lambda shape: rng.uniform(0.0, 4.0, shape) * (rng.random(shape) < 0.5),
+            lambda shape: 10.0 ** rng.uniform(-300.0, 300.0, shape),
+            lambda shape: rng.integers(1, 1000, shape) * 5e-324,
+            lambda shape: 1.0 + 1e-4 * rng.random(shape),
+        ]
+        for n in (300, 700):
+            for draw in draws:
+                upper = np.triu(draw((n, n)), 1)
+                check(upper + upper.T)
+        for seed in range(3):
+            bench = generate_benchmark(7, 5, 2000, 30, seed=seed)
+            check(mean_euclidean_matrix(estimate_gaussians(bench.groups)).values)
 
     @pytest.mark.parametrize("on_sqrt", [False, True])
     def test_matches_whole_matrix_form(self, on_sqrt, rng):
@@ -179,6 +201,17 @@ class TestKernelize:
         assert again.bandwidth_sigma == w.bandwidth_sigma
         with pytest.raises(ValueError):
             w.values[0, 1] = 0.5
+
+    @pytest.mark.parametrize("on_sqrt", [False, True])
+    def test_leaves_a_callers_matrix_intact(self, on_sqrt, rng):
+        # a public DistanceMatrix is read-only, so the kernel gets its own array
+        upper = np.triu(rng.uniform(0.0, 9.0, (300, 300)), 1)
+        dm = DistanceMatrix(upper + upper.T, METRIC_WASSERSTEIN_SQ)
+        before = dm.values.tobytes()
+        w = kernelize(dm, on_sqrt=on_sqrt)
+        assert dm.values.tobytes() == before
+        assert not dm.values.flags.writeable
+        assert not np.shares_memory(w.values, dm.values)
 
     @pytest.mark.parametrize("sigma", [1e155, 1.0e308, float("inf")])
     def test_rejects_bandwidth_whose_square_overflows(self, sigma):
