@@ -2,7 +2,10 @@
 
 Subcommands cover the whole workflow: estimate models from a groups CSV,
 build divergence matrices, cluster, score two labelings, generate synthetic
-benchmarks, and run the synthetic or stock benchmark harnesses.
+benchmarks, and run the synthetic or stock benchmark harnesses. ``cluster``
+takes a groups CSV or a saved distance-matrix JSON; either way it prints one
+summary line of the run's numeric diagnostics, and a warning to stderr for
+each option the run ignores.
 
 Exit codes: 0 on success, 1 for usage or configuration errors, 2 for data
 errors (unreadable files, schema violations, numerical failures).
@@ -73,9 +76,9 @@ def _algorithm(name: str) -> str:
 def _add_cluster_options(p: argparse.ArgumentParser):
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--sigma", type=float, default=None, help="kernel bandwidth")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps-scale", type=float, default=1e-8)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--eps-scale", type=float, default=PipelineConfig.eps_scale)
+    p.add_argument("--restarts", type=int, default=PipelineConfig.restarts)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument(
         "--kernel-on-sqrt",
@@ -96,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="fit one Gaussian per group")
     p.add_argument("input", help="groups CSV")
     p.add_argument("--out", required=True, help="models JSON to write")
-    p.add_argument("--eps-scale", type=float, default=1e-8)
+    p.add_argument("--eps-scale", type=float, default=PipelineConfig.eps_scale)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("distmat", help="pairwise divergence matrix of models")
@@ -178,21 +181,18 @@ def cmd_cluster(args) -> int:
     config = PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
     if args.input.lower().endswith(".json"):
         spectral_metric(config.algorithm)  # a usage error before the file is read
-        assignment, diagnostics = cluster_matrix(read_distance_matrix_json(args.input), config)
-        print(
-            f"clustered {assignment.n} objects into k={assignment.k} "
-            f"(sigma={diagnostics['bandwidth_sigma']:.6g}, ncut={diagnostics['ncut']:.6g})"
-        )
+        if config.eps_scale != PipelineConfig.eps_scale:
+            print("warning: eps_scale ignored for a saved distance matrix", file=sys.stderr)
+        result = cluster_matrix(read_distance_matrix_json(args.input), config)
     else:
-        groups = read_groups_csv(args.input)
-        result = run_pipeline(groups, config)
-        for note in result.warnings:
-            print(f"warning: {note}", file=sys.stderr)
-        assignment = result.assignment
-        details = ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                            for k, v in sorted(result.diagnostics.items())
-                            if not isinstance(v, str))
-        print(f"clustered {assignment.n} objects into k={assignment.k} ({details})")
+        result = run_pipeline(read_groups_csv(args.input), config)
+    for note in result.warnings:
+        print(f"warning: {note}", file=sys.stderr)
+    assignment = result.assignment
+    details = ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                        for k, v in sorted(result.diagnostics.items())
+                        if not isinstance(v, str))
+    print(f"clustered {assignment.n} objects into k={assignment.k} ({details})")
     write_labels_json(args.out, assignment)
     print(f"wrote labels to {args.out}")
     return 0

@@ -11,6 +11,10 @@ one of six algorithms:
 * ``klpp``: KL k-means with ++-style seeding
 
 The first two are mean-only baselines; the rest use full distributions.
+Every run returns one ``PipelineResult``: the labels, the algorithm's
+diagnostics and the warnings for options it ignores. ``cluster_matrix``
+builds it for the three spectral algorithms, from a saved matrix as from
+fitted models, and ``_cluster_models`` for the other three.
 
 Benchmarks aggregate agreement with ground truth (NMI) over repeated trials.
 A trial fits its groups once and runs every algorithm on those models; a
@@ -140,6 +144,8 @@ def _config_warnings(config: PipelineConfig) -> tuple[str, ...]:
         notes.append(f"kernel_on_sqrt ignored for {config.algorithm}")
     if config.klpp_squared and config.algorithm != ALGO_KLPP:
         notes.append(f"klpp_squared ignored for {config.algorithm}")
+    if config.restarts != PipelineConfig.restarts and config.algorithm in (ALGO_KL, ALGO_KLPP):
+        notes.append(f"restarts ignored for {config.algorithm}")
     return tuple(notes)
 
 
@@ -153,9 +159,11 @@ def run_pipeline(groups, config: PipelineConfig) -> PipelineResult:
 def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
     """Cluster fitted models with the configured algorithm; a benchmark
     trial fits once and calls this for each of its algorithms."""
-    rng = np.random.default_rng(config.seed)
-    warnings = _config_warnings(config)
+    metric = _SPECTRAL_METRICS.get(config.algorithm)
+    if metric is not None:
+        return cluster_matrix(_spectral_input(models, metric), config)
 
+    rng = np.random.default_rng(config.seed)
     if config.algorithm == ALGO_KMEANS_MEANS:
         points = np.stack([m.mean for m in models])
         result = kmeans(
@@ -165,40 +173,26 @@ def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
             restarts=config.restarts,
             max_iter=config.max_iter or 300,
         )
-        return PipelineResult(
-            result.assignment,
-            config.algorithm,
-            diagnostics={"wcss": result.wcss},
-            warnings=warnings,
+        diagnostics = {"wcss": result.wcss}
+    else:
+        seeding = SEEDING_KLPP if config.algorithm == ALGO_KLPP else SEEDING_RANDOM
+        result = kl_cluster(
+            list(models),
+            config.k,
+            rng,
+            seeding=seeding,
+            max_iter=config.max_iter or 100,
+            klpp_squared=config.klpp_squared,
+            eps_scale=config.eps_scale,
         )
-
-    metric = _SPECTRAL_METRICS.get(config.algorithm)
-    if metric is not None:
-        assignment, diagnostics = cluster_matrix(_spectral_input(models, metric), config)
-        return PipelineResult(
-            assignment, config.algorithm, diagnostics=diagnostics, warnings=warnings
-        )
-
-    seeding = SEEDING_KLPP if config.algorithm == ALGO_KLPP else SEEDING_RANDOM
-    result = kl_cluster(
-        list(models),
-        config.k,
-        rng,
-        seeding=seeding,
-        max_iter=config.max_iter or 100,
-        klpp_squared=config.klpp_squared,
-        eps_scale=config.eps_scale,
-    )
-    return PipelineResult(
-        result.assignment,
-        config.algorithm,
-        diagnostics={
+        diagnostics = {
             "iterations": result.iterations,
             "converged": result.converged,
             "objective": result.objective_history[-1],
             "repairs": len(result.repair_iterations),
-        },
-        warnings=warnings,
+        }
+    return PipelineResult(
+        result.assignment, config.algorithm, diagnostics, _config_warnings(config)
     )
 
 
@@ -226,11 +220,12 @@ def spectral_metric(algorithm: str) -> str:
     return _SPECTRAL_METRICS[algorithm]
 
 
-def cluster_matrix(dm: DistanceMatrix, config: PipelineConfig) -> tuple[ClusterAssignment, dict]:
+def cluster_matrix(dm: DistanceMatrix, config: PipelineConfig) -> PipelineResult:
     """Spectral clustering of a divergence matrix: the Gaussian kernel, the
     spectral embedding and k-means, seeded from ``config.seed``. The matrix
-    must carry the metric of ``config.algorithm``. Returns the labels and
-    the run's diagnostics (metric, bandwidth, normalized cut, eigensolver)."""
+    must carry the metric of ``config.algorithm``. Returns the run's result,
+    as ``run_pipeline`` does: the labels, the diagnostics (metric,
+    bandwidth, normalized cut, eigensolver) and the config's warnings."""
     expected = spectral_metric(config.algorithm)
     if dm.metric != expected:
         raise InvalidConfig(f"{config.algorithm} expects a {expected} matrix, got {dm.metric}")
@@ -246,12 +241,15 @@ def cluster_matrix(dm: DistanceMatrix, config: PipelineConfig) -> tuple[ClusterA
         restarts=config.restarts,
         max_iter=config.max_iter or 300,
     )
-    return result.assignment, {
+    diagnostics = {
         "metric": expected,
         "bandwidth_sigma": result.bandwidth_sigma,
         "ncut": result.ncut,
         "eigensolver": result.eigensolver,
     }
+    return PipelineResult(
+        result.assignment, config.algorithm, diagnostics, _config_warnings(config)
+    )
 
 
 # a pool worker's view of the job's next-trial counter, set by _start_worker

@@ -309,11 +309,14 @@ def normalized_laplacian(w: AdjacencyMatrix) -> np.ndarray:
 
     Degrees are at least 1 because the kernel diagonal is 1, so the scaling
     is always defined. (w_ij r_i) r_j is not exactly symmetric, and ``eigh``
-    reads one triangle, so the result is symmetrized as (L + L^T)/2.
+    reads one triangle, so the result is symmetrized as (L + L^T)/2. The
+    product is built in the result's own array, whose negation is exact.
     """
     degrees = w.values.sum(axis=1)
     inv_root = 1.0 / np.sqrt(degrees)
-    lap = -(w.values * inv_root[:, None]) * inv_root[None, :]
+    lap = np.multiply(w.values, inv_root[:, None], out=np.empty_like(w.values))
+    lap *= inv_root[None, :]
+    np.negative(lap, out=lap)
     np.fill_diagonal(lap, 1.0 + np.diagonal(lap))
     mirror_in_place(lap, lambda upper, lower: (upper + lower) / 2.0)
     return lap

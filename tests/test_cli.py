@@ -121,6 +121,50 @@ class TestClusterCommand:
         assert code == 0
         assert len(json.loads(labels.read_text())["labels"]) == 16
 
+    def test_saved_matrix_run_matches_groups_run(self, synth_dir, tmp_path, capsys):
+        # one result and one summary line, whichever input the run reads
+        models = tmp_path / "models.json"
+        entrypoint(["estimate", str(synth_dir / "groups.csv"), "--out", str(models)])
+        dm = tmp_path / "dm.json"
+        entrypoint(["distmat", str(models), "--metric", "wasserstein_sq", "--out", str(dm)])
+        capsys.readouterr()
+        runs = []
+        for source in (synth_dir / "groups.csv", dm):
+            labels = tmp_path / f"labels_{source.stem}.json"
+            code = entrypoint(
+                ["cluster", str(source), "--algorithm", "wasserstein_spectral",
+                 "--k", "2", "--seed", "3", "--out", str(labels)]
+            )
+            assert code == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            runs.append((labels.read_bytes(), captured.out.splitlines()[0]))
+        assert runs[0] == runs[1]
+        assert runs[0][1].startswith("clustered 16 objects into k=2 (bandwidth_sigma=")
+
+    def test_ignored_options_warn_from_either_input(self, synth_dir, tmp_path, capsys):
+        models = tmp_path / "models.json"
+        entrypoint(["estimate", str(synth_dir / "groups.csv"), "--out", str(models)])
+        dm = tmp_path / "dm.json"
+        entrypoint(["distmat", str(models), "--metric", "wasserstein_sq", "--out", str(dm)])
+        out = str(tmp_path / "l.json")
+        capsys.readouterr()
+        cases = [
+            ([str(dm), "--algorithm", "wasserstein_spectral", "--klpp-squared",
+              "--eps-scale", "0.1"],
+             ["eps_scale ignored for a saved distance matrix",
+              "klpp_squared ignored for wasserstein_spectral"]),
+            ([str(dm), "--algorithm", "wasserstein_spectral", "--eps-scale", "1e-8"], []),
+            ([str(synth_dir / "groups.csv"), "--algorithm", "wasserstein_spectral",
+              "--eps-scale", "0.1"], []),
+            ([str(synth_dir / "groups.csv"), "--algorithm", "kl", "--restarts", "3"],
+             ["restarts ignored for kl"]),
+            ([str(synth_dir / "groups.csv"), "--algorithm", "kl"], []),
+        ]
+        for args, notes in cases:
+            assert entrypoint(["cluster", *args, "--k", "2", "--out", out]) == 0
+            assert capsys.readouterr().err.splitlines() == [f"warning: {n}" for n in notes]
+
     def test_distmat_metric_mismatch_is_usage_error(self, synth_dir, tmp_path):
         models = tmp_path / "models.json"
         entrypoint(["estimate", str(synth_dir / "groups.csv"), "--out", str(models)])

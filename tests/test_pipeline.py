@@ -29,6 +29,7 @@ from distclust.pipeline import (
     FAMILY_DISTRIBUTION,
     FAMILY_MEAN_ONLY,
     PipelineConfig,
+    PipelineResult,
     algorithm_family,
     benchmark_stock,
     benchmark_synthetic,
@@ -40,7 +41,7 @@ from distclust.storage import canonical_json_bytes, write_report
 from distclust.synthgen import derive_trial_seed, generate_benchmark
 from distclust.evaluation import nmi
 from distclust.gaussian import SampleGroup, estimate_gaussians
-from distclust.metrics import distance_matrix
+from distclust.metrics import distance_matrix, mean_euclidean_matrix
 
 DISTRIBUTION_ALGOS = (ALGO_WASSERSTEIN, ALGO_BHATTACHARYYA, ALGO_KL, ALGO_KLPP)
 
@@ -197,6 +198,11 @@ class TestRunPipeline:
             groups, PipelineConfig(algorithm=ALGO_KL, k=2, klpp_squared=True)
         )
         assert any("klpp_squared ignored" in w for w in result.warnings)
+        for algorithm in (ALGO_KL, ALGO_KLPP):
+            result = run_pipeline(groups, PipelineConfig(algorithm=algorithm, k=2, restarts=3))
+            assert result.warnings == (f"restarts ignored for {algorithm}",)
+        result = run_pipeline(groups, PipelineConfig(algorithm=ALGO_KMEANS_MEANS, k=2, restarts=3))
+        assert result.warnings == ()
 
     def test_explicit_sigma_respected(self, rng):
         groups, _ = separated_groups(rng, per_cluster=4)
@@ -212,11 +218,33 @@ class TestRunPipeline:
         # clusters no matrix, is a configuration error
         groups, _ = separated_groups(rng, per_cluster=5)
         models = estimate_gaussians(groups, 1e-8)
-        config = PipelineConfig(algorithm=ALGO_BHATTACHARYYA, k=2, seed=4, sigma=0.5)
-        assignment, diagnostics = cluster_matrix(distance_matrix(models, "bhattacharyya"), config)
-        result = run_pipeline(groups, config)
-        assert np.array_equal(assignment.labels, result.assignment.labels)
-        assert diagnostics == result.diagnostics
+        matrices = {
+            ALGO_SPECTRAL_MEANS: mean_euclidean_matrix(models),
+            ALGO_WASSERSTEIN: distance_matrix(models, "wasserstein_sq"),
+            ALGO_BHATTACHARYYA: distance_matrix(models, "bhattacharyya"),
+        }
+        for algorithm, dm in matrices.items():
+            for on_sqrt in (False, True):
+                for sigma in (None, 0.5):
+                    config = PipelineConfig(
+                        algorithm, k=2, seed=4, sigma=sigma, kernel_on_sqrt=on_sqrt, restarts=3
+                    )
+                    result = cluster_matrix(dm, config)
+                    expected = run_pipeline(groups, config)
+                    assert isinstance(result, PipelineResult)
+                    assert result.algorithm == algorithm
+                    assert np.array_equal(result.assignment.labels, expected.assignment.labels)
+                    assert result.diagnostics == expected.diagnostics
+                    assert result.warnings == expected.warnings == ()
+                    if sigma is not None:
+                        assert result.diagnostics["bandwidth_sigma"] == sigma
+        config = PipelineConfig(ALGO_BHATTACHARYYA, k=2, seed=4, sigma=0.5, klpp_squared=True)
+        result = cluster_matrix(matrices[ALGO_BHATTACHARYYA], config)
+        expected = run_pipeline(groups, config)
+        assert np.array_equal(result.assignment.labels, expected.assignment.labels)
+        assert result.diagnostics == expected.diagnostics
+        assert result.warnings == expected.warnings
+        assert result.warnings == ("klpp_squared ignored for bhattacharyya_spectral",)
         with pytest.raises(InvalidConfig, match="expects a bhattacharyya matrix, got wasserstein_sq"):
             cluster_matrix(distance_matrix(models, "wasserstein_sq"), config)
         with pytest.raises(InvalidConfig, match="kl cannot run from a saved distance matrix"):

@@ -279,6 +279,22 @@ class TestNormalizedLaplacian:
         assert np.array_equal(lap, lap.T)
         assert lap.tobytes() == ((raw + raw.T) / 2.0).tobytes()
 
+    def test_built_in_one_n_by_n_array(self, rng):
+        # the product is scaled and negated in the result's array: 1.40
+        # n * n * 8 with the mirror's row-block temporaries, where two more
+        # n x n temporaries made it 2.01
+        n = 1000
+        upper = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+        w = AdjacencyMatrix(upper + upper.T + np.eye(n), 1.0)
+        del upper
+        tracemalloc.start()
+        try:
+            normalized_laplacian(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
 
 class TestSpectralEmbedding:
     def test_rows_unit_norm(self):
