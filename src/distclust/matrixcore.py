@@ -147,8 +147,9 @@ def spd_roots(cov: np.ndarray, name) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.log(w).sum(axis=1), (v * root) @ vt, (v / root) @ vt
 
 
-# rows per block of the n x n passes below: a block's temporaries stay a small
-# fraction of the matrix, with few enough blocks that Python overhead is noise
+# rows per block of the n x n passes below and of ``parallel.row_blocks``: a
+# block's temporaries stay a small fraction of the matrix, with few enough
+# blocks that Python overhead is noise
 _BLOCK_ROWS = 256
 
 

@@ -51,7 +51,7 @@ from .matrixcore import (
     raise_first_failure,
     spd_roots,
 )
-from .parallel import kernel_threads, run_blocks
+from .parallel import kernel_threads, row_blocks, run_blocks
 
 METRIC_WASSERSTEIN_SQ = "wasserstein_sq"
 METRIC_BHATTACHARYYA = "bhattacharyya"
@@ -65,8 +65,11 @@ KNOWN_METRICS = (
     METRIC_EUCLIDEAN,
 )
 
-# bytes of one row block's difference array in mean_euclidean_matrix
-_EUCLIDEAN_BLOCK_BYTES = 1 << 22
+# bytes of one thread's difference buffer in mean_euclidean_matrix (about 9
+# rows at n = 2000, d = 7: measured faster than 4 MiB on one thread), and of
+# all threads' buffers together
+_EUCLIDEAN_THREAD_BYTES = 1 << 20
+_EUCLIDEAN_TOTAL_BYTES = 1 << 22
 # distance_matrix groups whole rows into a block up to this many bytes per
 # (pairs, d, d) stack: 668 pairs at d = 7. Smaller blocks pay more per-call
 # overhead, which a second thread waits on under the GIL; larger ones raise
@@ -422,28 +425,41 @@ def distance_matrix(models: Sequence[GaussianModel], metric: str) -> DistanceMat
 def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
     """Pairwise Euclidean distances between model means (covariances ignored).
 
-    Rows are computed in blocks, each block's differences in one reused
-    buffer, so no (n, n, d) difference array is built.
     Each pair is computed once: a row block from its diagonal onward, its
     transpose mirrored below. m_i - m_j is exactly -(m_j - m_i), so the
     mirror is what the lower triangle would compute, and the diagonal is
-    exactly 0. The one check is finiteness: squared differences of finite
-    means can overflow.
+    exactly 0. The row blocks run on the kernel threads through
+    ``row_blocks``: block [s, e) writes ``out[s:e, s:]`` and its mirror
+    ``out[e:, s:e]``, so no two blocks write the same entry. A block takes
+    as many of its rows at a time as its thread's scratch buffer holds the
+    differences of. A buffer holds 1 MiB, less where the threads' buffers
+    would pass 4 MiB together, and one row's differences at least, so no
+    (n, n, d) difference array is built. An entry is its own subtraction,
+    sum over d and root, so neither the chunks nor the threads change a
+    byte. The one check is finiteness: squared differences of finite means
+    can overflow.
     """
     _common_dim(models)
     means = np.stack([m.mean for m in models])
     n, d = means.shape
     out = np.empty((n, n))
-    rows = min(n, max(1, _EUCLIDEAN_BLOCK_BYTES // (8 * n * d)))
-    buffer = np.empty(rows * n * d)  # every block's differences, in turn
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        diff = buffer[: (e - s) * (n - s) * d].reshape(e - s, n - s, d)
-        np.subtract(means[s:e, None, :], means[None, s:, :], out=diff)
-        out[s:e, s:] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        if not np.isfinite(out[s:e, s:]).all():
-            raise InvalidMatrix("distance entries must be finite")
+
+    def block(s, e, buffer):
+        rows = len(buffer) // ((n - s) * d)
+        for i in range(s, e, rows):
+            j = min(i + rows, e)
+            diff = buffer[: (j - i) * (n - s) * d].reshape(j - i, n - s, d)
+            np.subtract(means[i:j, None, :], means[None, s:, :], out=diff)
+            np.einsum("ijk,ijk->ij", diff, diff, out=out[i:j, s:])
+        np.sqrt(out[s:e, s:], out=out[s:e, s:])
         out[e:, s:e] = out[s:e, e:].T
+        # the distances are >= 0 or inf, so the max is finite exactly when they are
+        return bool(np.isfinite(out[s:e, s:].max()))
+
+    per_thread = min(_EUCLIDEAN_THREAD_BYTES, _EUCLIDEAN_TOTAL_BYTES // kernel_threads())
+    scratch = max(n * d, per_thread // 8)
+    if not all(row_blocks(n, block, scratch=scratch)):
+        raise InvalidMatrix("distance entries must be finite")
     out.flags.writeable = False
     return _trusted(DistanceMatrix, values=out, metric=METRIC_EUCLIDEAN)
 

@@ -3,7 +3,7 @@
 ``resolve_threads`` is the one thread setting: an explicit count, else
 ``DISTCLUST_THREADS``, else the CPUs the process may run on. The benchmark
 harness counts its trial processes with it, the calling process among
-them, and the divergence kernels their threads, the calling thread among
+them, and the in-process kernels their threads, the calling thread among
 them. Every process that runs trials, the caller and each pool worker,
 runs its kernels on one thread inside ``kernels_on_one_thread``, so the
 processes never ask for more threads than the cores the setting counts.
@@ -15,9 +15,19 @@ worker takes the next index off a shared counter until none is left.
 a single-threaded caller, spawned elsewhere; see
 ``pipeline._start_method``), and raises the lowest failing index's
 exception, the one a serial run would raise.
+
+Two kinds of kernel run on the threads of ``run_blocks``: the W2 pair
+blocks of ``metrics.distance_matrix``, and the n x n passes of a spectral
+run (the mean distances, the kernel, the degree sums and the products with
+W), which ``row_blocks`` cuts into fixed blocks of ``_BLOCK_ROWS`` rows.
+A block is the same row range at any thread count, so its results are too.
+The threads allocate no array of their own beyond a few KiB: outputs and
+the scratch buffers ``row_blocks`` hands out are allocated by the calling
+thread, so no thread's malloc arena holds freed n x n pieces.
 """
 
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -25,6 +35,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import InvalidConfig
+from .matrixcore import _BLOCK_ROWS
 
 THREADS_ENV_VAR = "DISTCLUST_THREADS"
 
@@ -134,16 +145,13 @@ def run_claimed(fn, items, counter, pool, helpers: int, task) -> list:
     return results
 
 
-def run_blocks(work, count: int, threads: int) -> None:
-    """Call ``work(b)`` for every block b in ``range(count)`` on ``threads``
-    threads, the calling one and ``threads - 1`` pool threads, through
-    ``run_claimed``. ``work`` must be safe to run concurrently on
-    different blocks."""
+def run_blocks(work, count: int, threads: int) -> list:
+    """``[work(b) for b in range(count)]`` on ``threads`` threads, the
+    calling one and ``threads - 1`` pool threads, through ``run_claimed``.
+    ``work`` must be safe to run concurrently on different blocks."""
     threads = min(threads, count)
     if threads <= 1:
-        for b in range(count):
-            work(b)
-        return
+        return [work(b) for b in range(count)]
     # numpy's error handling is per thread (a context variable from NumPy 2.0
     # on, thread-local state before it), so each helper enters the caller's
     caller_err, caller_call = np.geterr(), np.geterrcall()
@@ -154,4 +162,34 @@ def run_blocks(work, count: int, threads: int) -> None:
             return claim(work, range(count), counter)
 
     with ThreadPoolExecutor(threads - 1, thread_name_prefix="distclust-kernel") as pool:
-        run_claimed(work, range(count), counter, pool, threads - 1, helper)
+        return run_claimed(work, range(count), counter, pool, threads - 1, helper)
+
+
+def row_blocks(n: int, work, scratch: int = 0) -> list:
+    """``[work(s, e) for each block [s, e) of _BLOCK_ROWS rows of n]``, in
+    block order, through ``run_blocks`` on ``kernel_threads()`` threads; at
+    most _BLOCK_ROWS rows are one block, run on the calling thread alone.
+
+    With ``scratch``, each thread running blocks has its own buffer of that
+    many floats, allocated here before any block runs, and a block is
+    ``work(s, e, buffer)``. The blocks must write disjoint parts of their
+    outputs.
+    """
+    count = -(-n // _BLOCK_ROWS)
+    threads = min(kernel_threads(), count)
+    free = queue.SimpleQueue()
+    for _ in range(threads if scratch else 0):
+        free.put(np.empty(scratch))
+
+    def block(b):
+        s, e = b * _BLOCK_ROWS, min((b + 1) * _BLOCK_ROWS, n)
+        if not scratch:
+            return work(s, e)
+        # at most `threads` blocks run at once, so a buffer is always free
+        buffer = free.get()
+        try:
+            return work(s, e, buffer)
+        finally:
+            free.put(buffer)
+
+    return run_blocks(block, count, threads)

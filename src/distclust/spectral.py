@@ -18,6 +18,15 @@ one run, and in a new array otherwise; a public ``DistanceMatrix`` is
 read-only, so a caller's matrix is never written. So ``spectral_means``
 holds one n x n array, and the divergence runs two while they kernelize.
 
+The n x n passes run in fixed blocks of ``_BLOCK_ROWS`` rows through
+``parallel.row_blocks``, on the kernel threads once there is more than one
+block: the kernel's root, square, negation, division, exp and finiteness
+check, the degree sums, every subspace pass's product W (r Q), |M|_F^2,
+and ncut's W (1 - H). Each block writes its own rows of arrays allocated
+before the blocks run. The median's select stays on the calling thread.
+A block is the same row range at any thread count, so no result depends
+on the threads.
+
 ``kernelize`` checks only finiteness (the rest holds by construction). The
 bottom k eigenpairs of L_sym come from block subspace iteration on
 M = D^{-1/2} W D^{-1/2} = I - L_sym (block b = k + min(5k, 30), one QR and
@@ -60,6 +69,7 @@ from .errors import (
 )
 from .matrixcore import _BLOCK_ROWS, _trusted, max_asymmetry, mirror_in_place
 from .metrics import DistanceMatrix
+from .parallel import row_blocks
 
 _ENTRY_TOL = 1e-9
 
@@ -272,8 +282,10 @@ def kernelize(
     with a unit diagonal and entries in [0, 1] by construction; the one check
     is finiteness, as 2 sigma^2 can underflow and turn a zero entry into 0/0.
 
-    W is built one operation at a time in one array: the root (for
-    ``on_sqrt``), square, negation, division and exp. That array is
+    W is built one operation at a time in one array, in row blocks on the
+    kernel threads: the root (for ``on_sqrt``), square, negation, division
+    and exp; the median between the root and the square runs on the
+    calling thread. That array is
     ``dm.values`` itself when it is writeable, which hands the matrix over
     to W and leaves ``dm`` holding the kernel, read-only; for a read-only
     matrix, as every public ``DistanceMatrix`` is, it is a new one and
@@ -284,21 +296,31 @@ def kernelize(
             f"metric {dm.metric!r} is asymmetric; kernel needs a symmetric matrix"
         )
     x = dm.values
+    n = len(x)
     w = x if x.flags.writeable else np.empty_like(x)
     if on_sqrt:
-        x = np.sqrt(x, out=w)
+        row_blocks(n, lambda s, e: np.sqrt(x[s:e], out=w[s:e]))
+        x = w
     if sigma is None:
         sigma = median_bandwidth(x)
     scale = _kernel_scale(sigma)
-    # exp(-(x**2) / (2 sigma^2)), one operation at a time in one array; an
-    # underflowed scale makes 0/0 here, which the finiteness check reports
-    np.square(x, out=w)
-    np.negative(w, out=w)
+
+    def kernel(s, e):
+        # exp(-(x**2) / (2 sigma^2)), one operation at a time in the block's
+        # rows; an underflowed scale makes 0/0 here, which the check reports
+        rows = w[s:e]
+        np.square(x[s:e], out=rows)
+        np.negative(rows, out=rows)
+        rows /= scale
+        np.exp(rows, out=rows)
+        np.fill_diagonal(rows[:, s:e], 1.0)
+        # the entries are now in [0, 1] or nan, so the max is finite exactly
+        # when they all are
+        return bool(np.isfinite(rows.max()))
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        w /= scale
-        np.exp(w, out=w)
-    np.fill_diagonal(w, 1.0)
-    if not all(np.isfinite(w[s : s + _BLOCK_ROWS]).all() for s in range(0, len(w), _BLOCK_ROWS)):
+        finite = row_blocks(n, kernel)
+    if not all(finite):
         raise InvalidMatrix("adjacency entries must be finite")
     w.flags.writeable = False
     return _trusted(AdjacencyMatrix, values=w, bandwidth_sigma=float(sigma))
@@ -345,15 +367,44 @@ _MIN_GAP = 1e-8
 # multiple of n eps (|M|_F^2 + block columns) that the deflation bound adds
 # for the rounding of its inputs
 _BOUND_SLACK = 16
+# rows of W squared at a time for |M|_F^2: 32 n floats of scratch per thread
+_SQUARED_ROWS = 32
+
+
+def _row_sums(w: AdjacencyMatrix) -> np.ndarray:
+    """The degrees, W's row sums, in row blocks."""
+    degrees = np.empty(w.n)
+    row_blocks(w.n, lambda s, e: np.sum(w.values[s:e], axis=1, out=degrees[s:e]))
+    return degrees
+
+
+def _product(w: AdjacencyMatrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """W @ x into ``out``, one GEMM per row block. A block small enough for
+    the BLAS's small-matrix kernel can round differently from the whole
+    product, but the blocks are the same at every thread count."""
+    row_blocks(w.n, lambda s, e: np.matmul(w.values[s:e], x, out=out[s:e]))
+    return out
 
 
 def _frobenius_sq(w: AdjacencyMatrix, r: np.ndarray) -> float:
     """|M|_F^2 = sum_i r_i^2 sum_j W_ij^2 r_j^2 for M = r W r, in row blocks,
-    so no n x n temporary is built."""
+    their squares taken _SQUARED_ROWS rows at a time in a thread's scratch,
+    so no n x n temporary is built. The blocks' terms are added in block
+    order, so the sum does not depend on the threads."""
+    n = w.n
     r2 = np.square(r[:, 0])
+
+    def block(s, e, buffer):
+        sums = np.empty(e - s)
+        for c in range(s, e, _SQUARED_ROWS):
+            f = min(c + _SQUARED_ROWS, e)
+            squares = np.square(w.values[c:f], out=buffer[: (f - c) * n].reshape(f - c, n))
+            np.matmul(squares, r2, out=sums[c - s : f - s])
+        return float(r2[s:e] @ sums)
+
     total = 0.0
-    for s in range(0, w.n, _BLOCK_ROWS):
-        total += float(r2[s : s + _BLOCK_ROWS] @ (np.square(w.values[s : s + _BLOCK_ROWS]) @ r2))
+    for term in row_blocks(n, block, scratch=_SQUARED_ROWS * n):
+        total += term
     return total
 
 
@@ -417,12 +468,14 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
     coincide, leaves no room for c and fails the certificate.
     """
     n = w.n
-    r = (1.0 / np.sqrt(w.values.sum(axis=1)))[:, None]
+    r = (1.0 / np.sqrt(_row_sums(w)))[:, None]
     start = np.random.default_rng(0).standard_normal((n, _block_columns(k)))
     q, _ = np.linalg.qr(start)
+    mq = np.empty_like(q)  # every pass's M Q, in turn
     worst = []  # largest residual of every pass
     for passes in range(1, _MAX_PASSES + 1):
-        mq = r * (w.values @ (r * q))
+        _product(w, r * q, mq)
+        mq *= r
         theta, ritz = np.linalg.eigh(q.T @ mq)
         theta, ritz = theta[::-1], ritz[:, ::-1]
         vectors = q @ ritz[:, :k]
@@ -781,8 +834,8 @@ def ncut(w: AdjacencyMatrix, assignment: ClusterAssignment) -> float:
         )
     h = np.zeros((w.n, assignment.k))
     h[np.arange(w.n), assignment.labels] = 1.0
-    cut = ((w.values @ (1.0 - h)) * h).sum(axis=0)
-    vol = w.values.sum(axis=1) @ h
+    cut = (_product(w, 1.0 - h, np.empty_like(h)) * h).sum(axis=0)
+    vol = _row_sums(w) @ h
     present = h.any(axis=0)
     return 0.5 * float((cut[present] / vol[present]).sum())
 

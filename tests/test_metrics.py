@@ -578,6 +578,29 @@ class TestRunBlocks:
         time.sleep(0.05)
         assert len(started) == threads
 
+    def test_row_blocks_lend_each_buffer_to_one_block_at_a_time(self, monkeypatch):
+        # 8 threads over 200 row blocks: no two running blocks share a
+        # scratch buffer, and the results come back in block order
+        monkeypatch.setenv("DISTCLUST_THREADS", "8")
+        rows, n = parallel._BLOCK_ROWS, 200 * parallel._BLOCK_ROWS - 5
+        held, lent, lock = set(), set(), threading.Lock()
+
+        def work(s, e, buffer):
+            with lock:
+                assert id(buffer) not in held
+                held.add(id(buffer))
+                lent.add(id(buffer))
+            buffer[:] = s
+            time.sleep(0.0001)
+            kept = bool((buffer == s).all())
+            with lock:
+                held.remove(id(buffer))
+            return s, e, kept
+
+        got = parallel.row_blocks(n, work, scratch=16)
+        assert got == [(s, min(s + rows, n), True) for s in range(0, n, rows)]
+        assert len(lent) <= 8
+
 
 class TestMeanEuclidean:
     def test_hand_case(self):
@@ -609,21 +632,24 @@ class TestMeanEuclidean:
         expected = upper + upper.T
         assert mean_euclidean_matrix(models).values.tobytes() == expected.tobytes()
 
-    def test_peak_memory_holds_no_n_n_d_array(self, rng):
+    def test_peak_memory_holds_no_n_n_d_array(self, rng, monkeypatch):
         n, d = 1000, 7
         models = [
             GaussianModel(mean, SymMatrix(np.eye(d))) for mean in rng.standard_normal((n, d))
         ]
-        tracemalloc.start()
-        try:
-            mean_euclidean_matrix(models)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # an (n, n, d) difference array alone would be d * n * n * 8 bytes;
-        # the matrix and one reused 4 MiB block of differences are 1.67
-        # n * n * 8, and a second block alive at once made it 2.01
-        assert peak < 1.75 * n * n * 8
+        for threads in THREAD_SETTINGS:
+            monkeypatch.setenv("DISTCLUST_THREADS", threads)
+            tracemalloc.start()
+            try:
+                mean_euclidean_matrix(models)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # an (n, n, d) difference array alone would be d * n * n * 8
+            # bytes; the matrix and one 1 MiB difference buffer per thread
+            # are 1.16 n * n * 8 on one thread and 1.30 on two, where a
+            # 4 MiB buffer per thread made it 2.09 on two
+            assert peak < 1.75 * n * n * 8, threads
 
     @pytest.mark.parametrize("metric", [METRIC_WASSERSTEIN_SQ, METRIC_BHATTACHARYYA])
     def test_divergence_matrix_is_mirrored_in_place(self, metric, rng):

@@ -250,18 +250,22 @@ class TestRunPipeline:
         with pytest.raises(InvalidConfig, match="kl cannot run from a saved distance matrix"):
             cluster_matrix(distance_matrix(models, "kl"), replace(config, algorithm=ALGO_KL))
 
-    def test_spectral_means_holds_one_n_by_n_array(self):
+    def test_spectral_means_holds_one_n_by_n_array(self, monkeypatch):
         n = 2000
         models = estimate_gaussians(generate_benchmark(7, 5, n, 30).groups)
-        tracemalloc.start()
-        try:
-            pipeline._cluster_models(models, PipelineConfig(ALGO_SPECTRAL_MEANS, k=5))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the kernel is built in the mean distances' own array: 1.19 n * n * 8
-        # with the row-block temporaries, where a second array made it 2.13
-        assert peak < 1.3 * n * n * 8
+        # on one kernel thread and on two, whose passes share the row blocks
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DISTCLUST_THREADS", threads)
+            tracemalloc.start()
+            try:
+                pipeline._cluster_models(models, PipelineConfig(ALGO_SPECTRAL_MEANS, k=5))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the kernel is built in the mean distances' own array: 1.15
+            # n * n * 8 with the row-block temporaries on either thread
+            # count, where a second array made it 2.13
+            assert peak < 1.3 * n * n * 8, threads
 
     @pytest.mark.parametrize("on_sqrt", [False, True])
     def test_cluster_matrix_leaves_a_callers_matrix_intact(self, on_sqrt, rng):

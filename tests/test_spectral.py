@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from distclust import spectral
+from distclust import parallel, pipeline, spectral
 from distclust.errors import (
     InvalidBandwidth,
     InvalidConfig,
@@ -24,6 +26,7 @@ from distclust.metrics import (
     distance_matrix,
     mean_euclidean_matrix,
 )
+from distclust.pipeline import PipelineConfig, run_pipeline
 from distclust.spectral import (
     AdjacencyMatrix,
     ClusterAssignment,
@@ -231,15 +234,22 @@ class TestKernelize:
         np.fill_diagonal(expected, 1.0)
         assert w.values.tobytes() == expected.tobytes()
 
-    def test_underflowing_bandwidth_with_zero_entry_fails(self):
-        # 2 sigma^2 underflows to 0, and the zero entry (0, 1) becomes 0/0;
-        # the typed error comes without a numpy warning before it
-        dm = DistanceMatrix([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
-                            METRIC_WASSERSTEIN_SQ)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidMatrix, match="adjacency entries must be finite"):
-                kernelize(dm, sigma=1e-170)
+    def test_underflowing_bandwidth_with_zero_entry_fails(self, monkeypatch):
+        # 2 sigma^2 underflows to 0, and a zero entry becomes 0/0; the typed
+        # error comes without a numpy warning before it, also at n = 600,
+        # where the entry (450, 451) lies in the last of three row blocks,
+        # which a kernel thread may take
+        small = DistanceMatrix([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+                               METRIC_WASSERSTEIN_SQ)
+        values = 1.0 - np.eye(600)
+        values[450, 451] = values[451, 450] = 0.0
+        large = DistanceMatrix(values, METRIC_WASSERSTEIN_SQ)
+        for dm, threads in [(small, "1"), (large, "1"), (large, "2")]:
+            monkeypatch.setenv("DISTCLUST_THREADS", threads)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidMatrix, match="adjacency entries must be finite"):
+                    kernelize(dm, sigma=1e-170)
 
 
 class TestNormalizedLaplacian:
@@ -981,3 +991,79 @@ class TestSpectralCluster:
         w = two_block_adjacency(n // 2, n - n // 2, cross=0.05)
         result = spectral_cluster(w, 2, np.random.default_rng(7))
         assert result.eigensolver == eigensolver
+
+
+# the kernel threads: the calling one alone, with one more, with two more
+THREAD_SETTINGS = ("1", "2", "3")
+
+
+def recorded_pools(monkeypatch) -> list:
+    """The thread counts of the kernel pools that start from now on."""
+    pools = []
+
+    class Recorded(parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recorded)
+    return pools
+
+
+class TestThreadedPasses:
+    """A spectral run's n x n passes run in fixed blocks of _BLOCK_ROWS
+    rows on the kernel threads; at n = 600 that is three blocks."""
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        return generate_benchmark(7, 5, 600, 30).groups
+
+    def test_threads_change_no_byte(self, groups, monkeypatch):
+        models = estimate_gaussians(groups)
+        labels = ClusterAssignment(np.arange(600) % 5, 5)
+        pools = recorded_pools(monkeypatch)
+        got = {}
+        for threads in THREAD_SETTINGS:
+            monkeypatch.setenv("DISTCLUST_THREADS", threads)
+            pools.clear()
+            dm = mean_euclidean_matrix(models)
+            kernels = [kernelize(dm, **options) for options in
+                       ({}, {"sigma": 0.7}, {"on_sqrt": True}, {"on_sqrt": True, "sigma": 0.7})]
+            basis, eigenvalues, eigensolver = spectral_embedding(kernels[0], 5)
+            result = run_pipeline(groups, PipelineConfig("spectral_means", k=5, seed=4))
+            got[threads] = (
+                dm.values.tobytes(),
+                [(w.values.tobytes(), w.bandwidth_sigma) for w in kernels],
+                basis.tobytes(), eigenvalues.tobytes(), eigensolver,
+                ncut(kernels[0], labels),
+                result.assignment.labels.tobytes(), result.diagnostics,
+            )
+            assert eigensolver == "subspace"
+            # every pass took a pool of threads - 1 helpers, or none on one thread
+            assert set(pools) == ({int(threads) - 1} if threads != "1" else set())
+        assert got["2"] == got["1"]
+        assert got["3"] == got["1"]
+
+    def test_one_block_starts_no_pool(self, monkeypatch):
+        # at n = 200 every pass is one block, on the calling thread
+        def refused(*args, **kwargs):
+            pytest.fail("a kernel pool started")
+
+        monkeypatch.setenv("DISTCLUST_THREADS", "2")
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", refused)
+        groups = generate_benchmark(7, 5, 200, 30).groups
+        result = run_pipeline(groups, PipelineConfig("spectral_means", k=5))
+        # the subspace iteration ran, with its certificate's |M|_F^2 pass
+        assert result.diagnostics["eigensolver"] == "subspace"
+
+    def test_threads_end_with_the_run(self, groups, monkeypatch):
+        monkeypatch.setenv("DISTCLUST_THREADS", "2")
+        pools = recorded_pools(monkeypatch)
+        before = threading.active_count()
+        run_pipeline(groups, PipelineConfig("spectral_means", k=5))
+        assert pools
+        assert threading.active_count() == before
+        if sys.platform == "linux":
+            # the next trial pool forks, as from a process running one thread
+            assert pipeline._start_method() == ("fork" if before == 1 else "spawn")
+
