@@ -9,9 +9,9 @@ The kernel ``exp(-x^2 / (2 sigma^2))`` is applied to matrix entries as
 stored; for the squared-Wasserstein metric the entries are already squared
 distances, and ``on_sqrt=True`` switches to kernelizing their square roots
 instead. The default bandwidth is the median of the strictly positive
-upper-triangle entries of whichever values feed the kernel; past one row
-block of entries it is selected by radix on their bits, in row blocks, so
-the triangle is never copied.
+upper-triangle entries of whichever values feed the kernel, found in one
+pass over row blocks that counts every entry and gathers only those inside
+a bracket from a fixed sample, so the triangle is never copied.
 ``kernelize`` builds the kernel in the matrix's own array when that array
 is writeable, as the pipeline makes the mean-distance matrix it builds for
 one run, and in a new array otherwise; a public ``DistanceMatrix`` is
@@ -21,11 +21,12 @@ holds one n x n array, and the divergence runs two while they kernelize.
 The n x n passes run in fixed blocks of ``_BLOCK_ROWS`` rows through
 ``parallel.row_blocks``, on the kernel threads once there is more than one
 block: the kernel's root, square, negation, division, exp and finiteness
-check, the degree sums, every subspace pass's product W (r Q), |M|_F^2,
-and ncut's W (1 - H). Each block writes its own rows of arrays allocated
-before the blocks run. The median's select stays on the calling thread.
-A block is the same row range at any thread count, so no result depends
-on the threads.
+check, the degree sums (once per kernel, ``AdjacencyMatrix.degrees``),
+every subspace pass's product W (r Q), |M|_F^2, and ncut's W (1 - H). Each
+block writes its own rows of arrays allocated before the blocks run. The
+median's pass stays on the calling thread, as the entries it gathers are
+arrays no helper thread may allocate. A block is the same row range at any
+thread count, so no result depends on the threads.
 
 ``kernelize`` checks only finiteness (the rest holds by construction). The
 bottom k eigenpairs of L_sym come from block subspace iteration on
@@ -56,7 +57,9 @@ negates every difference, product and mean exactly, so seeds, labels and
 sums of squares do not change.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +80,8 @@ _ENTRY_TOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
     """Symmetric kernel matrix with unit diagonal and entries in [0, 1];
-    ``kernelize`` builds its kernels already in this form."""
+    ``kernelize`` builds its kernels already in this form. Its degrees are
+    summed once, on first use, for every solver and ``ncut`` to read."""
 
     values: np.ndarray
     bandwidth_sigma: float
@@ -105,6 +109,13 @@ class AdjacencyMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """W's row sums, read-only."""
+        degrees = _row_sums(self)
+        degrees.flags.writeable = False
+        return degrees
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,33 +156,52 @@ class SpectralResult:
     eigensolver: str  # "subspace" or "dense", as in spectral_embedding
 
 
+# The median's bracket: the ranks _BRACKET_WIDTH sqrt(m) either side of the
+# middle of the m positive entries among _SAMPLE_PAIRS drawn from a fixed
+# seed, six standard deviations of the median's rank in that sample. A
+# middle rank outside it widens it _WIDEN times.
+_SAMPLE_PAIRS = 4096
+_BRACKET_WIDTH = 3.0
+_WIDEN = 4
+
+
 def median_bandwidth(x: np.ndarray) -> float:
     """Median of the strictly positive upper-triangle entries, or 1.0 if
-    every off-diagonal entry is zero.
+    every off-diagonal entry is zero: ``np.median``'s value, the middle
+    entry or the mean of the middle pair.
 
-    The result is ``np.median``'s: the middle entry, or the mean of the
-    middle pair. A triangle of at most one row block of entries (n <= 2
-    _BLOCK_ROWS + 1) has its positive entries gathered and partitioned.
-    A larger one is never copied: a radix select on the entries' bits, in
-    row blocks, counts them by their top 16 bits in one pass and gathers and
-    partitions only the bin that holds the middle rank(s) in a second; a bin
-    of more than a row block is counted again on its next 16 bits instead.
+    The bracket [lo, hi] comes from a sample of upper entries (Floyd &
+    Rivest 1975), or is the whole positive range (0, inf] for a triangle of
+    at most one row block of entries (n <= 2 _BLOCK_ROWS + 1). One pass
+    counts the entries below, at and above it and gathers only those
+    strictly inside, so the triangle is never copied and ties at the ends
+    are never gathered. The ranks come from exact counts: the sample decides
+    how much is gathered, never the value. A middle rank outside the bracket
+    widens it and passes again, up to the whole range, which holds them all.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    gather = n * (n - 1) // 2 <= _BLOCK_ROWS * n
-    if gather:
-        found = np.concatenate([part[part > 0.0] for part in _upper_parts(x)])
-        size = found.size
-    else:
-        counts = _digit_counts(x, 0, _TOP_SHIFT)[: _POSITIVE_END >> _TOP_SHIFT]
-        size = int(counts.sum())
-    if size == 0:
-        return 1.0
-    mid = size // 2
-    ranks = [mid] if size % 2 else [mid - 1, mid]
-    values = _ranked(found, ranks) if gather else _select(x, ranks, counts, 0, _TOP_SHIFT)
-    return float(np.mean(np.array(values)))
+    ends = [0.0, np.inf]  # the sorted positive sample between the open ends
+    if n * (n - 1) // 2 > _BLOCK_ROWS * n:
+        sample = _sample_upper(x)
+        ends[1:1] = np.sort(sample[sample > 0.0]).tolist()
+    middle = len(ends) // 2
+    reach = max(1, int(_BRACKET_WIDTH * math.sqrt(len(ends) - 2)))
+    while True:
+        lo, hi = ends[max(middle - reach, 0)], ends[min(middle + reach, len(ends) - 1)]
+        size, above_lo, at_lo, above_hi, found = _bracket_pass(x, lo, hi)
+        if size == 0:
+            return 1.0
+        ranks = [size // 2] if size % 2 else [size // 2 - 1, size // 2]
+        start = size - above_lo  # the rank of the lowest gathered entry
+        if start - at_lo <= ranks[0] and ranks[-1] < size - above_hi:
+            break
+        reach *= _WIDEN
+    inside = [r - start for r in ranks if start <= r < start + found.size]
+    values = [lo] * sum(r < start for r in ranks) + (_ranked(found, inside) if inside else [])
+    values += [hi] * (len(ranks) - len(values))
+    # np.median's mean of the middle pair, (a + b) / 2
+    return float(values[0] if len(values) == 1 else (values[0] + values[1]) / 2)
 
 
 def _ranked(found: np.ndarray, ranks: list) -> list:
@@ -182,17 +212,11 @@ def _ranked(found: np.ndarray, ranks: list) -> list:
     return [found[:top].max(), found[top]] if len(ranks) == 2 else [found[top]]
 
 
-# The median's radix select reads a float's key, its bits minus one as
-# uint64, 16 bits at a time, top first. The strictly positive floats,
-# infinity included, take the keys below _POSITIVE_END (the bits of
-# infinity) in the order of their values; zero, negatives and nan take the
-# keys above. The first digit holds the exponent and 4 mantissa bits, so a
-# bin spans a factor of at most 2^(1/16) of the values.
-_DIGIT_BITS = 16
-_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
-_TOP_SHIFT = 64 - _DIGIT_BITS
-_POSITIVE_END = 0x7FF0_0000_0000_0000
-_ONE = np.uint64(1)
+def _sample_upper(x: np.ndarray) -> np.ndarray:
+    """The upper entries of ``x`` at _SAMPLE_PAIRS pairs drawn from a fixed
+    seed, those with i = j dropped."""
+    i, j = np.random.default_rng(0).integers(x.shape[0], size=(2, _SAMPLE_PAIRS))
+    return x[np.minimum(i, j)[i != j], np.maximum(i, j)[i != j]]
 
 
 def _upper_parts(x: np.ndarray):
@@ -202,60 +226,28 @@ def _upper_parts(x: np.ndarray):
     n = x.shape[0]
     for s in range(0, n, _BLOCK_ROWS):
         e = min(s + _BLOCK_ROWS, n)
-        yield x[s:e, s:e][np.triu(np.ones((e - s, e - s), dtype=bool), 1)]
+        yield x[s:e, s:e][~np.tri(e - s, dtype=bool)]
         yield x[s:e, e:]
 
 
-def _in_bin(part: np.ndarray, prefix: int, shift: int) -> np.ndarray:
-    """The entries of ``part`` whose keys are ``prefix`` above ``shift``:
-    the positive floats from bits ``(prefix << shift) + 1`` to
-    ``(prefix + 1) << shift``."""
-    lo, hi = np.array([(prefix << shift) + 1, (prefix + 1) << shift], dtype=np.uint64).view(float)
-    return part[(part >= lo) & (part <= hi)]
-
-
-def _digit_counts(x: np.ndarray, prefix: int, shift: int) -> np.ndarray:
-    """How many upper entries hold each value of the digit at ``shift`` in
-    their keys. At the top digit every entry counts, the non-positive ones
-    from digit ``_POSITIVE_END >> _TOP_SHIFT`` on; below it, only the
-    positive entries whose keys are ``prefix`` above ``shift +
-    _DIGIT_BITS``."""
-    counts = np.zeros(1 << _DIGIT_BITS, dtype=np.intp)
+def _bracket_pass(x: np.ndarray, lo: float, hi: float) -> tuple:
+    """How many upper entries of ``x`` are positive, above lo, equal to lo
+    and above hi, and those strictly between lo and hi, gathered, in one
+    pass. An open end, lo = 0 or hi = inf, skips its counts: every positive
+    entry is above 0, and none is above inf, so inf entries are gathered."""
+    size = above_lo = at_lo = above_hi = 0
+    found = []
     for part in _upper_parts(x):
-        if shift < _TOP_SHIFT:
-            part = _in_bin(part, prefix, shift + _DIGIT_BITS)
-        key = part.view(np.uint64) - _ONE
-        key >>= shift
-        key &= _DIGIT_MASK
-        counts += np.bincount(key.view(np.int64).ravel(), minlength=1 << _DIGIT_BITS)
-    return counts
-
-
-def _select(x: np.ndarray, ranks: list, counts: np.ndarray, prefix: int, shift: int) -> list:
-    """The values at ``ranks``, one or two consecutive ascending 0-based
-    ranks among the positive upper entries whose keys are ``prefix`` above
-    ``shift + _DIGIT_BITS``; ``counts`` are their digits at ``shift``.
-
-    A rank's digit is the bin whose running count passes it. A bin of at
-    most one row block of entries is gathered and partitioned; a larger one
-    is counted again on its next digit, and after the last digit its key is
-    the value's.
-    """
-    ends = np.cumsum(counts)
-    values = []
-    for digit in sorted({int(np.searchsorted(ends, r, side="right")) for r in ranks}):
-        start, end = int(ends[digit] - counts[digit]), int(ends[digit])
-        inside = [r - start for r in ranks if start <= r < end]
-        bin_prefix = (prefix << _DIGIT_BITS) | digit
-        if shift == 0:
-            values += [np.array(bin_prefix + 1, dtype=np.uint64).view(float)[()]] * len(inside)
-        elif end - start <= _BLOCK_ROWS * x.shape[0]:
-            found = np.concatenate([_in_bin(part, bin_prefix, shift) for part in _upper_parts(x)])
-            values += _ranked(found, inside)
-        else:
-            sub = _digit_counts(x, bin_prefix, shift - _DIGIT_BITS)
-            values += _select(x, inside, sub, bin_prefix, shift - _DIGIT_BITS)
-    return values
+        keep = part > lo
+        above_lo += np.count_nonzero(keep)
+        if lo > 0.0:
+            size += np.count_nonzero(part > 0.0)
+            at_lo += np.count_nonzero(part == lo)
+        if hi < np.inf:
+            above_hi += np.count_nonzero(part > hi)
+            keep &= part < hi
+        found.append(part[keep])
+    return (size if lo > 0.0 else above_lo), above_lo, at_lo, above_hi, np.concatenate(found)
 
 
 def _kernel_scale(sigma: float, error=InvalidBandwidth) -> float:
@@ -284,8 +276,8 @@ def kernelize(
 
     W is built one operation at a time in one array, in row blocks on the
     kernel threads: the root (for ``on_sqrt``), square, negation, division
-    and exp; the median between the root and the square runs on the
-    calling thread. That array is
+    and exp; the median's one pass, between the root and the square, runs
+    on the calling thread. That array is
     ``dm.values`` itself when it is writeable, which hands the matrix over
     to W and leaves ``dm`` holding the kernel, read-only; for a read-only
     matrix, as every public ``DistanceMatrix`` is, it is a new one and
@@ -334,8 +326,7 @@ def normalized_laplacian(w: AdjacencyMatrix) -> np.ndarray:
     reads one triangle, so the result is symmetrized as (L + L^T)/2. The
     product is built in the result's own array, whose negation is exact.
     """
-    degrees = w.values.sum(axis=1)
-    inv_root = 1.0 / np.sqrt(degrees)
+    inv_root = 1.0 / np.sqrt(w.degrees)
     lap = np.multiply(w.values, inv_root[:, None], out=np.empty_like(w.values))
     lap *= inv_root[None, :]
     np.negative(lap, out=lap)
@@ -372,7 +363,7 @@ _SQUARED_ROWS = 32
 
 
 def _row_sums(w: AdjacencyMatrix) -> np.ndarray:
-    """The degrees, W's row sums, in row blocks."""
+    """The degrees, W's row sums, in row blocks; ``w.degrees`` keeps them."""
     degrees = np.empty(w.n)
     row_blocks(w.n, lambda s, e: np.sum(w.values[s:e], axis=1, out=degrees[s:e]))
     return degrees
@@ -468,7 +459,7 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
     coincide, leaves no room for c and fails the certificate.
     """
     n = w.n
-    r = (1.0 / np.sqrt(_row_sums(w)))[:, None]
+    r = (1.0 / np.sqrt(w.degrees))[:, None]
     start = np.random.default_rng(0).standard_normal((n, _block_columns(k)))
     q, _ = np.linalg.qr(start)
     mq = np.empty_like(q)  # every pass's M Q, in turn
@@ -835,7 +826,7 @@ def ncut(w: AdjacencyMatrix, assignment: ClusterAssignment) -> float:
     h = np.zeros((w.n, assignment.k))
     h[np.arange(w.n), assignment.labels] = 1.0
     cut = (_product(w, 1.0 - h, np.empty_like(h)) * h).sum(axis=0)
-    vol = _row_sums(w) @ h
+    vol = w.degrees @ h
     present = h.any(axis=0)
     return 0.5 * float((cut[present] / vol[present]).sum())
 

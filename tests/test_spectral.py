@@ -157,11 +157,11 @@ class TestKernelize:
             for _ in range(10):
                 upper = np.triu(rng.uniform(0.0, 4.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
                 check(upper + upper.T)
-        # past one row block, gathered at n = 300 and by radix select at
-        # n = 700 and 2000: every positive equal (at n = 700 that bin is
-        # counted down to its last digit), two distinct values, half zeros,
-        # values from 1e-300 to 1e300, subnormals, and a band too narrow for
-        # the first digit to split
+        # at n = 300 the pass starts from the whole positive range, past one
+        # row block of entries at n = 700 and 2000 from a sampled bracket:
+        # every positive equal (all of them at the bracket's ends), two
+        # distinct values, half zeros, values from 1e-300 to 1e300,
+        # subnormals, and a narrow band
         draws = [
             lambda shape: np.full(shape, 2.5),
             lambda shape: rng.choice([1.0, 3.0], shape),
@@ -170,13 +170,66 @@ class TestKernelize:
             lambda shape: rng.integers(1, 1000, shape) * 5e-324,
             lambda shape: 1.0 + 1e-4 * rng.random(shape),
         ]
-        for n in (300, 700):
+        for n in (300, 700, 2000):
             for draw in draws:
                 upper = np.triu(draw((n, n)), 1)
                 check(upper + upper.T)
         for seed in range(3):
             bench = generate_benchmark(7, 5, 2000, 30, seed=seed)
             check(mean_euclidean_matrix(estimate_gaussians(bench.groups)).values)
+
+    @pytest.mark.parametrize("values", [[2.5], [1.0, 3.0]], ids=["all-equal", "two-valued"])
+    def test_median_bandwidth_of_ties_gathers_little(self, values, rng):
+        # entries equal to the bracket's ends are counted, not gathered: 0.035
+        # n * n * 8 for either matrix, the row blocks' masks, where a radix
+        # select on the floats' bits peaked at 0.35 and 0.24
+        n = 2000
+        upper = np.triu(rng.choice(values, (n, n)), 1)
+        x = upper + upper.T
+        del upper
+        expected = float(np.median(x[np.triu_indices(n, 1)]))
+        tracemalloc.start()
+        try:
+            got = median_bandwidth(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 0.15 * n * n * 8
+
+    @pytest.mark.parametrize("sampled", ["largest", "smallest"])
+    def test_median_bandwidth_past_a_missed_bracket(self, sampled, rng, monkeypatch):
+        # the entries the fixed sample reads hold the largest (smallest)
+        # values, so the first bracket lies above (below) every middle rank;
+        # it widens until it holds them, and the value is np.median's
+        n = 700
+        cells = spectral._sample_upper(np.arange(n * n, dtype=float).reshape(n, n)).astype(int)
+        x = rng.uniform(1.0, 2.0, (n, n))
+        x.flat[cells] = 10.0 + rng.random(cells.size) if sampled == "largest" else rng.random(cells.size)
+        x = np.triu(x, 1)
+        x += x.T
+        passes = []
+
+        def counted(*args):
+            passes.append(args[1:])
+            return real(*args)
+
+        real = spectral._bracket_pass
+        monkeypatch.setattr(spectral, "_bracket_pass", counted)
+        assert median_bandwidth(x) == float(np.median(x[np.triu_indices(n, 1)]))
+        # a sampled bracket missed, and a wider one held the middle
+        assert passes[0] != (0.0, np.inf)
+        assert len(passes) > 1
+
+    def test_median_bandwidth_does_not_depend_on_the_sample(self, monkeypatch):
+        for seed in (1, 2):
+            bench = generate_benchmark(7, 5, 2000, 30, seed=seed)
+            x = mean_euclidean_matrix(estimate_gaussians(bench.groups)).values
+            got = []
+            for pairs in (64, 16384):
+                monkeypatch.setattr(spectral, "_SAMPLE_PAIRS", pairs)
+                got.append(median_bandwidth(x))
+            assert got[0] == got[1] == float(np.median(x[np.triu_indices(2000, 1)]))
 
     @pytest.mark.parametrize("on_sqrt", [False, True])
     def test_matches_whole_matrix_form(self, on_sqrt, rng):
@@ -991,6 +1044,32 @@ class TestSpectralCluster:
         w = two_block_adjacency(n // 2, n - n // 2, cross=0.05)
         result = spectral_cluster(w, 2, np.random.default_rng(7))
         assert result.eigensolver == eigensolver
+
+    @pytest.mark.parametrize("n, eigensolver", [(40, "dense"), (600, "subspace")])
+    def test_degrees_are_summed_once(self, n, eigensolver, monkeypatch):
+        # the solver, the dense Laplacian and ncut all read w.degrees
+        sums = []
+
+        def counted(w):
+            sums.append(w)
+            return real(w)
+
+        real = spectral._row_sums
+        monkeypatch.setattr(spectral, "_row_sums", counted)
+        groups = generate_benchmark(7, 5, n, 30).groups
+        w = kernelize(mean_euclidean_matrix(estimate_gaussians(groups)))
+        result = spectral_cluster(w, 5, np.random.default_rng(0))
+        normalized_laplacian(w)
+        assert result.eigensolver == eigensolver
+        assert len(sums) == 1
+        # the row blocks' sums are the whole matrix's to the byte
+        assert w.degrees.tobytes() == w.values.sum(axis=1).tobytes()
+        assert not w.degrees.flags.writeable
+        # the Laplacian takes its degrees from the one sum: with every
+        # degree 4 it is I - W / 4 exactly
+        monkeypatch.setattr(spectral, "_row_sums", lambda w: np.full(w.n, 4.0))
+        lap = normalized_laplacian(AdjacencyMatrix(w.values, w.bandwidth_sigma))
+        assert lap[0, 1] == -w.values[0, 1] / 4.0
 
 
 # the kernel threads: the calling one alone, with one more, with two more
