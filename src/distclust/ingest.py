@@ -12,15 +12,18 @@ Duplicate (symbol, date) rows keep the last occurrence.
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    InsufficientSamples, InvalidConfig, RowError, SchemaError, _check_non_negative, _decoding
+    InsufficientSamples, InvalidConfig, InvalidMatrix, RowError, SchemaError, _check_non_negative,
+    _decoding,
 )
 from .gaussian import SampleGroup
+from .matrixcore import _trusted, raise_first_failure
 
 REQUIRED_COLUMNS = ("date", "symbol", "open", "close", "low", "high")
 PRICE_COLUMNS = ("open", "close", "low", "high")
@@ -51,7 +54,7 @@ def _parse_row(
             value = float(raw)
         except ValueError:
             raise RowError(f"bad {col} value {raw!r}", line) from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise RowError(f"non-finite {col} value {raw!r}", line)
         prices.append(value)
     return symbol, day, tuple(prices)
@@ -141,14 +144,27 @@ def add_noise(groups, sigma: float, rng: np.random.Generator) -> tuple[SampleGro
     """Perturb every sample coordinate with iid N(0, sigma^2) noise.
 
     sigma = 0 returns byte-identical copies without consuming any random
-    numbers, so noise-free runs do not depend on generator state.
+    numbers, so noise-free runs do not depend on generator state. Otherwise
+    one draw covers the groups in order, the stream of one draw per group,
+    and the noisy samples are read-only views of one stack whose
+    finiteness is checked once.
     """
     _check_non_negative("sigma", sigma)
     if sigma == 0:
         return tuple(SampleGroup(g.group_id, g.samples) for g in groups)
+    if not groups:
+        return ()
+    sizes = [g.samples.size for g in groups]
+    starts = np.cumsum([0] + sizes[:-1])
+    x = np.concatenate([g.samples.ravel() for g in groups])
+    with np.errstate(over="ignore"):  # the check below raises for it
+        x += sigma * rng.standard_normal(x.size)
+    raise_first_failure(lambda t: f"group {groups[t].group_id!r}", [
+        (np.logical_or.reduceat(~np.isfinite(x), starts), InvalidMatrix,
+         lambda t: "samples must be finite"),
+    ])
+    x.flags.writeable = False
     return tuple(
-        SampleGroup(
-            g.group_id, g.samples + sigma * rng.standard_normal(g.samples.shape)
-        )
-        for g in groups
+        _trusted(SampleGroup, group_id=g.group_id, samples=x[a:a + size].reshape(g.samples.shape))
+        for g, a, size in zip(groups, starts.tolist(), sizes)
     )

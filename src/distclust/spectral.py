@@ -10,8 +10,9 @@ stored; for the squared-Wasserstein metric the entries are already squared
 distances, and ``on_sqrt=True`` switches to kernelizing their square roots
 instead. The default bandwidth is the median of the strictly positive
 upper-triangle entries of whichever values feed the kernel, found in one
-pass over row blocks that counts every entry and gathers only those inside
-a bracket from a fixed sample, so the triangle is never copied.
+pass over square tiles that counts every entry and gathers only those
+inside a bracket from a fixed sample into one array, so the triangle is
+never copied.
 ``kernelize`` builds the kernel in the matrix's own array when that array
 is writeable, as the pipeline makes the mean-distance matrix it builds for
 one run, and in a new array otherwise; a public ``DistanceMatrix`` is
@@ -24,8 +25,8 @@ block: the kernel's root, square, negation, division, exp and finiteness
 check, the degree sums (once per kernel, ``AdjacencyMatrix.degrees``),
 every subspace pass's product W (r Q), |M|_F^2, and ncut's W (1 - H). Each
 block writes its own rows of arrays allocated before the blocks run. The
-median's pass stays on the calling thread, as the entries it gathers are
-arrays no helper thread may allocate. A block is the same row range at any
+median's pass stays on the calling thread, as the array it gathers into
+may grow, which no helper thread may do. A block is the same row range at any
 thread count, so no result depends on the threads.
 
 ``kernelize`` checks only finiteness (the rest holds by construction). The
@@ -57,6 +58,7 @@ negates every difference, product and mean exactly, so seeds, labels and
 sums of squares do not change.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -181,15 +183,23 @@ def median_bandwidth(x: np.ndarray) -> float:
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
+    upper = n * (n - 1) // 2
     ends = [0.0, np.inf]  # the sorted positive sample between the open ends
-    if n * (n - 1) // 2 > _BLOCK_ROWS * n:
+    drawn = 0
+    if upper > _BLOCK_ROWS * n:
         sample = _sample_upper(x)
+        drawn = sample.size
         ends[1:1] = np.sort(sample[sample > 0.0]).tolist()
     middle = len(ends) // 2
     reach = max(1, int(_BRACKET_WIDTH * math.sqrt(len(ends) - 2)))
     while True:
-        lo, hi = ends[max(middle - reach, 0)], ends[min(middle + reach, len(ends) - 1)]
-        size, above_lo, at_lo, above_hi, found = _bracket_pass(x, lo, hi)
+        a, b = max(middle - reach, 0), min(middle + reach, len(ends) - 1)
+        lo, hi = ends[a], ends[b]
+        # room for the share of the sample strictly inside the bracket and a
+        # quarter more, or for every entry of a triangle that was not sampled
+        inside = max(0, bisect.bisect_left(ends, hi, a, b) - bisect.bisect_right(ends, lo, a, b))
+        room = min(upper, int(1.25 * inside * upper / drawn)) if drawn else upper
+        size, above_lo, at_lo, above_hi, found = _bracket_pass(x, lo, hi, room)
         if size == 0:
             return 1.0
         ranks = [size // 2] if size % 2 else [size // 2 - 1, size // 2]
@@ -220,23 +230,28 @@ def _sample_upper(x: np.ndarray) -> np.ndarray:
 
 
 def _upper_parts(x: np.ndarray):
-    """A square array's upper-triangle entries, one row block at a time:
-    the block's part of the diagonal square as a 1-d copy, then the rest of
-    its rows as a view."""
+    """A square array's upper-triangle entries in square tiles of
+    _BLOCK_ROWS, one row block at a time: the block's part of the diagonal
+    tile as a 1-d copy, then the tiles right of it as views. Tiles keep a
+    pass's masks and gathered pieces small beside what it gathers."""
     n = x.shape[0]
     for s in range(0, n, _BLOCK_ROWS):
         e = min(s + _BLOCK_ROWS, n)
         yield x[s:e, s:e][~np.tri(e - s, dtype=bool)]
-        yield x[s:e, e:]
+        for c in range(e, n, _BLOCK_ROWS):
+            yield x[s:e, c:c + _BLOCK_ROWS]
 
 
-def _bracket_pass(x: np.ndarray, lo: float, hi: float) -> tuple:
+def _bracket_pass(x: np.ndarray, lo: float, hi: float, room: int) -> tuple:
     """How many upper entries of ``x`` are positive, above lo, equal to lo
     and above hi, and those strictly between lo and hi, gathered, in one
     pass. An open end, lo = 0 or hi = inf, skips its counts: every positive
-    entry is above 0, and none is above inf, so inf entries are gathered."""
-    size = above_lo = at_lo = above_hi = 0
-    found = []
+    entry is above 0, and none is above inf, so inf entries are gathered.
+
+    The entries are gathered into one array of ``room`` entries, which
+    doubles if they outgrow it."""
+    size = above_lo = at_lo = above_hi = used = 0
+    found = np.empty(room)
     for part in _upper_parts(x):
         keep = part > lo
         above_lo += np.count_nonzero(keep)
@@ -246,8 +261,14 @@ def _bracket_pass(x: np.ndarray, lo: float, hi: float) -> tuple:
         if hi < np.inf:
             above_hi += np.count_nonzero(part > hi)
             keep &= part < hi
-        found.append(part[keep])
-    return (size if lo > 0.0 else above_lo), above_lo, at_lo, above_hi, np.concatenate(found)
+        piece = part[keep]
+        if used + piece.size > found.size:
+            grown = np.empty(2 * (used + piece.size))
+            grown[:used] = found[:used]
+            found = grown
+        found[used:used + piece.size] = piece
+        used += piece.size
+    return (size if lo > 0.0 else above_lo), above_lo, at_lo, above_hi, found[:used]
 
 
 def _kernel_scale(sigma: float, error=InvalidBandwidth) -> float:

@@ -38,6 +38,10 @@ from .spectral import ClusterAssignment
 
 _GROUP_HEADER_FIRST = ("object_id", "sample_index")
 
+# bytes per block of a groups CSV's bulk read, which holds one block of
+# text, its lines and their parse at a time
+_BLOCK_BYTES = 1 << 20
+
 # report keys whose values differ from run to run: a timestamp and
 # wall-clock durations
 _VOLATILE_KEYS = frozenset(("created_at", "wall_time_s"))
@@ -102,22 +106,26 @@ def write_groups_csv(path: str | Path, groups) -> None:
 def read_groups_csv(path: str | Path) -> tuple[SampleGroup, ...]:
     """Groups from a groups CSV, sorted by object_id.
 
-    The body is parsed in bulk (``_parse_groups_bulk``). Whenever that parse
-    declines the text or fails, the row loop (``_parse_groups_rows``) reads
-    the file instead; it is the one place that raises ``RowError``, with the
-    line number of the first bad row. A file with no sample rows after its
-    header raises ``SchemaError``.
+    The body is read as bytes in blocks that end just after a line end and
+    parsed in bulk, one block at a time (``_parse_groups_bulk``), so a read
+    holds one block of text and the numbers parsed so far, never the whole
+    file's text. Whenever that parse declines a block or fails, the row
+    loop (``_parse_groups_rows``) reads the file instead; it is the one
+    place that raises ``RowError``, with the line number of the first bad
+    row. A file with no sample rows after its header raises ``SchemaError``.
     """
     path = Path(path)
-    with _decoding(path), path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        d = _read_group_header(reader, path)
-        groups = _parse_groups_bulk(fh.read(), d)
+    with _decoding(path):
+        groups = None
+        with path.open("rb") as fh:
+            head = fh.readline()
+            # a quote or a lone CR may end the header's csv record elsewhere
+            # than at its first LF
+            if b'"' not in head and b"\r" not in head.removesuffix(b"\r\n"):
+                d = _read_group_header(csv.reader([head.decode("utf-8")] if head else []), path)
+                groups = _parse_groups_bulk(fh, d)
         if groups is None:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            groups = _parse_groups_rows(reader, d)
+            groups = _read_groups_text(path)
     if not groups:
         raise SchemaError(f"{path}: no sample rows after the header")
     return groups
@@ -138,33 +146,111 @@ def _read_group_header(reader, path: Path) -> int:
     return len(names) - 2
 
 
-def _parse_groups_bulk(body: str, d: int) -> tuple[SampleGroup, ...] | None:
-    """The groups that ``_parse_groups_rows`` builds from the text after the
-    header, or None wherever that loop could raise ``RowError`` or read the
-    text otherwise than ``np.loadtxt`` does.
+def _read_groups_text(path: Path) -> tuple[SampleGroup, ...]:
+    """Groups from the file's text by the row loop. The header is checked
+    and the whole text decoded first, so a byte that is not UTF-8 is
+    reported before any bad row, as the bulk read reports it."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        d = _read_group_header(reader, path)
+        while fh.read(_BLOCK_BYTES):
+            pass
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        return _parse_groups_rows(reader, d)
 
-    The loop's ``csv`` reader ends a record at CR, LF or CRLF and honours
-    quotes; ``loadtxt`` skips blank lines. So text with quotes, ``#`` or NUL
-    characters is declined, and so is any line without exactly d + 2 cells.
-    ``loadtxt`` reads a sample index only as a plain integer, which ``int``
-    also accepts, and a value only as a float string, which ``float`` reads
-    to the same double; it raises on the rest. NumPy 1.23 to 1.26 read an
-    integer cell such as ``3.0`` or ``3.7`` through a float, with only a
-    DeprecationWarning; that warning is raised here and declines the text.
+
+def _parse_groups_bulk(fh, d: int) -> tuple[SampleGroup, ...] | None:
+    """The groups that ``_parse_groups_rows`` builds from the rest of the
+    binary file ``fh``, or None wherever that loop could raise ``RowError``
+    or read the text otherwise than ``np.loadtxt`` does.
+
+    The file is read in blocks of ``_BLOCK_BYTES``, each cut after its last
+    LF, the rest carried into the next. An LF byte is never part of a
+    multi-byte UTF-8 character, so each block decodes on its own, and every
+    CR but one at the end of the file has its next byte in the same block.
+    ``_parse_block`` parses each block; between blocks only each row's
+    numbers and the number of its id are kept. Ids are numbered in order of
+    first appearance, which the row loop's stable sort by natural key keeps
+    among equal keys.
     """
-    if '"' in body or "#" in body or "\0" in body:
+    seen: dict[str, int] = {}
+    parsed = []
+    tail = b""
+    while True:
+        data = fh.read(_BLOCK_BYTES)
+        block = tail + data
+        if data:
+            cut = block.rfind(b"\n") + 1
+            block, tail = block[:cut], block[cut:]
+        if block:
+            numbers = _parse_block(block, d, seen)
+            if numbers is None:
+                return None
+            parsed.append(numbers)
+        if not data:
+            break
+    if not parsed:
+        return ()
+    index, values, inverse = map(np.concatenate, zip(*parsed))
+    del parsed  # the blocks' records
+    names = list(seen)
+    order = sorted(range(len(names)), key=lambda g: _natural_key(names[g]))
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[order] = np.arange(len(names))
+    row_rank = rank[inverse]
+    rows = np.lexsort((index, row_rank))
+    row_rank, index = row_rank[rows], index[rows]
+    if np.any((row_rank[1:] == row_rank[:-1]) & (index[1:] == index[:-1])):
+        return None  # a duplicate sample_index
+    counts = np.bincount(row_rank, minlength=len(names))
+    if np.any(counts < 2):
+        r = int(np.argmax(counts < 2))
+        raise InsufficientSamples(
+            f"group {names[order[r]]!r}: needs at least 2 samples, got {counts[r]}"
+        )
+    # the checks above are the ones SampleGroup runs, so the groups are
+    # read-only views of one sorted stack; rows the writer's order already
+    # sorts, an ascending permutation, need no gathered copy
+    samples = values if np.all(rows[1:] > rows[:-1]) else values[rows]
+    samples.flags.writeable = False
+    ends = np.cumsum(counts).tolist()
+    starts = [0] + ends[:-1]
+    return tuple(
+        _trusted(SampleGroup, group_id=names[g], samples=samples[a:b])
+        for g, a, b in zip(order, starts, ends)
+    )
+
+
+def _parse_block(block: bytes, d: int, seen: dict) -> tuple | None:
+    """One block's sample indices, values and id numbers in ``seen``, one
+    of each per line, or None for a block that the bulk parse declines.
+
+    The row loop's ``csv`` reader ends a record at CR, LF or CRLF and
+    honours quotes; ``loadtxt`` skips blank lines. So a block with quotes,
+    ``#`` or NUL bytes is declined, and so is any line without exactly d + 2
+    cells. ``loadtxt`` reads a sample index only as a plain integer, which
+    ``int`` also accepts, and a value only as a float string, which
+    ``float`` reads to the same double; it raises on the rest. NumPy 1.23 to
+    1.26 read an integer cell such as ``3.0`` or ``3.7`` through a float,
+    with only a DeprecationWarning; that warning is raised here and declines
+    the block.
+    """
+    if b'"' in block or b"#" in block or b"\0" in block:
         return None
-    if "\r" in body and body.count("\r") != body.count("\r\n"):
-        return None  # a lone CR, which ends a csv record
+    # a CR that ends the file ends its last record, as the end of the file
+    # would; any other CR not followed by an LF ends a csv record
+    u = np.frombuffer(block, dtype=np.uint8)
+    if np.any(u[np.flatnonzero(u[:-1] == ord("\r")) + 1] != ord("\n")):
+        return None
     # a CR left at a line's end is whitespace to loadtxt and to strip()
-    lines = body.split("\n")
+    lines = block.decode("utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()
-    if not lines:
-        return ()
     # loadtxt raises on a line with too few cells and skips blank ones, so
     # with this count and one parsed row per line, each line has d + 2 cells
-    if body.count(",") != len(lines) * (d + 1):
+    if np.count_nonzero(u == ord(",")) != len(lines) * (d + 1):
         return None
     try:
         with warnings.catch_warnings():
@@ -182,38 +268,12 @@ def _parse_groups_bulk(body: str, d: int) -> tuple[SampleGroup, ...] | None:
     except (ValueError, OverflowError, DeprecationWarning):
         return None
     ids = [line.partition(",")[0].strip() for line in lines]
-    values = numbers["x"]
-    if numbers.shape[0] != len(lines) or not all(ids) or not np.isfinite(values).all():
+    if numbers.shape[0] != len(lines) or not all(ids) or not np.isfinite(numbers["x"]).all():
         return None
-    # number the ids in order of first appearance, which the row loop's
-    # stable sort by natural key keeps among equal keys
-    seen: dict[str, int] = {}
-    inverse = np.array([seen.setdefault(i, len(seen)) for i in ids], dtype=np.intp)
-    names = list(seen)
-    order = sorted(range(len(names)), key=lambda g: _natural_key(names[g]))
-    rank = np.empty(len(names), dtype=np.intp)
-    rank[order] = np.arange(len(names))
-    row_rank = rank[inverse]
-    index = numbers["index"]
-    rows = np.lexsort((index, row_rank))
-    row_rank, index = row_rank[rows], index[rows]
-    if np.any((row_rank[1:] == row_rank[:-1]) & (index[1:] == index[:-1])):
-        return None  # a duplicate sample_index
-    counts = np.bincount(row_rank, minlength=len(names))
-    if np.any(counts < 2):
-        r = int(np.argmax(counts < 2))
-        raise InsufficientSamples(
-            f"group {names[order[r]]!r}: needs at least 2 samples, got {counts[r]}"
-        )
-    # the checks above are the ones SampleGroup runs, so the groups are
-    # read-only views of one sorted stack
-    samples = values[rows]
-    samples.flags.writeable = False
-    ends = np.cumsum(counts).tolist()
-    starts = [0] + ends[:-1]
-    return tuple(
-        _trusted(SampleGroup, group_id=names[g], samples=samples[a:b])
-        for g, a, b in zip(order, starts, ends)
+    return (
+        numbers["index"],
+        numbers["x"],
+        np.array([seen.setdefault(i, len(seen)) for i in ids], dtype=np.intp),
     )
 
 

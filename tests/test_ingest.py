@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from distclust.errors import InvalidConfig, RowError, SchemaError
+from distclust.errors import InvalidConfig, InvalidMatrix, RowError, SchemaError
 from distclust.gaussian import SampleGroup
 from distclust.ingest import add_noise, log_return_transform, read_stock_csv
 
@@ -182,6 +182,28 @@ class TestAddNoise:
         a = add_noise(groups, 1.0, np.random.default_rng(8))
         b = add_noise(groups, 1.0, np.random.default_rng(8))
         assert np.array_equal(a[0].samples, b[0].samples)
+
+    def test_one_draw_is_the_stream_of_one_draw_per_group(self, rng):
+        groups = [
+            SampleGroup(name, rng.uniform(1, 2, size=shape))
+            for name, shape in (("A", (5, 4)), ("B", (2, 4)), ("C", (7, 3)))
+        ]
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        out = add_noise(groups, 0.5, a)
+        for g, noisy in zip(groups, out):
+            expected = g.samples + 0.5 * b.standard_normal(g.samples.shape)
+            assert noisy.group_id == g.group_id
+            assert noisy.samples.tobytes() == expected.tobytes()
+            assert noisy.samples.shape == g.samples.shape
+            assert not noisy.samples.flags.writeable
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_overflowing_noise_names_the_first_group(self, rng):
+        # noise of 1e300 overflows only next to the largest double
+        top = np.finfo(float).max
+        groups = [SampleGroup(name, np.full((3, 2), at)) for name, at in (("A", 1.0), ("B", top), ("C", top))]
+        with pytest.raises(InvalidMatrix, match="^group 'B': samples must be finite$"):
+            add_noise(groups, 1e300, rng)
 
     def test_negative_sigma_rejected(self, rng):
         for sigma in (-1.0, np.nan, np.inf, -np.inf):

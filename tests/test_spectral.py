@@ -180,9 +180,10 @@ class TestKernelize:
 
     @pytest.mark.parametrize("values", [[2.5], [1.0, 3.0]], ids=["all-equal", "two-valued"])
     def test_median_bandwidth_of_ties_gathers_little(self, values, rng):
-        # entries equal to the bracket's ends are counted, not gathered: 0.035
-        # n * n * 8 for either matrix, the row blocks' masks, where a radix
-        # select on the floats' bits peaked at 0.35 and 0.24
+        # entries equal to the bracket's ends are counted, not gathered, and
+        # no room is set aside for them: 0.017 n * n * 8 for either matrix,
+        # the tiles' masks and copies, where room for the bracket's sample
+        # ranks took 0.075 and a radix select on the floats' bits 0.35 and 0.24
         n = 2000
         upper = np.triu(rng.choice(values, (n, n)), 1)
         x = upper + upper.T
@@ -195,7 +196,31 @@ class TestKernelize:
         finally:
             tracemalloc.stop()
         assert got == expected
-        assert peak < 0.15 * n * n * 8
+        assert peak < 0.05 * n * n * 8
+
+    def test_median_bandwidth_gathers_into_one_array(self):
+        # the bracket gathers 0.044 n * n * 8 here, into one array sized
+        # from the sample; gathered pieces joined by a copy take 0.093
+        n = 2000
+        bench = generate_benchmark(7, 5, n, 30, seed=1)
+        x = mean_euclidean_matrix(estimate_gaussians(bench.groups)).values
+        tracemalloc.start()
+        try:
+            got = median_bandwidth(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == float(np.median(x[np.triu_indices(n, 1)]))
+        assert peak < 0.085 * n * n * 8
+
+    @pytest.mark.parametrize("n", [300, 700])
+    def test_median_bandwidth_past_a_short_array(self, n, rng, monkeypatch):
+        # a gather that outgrows its array moves into a larger one
+        real = spectral._bracket_pass
+        monkeypatch.setattr(spectral, "_bracket_pass", lambda x, lo, hi, room: real(x, lo, hi, 1))
+        upper = np.triu(rng.uniform(0.0, 4.0, (n, n)) * (rng.random((n, n)) < 0.5), 1)
+        x = upper + upper.T
+        assert median_bandwidth(x) == float(np.median(x[np.triu(x > 0.0, 1)]))
 
     @pytest.mark.parametrize("sampled", ["largest", "smallest"])
     def test_median_bandwidth_past_a_missed_bracket(self, sampled, rng, monkeypatch):
@@ -211,7 +236,7 @@ class TestKernelize:
         passes = []
 
         def counted(*args):
-            passes.append(args[1:])
+            passes.append(args[1:3])
             return real(*args)
 
         real = spectral._bracket_pass

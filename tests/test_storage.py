@@ -7,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -253,6 +254,8 @@ PARITY_BODIES = {
     "quoted comma": '"a,b",0,1.0,2.0\n"a,b",1,2.0,3.0\n',
     "crlf": "a,0,1.0,2.0\r\nb,0,3.0,4.0\r\na,1,2.0,3.0\r\nb,1,1.0,1.0\r\n",
     "lone cr": "a,0,1.0,2.0\ra,1,2.0,3.0\n",
+    "cr before crlf": "a,0,1.0,2.0\r\r\na,1,2.0,3.0\r\n",
+    "cr at the end": "a,0,1.0,2.0\r\na,1,2.0,3.0\r",
     "padded cells": " a , 0 , 1.0 ,2.0 \n\ta,1\t, 2.0,\t3.0\n",
     "underscore index": "a,1_000,1.0,2.0\na,0,2.0,3.0\n",
     "plus index": "a,+3,1.0,2.0\na,0,2.0,3.0\n",
@@ -274,17 +277,23 @@ PARITY_BODIES = {
     "natural-key tie": "a1,0,1.0,2.0\na01,0,3.0,4.0\na01,1,2.0,3.0\na1,1,1.0,1.0\n",
     "header only": "",
 }
+# bulk read block sizes: lines cut at every byte, at a few bytes and whole
+BLOCK_SIZES = [1, 7, 64, storage._BLOCK_BYTES]
 
 
 class TestGroupsCsvParity:
     """The bulk parse with its row-loop fallback against the reference
-    reader: byte-equal groups, or the same error class, message and line."""
+    reader, at every block size: byte-equal groups, or the same error
+    class, message and line."""
 
     @pytest.mark.parametrize("case", sorted(PARITY_BODIES))
-    def test_matches_row_reader(self, case, tmp_path):
+    def test_matches_row_reader(self, case, tmp_path, monkeypatch):
         path = tmp_path / "g.csv"
         path.write_bytes((HEADER + PARITY_BODIES[case]).encode())
-        assert outcome(read_groups_csv, path) == outcome(reference_read_groups_csv, path)
+        expected = outcome(reference_read_groups_csv, path)
+        for block_bytes in BLOCK_SIZES:
+            monkeypatch.setattr(storage, "_BLOCK_BYTES", block_bytes)
+            assert outcome(read_groups_csv, path) == expected, block_bytes
 
     def test_error_cases_raise(self, tmp_path):
         expected = {
@@ -333,7 +342,9 @@ class TestGroupsCsvParity:
             raise AssertionError("the row loop ran")
 
         monkeypatch.setattr(storage, "_parse_groups_rows", no_row_loop)
-        assert outcome(read_groups_csv, path) == expected
+        for block_bytes in BLOCK_SIZES:
+            monkeypatch.setattr(storage, "_BLOCK_BYTES", block_bytes)
+            assert outcome(read_groups_csv, path) == expected, block_bytes
         assert [g[1] for g in expected] == [f"obj_{i}" for i in range(12)]
 
     def test_bulk_groups_are_read_only(self, tmp_path, rng):
@@ -342,6 +353,88 @@ class TestGroupsCsvParity:
         for g in read_groups_csv(path):
             with pytest.raises(ValueError):
                 g.samples[0, 0] = 1.0
+
+
+class TestGroupsCsvBlocks:
+    """The bulk read in blocks of a few bytes up to the default: the same
+    groups or error as the reference reader wherever the blocks end."""
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+    def test_writer_output_at_every_block_size(self, block_bytes, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(storage, "_BLOCK_BYTES", block_bytes)
+        ids = ["a,b", 'say "hi"', "lf\nhere", "\u00e9t\u00e9", "\u6771\u4eac", "obj_10", "obj_2"]
+        odd = [SampleGroup(name, rng.standard_normal((2 + i % 3, 3))) for i, name in enumerate(ids)]
+        plain = [SampleGroup(f"obj_{i}", rng.standard_normal((3 + i % 4, 3))) for i in range(12)]
+        for groups in (odd, plain, plain[::-1]):
+            path = tmp_path / "g.csv"
+            write_groups_csv(path, groups)
+            assert outcome(read_groups_csv, path) == outcome(reference_read_groups_csv, path)
+
+    @pytest.mark.parametrize("block_bytes", [64, storage._BLOCK_BYTES])
+    def test_non_utf8_byte_past_the_first_block(self, block_bytes, tmp_path, monkeypatch):
+        monkeypatch.setattr(storage, "_BLOCK_BYTES", block_bytes)
+        line = "g{},{},{}\r\n"
+        rows = 2 * block_bytes // len(line.format(0, 0, 0.0)) + 4
+        text = HEADER.replace(",x_1", "") + "".join(
+            line.format(i % 3, i, float(i)) for i in range(rows)
+        )
+        data = text.encode()
+        cut = len(HEADER) + block_bytes + 3
+        path = tmp_path / "g.csv"
+        path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            read_groups_csv(path)
+
+    def test_non_utf8_byte_after_a_bad_row(self, tmp_path, monkeypatch):
+        # the byte is reported, not the row before it, though the row loop
+        # takes over in the first block and the text reader decodes ahead
+        # only 8 KiB at a time
+        monkeypatch.setattr(storage, "_BLOCK_BYTES", 64)
+        text = HEADER + "a,0,1.0,2.0\na,1,oops,3.0\n" + "b,0,1.0,2.0\n" * 2000
+        path = tmp_path / "g.csv"
+        path.write_bytes(text.encode() + b"\xff,1,2.0,3.0\n")
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            read_groups_csv(path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone cr"])
+    def test_read_ending_at_a_cr(self, newline, tmp_path, monkeypatch):
+        # the first read's last byte is a CR: its LF, or the byte that makes
+        # it a lone CR, comes with the next read, and the line with it
+        body = "a,0,1.0,2.0\r\nb,0,3.0,4.0" + newline + "a,1,2.0,3.0\r\nb,1,1.0,1.0\r\n"
+        path = tmp_path / "g.csv"
+        path.write_bytes((HEADER + body).encode())
+        monkeypatch.setattr(storage, "_BLOCK_BYTES", body.index("\r", 14) + 1)
+        assert outcome(read_groups_csv, path) == outcome(reference_read_groups_csv, path)
+
+    @pytest.mark.parametrize("header", [
+        '"object_id",sample_index,x_0,x_1\n',
+        '"object_id\n",sample_index,x_0,x_1\n',
+        "object_id,sample_index,x_0,x_1\r",
+        "object_id,sample_index,x_0,x_1\r\n",
+        " object_id , sample_index,x_0,\tx_1\n",
+    ], ids=["quoted", "quoted newline", "lone cr", "crlf", "padded"])
+    def test_header_forms(self, header, tmp_path):
+        # a header whose csv record may end elsewhere than at its first LF
+        # sends the file to the row loop
+        path = tmp_path / "g.csv"
+        path.write_bytes((header + PARITY_BODIES["plain"]).encode())
+        got = outcome(read_groups_csv, path)
+        assert got == outcome(reference_read_groups_csv, path)
+        assert [g[1] for g in got] == ["a", "b"]
+
+    def test_read_holds_about_the_file_once(self, tmp_path):
+        # a read holds one block of text besides the numbers it keeps; the
+        # whole text with its lines and ids would take about 4 times the file
+        path = tmp_path / "g.csv"
+        write_groups_csv(path, generate_benchmark(7, 5, 2000, 30, seed=1).groups)
+        tracemalloc.start()
+        try:
+            groups = read_groups_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(groups) == 2000
+        assert peak <= 2 * path.stat().st_size
 
 
 class TestLabelsJson:
