@@ -138,10 +138,15 @@ class DistanceMatrix:
         return self.metric in SYMMETRIC_METRICS
 
 
+def _means(models: Sequence[GaussianModel]) -> np.ndarray:
+    """The models' means as one (n, d) stack; ``_common_dim`` checks them."""
+    _common_dim(models)
+    return np.stack([m.mean for m in models])
+
+
 def _stack(models: Sequence[GaussianModel]) -> tuple[np.ndarray, np.ndarray]:
     """The models' means (n, d) and covariances (n, d, d) as two stacks."""
-    _common_dim(models)
-    return np.stack([m.mean for m in models]), np.stack([m.covariance.values for m in models])
+    return _means(models), np.stack([m.covariance.values for m in models])
 
 
 def _factors(mean: np.ndarray, cov: np.ndarray, metric: str, what: str = "model") -> dict:
@@ -439,8 +444,7 @@ def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
     byte. The one check is finiteness: squared differences of finite means
     can overflow.
     """
-    _common_dim(models)
-    means = np.stack([m.mean for m in models])
+    means = _means(models)
     n, d = means.shape
     out = np.empty((n, n))
 

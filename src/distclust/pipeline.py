@@ -56,6 +56,7 @@ from .metrics import (
     METRIC_EUCLIDEAN,
     METRIC_WASSERSTEIN_SQ,
     DistanceMatrix,
+    _means,
     distance_matrix,
     mean_euclidean_matrix,
 )
@@ -165,9 +166,8 @@ def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
 
     rng = np.random.default_rng(config.seed)
     if config.algorithm == ALGO_KMEANS_MEANS:
-        points = np.stack([m.mean for m in models])
         result = kmeans(
-            points,
+            _means(models),
             config.k,
             rng,
             restarts=config.restarts,

@@ -21,8 +21,9 @@ holds one n x n array, and the divergence runs two while they kernelize.
 
 The n x n passes run in fixed blocks of ``_BLOCK_ROWS`` rows through
 ``parallel.row_blocks``, on the kernel threads once there is more than one
-block: the kernel's root, square, negation, division, exp and finiteness
-check, the degree sums (once per kernel, ``AdjacencyMatrix.degrees``),
+block: the kernel's root, then the kernel's one pass, which squares,
+divides, takes the exp and sums each block's rows into the degrees
+(``AdjacencyMatrix.degrees``, whose finiteness is the kernel's one check),
 every subspace pass's product W (r Q), |M|_F^2, and ncut's W (1 - H). Each
 block writes its own rows of arrays allocated before the blocks run. The
 median's pass stays on the calling thread, as the array it gathers into
@@ -60,8 +61,7 @@ sums of squares do not change.
 
 import bisect
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,11 +82,12 @@ _ENTRY_TOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
     """Symmetric kernel matrix with unit diagonal and entries in [0, 1];
-    ``kernelize`` builds its kernels already in this form. Its degrees are
-    summed once, on first use, for every solver and ``ncut`` to read."""
+    ``kernelize`` builds its kernels already in this form, with ``degrees``,
+    W's read-only row sums, which every solver and ``ncut`` read."""
 
     values: np.ndarray
     bandwidth_sigma: float
+    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.array(self.values, dtype=float)
@@ -106,18 +107,14 @@ class AdjacencyMatrix:
         if not self.bandwidth_sigma > 0:
             raise InvalidBandwidth(f"sigma must be positive, got {self.bandwidth_sigma}")
         a.flags.writeable = False
+        degrees = a.sum(axis=1)
+        degrees.flags.writeable = False
         object.__setattr__(self, "values", a)
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        """W's row sums, read-only."""
-        degrees = _row_sums(self)
-        degrees.flags.writeable = False
-        return degrees
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,14 +292,15 @@ def kernelize(
     with a unit diagonal and entries in [0, 1] by construction; the one check
     is finiteness, as 2 sigma^2 can underflow and turn a zero entry into 0/0.
 
-    W is built one operation at a time in one array, in row blocks on the
-    kernel threads: the root (for ``on_sqrt``), square, negation, division
-    and exp; the median's one pass, between the root and the square, runs
-    on the calling thread. That array is
-    ``dm.values`` itself when it is writeable, which hands the matrix over
-    to W and leaves ``dm`` holding the kernel, read-only; for a read-only
-    matrix, as every public ``DistanceMatrix`` is, it is a new one and
-    ``dm`` is left as it was.
+    W is built in one array, in row blocks on the kernel threads: the root
+    (for ``on_sqrt``), then one pass that squares, divides by -2 sigma^2,
+    takes the exp and sums the rows into the degrees, which are finite
+    exactly when W is (a nan entry carries into its row's sum). The median's
+    one pass, between the root and the square, runs on the calling thread.
+    That array is ``dm.values`` itself when it is writeable, which hands the
+    matrix over to W and leaves ``dm`` holding the kernel, read-only; for a
+    read-only matrix, as every public ``DistanceMatrix`` is, it is a new one
+    and ``dm`` is left as it was.
     """
     if not dm.is_symmetric:
         raise MetricNotSymmetric(
@@ -316,27 +314,26 @@ def kernelize(
         x = w
     if sigma is None:
         sigma = median_bandwidth(x)
-    scale = _kernel_scale(sigma)
+    divisor = -_kernel_scale(sigma)
+    degrees = np.empty(n)
 
     def kernel(s, e):
-        # exp(-(x**2) / (2 sigma^2)), one operation at a time in the block's
-        # rows; an underflowed scale makes 0/0 here, which the check reports
+        # exp(x**2 / -(2 sigma^2)), the bits of exp(-(x**2) / (2 sigma^2));
+        # an underflowed scale makes 0/0 here, which the check reports
         rows = w[s:e]
         np.square(x[s:e], out=rows)
-        np.negative(rows, out=rows)
-        rows /= scale
+        rows /= divisor
         np.exp(rows, out=rows)
         np.fill_diagonal(rows[:, s:e], 1.0)
-        # the entries are now in [0, 1] or nan, so the max is finite exactly
-        # when they all are
-        return bool(np.isfinite(rows.max()))
+        np.sum(rows, axis=1, out=degrees[s:e])
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        finite = row_blocks(n, kernel)
-    if not all(finite):
+        row_blocks(n, kernel)
+    if not np.isfinite(degrees).all():
         raise InvalidMatrix("adjacency entries must be finite")
     w.flags.writeable = False
-    return _trusted(AdjacencyMatrix, values=w, bandwidth_sigma=float(sigma))
+    degrees.flags.writeable = False
+    return _trusted(AdjacencyMatrix, values=w, bandwidth_sigma=float(sigma), degrees=degrees)
 
 
 def normalized_laplacian(w: AdjacencyMatrix) -> np.ndarray:
@@ -381,13 +378,6 @@ _MIN_GAP = 1e-8
 _BOUND_SLACK = 16
 # rows of W squared at a time for |M|_F^2: 32 n floats of scratch per thread
 _SQUARED_ROWS = 32
-
-
-def _row_sums(w: AdjacencyMatrix) -> np.ndarray:
-    """The degrees, W's row sums, in row blocks; ``w.degrees`` keeps them."""
-    degrees = np.empty(w.n)
-    row_blocks(w.n, lambda s, e: np.sum(w.values[s:e], axis=1, out=degrees[s:e]))
-    return degrees
 
 
 def _product(w: AdjacencyMatrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:

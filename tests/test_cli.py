@@ -275,6 +275,17 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["estimate", "cluster"])
+    def test_empty_groups_file_is_data_error(self, command, tmp_path, capsys):
+        groups = tmp_path / "g.csv"
+        groups.write_bytes(b"")
+        out = tmp_path / "out.json"
+        args = ["--algorithm", "kmeans_means", "--k", "2"] if command == "cluster" else []
+        assert entrypoint([command, str(groups), *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {groups}: empty file\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("command", ["estimate", "cluster"])
     def test_bad_eps_scale_is_usage_error(self, command, value, synth_dir, tmp_path, capsys):
@@ -461,6 +472,31 @@ class TestBenchCommands:
         assert "noise sigma must be finite and non-negative" in err
         assert "Warning" not in err
         assert not out.exists()
+
+    def test_unknown_algorithm_in_list_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = entrypoint(
+            ["bench-synth", "--d-list", "2", "--k-list", "2", "--trials", "1",
+             "--algorithms", "kmeans_means,nope", "--out-dir", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "argument --algorithms: 'kmeans_means,nope': unknown algorithm 'nope'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bench_stock_warns_of_dropped_symbols(self, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(STOCK_CSV + "2024-01-01,EEE,1.0,1.0,1.0,1.0\n")
+        code = entrypoint(
+            ["bench-stock", str(prices), "--k-list", "2", "--sigma-list", "0",
+             "--trials", "1", "--algorithms", "kmeans_means", "--threads", "1",
+             "--out-dir", str(tmp_path / "out")]
+        )
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "warning: dropped EEE (too few days)\n" in err
+        assert "Traceback" not in err
 
     def test_bad_list_is_usage_error(self, tmp_path):
         code = entrypoint(

@@ -42,6 +42,10 @@ class TestSampleGroup:
         with pytest.raises(DimensionMismatch):
             SampleGroup("a", np.zeros(4))
 
+    def test_rejects_zero_dimensional_samples(self):
+        with pytest.raises(DimensionMismatch, match="^group 'a': zero-dimensional samples$"):
+            SampleGroup("a", np.zeros((3, 0)))
+
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidMatrix):
             SampleGroup("a", np.array([[1.0, np.nan], [0.0, 1.0]]))

@@ -127,6 +127,13 @@ class TestReadStockCsv:
         with pytest.raises(SchemaError):
             read_stock_csv(write(tmp_path, ""))
 
+    @pytest.mark.parametrize("symbol", ["", "  "])
+    def test_strict_empty_symbol_names_its_line(self, symbol, tmp_path):
+        text = GOOD_CSV + f"2024-01-04,{symbol},1.0,1.0,1.0,1.0\n"
+        with pytest.raises(RowError, match="^line 7: empty symbol$") as caught:
+            read_stock_csv(write(tmp_path, text), strict=True)
+        assert caught.value.line == 7
+
     def test_negative_min_days_rejected(self, tmp_path):
         with pytest.raises(InvalidConfig):
             read_stock_csv(write(tmp_path, GOOD_CSV), min_days=-1)
@@ -163,6 +170,11 @@ class TestLogReturnTransform:
 
 
 class TestAddNoise:
+    def test_no_groups_give_none(self, rng):
+        state_before = rng.bit_generator.state
+        assert add_noise((), 0.5, rng) == ()
+        assert rng.bit_generator.state == state_before
+
     def test_zero_sigma_is_exact_copy_and_skips_rng(self, rng):
         groups = [SampleGroup("A", rng.uniform(1, 2, size=(4, 3)))]
         state_before = rng.bit_generator.state

@@ -187,6 +187,19 @@ class TestDistanceMatrixContainer:
         with pytest.raises(InvalidMatrix):
             DistanceMatrix(np.zeros((2, 2)), "hamming")
 
+    @pytest.mark.parametrize("values, shape", [
+        (np.zeros((2, 3)), "(2, 3)"), (np.zeros(3), "(3,)"), (np.zeros((0, 0)), "(0, 0)"),
+    ])
+    def test_rejects_non_square(self, values, shape):
+        message = f"^expected a square matrix, got shape {re.escape(shape)}$"
+        with pytest.raises(InvalidMatrix, match=message):
+            DistanceMatrix(values, METRIC_WASSERSTEIN_SQ)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidMatrix, match="^distance entries must be finite$"):
+            DistanceMatrix([[0.0, bad], [bad, 0.0]], METRIC_WASSERSTEIN_SQ)
+
     @pytest.mark.parametrize("metric", [METRIC_WASSERSTEIN_SQ, METRIC_KL])
     def test_canonical_bytes_match_whole_matrix_form(self, metric, rng):
         # n spans several row blocks; the noise, the -0.0 entries and the
@@ -238,6 +251,11 @@ THREAD_SETTINGS = ("1", "2")
 
 
 class TestDistanceMatrixBuilder:
+    @pytest.mark.parametrize("metric", list(SCALARS) + [METRIC_EUCLIDEAN])
+    def test_no_models_is_refused(self, metric):
+        with pytest.raises(InvalidMatrix, match="^need at least one model$"):
+            distance_matrix([], metric)
+
     @pytest.mark.parametrize("metric", list(SCALARS) + [METRIC_EUCLIDEAN])
     def test_public_constructor_keeps_bytes(self, metric, rng):
         # the matrix is built without DistanceMatrix's checks; they would

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from distclust import parallel, pipeline
-from distclust.errors import InvalidConfig, InvalidMatrix, RowError, _prefixed
+from distclust.errors import DimensionMismatch, InvalidConfig, InvalidMatrix, RowError, _prefixed
 from distclust.pipeline import (
     ALGO_BHATTACHARYYA,
     ALGO_KL,
@@ -149,6 +149,14 @@ class TestRunPipeline:
         assert a.assignment.n == len(groups)
         assert np.array_equal(a.assignment.labels, b.assignment.labels)
         assert a.algorithm == algorithm
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_mixed_dimensions_are_refused_by_every_algorithm(self, algorithm, rng):
+        dims = [2, 2, 2, 3, 3, 3]
+        groups = [SampleGroup(f"g{i}", rng.normal(size=(6, d))) for i, d in enumerate(dims)]
+        message = "^models of dimension 2 and 3 are not comparable$"
+        with pytest.raises(DimensionMismatch, match=message):
+            run_pipeline(groups, PipelineConfig(algorithm, k=2))
 
     @pytest.mark.parametrize("algorithm", [ALGO_KL, ALGO_KLPP])
     def test_kl_centers_take_the_configured_eps_scale(self, algorithm, rng, monkeypatch):

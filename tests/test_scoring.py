@@ -79,6 +79,14 @@ class TestMutualInformation:
 
 
 class TestNmi:
+    @pytest.mark.parametrize("a, b, name", [
+        ([], [0, 1], "a"), ([[0, 1], [1, 0]], [0, 1], "a"), ([0, 1], [], "b"),
+        ([0, 1], [[0], [1]], "b"),
+    ], ids=["empty a", "2-d a", "empty b", "2-d b"])
+    def test_rejects_empty_or_2d_labels(self, a, b, name):
+        with pytest.raises(InvalidConfig, match=f"^{name} must be a non-empty 1-d label array$"):
+            nmi(a, b)
+
     def test_perfect_match(self):
         assert nmi([0, 1, 2, 0], [0, 1, 2, 0]) == 1.0
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -80,6 +81,19 @@ class TestAdjacencyMatrix:
         with pytest.raises(InvalidBandwidth):
             AdjacencyMatrix(np.eye(2), 0.0)
 
+    @pytest.mark.parametrize("values, shape", [
+        (np.ones((2, 3)), "(2, 3)"), (np.ones(3), "(3,)"), (np.ones((0, 0)), "(0, 0)"),
+    ])
+    def test_rejects_non_square(self, values, shape):
+        message = f"^expected a square matrix, got shape {re.escape(shape)}$"
+        with pytest.raises(InvalidMatrix, match=message):
+            AdjacencyMatrix(values, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidMatrix, match="^adjacency entries must be finite$"):
+            AdjacencyMatrix([[1.0, bad], [bad, 1.0]], 1.0)
+
     def test_canonical_bytes_match_whole_matrix_form(self, rng):
         # n spans several row blocks; the asymmetric noise lies within tolerance
         n = 600
@@ -88,7 +102,10 @@ class TestAdjacencyMatrix:
         expected = (values + values.T) / 2.0
         np.clip(expected, 0.0, 1.0, out=expected)
         np.fill_diagonal(expected, 1.0)
-        assert AdjacencyMatrix(values, 1.0).values.tobytes() == expected.tobytes()
+        w = AdjacencyMatrix(values, 1.0)
+        assert w.values.tobytes() == expected.tobytes()
+        # the degrees are the canonical matrix's row sums
+        assert w.degrees.tobytes() == expected.sum(axis=1).tobytes()
 
 
 class TestClusterAssignment:
@@ -279,6 +296,7 @@ class TestKernelize:
         w = kernelize(distance_matrix(models, metric), on_sqrt=on_sqrt)
         again = AdjacencyMatrix(w.values, w.bandwidth_sigma)
         assert again.values.tobytes() == w.values.tobytes()
+        assert again.degrees.tobytes() == w.degrees.tobytes()
         assert again.bandwidth_sigma == w.bandwidth_sigma
         with pytest.raises(ValueError):
             w.values[0, 1] = 0.5
@@ -311,6 +329,16 @@ class TestKernelize:
         expected = np.exp(-(dm.values**2) / (2.0 * sigma**2))
         np.fill_diagonal(expected, 1.0)
         assert w.values.tobytes() == expected.tobytes()
+
+    def test_underflowing_bandwidth_without_zero_entry_is_the_identity(self):
+        # 2 sigma^2 underflows to 0: every off-diagonal entry is x^2 / -0 =
+        # -inf and its exp 0, and the diagonal's 0/0 is overwritten with 1
+        # before the degrees are summed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = kernelize(three_object_distances(), sigma=1e-170)
+        assert w.values.tobytes() == np.eye(3).tobytes()
+        assert w.degrees.tobytes() == np.ones(3).tobytes()
 
     def test_underflowing_bandwidth_with_zero_entry_fails(self, monkeypatch):
         # 2 sigma^2 underflows to 0, and a zero entry becomes 0/0; the typed
@@ -698,6 +726,14 @@ class TestDeflationBound:
 
 
 class TestKmeans:
+    @pytest.mark.parametrize("points, shape", [
+        (np.empty((0, 2)), "(0, 2)"), (np.ones(5), "(5,)"), (np.ones((3, 2, 2)), "(3, 2, 2)"),
+    ])
+    def test_rejects_empty_or_not_2d_points(self, points, shape):
+        message = f"^points must be a non-empty 2-d array, got {re.escape(shape)}$"
+        with pytest.raises(InvalidConfig, match=message):
+            kmeans(points, 1, np.random.default_rng(0))
+
     def test_separated_blobs(self, rng):
         a = rng.normal(0.0, 0.1, size=(12, 2))
         b = rng.normal(5.0, 0.1, size=(12, 2)) + np.array([0.0, 5.0])
@@ -1072,29 +1108,48 @@ class TestSpectralCluster:
 
     @pytest.mark.parametrize("n, eigensolver", [(40, "dense"), (600, "subspace")])
     def test_degrees_are_summed_once(self, n, eigensolver, monkeypatch):
-        # the solver, the dense Laplacian and ncut all read w.degrees
-        sums = []
-
-        def counted(w):
-            sums.append(w)
-            return real(w)
-
-        real = spectral._row_sums
-        monkeypatch.setattr(spectral, "_row_sums", counted)
+        # kernelize's pass sums the degrees; the solver, the dense Laplacian
+        # and ncut all read w.degrees, and no later pass sums W's rows again
         groups = generate_benchmark(7, 5, n, 30).groups
         w = kernelize(mean_euclidean_matrix(estimate_gaussians(groups)))
+        # the row blocks' sums are the whole matrix's to the byte, as the
+        # public constructor sums them
+        assert w.degrees.tobytes() == w.values.sum(axis=1).tobytes()
+        assert not w.degrees.flags.writeable
+        again = AdjacencyMatrix(w.values, w.bandwidth_sigma)
+        assert again.degrees.tobytes() == w.degrees.tobytes()
+        assert not again.degrees.flags.writeable
+        passes = []
+
+        def recorded(rows, work, **kwargs):
+            passes.append(work.__qualname__.split(".")[0])
+            return real(rows, work, **kwargs)
+
+        real = spectral.row_blocks
+        monkeypatch.setattr(spectral, "row_blocks", recorded)
         result = spectral_cluster(w, 5, np.random.default_rng(0))
         normalized_laplacian(w)
         assert result.eigensolver == eigensolver
-        assert len(sums) == 1
-        # the row blocks' sums are the whole matrix's to the byte
-        assert w.degrees.tobytes() == w.values.sum(axis=1).tobytes()
-        assert not w.degrees.flags.writeable
-        # the Laplacian takes its degrees from the one sum: with every
-        # degree 4 it is I - W / 4 exactly
-        monkeypatch.setattr(spectral, "_row_sums", lambda w: np.full(w.n, 4.0))
-        lap = normalized_laplacian(AdjacencyMatrix(w.values, w.bandwidth_sigma))
+        # every n x n pass of the run is a product with W or |M|_F^2
+        assert set(passes) <= {"_product", "_frobenius_sq"}
+        assert ("_frobenius_sq" in passes) == (eigensolver == "subspace")
+        # with every degree 4, M is W / 4: the Laplacian is I - W / 4
+        # exactly, the solver's eigenvalues are those of I - W / 4, and
+        # ncut's volumes are 4 |A|
+        four = spectral._trusted(
+            AdjacencyMatrix, values=w.values, bandwidth_sigma=w.bandwidth_sigma,
+            degrees=np.full(n, 4.0),
+        )
+        lap = normalized_laplacian(four)
         assert lap[0, 1] == -w.values[0, 1] / 4.0
+        _, eigenvalues, solver = spectral_embedding(four, 5)
+        assert solver == eigensolver
+        expected = np.linalg.eigvalsh(np.eye(n) - w.values / 4.0)[:5]
+        np.testing.assert_allclose(eigenvalues, expected, rtol=1e-9, atol=1e-9)
+        h = np.eye(5)[result.assignment.labels]
+        cut = ((w.values @ (1.0 - h)) * h).sum(axis=0)
+        expected = 0.5 * float((cut / (4.0 * h.sum(axis=0))).sum())
+        assert ncut(four, result.assignment) == pytest.approx(expected, rel=1e-12)
 
 
 # the kernel threads: the calling one alone, with one more, with two more

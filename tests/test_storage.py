@@ -73,6 +73,12 @@ class TestGroupsCsv:
         back = read_groups_csv(tmp_path / "g.csv")
         np.testing.assert_allclose(back[0].samples.ravel(), [10.0, 20.0])
 
+    def test_empty_file_names_its_path(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_bytes(b"")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: empty file$"):
+            read_groups_csv(path)
+
     def test_bad_header(self, tmp_path):
         (tmp_path / "g.csv").write_text("id,sample_index,x_0\na,0,1\na,1,2\n")
         with pytest.raises(SchemaError):
