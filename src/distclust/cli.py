@@ -19,6 +19,7 @@ from pathlib import Path
 from .errors import DistclustError, InvalidConfig
 from .gaussian import estimate_gaussians
 from .ingest import log_return_transform, read_stock_csv
+from .klcluster import ClusterAssignment
 from .evaluation import nmi
 from .metrics import KNOWN_METRICS, distance_matrix
 from .pipeline import (
@@ -30,7 +31,6 @@ from .pipeline import (
     run_pipeline,
     spectral_metric,
 )
-from .spectral import ClusterAssignment
 from .storage import (
     read_distance_matrix_json,
     read_groups_csv,

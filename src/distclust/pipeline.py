@@ -50,7 +50,7 @@ from .errors import InvalidConfig, _check_non_negative, _prefixed
 from .evaluation import nmi
 from .gaussian import estimate_gaussians
 from .ingest import add_noise
-from .klcluster import SEEDING_KLPP, SEEDING_RANDOM, kl_cluster
+from .klcluster import SEEDING_KLPP, SEEDING_RANDOM, ClusterAssignment, kl_cluster, kmeans
 from .metrics import (
     METRIC_BHATTACHARYYA,
     METRIC_EUCLIDEAN,
@@ -61,7 +61,7 @@ from .metrics import (
     mean_euclidean_matrix,
 )
 from .parallel import claim, kernels_on_one_thread, resolve_threads, run_claimed
-from .spectral import ClusterAssignment, _kernel_scale, kernelize, kmeans, spectral_cluster
+from .spectral import _kernel_scale, kernelize, spectral_cluster
 from .synthgen import check_benchmark_shape, derive_trial_seed, generate_benchmark
 
 ALGO_KMEANS_MEANS = "kmeans_means"

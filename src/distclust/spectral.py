@@ -3,7 +3,7 @@
 The pipeline is the standard symmetric-Laplacian one: Gaussian kernel on the
 stored divergence entries, L_sym = D^{-1/2} (D - W) D^{-1/2}, embedding by
 the eigenvectors of the k smallest eigenvalues with row normalization, then
-k-means on embedding rows.
+k-means on embedding rows (``klcluster.kmeans``).
 
 The kernel ``exp(-x^2 / (2 sigma^2))`` is applied to matrix entries as
 stored; for the squared-Wasserstein metric the entries are already squared
@@ -40,23 +40,6 @@ proves that no eigenvalue of M outside the k found lies above them. Up to
 6 b objects, and when the iteration stalls or the bound refuses, the full
 ``numpy.linalg.eigh`` of the Laplacian runs instead; ``eigensolver`` says
 which one did.
-
-k-means runs all restarts in lockstep, from seeding to scoring. The
-k-means++ draw seeds every restart at once on (restarts, n) arrays: each
-pick takes one uniform from each restart's generator and looks it up in
-that restart's normalized cumulative weights (the inverse CDF), the index
-``Generator.choice`` with those probabilities would return. In Lloyd's
-iteration one batched GEMM scores every restart's centers, and rows that
-its rounding could misorder are scored again in the exact difference form,
-so the labels are those of one restart run alone. Lloyd's iteration and
-KL k-means (``klcluster``) are both Bregman hard clustering and share one
-loop, ``_hard_cluster``, with the convergence test, the ``max_iter`` cap
-and Brent's cycle stop; each caller passes its pass and its checkpoint.
-The within-cluster sums of squares that pick the best restart are scored
-for every restart in one pass, over points sorted by (restart, label).
-Eigenvector signs are left as LAPACK returns them: negating a column
-negates every difference, product and mean exactly, so seeds, labels and
-sums of squares do not change.
 """
 
 import bisect
@@ -65,13 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidBandwidth,
-    InvalidConfig,
-    InvalidMatrix,
-    MetricNotSymmetric,
-    NumericalError,
-)
+from .errors import InvalidBandwidth, InvalidConfig, InvalidMatrix, MetricNotSymmetric
+from .klcluster import ClusterAssignment, kmeans
 from .matrixcore import _BLOCK_ROWS, _trusted, max_asymmetry, mirror_in_place
 from .metrics import DistanceMatrix
 from .parallel import row_blocks
@@ -115,36 +93,6 @@ class AdjacencyMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ClusterAssignment:
-    """Labels in [0, k) for n objects."""
-
-    labels: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=int)
-        if lab.ndim != 1 or lab.size < 1:
-            raise InvalidConfig("labels must be a non-empty 1-d array")
-        if self.k < 1 or lab.size < self.k:
-            raise InvalidConfig(f"k={self.k} invalid for {lab.size} objects")
-        if lab.min() < 0 or lab.max() >= self.k:
-            raise InvalidConfig(f"labels must lie in [0, {self.k})")
-        lab.flags.writeable = False
-        object.__setattr__(self, "labels", lab)
-
-    @property
-    def n(self) -> int:
-        return self.labels.size
-
-
-@dataclass(frozen=True, eq=False)
-class KMeansResult:
-    assignment: ClusterAssignment
-    centers: np.ndarray
-    wcss: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,6 +324,7 @@ _MIN_GAP = 1e-8
 # multiple of n eps (|M|_F^2 + block columns) that the deflation bound adds
 # for the rounding of its inputs
 _BOUND_SLACK = 16
+_EPS = np.finfo(float).eps
 # rows of W squared at a time for |M|_F^2: 32 n floats of scratch per thread
 _SQUARED_ROWS = 32
 
@@ -525,300 +474,6 @@ def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarr
     keep = norms > 0.0
     basis[keep] /= norms[keep, None]
     return basis, eigenvalues, eigensolver
-
-
-def _plus_plus(n: int, k: int, rngs, distances_to, power: int) -> np.ndarray:
-    """The ++ draw of k indices out of n for every generator at once, one
-    row of the returned (R, k) array per generator: the first index is
-    uniform, each later one is drawn with probability proportional to its
-    distance to the nearest index chosen in its row, raised to ``power``.
-    ``distances_to(idx)`` gives, for an (R,) array of indices, every index's
-    distance to each of them as an (R, n) array; the nearest distances are
-    kept as an (R, n) running minimum, updated once per pick.
-
-    Each pick takes one ``random()`` from each row's generator and looks it
-    up in that row's normalized cumulative weights, the first index whose
-    cumulative weight exceeds it. That is the inverse-CDF lookup of
-    ``Generator.choice(n, p=weights / total)``, on the same cumulative sum,
-    so a row draws the index that call would. A row whose unchosen weights
-    are all zero falls back to a uniform draw over its unchosen indices.
-    Weights that overflow to inf, or are nan, raise ``NumericalError``
-    naming the row (restart) and the pick.
-    """
-    r = len(rngs)
-    rows = np.arange(r)
-    chosen = np.empty((r, k), dtype=np.intp)
-    chosen[:, 0] = [rng.integers(n) for rng in rngs]
-    nearest = np.full((r, n), np.inf)
-    for pick in range(1, k):
-        np.minimum(nearest, distances_to(chosen[:, pick - 1]), out=nearest)
-        with np.errstate(over="ignore"):  # an overflow fails the totals check
-            weights = nearest**power
-            weights[rows[:, None], chosen[:, :pick]] = 0.0
-            totals = weights.sum(axis=1)
-        bad = ~np.isfinite(totals)
-        if bad.any():
-            row = int(bad.argmax())
-            raise NumericalError(
-                f"restart {row}, pick {pick}: ++ weights sum to {totals[row]:.6e}"
-            )
-        live = totals > 0.0
-        for row in np.flatnonzero(~live):
-            unchosen = np.setdiff1d(np.arange(n), chosen[row, :pick])
-            chosen[row, pick] = rngs[row].choice(unchosen)
-        cdf = np.cumsum(weights[live] / totals[live, None], axis=1)
-        cdf /= cdf[:, -1:]
-        draws = np.array([rngs[row].random() for row in np.flatnonzero(live)])
-        chosen[live, pick] = np.count_nonzero(cdf <= draws[:, None], axis=1)
-    return chosen
-
-
-def _plus_plus_seed(points: np.ndarray, k: int, rngs) -> np.ndarray:
-    """k-means++ center choice, sampling weighted by squared distance: the
-    (R, k, d) center sets of R restarts, one per generator, drawn in
-    lockstep."""
-
-    def squared_distances_to(idx):
-        diff = points - points[idx][:, None, :]
-        return np.einsum("rnd,rnd->rn", diff, diff)
-
-    return points[_plus_plus(points.shape[0], k, rngs, squared_distances_to, 1)]
-
-
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
-
-
-def _assign(
-    points: np.ndarray, minus_2xt: np.ndarray, sq_points: np.ndarray, centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-center labels (R, n) for R stacked (k, d) center sets, and
-    each set's summed squared distance of the points to their nearest
-    center. ``minus_2xt`` is -2 X^T and ``sq_points`` every |x|^2.
-
-    The distances come from one batched GEMM, |c|^2 + |x|^2 - 2 C X^T.
-    That form and the exact one, sum((x - c)^2), are each within
-    (2d + 4) u S of the true distance, with u = eps / 2 and
-    S = |x|^2 + max |c|^2, so a row with only its best GEMM distance within
-    16 (d + 3) eps S of that best has the same unique exact argmin, the
-    one center inside the bound. Every other row, exact ties included, is
-    scored again in the exact form, so the labels and their first-index
-    tie-breaking are those of that form. The tiny term covers underflow; a
-    non-finite S sends the row to the exact form too.
-    """
-    _, k, d = centers.shape
-    sq_centers = np.einsum("rkd,rkd->rk", centers, centers)
-    table = centers @ minus_2xt
-    table += sq_centers[:, :, None]
-    table += sq_points
-    best = table.min(axis=1)
-    limit = (16 * (d + 3) * _EPS) * (sq_points + sq_centers.max(axis=1)[:, None]) + _TINY
-    limit += best
-    inside = table <= limit[:, None, :]
-    labels = np.einsum("rkn,k->rn", inside, np.arange(k))  # the one center inside
-    uncertain = (np.add.reduce(inside, axis=1, dtype=np.intp) != 1) | (limit == np.inf)
-    if uncertain.any():
-        rows, cols = np.nonzero(uncertain)
-        diff = points[cols, None, :] - centers[rows]
-        exact = np.einsum("ijk,ijk->ij", diff, diff)
-        labels[rows, cols] = exact.argmin(axis=1)
-        best[rows, cols] = exact.min(axis=1)
-    return labels, best.sum(axis=1)
-
-
-def _repair_empty(labels: np.ndarray, k: int, own_cost) -> np.ndarray:
-    """Move the point of largest cost into each empty cluster, stealing only
-    from clusters that keep at least one member. ``own_cost(labels)`` gives
-    every point's cost under its label in ``labels``; it is asked again after
-    each move. Lloyd's and KL k-means share this repair."""
-    labels = labels.copy()
-    for empty in range(k):
-        counts = np.bincount(labels, minlength=k)
-        if counts[empty] > 0:
-            continue
-        own = np.where(counts[labels] < 2, -np.inf, own_cost(labels))
-        donor = int(own.argmax())
-        if not np.isfinite(own[donor]):
-            break
-        labels[donor] = empty
-    return labels
-
-
-def _cluster_means(values: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """The means (R, k, ...) of ``values`` (n, ...) over each cluster of
-    every label row (R, n), 0 for an empty cluster.
-
-    They are ``np.mean``'s: over more than one column it adds a cluster's
-    rows in index order, as ``np.bincount`` does over label-plus-row offsets
-    (one block of offsets per column), and divides by the count. A single
-    column it sums pairwise, so there each cluster is summed as it does.
-    """
-    r, n = labels.shape
-    flat = values.reshape(n, -1)
-    f = flat.shape[1]
-    cells = (labels + k * np.arange(r)[:, None]).ravel()
-    counts = np.bincount(cells, minlength=r * k)
-    if f == 1:
-        sums = np.array([[flat[lab == j].sum() for j in range(k)] for lab in labels])
-    else:
-        offsets = (cells + r * k * np.arange(f)[:, None]).ravel()
-        weights = np.broadcast_to(flat.T[:, None, :], (f, r, n)).ravel()
-        sums = np.bincount(offsets, weights=weights, minlength=f * r * k).reshape(f, r * k).T
-    means = sums.reshape(r * k, f) / np.maximum(counts, 1)[:, None]
-    return means.reshape(r, k, *values.shape[1:])
-
-
-def _sq_dist_to_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Each point's squared distance to the mean of its cluster."""
-    diff = points - _cluster_means(points, labels[None], k)[0, labels]
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def wcss(points: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Within-cluster sum of squared distances to cluster means."""
-    total = 0.0
-    for j in range(k):
-        members = points[labels == j]
-        if members.shape[0] > 0:
-            total += float(((members - members.mean(axis=0)) ** 2).sum())
-    return total
-
-
-def _restart_wcss(points: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``wcss`` of every restart's labels (R, n), scored about its centers
-    (R, k, d), the means of those labels, in one pass.
-
-    The points are ordered by (restart, label) with a stable sort, so each
-    cluster's squared deviations form one contiguous block, its members in
-    index order. ``.sum()`` over a block is the pairwise sum ``wcss`` takes
-    over the cluster's (members, d) array, and the cluster sums are added in
-    label order from 0.0, so every score equals ``wcss`` to the byte.
-    """
-    r, n = labels.shape
-    k = centers.shape[1]
-    cells = (labels + k * np.arange(r)[:, None]).ravel()
-    order = np.argsort(cells, kind="stable")
-    sq = points[order % n] - centers.reshape(r * k, -1)[cells[order]]
-    sq = np.square(sq, out=sq).ravel()
-    ends = np.cumsum(np.bincount(cells, minlength=r * k)) * points.shape[1]
-    sums = [sq[s:e].sum() for s, e in zip([0, *ends[:-1].tolist()], ends.tolist())]
-    return np.cumsum(np.reshape(sums, (r, k)), axis=1)[:, -1]
-
-
-def _update_step(
-    points: np.ndarray, labels: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Repair the label rows (R, n) that leave a cluster empty, in place,
-    then return them with their (R, k, d) cluster means."""
-    r = len(labels)
-    counts = np.bincount((labels + k * np.arange(r)[:, None]).ravel(), minlength=r * k)
-    for row in np.flatnonzero(counts.reshape(r, k).min(axis=1) == 0):
-        labels[row] = _repair_empty(labels[row], k, lambda lab: _sq_dist_to_means(points, lab, k))
-    return labels, _cluster_means(points, labels, k)
-
-
-def _hard_cluster(labels: np.ndarray, step, state, max_iter: int) -> tuple[np.ndarray, list]:
-    """Bregman hard clustering (Banerjee, Merugu, Dhillon & Ghosh 2005) of R
-    runs in lockstep from their label rows (R, n), updated in place: whether
-    each run converged, and its cost after every pass it ran.
-
-    ``step(rows)`` runs a pass of the runs ``rows``: it repairs their labels
-    in place, updates their centers and returns their new labels and costs.
-    A run converges when a pass leaves its labels unchanged, and ends after
-    ``max_iter`` passes otherwise. ``state(rows)`` copies each run's row of
-    what its next pass reads, so once that equals the state of p passes
-    earlier the run repeats with period p, as when k exceeds the number of
-    distinct points and each assignment undoes the last repair. It then
-    stops at the first pass congruent to ``max_iter`` modulo p, which ends
-    as pass ``max_iter`` would. Brent's method finds the repeat: the state
-    is compared with a checkpoint that moves to the current pass each
-    time the passes since it reach a power of two, so a cycle shows within
-    about twice its start plus its period.
-    """
-    runs = len(labels)
-    history = [[] for _ in range(runs)]
-    converged = np.zeros(runs, dtype=bool)
-    active = np.arange(runs)
-    last = np.full(runs, max_iter)  # the pass each run ends after
-    mark, mark_pass, span = state(active), np.zeros_like(last), np.ones_like(last)
-    for passes in range(1, max_iter + 1):
-        new_labels, cost = step(active)
-        for row, c in zip(active, cost.tolist()):
-            history[row].append(c)
-        moved = (new_labels != labels[active]).any(axis=1)
-        converged[active[~moved]] = True
-        labels[active[moved]] = new_labels[moved]
-        active = active[moved]
-        now = state(active)
-        repeat = active[(now == mark[active]).all(axis=1)]
-        period = passes - mark_pass[repeat]
-        last[repeat] = np.minimum(last[repeat], passes + (max_iter - passes) % period)
-        moving = passes - mark_pass[active] == span[active]
-        move = active[moving]
-        mark[move], mark_pass[move], span[move] = now[moving], passes, 2 * span[move]
-        active = active[last[active] != passes]
-        if not active.size:
-            break
-    return converged, history
-
-
-def _lloyd(
-    points: np.ndarray, k: int, rngs: list[np.random.Generator], max_iter: int
-) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
-    """Lloyd's iteration for one restart per generator, in lockstep through
-    ``_hard_cluster``: labels (R, n), centers (R, k, d), and each restart's
-    cost after every assignment, from the GEMM distances. Lloyd's iteration
-    never raises that cost (up to their rounding); a repair lowers it too.
-    A pass's labels are a function of the labels before it (repair, means,
-    assignment), so they are the checkpoint. A restart that did not
-    converge takes one last update, so every restart ends as it would alone.
-    """
-    minus_2xt = -2.0 * points.T
-    sq_points = np.einsum("ij,ij->i", points, points)
-    centers = _plus_plus_seed(points, k, rngs)
-    labels, cost = _assign(points, minus_2xt, sq_points, centers)
-
-    def step(rows):
-        labels[rows], centers[rows] = _update_step(points, labels[rows], k)
-        return _assign(points, minus_2xt, sq_points, centers[rows])
-
-    converged, history = _hard_cluster(labels, step, lambda rows: labels[rows], max_iter)
-    ended = np.flatnonzero(~converged)
-    if ended.size:
-        labels[ended], centers[ended] = _update_step(points, labels[ended], k)
-    return labels, centers, [[c, *costs] for c, costs in zip(cost.tolist(), history)]
-
-
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    restarts: int = 10,
-    max_iter: int = 300,
-) -> KMeansResult:
-    """k-means with k-means++ seeding and multiple restarts.
-
-    The best restart is the one with the lowest within-cluster sum of
-    squares of its final labels, scored for all restarts in one pass; ties
-    keep the earliest restart. Restarts use generators derived from a single
-    base seed drawn from ``rng``, so results depend only on the incoming
-    generator state.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise InvalidConfig(f"points must be a non-empty 2-d array, got {pts.shape}")
-    if k < 1 or k > pts.shape[0]:
-        raise InvalidConfig(f"k={k} invalid for {pts.shape[0]} points")
-    if restarts < 1 or max_iter < 1:
-        raise InvalidConfig("restarts and max_iter must be positive")
-    seed_base = int(rng.integers(0, 2**63))
-    subs = [np.random.default_rng(seed_base + r) for r in range(restarts)]
-    labels, centers, _ = _lloyd(pts, k, subs, max_iter)
-    scores = _restart_wcss(pts, labels, centers).tolist()
-    best = min(range(restarts), key=scores.__getitem__)  # the earliest of ties
-    return KMeansResult(
-        ClusterAssignment(labels[best].copy(), k), centers[best].copy(), scores[best]
-    )
 
 
 def ncut(w: AdjacencyMatrix, assignment: ClusterAssignment) -> float:

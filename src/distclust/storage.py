@@ -32,9 +32,9 @@ from .errors import (
     DistclustError, InsufficientSamples, InvalidConfig, RowError, SchemaError, _decoding, _prefixed
 )
 from .gaussian import GaussianModel, SampleGroup
+from .klcluster import ClusterAssignment
 from .matrixcore import SymMatrix, _trusted
 from .metrics import DistanceMatrix
-from .spectral import ClusterAssignment
 
 _GROUP_HEADER_FIRST = ("object_id", "sample_index")
 

@@ -187,9 +187,8 @@ def test_unridged_kl_centers_minimize_their_members_divergence():
             d = int(rng.integers(1, 8))
             models = [model(d, cond, rng) for _ in range(8)]
             result = kl_cluster(models, 2, rng, eps_scale=0.0)
-            for j, center in enumerate(result.centers):
+            for j, (a, c) in enumerate(zip(*result.centers)):
                 members = [models[i] for i in np.flatnonzero(result.assignment.labels == j)]
-                a, c = center.mean, center.covariance.values
                 scale = float(np.trace(c)) / d
 
                 def summed(mean, cov):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from distclust import parallel, pipeline, spectral
+from distclust import klcluster, parallel, pipeline, spectral
 from distclust.errors import (
     InvalidBandwidth,
     InvalidConfig,
@@ -27,20 +27,19 @@ from distclust.metrics import (
     distance_matrix,
     mean_euclidean_matrix,
 )
+from distclust.klcluster import ClusterAssignment, kmeans, wcss
+from distclust.klcluster import _lloyd, _repair_empty, _sq_dist_to_means
 from distclust.pipeline import PipelineConfig, run_pipeline
 from distclust.spectral import (
     AdjacencyMatrix,
-    ClusterAssignment,
     kernelize,
-    kmeans,
     median_bandwidth,
     ncut,
     normalized_laplacian,
     spectral_cluster,
     spectral_embedding,
-    wcss,
 )
-from distclust.spectral import _lloyd, _repair_empty, _sq_dist_to_means, _subspace_bottom
+from distclust.spectral import _subspace_bottom
 from distclust.synthgen import generate_benchmark
 
 
@@ -903,9 +902,9 @@ class TestLloydParity:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_reference(self, kind, d, monkeypatch):
         repairs = []
-        repair = spectral._repair_empty
+        repair = klcluster._repair_empty
         monkeypatch.setattr(
-            spectral, "_repair_empty", lambda *args: repairs.append(1) or repair(*args)
+            klcluster, "_repair_empty", lambda *args: repairs.append(1) or repair(*args)
         )
         case_rng = np.random.default_rng([self.KINDS.index(kind), d])
         for _ in range(2):
@@ -954,16 +953,16 @@ class TestLloydParity:
         # it was computed from, and the assignment maps it to the next label
         step = {-1: 0, 0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 3}
         monkeypatch.setattr(
-            spectral, "_plus_plus_seed",
+            klcluster, "_plus_plus_seed",
             lambda points, k, rngs: np.full((len(rngs), k, 1), -1.0),
         )
         monkeypatch.setattr(
-            spectral,
-            "_update_step",
-            lambda points, labels, k: (labels, np.repeat(labels[:, None, :1], k, axis=1) * 1.0),
+            klcluster,
+            "_cluster_means",
+            lambda points, labels, k: np.repeat(labels[:, None, :1], k, axis=1) * 1.0,
         )
         monkeypatch.setattr(
-            spectral,
+            klcluster,
             "_assign",
             lambda points, m, sq, centers: (
                 np.array([[step[int(c)]] for c in centers[:, 0, 0]]),
@@ -1000,7 +999,7 @@ class TestLloydParity:
         for d in (1, 3):
             points = np.round(rng.standard_normal((50, d)), 1)
             for k in (1, 4, 50):
-                a = spectral._plus_plus_seed(points, k, [np.random.default_rng(k)])[0]
+                a = klcluster._plus_plus_seed(points, k, [np.random.default_rng(k)])[0]
                 b = reference_plus_plus_seed(points, k, np.random.default_rng(k))
                 assert a.tobytes() == b.tobytes()
 
@@ -1022,7 +1021,7 @@ class TestLloydParity:
         for points, k in problems:
             for _ in range(5):
                 seeds = case_rng.integers(2**32, size=10).tolist()
-                got = spectral._plus_plus_seed(
+                got = klcluster._plus_plus_seed(
                     points, k, [np.random.default_rng(seed) for seed in seeds]
                 )
                 for row, seed in enumerate(seeds):
@@ -1041,7 +1040,7 @@ class TestLloydParity:
         centers = np.array([[[a - 2.0, 0.0], [a + 2.0, 0.0]]])
         points = np.vstack([[a, 0.0], rng.standard_normal((20, 2)) + [a, 0.0]])
         sq_points = np.einsum("ij,ij->i", points, points)
-        labels, _ = spectral._assign(points, -2.0 * points.T, sq_points, centers)
+        labels, _ = klcluster._assign(points, -2.0 * points.T, sq_points, centers)
         expected = reference_assign(points, centers[0])
         assert labels[0, 0] == 0
         assert labels[0].tobytes() == expected.tobytes()
