@@ -7,30 +7,10 @@ score exactly symmetric in its arguments regardless of summation order.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
-
-
-@dataclass(frozen=True, eq=False)
-class Contingency:
-    """Joint count table of two labelings over the same n objects."""
-
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=int)
-        if c.ndim != 2 or c.size < 1:
-            raise InvalidConfig("contingency counts must be a 2-d array")
-        if c.min() < 0:
-            raise InvalidConfig("contingency counts must be non-negative")
-        if int(c.sum()) != self.n or self.n < 1:
-            raise InvalidConfig(f"counts sum to {int(c.sum())}, expected n={self.n}")
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
 
 
 def _as_labels(x, name: str) -> np.ndarray:
@@ -40,7 +20,7 @@ def _as_labels(x, name: str) -> np.ndarray:
     return arr
 
 
-def contingency(a, b) -> Contingency:
+def _contingency(a, b) -> np.ndarray:
     """Joint count table over the distinct labels of each side."""
     a = _as_labels(a, "a")
     b = _as_labels(b, "b")
@@ -50,24 +30,23 @@ def contingency(a, b) -> Contingency:
     _, ib = np.unique(b, return_inverse=True)
     counts = np.zeros((ia.max() + 1, ib.max() + 1), dtype=int)
     np.add.at(counts, (ia, ib), 1)
-    return Contingency(counts, a.size)
+    return counts
 
 
-def entropy_from_counts(counts: np.ndarray, n: int) -> float:
-    """Shannon entropy (nats) of empirical frequencies counts / n."""
-    return -math.fsum(
-        (c / n) * math.log(c / n) for c in np.asarray(counts).ravel() if c > 0
-    )
+def _entropy(counts: np.ndarray) -> float:
+    """Shannon entropy (nats) of the empirical frequencies of ``counts``."""
+    n = int(counts.sum())
+    return -math.fsum((c / n) * math.log(c / n) for c in counts.ravel() if c > 0)
 
 
-def mutual_information(table: Contingency) -> float:
+def _mutual_information(counts: np.ndarray) -> float:
     """I(a; b) in nats from the joint count table, clamped below at zero."""
-    n = table.n
-    rows = table.counts.sum(axis=1)
-    cols = table.counts.sum(axis=0)
+    n = int(counts.sum())
+    rows = counts.sum(axis=1)
+    cols = counts.sum(axis=0)
     value = math.fsum(
         (c / n) * math.log(n * c / (rows[i] * cols[j]))
-        for (i, j), c in np.ndenumerate(table.counts)
+        for (i, j), c in np.ndenumerate(counts)
         if c > 0
     )
     return max(value, 0.0)
@@ -79,10 +58,8 @@ def nmi(a, b) -> float:
     Two constant labelings carry zero entropy but agree perfectly, so the
     0/0 case is defined as 1.0.
     """
-    table = contingency(a, b)
-    h_a = entropy_from_counts(table.counts.sum(axis=1), table.n)
-    h_b = entropy_from_counts(table.counts.sum(axis=0), table.n)
-    denom = h_a + h_b
+    counts = _contingency(a, b)
+    denom = _entropy(counts.sum(axis=1)) + _entropy(counts.sum(axis=0))
     if denom == 0.0:
         return 1.0
-    return max(2.0 * mutual_information(table) / denom, 0.0)
+    return max(2.0 * _mutual_information(counts) / denom, 0.0)

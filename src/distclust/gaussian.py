@@ -71,6 +71,10 @@ class GaussianModel:
             raise DimensionMismatch(f"mean must be a 1-d vector, got ndim={mu.ndim}")
         if not np.all(np.isfinite(mu)):
             raise InvalidMatrix("mean entries must be finite")
+        if not isinstance(self.covariance, SymMatrix):
+            raise InvalidMatrix(
+                f"covariance must be a SymMatrix, got {type(self.covariance).__name__}"
+            )
         if mu.size != self.covariance.dim:
             raise DimensionMismatch(
                 f"mean dimension {mu.size} does not match covariance "

@@ -35,10 +35,10 @@ Seeding is ``random`` (k distinct models drawn uniformly) or ``klpp``, the
 ++ draw as a batch of one, weighted by each model's KL divergence to its
 nearest chosen center (optionally squared). A run is a batch of one on
 stacked arrays: ``kl_factors`` stacks and factors the models once, and the
-centers are a (k, d) mean array and a (k, d, d) covariance array, returned
-read-only. The checkpoint is the labels and the centers, since the repair,
-with each model's KL divergence to its own center as its cost, reads the
-last table.
+centers are a (k, d) mean array and a (k, d, d) covariance array, which
+``center_update`` rebuilds from the returned labels. The checkpoint is the
+labels and the centers, since the repair, with each model's KL divergence
+to its own center as its cost, reads the last table.
 """
 
 from dataclasses import dataclass
@@ -67,15 +67,18 @@ def _check_k(k: int, n: int, items: str, max_iter: int = 1) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ClusterAssignment:
-    """Labels in [0, k) for n objects."""
+    """Integer labels in [0, k) for n objects."""
 
     labels: np.ndarray
     k: int
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=int)
+        lab = np.asarray(self.labels)
         if lab.ndim != 1 or lab.size < 1:
             raise InvalidConfig("labels must be a non-empty 1-d array")
+        if not np.issubdtype(lab.dtype, np.integer):
+            raise InvalidConfig(f"labels must be integers, got dtype {lab.dtype}")
+        lab = np.asarray(lab, dtype=int)
         _check_k(self.k, lab.size, "objects")
         if lab.min() < 0 or lab.max() >= self.k:
             raise InvalidConfig(f"labels must lie in [0, {self.k})")
@@ -88,16 +91,8 @@ class ClusterAssignment:
 
 
 @dataclass(frozen=True, eq=False)
-class KMeansResult:
-    assignment: ClusterAssignment
-    centers: np.ndarray
-    wcss: float
-
-
-@dataclass(frozen=True, eq=False)
 class KlClusterResult:
     assignment: ClusterAssignment
-    centers: tuple[np.ndarray, np.ndarray]  # read-only means (k, d), covariances (k, d, d)
     iterations: int
     converged: bool
     objective_history: tuple[float, ...]
@@ -384,8 +379,11 @@ def kmeans(
     rng: np.random.Generator,
     restarts: int = 10,
     max_iter: int = 300,
-) -> KMeansResult:
-    """k-means with k-means++ seeding and multiple restarts.
+) -> tuple[ClusterAssignment, dict]:
+    """k-means with k-means++ seeding and multiple restarts: the labels of
+    the best restart, and ``{"wcss": ...}``, their within-cluster sum of
+    squares. The restart's centers are the means of its clusters,
+    ``_cluster_means(points, labels[None], k)[0]``.
 
     The best restart is the one with the lowest within-cluster sum of
     squares of its final labels, scored for all restarts in one pass; ties
@@ -404,9 +402,7 @@ def kmeans(
     labels, centers, _ = _lloyd(pts, k, subs, max_iter)
     scores = _restart_wcss(pts, labels, centers).tolist()
     best = min(range(restarts), key=scores.__getitem__)  # the earliest of ties
-    return KMeansResult(
-        ClusterAssignment(labels[best].copy(), k), centers[best].copy(), scores[best]
-    )
+    return ClusterAssignment(labels[best].copy(), k), {"wcss": scores[best]}
 
 
 def center_update(
@@ -471,7 +467,8 @@ def kl_cluster(
     a Lloyd's restart does (see ``_hard_cluster``). ``iterations``,
     ``objective_history`` and ``repair_iterations`` cover the passes run.
     Centers take the ridge of ``eps_scale``, the models' fit setting; 0
-    leaves them unridged.
+    leaves them unridged. They are ``center_update(kl_factors(models),
+    labels, k, eps_scale)`` of the returned labels.
     """
     n = len(models)
     _check_k(k, n, "models", max_iter)
@@ -505,10 +502,8 @@ def kl_cluster(
     converged, (history,), (repairs,) = _hard_cluster(
         labels, k, lambda lab: table[objects, lab], update, assign, state, max_iter
     )
-    means.flags.writeable = covs.flags.writeable = False
     return KlClusterResult(
         assignment=ClusterAssignment(labels[0], k),
-        centers=(means, covs),
         iterations=len(history),
         converged=bool(converged[0]),
         objective_history=tuple(history),

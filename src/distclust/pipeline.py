@@ -166,14 +166,13 @@ def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
 
     rng = np.random.default_rng(config.seed)
     if config.algorithm == ALGO_KMEANS_MEANS:
-        result = kmeans(
+        assignment, diagnostics = kmeans(
             _means(models),
             config.k,
             rng,
             restarts=config.restarts,
             max_iter=config.max_iter or 300,
         )
-        diagnostics = {"wcss": result.wcss}
     else:
         seeding = SEEDING_KLPP if config.algorithm == ALGO_KLPP else SEEDING_RANDOM
         result = kl_cluster(
@@ -185,15 +184,14 @@ def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
             klpp_squared=config.klpp_squared,
             eps_scale=config.eps_scale,
         )
+        assignment = result.assignment
         diagnostics = {
             "iterations": result.iterations,
             "converged": result.converged,
             "objective": result.objective_history[-1],
             "repairs": len(result.repair_iterations),
         }
-    return PipelineResult(
-        result.assignment, config.algorithm, diagnostics, _config_warnings(config)
-    )
+    return PipelineResult(assignment, config.algorithm, diagnostics, _config_warnings(config))
 
 
 def _spectral_input(models, metric: str) -> DistanceMatrix:
@@ -234,21 +232,15 @@ def cluster_matrix(dm: DistanceMatrix, config: PipelineConfig) -> PipelineResult
     # dead weight; dropping it takes one n x n array off the peak of the
     # eigensolve
     del dm
-    result = spectral_cluster(
+    assignment, diagnostics = spectral_cluster(
         adjacency,
         config.k,
         np.random.default_rng(config.seed),
         restarts=config.restarts,
         max_iter=config.max_iter or 300,
     )
-    diagnostics = {
-        "metric": expected,
-        "bandwidth_sigma": result.bandwidth_sigma,
-        "ncut": result.ncut,
-        "eigensolver": result.eigensolver,
-    }
     return PipelineResult(
-        result.assignment, config.algorithm, diagnostics, _config_warnings(config)
+        assignment, config.algorithm, {"metric": expected, **diagnostics}, _config_warnings(config)
     )
 
 

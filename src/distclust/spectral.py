@@ -95,14 +95,6 @@ class AdjacencyMatrix:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralResult:
-    assignment: ClusterAssignment
-    ncut: float
-    bandwidth_sigma: float
-    eigensolver: str  # "subspace" or "dense", as in spectral_embedding
-
-
 # The median's bracket: the ranks _BRACKET_WIDTH sqrt(m) either side of the
 # middle of the m positive entries among _SAMPLE_PAIRS drawn from a fixed
 # seed, six standard deviations of the median's rank in that sample. A
@@ -503,13 +495,15 @@ def spectral_cluster(
     rng: np.random.Generator,
     restarts: int = 10,
     max_iter: int = 300,
-) -> SpectralResult:
-    """Cluster graph nodes by k-means on the normalized spectral embedding."""
+) -> tuple[ClusterAssignment, dict]:
+    """Cluster graph nodes by k-means on the normalized spectral embedding:
+    the labels, and ``{"bandwidth_sigma", "ncut", "eigensolver"}``, the
+    kernel's bandwidth, the labels' normalized cut and the solver that
+    found the embedding (``"subspace"`` or ``"dense"``)."""
     basis, _, eigensolver = spectral_embedding(w, k)
-    result = kmeans(basis, k, rng, restarts=restarts, max_iter=max_iter)
-    return SpectralResult(
-        assignment=result.assignment,
-        ncut=ncut(w, result.assignment),
-        bandwidth_sigma=w.bandwidth_sigma,
-        eigensolver=eigensolver,
-    )
+    assignment, _ = kmeans(basis, k, rng, restarts=restarts, max_iter=max_iter)
+    return assignment, {
+        "bandwidth_sigma": w.bandwidth_sigma,
+        "ncut": ncut(w, assignment),
+        "eigensolver": eigensolver,
+    }

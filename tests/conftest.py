@@ -3,6 +3,7 @@ import pytest
 
 from distclust.gaussian import GaussianModel
 from distclust.matrixcore import SymMatrix
+from distclust.spectral import AdjacencyMatrix
 
 
 def random_spd(d: int, rng, ridge: float = 0.5) -> np.ndarray:
@@ -14,6 +15,14 @@ def random_model(d: int, rng, spread: float = 1.0, ridge: float = 0.5) -> Gaussi
     return GaussianModel(
         spread * rng.standard_normal(d), SymMatrix(random_spd(d, rng, ridge))
     )
+
+
+def two_block_adjacency(n_a: int = 5, n_b: int = 5, cross: float = 1e-12) -> AdjacencyMatrix:
+    n = n_a + n_b
+    w = np.full((n, n), cross)
+    w[:n_a, :n_a] = 1.0
+    w[n_a:, n_a:] = 1.0
+    return AdjacencyMatrix(w, 1.0)
 
 
 def log_density(model: GaussianModel, points) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import log_density, random_model
-from distclust.evaluation import contingency, entropy_from_counts, mutual_information, nmi
+from distclust.evaluation import _contingency, _entropy, _mutual_information, nmi
 from distclust.gaussian import GaussianModel, _draw_groups
 from distclust.ingest import read_stock_csv
 from distclust.metrics import kl_divergence, wasserstein_sq
@@ -202,10 +202,9 @@ def test_criterion_6_nmi_matches_independent_reference():
         hb = -math.fsum((c / n) * math.log(c / n) for c in cb.values())
         reference = 1.0 if ha + hb == 0.0 else max(2.0 * info / (ha + hb), 0.0)
         worst = max(worst, abs(nmi(a, b) - reference))
-        table = contingency(a, b)
-        h_a = entropy_from_counts(table.counts.sum(axis=1), table.n)
-        h_b = entropy_from_counts(table.counts.sum(axis=0), table.n)
-        if mutual_information(table) > min(h_a, h_b) + 1e-12:
+        counts = _contingency(a, b)
+        h_a, h_b = _entropy(counts.sum(axis=1)), _entropy(counts.sum(axis=0))
+        if _mutual_information(counts) > min(h_a, h_b) + 1e-12:
             bound_ok = False
     ok = worst <= 1e-12 and bound_ok
     _report(
@@ -224,8 +223,8 @@ def test_criterion_7_spectral_recovers_planted_blocks():
     adjacency = AdjacencyMatrix(w, 1.0)
     block_ok = True
     for seed in range(20):
-        result = spectral_cluster(adjacency, 2, np.random.default_rng(seed))
-        if nmi(truth, result.assignment.labels) != 1.0:
+        assignment, _ = spectral_cluster(adjacency, 2, np.random.default_rng(seed))
+        if nmi(truth, assignment.labels) != 1.0:
             block_ok = False
 
     rng = np.random.default_rng(71)

@@ -76,6 +76,10 @@ class TestGaussianModel:
         with pytest.raises(DimensionMismatch):
             GaussianModel(np.zeros((2, 2)), SymMatrix(np.eye(2)))
 
+    def test_rejects_array_covariance(self):
+        with pytest.raises(InvalidMatrix, match="^covariance must be a SymMatrix, got ndarray$"):
+            GaussianModel(np.zeros(2), np.eye(2))
+
 
 class TestEstimateGaussian:
     def test_corner_points(self):

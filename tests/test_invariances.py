@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from distclust.gaussian import GaussianModel
-from distclust.klcluster import kl_cluster
+from distclust.klcluster import center_update, kl_cluster
 from distclust.matrixcore import SymMatrix
-from distclust.metrics import bhattacharyya, kl_divergence, wasserstein_sq
+from distclust.metrics import bhattacharyya, kl_divergence, kl_factors, wasserstein_sq
 
 CONDITIONS = (1.0, 1e3, 1e6, 1e9, 1e12)
 SAMPLES = 25
@@ -178,7 +178,7 @@ def test_unridged_kl_centers_minimize_their_members_divergence():
     # for a fixed assignment, sum_i KL(model_i || N(a, C)) is strictly convex
     # in (a, C^-1), minimized by the moment match (Banerjee, Merugu, Dhillon &
     # Ghosh, JMLR 2005; Davis & Dhillon, NIPS 2006). With eps_scale = 0 no
-    # perturbation of a returned center lowers its members' sum: a shifted
+    # perturbation of a run's center lowers its members' sum: a shifted
     # mean, a congruence E C E with E = exp(delta * sym), which keeps C SPD
     # while it shrinks, grows and rotates it, or a PSD rank-one addition
     rng = np.random.default_rng(22)
@@ -186,9 +186,10 @@ def test_unridged_kl_centers_minimize_their_members_divergence():
         for _ in range(4):
             d = int(rng.integers(1, 8))
             models = [model(d, cond, rng) for _ in range(8)]
-            result = kl_cluster(models, 2, rng, eps_scale=0.0)
-            for j, (a, c) in enumerate(zip(*result.centers)):
-                members = [models[i] for i in np.flatnonzero(result.assignment.labels == j)]
+            labels = kl_cluster(models, 2, rng, eps_scale=0.0).assignment.labels
+            centers = center_update(kl_factors(models), labels, 2, eps_scale=0.0)
+            for j, (a, c) in enumerate(zip(*centers)):
+                members = [models[i] for i in np.flatnonzero(labels == j)]
                 scale = float(np.trace(c)) / d
 
                 def summed(mean, cov):

@@ -1,21 +1,30 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import random_model, two_block_adjacency
+from distclust import klcluster
 from distclust.errors import EmptyCluster, InvalidConfig, NumericalError
 from distclust.gaussian import GaussianModel, SampleGroup, estimate_gaussians
 from distclust.klcluster import (
     SEEDING_KLPP,
     SEEDING_RANDOM,
+    ClusterAssignment,
+    _cluster_means,
+    _lloyd,
     _repair_empty,
+    _sq_dist_to_means,
     center_update,
     kl_cluster,
     klpp_seed,
+    kmeans,
+    wcss,
 )
 from distclust.matrixcore import SymMatrix
 from distclust.metrics import kl_divergence, kl_divergence_table, kl_factors
+from distclust.spectral import spectral_embedding
 
 
 def model(mean, cov) -> GaussianModel:
@@ -35,6 +44,17 @@ def two_blobs(rng, per_side: int = 6, gap: float = 8.0):
         for _ in range(per_side)
     ]
     return left + right
+
+
+def kl_centers(models, result, eps_scale=1e-8):
+    """A KL k-means run's centers, rebuilt from its labels."""
+    assignment = result.assignment
+    return center_update(kl_factors(models), assignment.labels, assignment.k, eps_scale)
+
+
+def lloyd_centers(points, assignment):
+    """A Lloyd's k-means run's centers, the means of its clusters."""
+    return _cluster_means(points, assignment.labels[None], assignment.k)[0]
 
 
 def member_list_center(members, eps_scale):
@@ -71,7 +91,8 @@ class TestCenterUpdate:
         models = [random_model(3, rng, spread=4.0) for _ in range(15)]
         for eps_scale in (0.0, 1e-8):
             result = kl_cluster(models, 3, np.random.default_rng(1), eps_scale=eps_scale)
-            for j, center_cov in enumerate(result.centers[1]):
+            _, covs = kl_centers(models, result, eps_scale)
+            for j, center_cov in enumerate(covs):
                 members = [models[i] for i in np.flatnonzero(result.assignment.labels == j)]
                 cov = member_list_center(members, eps_scale)[1]
                 assert center_cov.tobytes() == cov.tobytes(), (eps_scale, j)
@@ -326,9 +347,9 @@ class TestKlCluster:
                 )
                 assert len(history) == max_iter and not result.converged
                 assert result.assignment.labels.tobytes() == labels.tobytes()
-                assert result.centers[0].tobytes() == means.tobytes()
-                assert result.centers[1].tobytes() == covs.tobytes()
-                assert not any(center.flags.writeable for center in result.centers)
+                centers = kl_centers(models, result)
+                assert centers[0].tobytes() == means.tobytes()
+                assert centers[1].tobytes() == covs.tobytes()
                 assert result.objective_history[-1] == history[-1]
                 assert result.objective_history == tuple(history[: result.iterations])
                 assert result.repair_iterations == tuple(
@@ -381,3 +402,357 @@ class TestRepairEmpty:
         repaired = _repair_empty(labels, 4, lambda lab: table[np.arange(4), lab])
         counts = np.bincount(repaired, minlength=4)
         assert counts.min() == 1 and counts.max() == 1
+
+
+class TestClusterAssignment:
+    def test_basic(self):
+        a = ClusterAssignment(np.array([0, 1, 1]), 2)
+        assert a.n == 3 and a.k == 2
+
+    def test_label_range(self):
+        with pytest.raises(InvalidConfig):
+            ClusterAssignment(np.array([0, 2]), 2)
+        with pytest.raises(InvalidConfig):
+            ClusterAssignment(np.array([-1, 0]), 2)
+
+    def test_k_bounds(self):
+        with pytest.raises(InvalidConfig):
+            ClusterAssignment(np.array([0]), 2)
+
+    @pytest.mark.parametrize("labels, dtype", [
+        (np.array([0.7, 1.2]), "float64"), (np.array([0.0, 1.0]), "float64"),
+        (np.array([False, True]), "bool"),
+    ])
+    def test_rejects_labels_that_are_not_integers(self, labels, dtype):
+        # casting would truncate 0.7 to 0 and read a bool as 0 or 1
+        with pytest.raises(InvalidConfig, match=f"^labels must be integers, got dtype {dtype}$"):
+            ClusterAssignment(labels, 2)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_any_integer_dtype_is_kept_as_int(self, dtype):
+        a = ClusterAssignment(np.array([0, 1, 1], dtype=dtype), 2)
+        assert a.labels.dtype == int and a.labels.tolist() == [0, 1, 1]
+
+
+class TestKmeans:
+    @pytest.mark.parametrize("points, shape", [
+        (np.empty((0, 2)), "(0, 2)"), (np.ones(5), "(5,)"), (np.ones((3, 2, 2)), "(3, 2, 2)"),
+    ])
+    def test_rejects_empty_or_not_2d_points(self, points, shape):
+        message = f"^points must be a non-empty 2-d array, got {re.escape(shape)}$"
+        with pytest.raises(InvalidConfig, match=message):
+            kmeans(points, 1, np.random.default_rng(0))
+
+    def test_separated_blobs(self, rng):
+        a = rng.normal(0.0, 0.1, size=(12, 2))
+        b = rng.normal(5.0, 0.1, size=(12, 2)) + np.array([0.0, 5.0])
+        points = np.vstack([a, b])
+        labels = kmeans(points, 2, np.random.default_rng(3))[0].labels
+        assert len(set(labels[:12])) == 1
+        assert len(set(labels[12:])) == 1
+        assert labels[0] != labels[12]
+
+    def test_objective_non_increasing(self, rng):
+        points = rng.standard_normal((40, 3))
+        generators = [np.random.default_rng(seed) for seed in range(5)]
+        _, _, history = _lloyd(points, 4, generators, 50)
+        assert len(history) == 5
+        for costs in history:
+            assert len(costs) >= 2
+            assert np.all(np.diff(costs) <= 1e-9)
+
+    def test_wcss_is_that_of_returned_labels(self, rng):
+        points = rng.standard_normal((60, 3))
+        for seed in range(5):
+            assignment, diagnostics = kmeans(points, 4, np.random.default_rng(seed), restarts=3)
+            assert diagnostics == {"wcss": wcss(points, assignment.labels, 4)}
+
+    def test_deterministic(self, rng):
+        points = rng.standard_normal((30, 2))
+        a, a_diagnostics = kmeans(points, 3, np.random.default_rng(11))
+        b, b_diagnostics = kmeans(points, 3, np.random.default_rng(11))
+        assert np.array_equal(a.labels, b.labels)
+        assert a_diagnostics == b_diagnostics
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_sign_flipped_columns_change_nothing_but_center_signs(self, k, rng):
+        # spectral_embedding imposes no eigenvector sign convention, which
+        # rests on this: differences and means negate exactly
+        for seed in range(5):
+            points, _, _ = spectral_embedding(two_block_adjacency(20, 13, cross=0.3), k)
+            points = points + 0.05 * rng.standard_normal(points.shape)
+            signs = np.where(rng.random(k) < 0.5, -1.0, 1.0)
+            signs[0] = -1.0
+            a, a_diagnostics = kmeans(points, k, np.random.default_rng(seed))
+            b, b_diagnostics = kmeans(points * signs, k, np.random.default_rng(seed))
+            assert a.labels.tobytes() == b.labels.tobytes()
+            assert a_diagnostics == b_diagnostics
+            a_centers = lloyd_centers(points, a)
+            assert (a_centers * signs).tobytes() == lloyd_centers(points * signs, b).tobytes()
+
+    def test_no_empty_clusters(self, rng):
+        for seed in range(8):
+            points = rng.standard_normal((15, 2))
+            assignment, _ = kmeans(points, 5, np.random.default_rng(seed))
+            assert len(set(assignment.labels.tolist())) == 5
+
+    def test_repair_moves_farthest_point(self):
+        points = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.4, 0.0]])
+        labels = np.array([0, 0, 1, 1])
+        repaired = _repair_empty(labels, 3, lambda lab: _sq_dist_to_means(points, lab, 3))
+        # cluster 2 was empty; the point farthest from its own center moves
+        assert sorted(np.bincount(repaired, minlength=3).tolist()) == [1, 1, 2]
+
+    def test_wcss_helper(self):
+        points = np.array([[0.0], [2.0], [10.0]])
+        labels = np.array([0, 0, 1])
+        assert wcss(points, labels, 2) == pytest.approx(2.0)
+
+    def test_overflowing_seed_weights_raise_a_typed_error(self):
+        # every squared distance from the first center to a point at
+        # +-1e200 overflows, so the weights sum to inf at the first pick
+        points = np.array([[1e200], [-1e200], [0.0], [3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NumericalError, match=r"^restart 0, pick 1: \+\+ weights sum to inf$"
+            ):
+                kmeans(points, 2, np.random.default_rng(0))
+
+    def test_invalid_inputs(self, rng):
+        points = rng.standard_normal((4, 2))
+        with pytest.raises(InvalidConfig):
+            kmeans(points, 5, rng)
+        with pytest.raises(InvalidConfig):
+            kmeans(points, 0, rng)
+        with pytest.raises(InvalidConfig):
+            kmeans(points, 2, rng, restarts=0)
+
+
+# Lloyd's k-means as it ran one restart at a time, with the (n, k, d)
+# difference table in every assignment: the reference for the batched,
+# certified code, which must match it to the byte.
+
+
+def reference_plus_plus_seed(points, k, rng):
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    for _ in range(1, k):
+        diff = points[:, None, :] - points[chosen][None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
+        d2[chosen] = 0.0
+        total = d2.sum()
+        if total > 0.0:
+            chosen.append(int(rng.choice(n, p=d2 / total)))
+        else:
+            pool = np.setdiff1d(np.arange(n), chosen)
+            chosen.append(int(rng.choice(pool)))
+    return points[chosen].copy()
+
+
+def reference_assign(points, centers):
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)
+
+
+def reference_update_step(points, labels, k):
+    if np.bincount(labels, minlength=k).min() == 0:
+        labels = _repair_empty(labels, k, lambda lab: _sq_dist_to_means(points, lab, k))
+    centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+    return labels, centers
+
+
+def reference_lloyd(points, k, rng, max_iter):
+    centers = reference_plus_plus_seed(points, k, rng)
+    labels = reference_assign(points, centers)
+    converged = False
+    for _ in range(max_iter):
+        labels, centers = reference_update_step(points, labels, k)
+        new_labels = reference_assign(points, centers)
+        if np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = new_labels
+    if not converged:
+        labels, centers = reference_update_step(points, labels, k)
+    return labels, centers
+
+
+def reference_kmeans(points, k, rng, restarts=10, max_iter=300):
+    seed_base = int(rng.integers(0, 2**63))
+    best = None
+    for r in range(restarts):
+        labels, centers = reference_lloyd(points, k, np.random.default_rng(seed_base + r), max_iter)
+        final = wcss(points, labels, k)
+        if best is None or final < best[0]:
+            best = (final, labels, centers)
+    return best
+
+
+def lloyd_problem(kind: str, d: int, rng) -> np.ndarray:
+    if kind == "normal":
+        return rng.standard_normal((30, d))
+    if kind == "grid":  # few distinct coordinates: exact distance ties
+        return rng.integers(-2, 3, (30, d)).astype(float)
+    if kind == "offset":  # |x|^2 ~ 1e12 d: the GEMM form loses ~1e-4
+        return rng.standard_normal((30, d)) + 1e6
+    # four distinct points: k > 4 leaves clusters empty
+    return np.repeat(rng.standard_normal((4, d)), 3, axis=0)
+
+
+class TestLloydParity:
+    """The batched restarts and the certified GEMM assignment against the
+    one-restart-at-a-time reference above: labels, centers and the sum of
+    squares of the chosen restart, to the byte. numpy sums a 1-d column
+    pairwise where ``np.bincount`` adds in index order, so d = 1 is in."""
+
+    KINDS = ("normal", "grid", "offset", "repeated")
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_reference(self, kind, d, monkeypatch):
+        repairs = []
+        repair = klcluster._repair_empty
+        monkeypatch.setattr(
+            klcluster, "_repair_empty", lambda *args: repairs.append(1) or repair(*args)
+        )
+        case_rng = np.random.default_rng([self.KINDS.index(kind), d])
+        for _ in range(2):
+            points = lloyd_problem(kind, d, case_rng)
+            n = points.shape[0]
+            for k in (1, 2, 5, n):
+                # more clusters than distinct points repair every pass
+                for max_iter in (1, 300 if k <= 5 and kind != "repeated" else 4):
+                    seed = int(case_rng.integers(2**32))
+                    expected_wcss, labels, centers = reference_kmeans(
+                        points, k, np.random.default_rng(seed), max_iter=max_iter
+                    )
+                    assignment, diagnostics = kmeans(
+                        points, k, np.random.default_rng(seed), max_iter=max_iter
+                    )
+                    assert assignment.labels.tobytes() == labels.tobytes()
+                    assert lloyd_centers(points, assignment).tobytes() == centers.tobytes()
+                    assert diagnostics == {"wcss": expected_wcss}
+        if kind == "repeated":
+            assert repairs
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cycling_restarts_match_the_full_run(self, d):
+        # with more clusters than distinct points each assignment undoes the
+        # last repair, so no restart converges: each stops once its labels
+        # repeat, at a pass congruent to max_iter, and ends as all passes would
+        case_rng = np.random.default_rng([len(self.KINDS), d])
+        points = lloyd_problem("repeated", d, case_rng)
+        for k in (5, 12):
+            for max_iter in (7, 300):
+                seed = int(case_rng.integers(2**32))
+                expected_wcss, labels, centers = reference_kmeans(
+                    points, k, np.random.default_rng(seed), restarts=2, max_iter=max_iter
+                )
+                assignment, diagnostics = kmeans(
+                    points, k, np.random.default_rng(seed), restarts=2, max_iter=max_iter
+                )
+                assert assignment.labels.tobytes() == labels.tobytes()
+                assert lloyd_centers(points, assignment).tobytes() == centers.tobytes()
+                assert diagnostics == {"wcss": expected_wcss}
+            generators = [np.random.default_rng(seed) for seed in range(3)]
+            _, _, history = _lloyd(points, k, generators, 300)
+            assert max(len(costs) for costs in history) < 50
+
+    def test_cycle_ends_on_the_labels_of_the_last_pass(self, monkeypatch):
+        # stand-in steps whose one label runs 0 1 2 3 4 5 3 4 5 ...: three
+        # passes of tail, then a cycle of period 3; a center holds the label
+        # it was computed from, and the assignment maps it to the next label
+        step = {-1: 0, 0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 3}
+        monkeypatch.setattr(
+            klcluster, "_plus_plus_seed",
+            lambda points, k, rngs: np.full((len(rngs), k, 1), -1.0),
+        )
+        monkeypatch.setattr(
+            klcluster,
+            "_cluster_means",
+            lambda points, labels, k: np.repeat(labels[:, None, :1], k, axis=1) * 1.0,
+        )
+        monkeypatch.setattr(
+            klcluster,
+            "_assign",
+            lambda points, m, sq, centers: (
+                np.array([[step[int(c)]] for c in centers[:, 0, 0]]),
+                np.zeros(len(centers)),
+            ),
+        )
+        for max_iter in (*range(1, 13), 300, 301):
+            want = 0
+            for _ in range(max_iter):
+                want = step[want]
+            labels, centers, history = _lloyd(np.zeros((1, 1)), 6, [None, None], max_iter)
+            assert labels.tolist() == [[want], [want]], max_iter
+            assert centers[:, :, 0].tolist() == [[want] * 6] * 2, max_iter
+            assert len(history[0]) <= min(max_iter, 8) + 1, max_iter
+
+    def test_grid_with_more_clusters_than_points_stops_early(self):
+        # 68 points on the 25 nodes of a 5 x 5 grid, k = 28: every restart
+        # cycles through repairs, and one restart matches 300 full passes
+        rng = np.random.default_rng(0)
+        grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=float)
+        points = np.vstack([grid, grid[rng.integers(0, 25, 43)]])
+        expected_wcss, labels, centers = reference_kmeans(
+            points, 28, np.random.default_rng(1), restarts=1
+        )
+        assignment, diagnostics = kmeans(points, 28, np.random.default_rng(1), restarts=1)
+        assert assignment.labels.tobytes() == labels.tobytes()
+        assert lloyd_centers(points, assignment).tobytes() == centers.tobytes()
+        assert diagnostics == {"wcss": expected_wcss}
+        generators = [np.random.default_rng(seed) for seed in range(10)]
+        _, _, history = _lloyd(points, 28, generators, 300)
+        assert max(len(costs) for costs in history) < 50
+
+    def test_seeding_matches_reference(self, rng):
+        for d in (1, 3):
+            points = np.round(rng.standard_normal((50, d)), 1)
+            for k in (1, 4, 50):
+                a = klcluster._plus_plus_seed(points, k, [np.random.default_rng(k)])[0]
+                b = reference_plus_plus_seed(points, k, np.random.default_rng(k))
+                assert a.tobytes() == b.tobytes()
+
+    def test_lockstep_seeding_matches_reference_per_restart(self):
+        # ten restarts drawn in one batch, each against the reference run
+        # alone. Squared distances among 0, 1e-162 and 2e-162 are 0 (1e-324
+        # underflows) but for the two ends (4e-324, the smallest subnormal):
+        # a restart that starts on the middle point falls back to the
+        # uniform draw at its first pick while the others draw by weight
+        case_rng = np.random.default_rng(7)
+        fuzzy = np.array([[0.0], [1e-162], [2e-162]])
+        problems = [
+            (fuzzy, 3),
+            (lloyd_problem("repeated", 2, case_rng), 6),
+            (lloyd_problem("grid", 2, case_rng), 8),
+            (lloyd_problem("normal", 3, case_rng), 5),
+        ]
+        mixed = 0  # batches of the three points with both kinds of row
+        for points, k in problems:
+            for _ in range(5):
+                seeds = case_rng.integers(2**32, size=10).tolist()
+                got = klcluster._plus_plus_seed(
+                    points, k, [np.random.default_rng(seed) for seed in seeds]
+                )
+                for row, seed in enumerate(seeds):
+                    want = reference_plus_plus_seed(points, k, np.random.default_rng(seed))
+                    assert got[row].tobytes() == want.tobytes(), (k, seed)
+                if points is fuzzy:
+                    middle = got[:, 0, 0] == fuzzy[1, 0]
+                    mixed += bool(middle.any() and not middle.all())
+        assert mixed >= 3
+
+    def test_exact_tie_far_from_the_origin_keeps_the_first_center(self, rng):
+        # the first point is exactly 2 from both centers, a distance of 4 in
+        # the exact form; the GEMM form's |x|^2 ~ 1e16 rounds it to 4 and 2
+        # (float64 spacing there is 2), so the row must be scored again
+        a = 1e8 + 0.1
+        centers = np.array([[[a - 2.0, 0.0], [a + 2.0, 0.0]]])
+        points = np.vstack([[a, 0.0], rng.standard_normal((20, 2)) + [a, 0.0]])
+        sq_points = np.einsum("ij,ij->i", points, points)
+        labels, _ = klcluster._assign(points, -2.0 * points.T, sq_points, centers)
+        expected = reference_assign(points, centers[0])
+        assert labels[0, 0] == 0
+        assert labels[0].tobytes() == expected.tobytes()

@@ -190,6 +190,22 @@ class TestRunPipeline:
         assert {"iterations", "converged", "objective"} <= set(kl.diagnostics)
         km = run_pipeline(groups, PipelineConfig(algorithm=ALGO_KMEANS_MEANS, k=2))
         assert "wcss" in km.diagnostics
+        # every algorithm's keys in order: reports and the parity check
+        # read the dict as built
+        spectral_keys = ["metric", "bandwidth_sigma", "ncut", "eigensolver"]
+        kl_keys = ["iterations", "converged", "objective", "repairs"]
+        expected = {
+            ALGO_KMEANS_MEANS: ["wcss"],
+            ALGO_SPECTRAL_MEANS: spectral_keys,
+            ALGO_WASSERSTEIN: spectral_keys,
+            ALGO_BHATTACHARYYA: spectral_keys,
+            ALGO_KL: kl_keys,
+            ALGO_KLPP: kl_keys,
+        }
+        assert set(expected) == set(ALGORITHMS)
+        for algorithm, keys in expected.items():
+            result = run_pipeline(groups, PipelineConfig(algorithm=algorithm, k=2))
+            assert list(result.diagnostics) == keys, algorithm
 
     def test_option_warnings(self, rng):
         groups, _ = separated_groups(rng, per_cluster=4)

@@ -14,4 +14,5 @@ def test_python_snippets_run(capsys):
     for code in snippets:
         exec(compile(code, str(README), "exec"), namespace)
     assert 0.0 <= float(capsys.readouterr().out) <= 1.0
-    assert namespace["out"].assignment.n == len(namespace["models"])
+    assert namespace["assignment"].n == len(namespace["models"])
+    assert list(namespace["diagnostics"]) == ["bandwidth_sigma", "ncut", "eigensolver"]
