@@ -78,7 +78,7 @@ class ClusterAssignment:
             raise InvalidConfig("labels must be a non-empty 1-d array")
         if not np.issubdtype(lab.dtype, np.integer):
             raise InvalidConfig(f"labels must be integers, got dtype {lab.dtype}")
-        lab = np.asarray(lab, dtype=int)
+        lab = np.array(lab, dtype=int)
         _check_k(self.k, lab.size, "objects")
         if lab.min() < 0 or lab.max() >= self.k:
             raise InvalidConfig(f"labels must lie in [0, {self.k})")
@@ -402,7 +402,7 @@ def kmeans(
     labels, centers, _ = _lloyd(pts, k, subs, max_iter)
     scores = _restart_wcss(pts, labels, centers).tolist()
     best = min(range(restarts), key=scores.__getitem__)  # the earliest of ties
-    return ClusterAssignment(labels[best].copy(), k), {"wcss": scores[best]}
+    return ClusterAssignment(labels[best], k), {"wcss": scores[best]}
 
 
 def center_update(

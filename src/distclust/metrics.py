@@ -12,18 +12,19 @@ Three model divergences are provided:
 
 plus plain Euclidean distance between means for the mean-only baselines.
 
-Each divergence has one pair kernel: for index arrays (I, J) it stacks the
-pairs' matrices into (b, d, d) arrays and makes one batched LAPACK call for
-them, a symmetric eigensolve for W2 and one Cholesky factorization of the
-averaged covariances for Bhattacharyya. The matrix builder cuts the pairs,
-in row-major order, into blocks of whole rows and runs W2 blocks on threads
-(the batched LAPACK calls release the GIL); a scalar
-entry point is a batch of one through the same kernel. A matrix's LAPACK
-and BLAS calls run once per matrix whatever stack it sits in, so a matrix
-entry equals the scalar call bit for bit at any block size and thread
-count. KL k-means' model-to-center table uses the kl formula and per-model
-factors of the kl kernel, one batched column per center, with the centers
-given as stacked arrays. All values are mathematically non-negative; tiny
+W2 and Bhattacharyya each have one pair kernel: for index arrays (I, J) it
+stacks the pairs' matrices into (b, d, d) arrays and makes one batched
+LAPACK call for them, a symmetric eigensolve for W2 and one Cholesky
+factorization of the averaged covariances for Bhattacharyya. The matrix
+builder cuts the upper triangle, in row-major order, into blocks of whole
+rows and runs W2 blocks on threads (the batched LAPACK calls release the
+GIL); a scalar entry point is a batch of one through the same kernel. KL
+has one column function, one batched column per center: it builds KL
+k-means' model-to-center table, the kl matrix as that table with the models
+as their own centers, and the scalar as a one-by-one table. A matrix's
+LAPACK and BLAS calls run once per matrix whatever stack it sits in, so a
+matrix entry equals the scalar call bit for bit at any block size and
+thread count. All values are mathematically non-negative; tiny
 negative results from rounding are clamped to zero; a value below
 ``-NEGATIVE_CLAMP``, or one that overflowed to inf or nan, raises
 NumericalError. W2 cancels to 0 for equal models at any scale, so a W2 pair
@@ -225,7 +226,7 @@ def _checked(I: np.ndarray, J: np.ndarray, vals, what: str, checks=(), slack=0.0
     order one pair runs them; the value guard runs last and fails values
     that are non-finite or below ``-(NEGATIVE_CLAMP + slack)``.
     """
-    raise_first_failure(lambda k: f"pair ({np.broadcast_to(I, J.shape)[k]}, {J[k]})", [
+    raise_first_failure(lambda k: f"pair ({I[k]}, {J[k]})", [
         *checks,
         (_bad_values(vals, slack), NumericalError,
          lambda k: f"{what} evaluated to {vals[k]:.6e}"),
@@ -298,28 +299,39 @@ def _bhattacharyya_pairs(f: dict, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     ])
 
 
-def _kl(p: dict, i, q: dict, j) -> np.ndarray:
-    """KL(p's model i || q's model j), where i and j index many models, or
-    one of them a single model. The trace term is ||S_j^{-1/2} S_i^{1/2}||_F^2."""
-    invroot = q["invroot"][j]
-    diff = q["mean"][j] - p["mean"][i]
-    prod = invroot @ p["root"][i]
-    trace = (prod**2).reshape(len(diff), -1).sum(axis=1)
-    z = (invroot @ diff[:, :, None])[:, :, 0]
-    quad = (z * z).sum(axis=1)
-    return 0.5 * (q["logdet"][j] - p["logdet"][i] - diff.shape[1] + trace + quad)
-
-
-def _kl_pairs(f: dict, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """KL(model I[k] || model J[k]) for each pair k."""
-    return _checked(I, J, _kl(f, I, f, J), "KL divergence")
-
-
 _PAIR_KERNELS = {
     METRIC_WASSERSTEIN_SQ: _wasserstein_pairs,
     METRIC_BHATTACHARYYA: _bhattacharyya_pairs,
-    METRIC_KL: _kl_pairs,
 }
+
+
+def _kl_columns(p: dict, q: dict, name) -> np.ndarray:
+    """(len(p), len(q)) table of KL(p's model i || q's model j), one batched
+    column per j; the trace term is ||S_j^{-1/2} S_i^{1/2}||_F^2.
+
+    When q is p, the diagonal is exactly 0 and is not checked. A value that
+    is non-finite or below ``-NEGATIVE_CLAMP`` raises NumericalError named
+    ``name(i, j)`` for the first such entry in row-major order; the rest are
+    clamped to zero.
+    """
+    n, m = len(p["mean"]), len(q["mean"])
+    out = np.empty((n, m))
+    for j in range(m):
+        invroot = q["invroot"][j]
+        diff = q["mean"][j] - p["mean"]
+        prod = invroot @ p["root"]
+        trace = (prod**2).reshape(n, -1).sum(axis=1)
+        z = (invroot @ diff[:, :, None])[:, :, 0]
+        quad = (z * z).sum(axis=1)
+        out[:, j] = 0.5 * (q["logdet"][j] - p["logdet"] - diff.shape[1] + trace + quad)
+    bad = _bad_values(out)
+    if q is p:
+        np.fill_diagonal(out, 0.0)
+        np.fill_diagonal(bad, False)
+    raise_first_failure(lambda k: name(*divmod(k, m)), [
+        (bad.ravel(), NumericalError, lambda k: f"KL divergence evaluated to {out.flat[k]:.6e}"),
+    ])
+    return np.clip(out, 0.0, None, out=out)
 
 
 def _scalar(metric: str, a: GaussianModel, b: GaussianModel) -> float:
@@ -340,8 +352,12 @@ def bhattacharyya(a: GaussianModel, b: GaussianModel) -> float:
 
 
 def kl_divergence(a: GaussianModel, b: GaussianModel) -> float:
-    """KL(a || b) for two Gaussians. Asymmetric: KL(a||b) != KL(b||a)."""
-    return _scalar(METRIC_KL, a, b)
+    """KL(a || b) for two Gaussians. Asymmetric: KL(a||b) != KL(b||a). A
+    one-by-one table: only KL(a || b) is evaluated, and errors name a as
+    model 0 and b as model 1."""
+    f = _factors(*_stack([a, b]), METRIC_KL)
+    a_f, b_f = ({key: v[k : k + 1] for key, v in f.items()} for k in (0, 1))
+    return float(_kl_columns(a_f, b_f, lambda i, j: "pair (0, 1)")[0, 0])
 
 
 def _common_dim(models: Sequence[GaussianModel]) -> int:
@@ -356,16 +372,15 @@ def _common_dim(models: Sequence[GaussianModel]) -> int:
     return d
 
 
-def _pair_blocks(n: int, metric: str, size: int):
-    """The computed pairs in row-major order, cut into blocks of whole rows:
-    the upper triangle for symmetric metrics, every off-diagonal pair for kl.
+def _pair_blocks(n: int, size: int):
+    """The upper triangle's pairs in row-major order, cut into blocks of
+    whole rows.
 
     Consecutive rows are grouped while a block holds at most ``size`` pairs;
     a longer row is a block on its own. Returns the number of blocks and a
-    function from a block number to its index arrays (I, J); I is the row
-    number when the block is one row, and broadcasts against J.
+    function from a block number to its index arrays (I, J).
     """
-    lengths = np.full(n, n - 1) if metric == METRIC_KL else np.arange(n - 1, -1, -1)
+    lengths = np.arange(n - 1, -1, -1)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     ends = offsets.tolist()
     cuts = [0]  # first row of each block
@@ -380,8 +395,8 @@ def _pair_blocks(n: int, metric: str, size: int):
         first, last = cuts[b], cuts[b + 1]
         I = np.repeat(np.arange(first, last), lengths[first:last])
         J = np.arange(offsets[first], offsets[last]) - offsets[I]
-        J += (J >= I) if metric == METRIC_KL else I + 1
-        return (first if last - first == 1 else I), J
+        J += I + 1
+        return I, J
 
     return len(cuts) - 1, pairs
 
@@ -390,37 +405,35 @@ def distance_matrix(models: Sequence[GaussianModel], metric: str) -> DistanceMat
     """Pairwise divergence matrix over a list of models.
 
     Per-model factors (matrix square roots, log-determinants, inverse
-    roots) are computed once. The computed pairs, in row-major order, are
-    cut into blocks of whole rows, up to ``_PAIR_BLOCK_BYTES`` per
-    (pairs, d, d) stack, and one pair-kernel call per block fails
-    non-finite values and clamps the rest to zero. W2 blocks run on
-    ``kernel_threads()`` threads, the others on the calling thread; the
-    error is the first failing block's, so it names the first failing pair
-    in row-major order.
-    Symmetric metrics fill the upper triangle and mirror it in place, in
-    row blocks; kl fills both triangles independently.
+    roots) are computed once. kl is KL k-means' table with the models as
+    their own centers, built by columns. Otherwise the upper triangle, in
+    row-major order, is cut into blocks of whole rows, up to
+    ``_PAIR_BLOCK_BYTES`` per (pairs, d, d) stack, one pair-kernel call per
+    block, and mirrored in place, in row blocks. W2 blocks run on
+    ``kernel_threads()`` threads, Bhattacharyya's (no faster on a second
+    thread) on the calling one. Non-finite values fail, the rest are clamped
+    to zero, and the error names the first failing pair in row-major order.
     """
     if metric not in KNOWN_METRICS:
         raise InvalidMatrix(f"unknown metric tag {metric!r}")
     if metric == METRIC_EUCLIDEAN:
         return mean_euclidean_matrix(models)
-    n = len(models)
     f = _factors(*_stack(models), metric)
-    kernel = _PAIR_KERNELS[metric]
-    out = np.zeros((n, n))
-    # kl's kernel is light: grouped rows and a second thread both measured
-    # slower than one row at a time on the calling thread. Bhattacharyya's
-    # blocks measured no faster on a second thread; W2's eigensolves gain
-    size = 1 if metric == METRIC_KL else max(1, _PAIR_BLOCK_BYTES // (8 * f["cov"][0].size))
-    threads = kernel_threads() if metric == METRIC_WASSERSTEIN_SQ else 1
-    count, pairs = _pair_blocks(n, metric, size)
+    if metric == METRIC_KL:
+        out = _kl_columns(f, f, lambda i, j: f"pair ({i}, {j})")
+    else:
+        n = len(models)
+        kernel = _PAIR_KERNELS[metric]
+        out = np.zeros((n, n))
+        size = max(1, _PAIR_BLOCK_BYTES // (8 * f["cov"][0].size))
+        threads = kernel_threads() if metric == METRIC_WASSERSTEIN_SQ else 1
+        count, pairs = _pair_blocks(n, size)
 
-    def block(b):
-        I, J = pairs(b)
-        out[I, J] = kernel(f, I, J)
+        def block(b):
+            I, J = pairs(b)
+            out[I, J] = kernel(f, I, J)
 
-    run_blocks(block, count, threads)
-    if metric in SYMMETRIC_METRICS:
+        run_blocks(block, count, threads)
         # the lower triangle is still zero: upper + 0.0 is upper + lower
         mirror_in_place(out, lambda upper, lower: upper + 0.0)
     out.flags.writeable = False
@@ -470,7 +483,7 @@ def mean_euclidean_matrix(models: Sequence[GaussianModel]) -> DistanceMatrix:
 
 def kl_factors(models: Sequence[GaussianModel]) -> dict:
     """Per-model inputs of ``kl_divergence_table``: the stacked ``mean`` and
-    ``cov`` arrays and the kl row's factors, for reuse across calls."""
+    ``cov`` arrays and the kl factors, for reuse across calls."""
     return _factors(*_stack(models), METRIC_KL)
 
 
@@ -479,20 +492,14 @@ def kl_divergence_table(
 ) -> np.ndarray:
     """(n_models, n_centers) table of KL(model_i || center_j).
 
-    The inner loop of KL k-means: the kl row's formula and factors, one
-    batched column per center. The models come as ``kl_factors(models)``,
+    The inner loop of KL k-means, one batched column per center, as the kl
+    matrix is built. The models come as ``kl_factors(models)``,
     the centers as stacked means (k, d) and covariances (k, d, d), factored
     here by the same stacked ``eigh``.
     """
-    if center_covs.shape[1:] != factors["cov"].shape[1:]:
-        raise DimensionMismatch("centers do not match model dimension")
+    k, d = len(center_covs), factors["mean"].shape[1]
+    if center_means.shape != (k, d) or center_covs.shape != (k, d, d):
+        raise DimensionMismatch(f"centers do not match model dimension {d}: means of shape "
+                                f"{center_means.shape}, covariances {center_covs.shape}")
     center_factors = _factors(center_means, center_covs, METRIC_KL, what="center")
-    out = np.empty((len(factors["mean"]), len(center_means)))
-    for j in range(len(center_means)):
-        out[:, j] = _kl(factors, slice(None), center_factors, j)
-    bad = np.argwhere(_bad_values(out))
-    if bad.size:
-        i, j = bad[0]
-        raise NumericalError(f"model {i}, center {j}: KL divergence evaluated to {out[i, j]:.6e}")
-    np.clip(out, 0.0, None, out=out)
-    return out
+    return _kl_columns(factors, center_factors, lambda i, j: f"model {i}, center {j}")

@@ -433,6 +433,14 @@ class TestClusterAssignment:
         a = ClusterAssignment(np.array([0, 1, 1], dtype=dtype), 2)
         assert a.labels.dtype == int and a.labels.tolist() == [0, 1, 1]
 
+    def test_callers_array_stays_writable(self):
+        # the assignment freezes its own copy, not the array it was given
+        labels = np.array([0, 1, 1])
+        a = ClusterAssignment(labels, 2)
+        labels[0] = 1
+        assert a.labels.tolist() == [0, 1, 1]
+        assert not a.labels.flags.writeable
+
 
 class TestKmeans:
     @pytest.mark.parametrize("points, shape", [

@@ -282,7 +282,8 @@ class TestDistanceMatrixBuilder:
                     dm = distance_matrix(models, metric)
                     for i, j in computed_entries(n, metric):
                         # a computed entry and the scalar call run the same
-                        # pair kernel, in a block of rows or a batch of one
+                        # pair kernel, in a block of rows or a batch of one,
+                        # or for kl the same column function
                         want = np.float64(scalar(models[i], models[j]))
                         assert dm.values[i, j].tobytes() == want.tobytes(), (n, d, i, j)
 
@@ -352,6 +353,17 @@ class TestDistanceMatrixBuilder:
             with pytest.raises(NumericalError, match=r"^pair \(0, 2\): "):
                 distance_matrix([a, a, b], metric)
 
+    def test_kl_scalar_evaluates_only_its_direction(self):
+        # KL(b || a) overflows to inf (S_a^{-1/2} dm is 1e160), KL(a || b)
+        # does not; a scalar that also evaluated the reverse would raise
+        a = GaussianModel(np.zeros(2), SymMatrix(1e-300 * np.eye(2)))
+        b = GaussianModel(np.full(2, 1e10), SymMatrix(np.eye(2)))
+        assert kl_divergence(a, b) == pytest.approx(1e20, rel=1e-12)
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match=r"^pair \(0, 1\): KL divergence evaluated to inf$"
+        ):
+            kl_divergence(b, a)
+
     def test_nan_bhattacharyya_names_pair(self):
         # the forward substitution meets 0 * inf, which is nan
         a = GaussianModel(np.zeros(2), SymMatrix(1e-300 * np.eye(2)))
@@ -399,22 +411,25 @@ def spaced_models(n: int) -> list[GaussianModel]:
     return [GaussianModel(np.array([m]), SymMatrix(np.eye(1))) for m in means]
 
 
+# the metrics whose matrices are built in pair blocks; kl's is built by columns
+PAIR_METRICS = (METRIC_WASSERSTEIN_SQ, METRIC_BHATTACHARYYA)
+
+
 class TestPairBlocks:
-    @pytest.mark.parametrize("metric", [METRIC_WASSERSTEIN_SQ, METRIC_KL])
-    def test_blocks_hold_the_computed_pairs_in_row_major_order(self, metric):
+    def test_blocks_hold_the_upper_triangle_in_row_major_order(self):
         for n in range(1, 30):
             for size in (1, 2, 5, 17, 100):
-                count, pairs = _pair_blocks(n, metric, size)
+                count, pairs = _pair_blocks(n, size)
                 got = []
                 for b in range(count):
                     I, J = pairs(b)
-                    rows = np.broadcast_to(I, J.shape)
+                    assert I.shape == J.shape, (n, size, b)
                     # whole rows, grouped up to size pairs; a longer row alone
-                    assert J.size <= size or rows.min() == rows.max(), (n, size, b)
-                    got += list(zip(rows.tolist(), J.tolist()))
-                assert got == computed_entries(n, metric), (n, size)
+                    assert J.size <= size or I.min() == I.max(), (n, size, b)
+                    got += list(zip(I.tolist(), J.tolist()))
+                assert got == computed_entries(n, METRIC_WASSERSTEIN_SQ), (n, size)
 
-    @pytest.mark.parametrize("metric", list(SCALARS))
+    @pytest.mark.parametrize("metric", PAIR_METRICS)
     def test_threads_change_no_byte(self, metric, rng, monkeypatch):
         # a block of about 6 pairs: dozens of blocks, each held up a little
         # so that the second thread takes some of them
@@ -438,7 +453,7 @@ class TestPairBlocks:
             assert len(seen) == (2 if threads == "2" and metric == METRIC_WASSERSTEIN_SQ else 1)
         assert got["1"] == got["2"]
 
-    @pytest.mark.parametrize("metric", list(SCALARS))
+    @pytest.mark.parametrize("metric", PAIR_METRICS)
     def test_first_failing_block_names_the_error(self, metric, monkeypatch):
         # pair (2, 3) fails in the second block and (9, 10) in a later one;
         # the second block is held up, so with W2 on two threads the later
@@ -449,7 +464,7 @@ class TestPairBlocks:
         blocks, failed = [], []
 
         def held_up(f, I, J):
-            pairs = list(zip(np.broadcast_to(I, J.shape).tolist(), J.tolist()))
+            pairs = list(zip(I.tolist(), J.tolist()))
             blocks.append(pairs)
             if (2, 3) in pairs:
                 time.sleep(0.2)
@@ -463,8 +478,7 @@ class TestPairBlocks:
         monkeypatch.setenv("DISTCLUST_THREADS", "1")
         distance_matrix(models, metric)
         block_of = {pair: b for b, pairs in enumerate(blocks) for pair in pairs}
-        # kl's blocks are single rows, so rows 0 and 1 come first
-        assert block_of[(2, 3)] == (2 if metric == METRIC_KL else 1)
+        assert block_of[(2, 3)] == 1
         assert block_of[(9, 10)] > block_of[(2, 3)]
         monkeypatch.setattr(metrics, "NEGATIVE_CLAMP", -1.0)
         for threads in THREAD_SETTINGS:
@@ -801,6 +815,15 @@ class TestKlDivergenceTable:
     def test_center_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch, match="centers do not match"):
             kl_table([random_model(2, rng)], [random_model(3, rng)])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (2,)])
+    def test_center_means_must_match_covariances(self, shape, rng):
+        # 2 centers of dimension 3: each shape used to meet a bare IndexError,
+        # a ValueError, or (1-d) broadcast into a (6, 2) table
+        factors = kl_factors([random_model(3, rng) for _ in range(6)])
+        covs = np.stack([random_model(3, rng).covariance.values for _ in range(2)])
+        with pytest.raises(DimensionMismatch, match=re.escape(f"means of shape {shape}")):
+            kl_divergence_table(factors, np.zeros(shape), covs)
 
     def test_singular_center_named(self, rng):
         models = [random_model(2, rng) for _ in range(3)]

@@ -12,14 +12,18 @@ README's "Determinism" contract that covers the item's bytes:
   trial process count and BLAS thread count;
 * ``report``: a benchmark report's canonical bytes, equal as partitions are;
 * ``full``: a run's labels as returned and ``repr`` of its diagnostics,
-  full-precision values such as ``ncut`` among them, equal at every kernel
-  thread and process count, but free to change with the BLAS thread count.
+  full-precision values such as ``ncut`` among them, or a divergence
+  matrix's bytes, equal at every kernel thread and process count, but free
+  to change with the BLAS thread count.
 
 The items: all six algorithms on ``generate_benchmark(7, 5, 200, 30)`` at
 seeds 1 and 2; the four algorithms that need no divergence matrix at
 n = 2000 and the two divergence spectral algorithms at n = 600, at seed 3;
-and the report of ``bench-stock`` on the stock fixture at ``--threads`` 1
-and 2. No hash is stored anywhere: each pins one machine's BLAS kernels.
+the ``wasserstein_sq``, ``bhattacharyya`` and ``kl`` matrices of the
+n = 800 fits at seed 3 (``distmat/<metric>/n=800/seed=3``, the values'
+bytes); and the report of ``bench-stock`` on the stock fixture at
+``--threads`` 1 and 2. No hash is stored anywhere: each pins one machine's
+BLAS kernels.
 """
 
 import hashlib
@@ -29,6 +33,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from distclust.gaussian import estimate_gaussians
+from distclust.metrics import distance_matrix
 from distclust.pipeline import ALGORITHMS, PipelineConfig, run_pipeline
 from distclust.storage import canonical_json_bytes
 from distclust.synthgen import generate_benchmark
@@ -52,6 +58,13 @@ def clustered(algorithms, n: int, seed: int) -> None:
         emit("full", item, labels.tobytes() + repr(result.diagnostics).encode())
 
 
+def matrices(n: int, seed: int) -> None:
+    models = estimate_gaussians(generate_benchmark(7, 5, n, 30, seed=seed).groups)
+    for metric in ("wasserstein_sq", "bhattacharyya", "kl"):
+        values = distance_matrix(models, metric).values
+        emit("full", f"distmat/{metric}/n={n}/seed={seed}", values.tobytes())
+
+
 def stock_report(threads: int) -> None:
     with tempfile.TemporaryDirectory() as out:
         subprocess.run(
@@ -69,6 +82,7 @@ def main() -> None:
         clustered(ALGORITHMS, 200, seed)
     clustered(("kmeans_means", "spectral_means", "kl", "klpp"), 2000, 3)
     clustered(("wasserstein_spectral", "bhattacharyya_spectral"), 600, 3)
+    matrices(800, 3)
     for threads in (1, 2):
         stock_report(threads)
 
