@@ -19,7 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, InvalidMatrix, _check_non_negative
-from .matrixcore import SymMatrix, _trusted, psd_check, psd_root, raise_first_failure
+from .matrixcore import (
+    SymMatrix,
+    _trusted,
+    floor_certified,
+    psd_check,
+    psd_root,
+    raise_first_failure,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +131,11 @@ def estimate_gaussians(
     so downstream inverses and log-determinants are defined even when
     q - 1 < d leaves the raw estimate rank-deficient. Every model is checked
     for finite entries and a PSD covariance in one batched call per bucket,
-    and a failure names the first failing group. The returned models share
-    read-only stacked arrays.
+    and a failure names the first failing group. The PSD check of a finite
+    bucket is one Cholesky factorization (``floor_certified``), which
+    passes only where the eigenvalue check would; where it fails, as on a
+    rank-deficient covariance with no ridge, the bucket's ``eigvalsh``
+    decides. The returned models share read-only stacked arrays.
     """
     _check_non_negative("eps_scale", eps_scale)
     buckets: dict[tuple[int, int], list[int]] = {}
@@ -133,15 +143,17 @@ def estimate_gaussians(
         buckets.setdefault(group.samples.shape, []).append(i)
     n = len(groups)
     finite = np.ones(n, dtype=bool)
-    extremes = np.zeros((n, 2))
+    extremes = np.zeros((n, 2))  # a certified bucket's rows stay 0, which pass
     fits = []
     for idx in buckets.values():
         mean, cov = _fit_stack(np.stack([groups[i].samples for i in idx]), eps_scale)
         ok = np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(mean).all(axis=1)
-        w = np.linalg.eigvalsh(np.where(ok[:, None, None], cov, np.eye(cov.shape[1])))
         finite[idx] = ok
-        extremes[idx] = w[:, [0, -1]]
         fits.append((idx, mean, cov))
+        if ok.all() and floor_certified(cov):
+            continue
+        w = np.linalg.eigvalsh(np.where(ok[:, None, None], cov, np.eye(cov.shape[1])))
+        extremes[idx] = w[:, [0, -1]]
     raise_first_failure(lambda k: f"group {groups[k].group_id!r}", [
         (~finite, InvalidMatrix, lambda k: "matrix entries must be finite"),
         psd_check(extremes),

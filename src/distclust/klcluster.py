@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import EmptyCluster, InvalidConfig, NumericalError, _check_non_negative
 from .gaussian import GaussianModel, _ridged
-from .metrics import kl_divergence_table, kl_factors
+from .metrics import _kl_columns, kl_divergence_table, kl_factors
 
 SEEDING_RANDOM = "random"
 SEEDING_KLPP = "klpp"
@@ -438,13 +438,17 @@ def klpp_seed(
     squared). When every candidate has zero divergence the draw falls back
     to uniform over unchosen indices. Each pick takes one ``rng.random()``
     and the inverse CDF of the weights, as ``rng.choice(n, p=...)`` would;
-    weights that overflow raise ``NumericalError``.
+    weights that overflow raise ``NumericalError``. A pick's divergences
+    read its factors from ``factors``: a factor taken from the stack equals
+    the one ``kl_divergence_table`` would take of the pick alone, so they
+    are that table's bits without factoring the pick again.
     """
     n = len(factors["mean"])
     _check_k(k, n, "models")
 
     def kl_to(idx):
-        return kl_divergence_table(factors, factors["mean"][idx], factors["cov"][idx]).T
+        picked = {key: v[idx] for key, v in factors.items()}
+        return _kl_columns(factors, picked, lambda i, j: f"model {i}, center {j}").T
 
     return _plus_plus(n, k, [rng], kl_to, 2 if squared else 1)[0].tolist()
 

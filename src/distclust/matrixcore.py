@@ -4,7 +4,9 @@ Every covariance factor the divergences, the fit and sampling use is built
 here, over (n, d, d) stacks, and a single model is a batch of one:
 
 * PSD floor: a stack passes when each smallest eigenvalue is at least
-  ``-PSD_FLOOR * max(1, lambda_max)``; owned by ``psd_check``.
+  ``-PSD_FLOOR * max(1, lambda_max)``; owned by ``psd_check``, and
+  ``floor_certified`` proves it for a whole stack by one Cholesky
+  factorization.
 * Non-positive eigenvalues: an SPD factor needs every eigenvalue above 0;
   owned by ``positive_check``.
 * Clamped square roots: ``psd_root`` clamps eigenvalues that pass the floor
@@ -36,6 +38,7 @@ PSD_FLOOR = 1e-10
 # divergence values in [-NEGATIVE_CLAMP, 0) are clamped to 0; anything more
 # negative is a numerical failure
 NEGATIVE_CLAMP = 1e-9
+_EPS = np.finfo(float).eps
 
 
 def _trusted(cls, **fields):
@@ -100,6 +103,34 @@ def psd_check(w: np.ndarray) -> tuple:
         NotPositiveSemidefinite,
         lambda k: f"min eigenvalue {w[k, 0]:.6e} below tolerance {floor[k]:.6e}",
     )
+
+
+def floor_certified(cov: np.ndarray) -> bool:
+    """Whether one batched Cholesky factorization proves that every matrix
+    of a finite, exactly symmetric (n, d, d) stack passes the PSD floor;
+    False leaves the question to ``psd_check`` on its eigenvalues.
+
+    A factorization that completes in floating point gives R with
+    R^T R = S + E and |E| <= gamma_{d+1} |R^T| |R| (Higham, "Accuracy and
+    Stability of Numerical Algorithms", ch. 10; the analysis needs only
+    that the factorization completes). |R^T| |R| has 2-norm at most
+    |R|_F^2 = tr(S + E) <= d lambda_max(S) + d |E|_2, so S + E is PSD and
+    lambda_min(S) >= -|E|_2 >= -(about d (d + 1) eps / 2) lambda_max(S).
+    For d (d + 1) eps <= PSD_FLOOR (d <= 670) that is at least
+    -(PSD_FLOOR / 2) lambda_max, half the floor, which leaves the other half
+    for the rounding of the eigenvalues ``psd_check`` reads. Above that d no
+    factorization is tried. numpy fails the whole stack when one matrix is
+    not numerically positive definite, as a rank-deficient covariance may
+    not be, and the caller then checks eigenvalues.
+    """
+    d = cov.shape[-1]
+    if d * (d + 1) * _EPS > PSD_FLOOR:
+        return False
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def positive_check(w: np.ndarray, where: str) -> tuple:

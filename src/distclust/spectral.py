@@ -24,11 +24,12 @@ The n x n passes run in fixed blocks of ``_BLOCK_ROWS`` rows through
 block: the kernel's root, then the kernel's one pass, which squares,
 divides, takes the exp and sums each block's rows into the degrees
 (``AdjacencyMatrix.degrees``, whose finiteness is the kernel's one check),
-every subspace pass's product W (r Q), |M|_F^2, and ncut's W (1 - H). Each
-block writes its own rows of arrays allocated before the blocks run. The
-median's pass stays on the calling thread, as the array it gathers into
-may grow, which no helper thread may do. A block is the same row range at any
-thread count, so no result depends on the threads.
+every subspace pass's product (r Q)^T W, |M|_F^2, and ncut's (1 - H)^T W.
+Each block writes its own rows, or for the products its own columns, of
+arrays allocated before the blocks run. The median's pass stays on the
+calling thread, as the array it gathers into may grow, which no helper
+thread may do. A block is the same row range at any thread count, so no
+result depends on the threads.
 
 ``kernelize`` checks only finiteness (the rest holds by construction). The
 bottom k eigenpairs of L_sym come from block subspace iteration on
@@ -52,7 +53,7 @@ from .errors import InvalidBandwidth, InvalidConfig, InvalidMatrix, MetricNotSym
 from .klcluster import ClusterAssignment, kmeans
 from .matrixcore import _BLOCK_ROWS, _trusted, max_asymmetry, mirror_in_place
 from .metrics import DistanceMatrix
-from .parallel import row_blocks
+from .parallel import row_blocks, shared_pool
 
 _ENTRY_TOL = 1e-9
 
@@ -321,21 +322,25 @@ _EPS = np.finfo(float).eps
 _SQUARED_ROWS = 32
 
 
-def _product(w: AdjacencyMatrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """W @ x into ``out``, one GEMM per row block. A block small enough for
-    the BLAS's small-matrix kernel can round differently from the whole
-    product, but the blocks are the same at every thread count."""
-    row_blocks(w.n, lambda s, e: np.matmul(w.values[s:e], x, out=out[s:e]))
+def _product(w: AdjacencyMatrix, xt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """X^T W into ``out`` from X^T, both (b, n), one GEMM per row block of W:
+    as W is exactly symmetric, columns s:e of X^T W are X^T W[s:e]^T, and
+    that transpose is a view the BLAS reads in place, so nothing is copied.
+    OpenBLAS runs this (b, n)-output shape faster than W[s:e] X. A block
+    small enough for the BLAS's small-matrix kernel can round differently
+    from the whole product, but the blocks are the same at every thread
+    count."""
+    row_blocks(w.n, lambda s, e: np.matmul(xt, w.values[s:e].T, out=out[:, s:e]))
     return out
 
 
 def _frobenius_sq(w: AdjacencyMatrix, r: np.ndarray) -> float:
-    """|M|_F^2 = sum_i r_i^2 sum_j W_ij^2 r_j^2 for M = r W r, in row blocks,
-    their squares taken _SQUARED_ROWS rows at a time in a thread's scratch,
-    so no n x n temporary is built. The blocks' terms are added in block
-    order, so the sum does not depend on the threads."""
+    """|M|_F^2 = sum_i r_i^2 sum_j W_ij^2 r_j^2 for M = r W r, r of shape
+    (n,), in row blocks, their squares taken _SQUARED_ROWS rows at a time in
+    a thread's scratch, so no n x n temporary is built. The blocks' terms
+    are added in block order, so the sum does not depend on the threads."""
     n = w.n
-    r2 = np.square(r[:, 0])
+    r2 = np.square(r)
 
     def block(s, e, buffer):
         sums = np.empty(e - s)
@@ -352,12 +357,13 @@ def _frobenius_sq(w: AdjacencyMatrix, r: np.ndarray) -> float:
 
 
 def _deflation_bound(
-    w: AdjacencyMatrix, r: np.ndarray, q: np.ndarray, mq: np.ndarray,
+    w: AdjacencyMatrix, r: np.ndarray, qt: np.ndarray, mqt: np.ndarray,
     theta: np.ndarray, ritz: np.ndarray, k: int,
 ) -> bool:
     """Whether every x orthogonal to the k found Ritz vectors V has
     x^T M x < c |x|^2, c midway between the k-th and (k+1)-th Ritz values,
-    shown in O(n^2) from the whole Rayleigh-Ritz block Y = q ritz.
+    shown in O(n^2) from the whole Rayleigh-Ritz block Y = Q ritz, with the
+    block Q and M Q given transposed, as ``qt`` and ``mqt`` (b, n).
 
     Write x = U a + z with U the other Ritz vectors (values Theta_U, at most
     theta_{k+1}) and z orthogonal to Y. U^T M z = R_U^T z for the residuals
@@ -369,10 +375,10 @@ def _deflation_bound(
     exact value (b block columns; |M|_2 <= 1 as W >= 0, and the sums have
     positive terms); that slack is added to gamma^2 and to the bound.
     """
-    n, b = q.shape
+    b, n = qt.shape
     top = theta[k]
-    others = q @ ritz[:, k:]
-    coupling = float(np.linalg.norm(mq @ ritz[:, k:] - others * theta[k:]))
+    others = ritz[:, k:].T @ qt
+    coupling = float(np.linalg.norm(ritz[:, k:].T @ mqt - others * theta[k:, None]))
     fro2 = _frobenius_sq(w, r)
     slack = _BOUND_SLACK * n * _EPS * (fro2 + b)
     gamma = np.sqrt(max(fro2 - float(theta @ theta), 0.0) + slack)
@@ -385,6 +391,7 @@ def _block_columns(k: int) -> int:
     return k + min(5 * k, _OVERSAMPLE)
 
 
+@shared_pool()
 def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The k smallest eigenvalues of L_sym and their eigenvectors by block
     subspace iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp 2011),
@@ -392,11 +399,15 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
     of ``normalized_laplacian`` is its fallback and its reference.
 
     L_sym = I - M with M = D^-1/2 W D^-1/2, so the pairs sought are the top
-    k of M, applied as ``r * (W @ (r * Q))`` without building L. The block
-    has ``_block_columns(k)`` columns: the convergence factor is the ratio
-    of the eigenvalue past the block to the k-th, and the certificate needs
-    the block to hold nearly all of M's Frobenius mass. The start block
-    comes from a fixed seed, so the result depends on W alone.
+    k of M, applied without building L as ``((Q^T r) W) r``: the block is
+    kept transposed, as (b, n) arrays, Q^T a view of the QR factor and
+    (r Q)^T and (M Q)^T the C-contiguous arrays that ``_product`` reads and
+    writes. The block has ``_block_columns(k)`` columns: the convergence
+    factor is the ratio of the eigenvalue past the block to the k-th, and
+    the certificate needs the block to hold nearly all of M's Frobenius
+    mass. The start block comes from a fixed seed, so the result depends on
+    W alone. The passes share one pool of kernel threads
+    (``parallel.shared_pool``), joined when the call returns.
 
     The iteration finds the k largest Ritz values of the block, but W may be
     indefinite (divergence kernels, user matrices), so an eigenvalue of M
@@ -410,19 +421,21 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
     Ritz values under _MIN_GAP, as when the k-th and (k+1)-th eigenvalues
     coincide, leaves no room for c and fails the certificate.
     """
-    n = w.n
-    r = (1.0 / np.sqrt(w.degrees))[:, None]
-    start = np.random.default_rng(0).standard_normal((n, _block_columns(k)))
-    q, _ = np.linalg.qr(start)
-    mq = np.empty_like(q)  # every pass's M Q, in turn
+    n, b = w.n, _block_columns(k)
+    r = 1.0 / np.sqrt(w.degrees)
+    start = np.random.default_rng(0).standard_normal((n, b))
+    qt = np.linalg.qr(start)[0].T  # Q^T, a view
+    mqt = np.empty((b, n))  # every pass's (M Q)^T, in turn
     worst = []  # largest residual of every pass
     for passes in range(1, _MAX_PASSES + 1):
-        _product(w, r * q, mq)
-        mq *= r
-        theta, ritz = np.linalg.eigh(q.T @ mq)
+        # (r Q)^T is a temporary, freed before the QR, whose peak it would
+        # otherwise raise
+        _product(w, np.multiply(qt, r, order="C"), mqt)
+        mqt *= r
+        theta, ritz = np.linalg.eigh(qt @ mqt.T)
         theta, ritz = theta[::-1], ritz[:, ::-1]
-        vectors = q @ ritz[:, :k]
-        residuals = np.linalg.norm(mq @ ritz[:, :k] - vectors * theta[:k], axis=0)
+        vt = ritz[:, :k].T @ qt
+        residuals = np.linalg.norm(ritz[:, :k].T @ mqt - vt * theta[:k, None], axis=1)
         worst.append(residuals.max())
         if worst[-1] <= _RESIDUAL_TOL:
             break
@@ -431,12 +444,12 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
             rate = worst[-1] / worst[-1 - _STALL_WINDOW]
             if worst[-1] * rate ** ((_MAX_PASSES - passes) / _STALL_WINDOW) > _RESIDUAL_TOL:
                 return None
-        q, _ = np.linalg.qr(mq)
+        qt = np.linalg.qr(mqt.T)[0].T
     else:
         return None
-    if theta[k - 1] - theta[k] <= _MIN_GAP or not _deflation_bound(w, r, q, mq, theta, ritz, k):
+    if theta[k - 1] - theta[k] <= _MIN_GAP or not _deflation_bound(w, r, qt, mqt, theta, ritz, k):
         return None
-    return 1.0 - theta[:k], vectors
+    return 1.0 - theta[:k], np.ascontiguousarray(vt.T)
 
 
 def spectral_embedding(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray, str]:
@@ -473,19 +486,20 @@ def ncut(w: AdjacencyMatrix, assignment: ClusterAssignment) -> float:
 
     A diagnostic for the quality of a partition under the kernel; lower is
     better. Empty clusters contribute zero. With H the (n, k) one-hot label
-    matrix, every cut is a column sum of (W (1 - H)) * H and every volume
-    one of degrees^T H. The cut is summed directly rather than as the
-    volume minus the weight inside, which cancels when the cut is tiny.
+    matrix, held as H^T, every cut is a row sum of ((1 - H)^T W) * H^T and
+    every volume one of H^T degrees. The cut is summed directly rather than
+    as the volume minus the weight inside, which cancels when the cut is
+    tiny.
     """
     if assignment.n != w.n:
         raise InvalidConfig(
             f"assignment over {assignment.n} objects against a {w.n}-node graph"
         )
-    h = np.zeros((w.n, assignment.k))
-    h[np.arange(w.n), assignment.labels] = 1.0
-    cut = (_product(w, 1.0 - h, np.empty_like(h)) * h).sum(axis=0)
-    vol = w.degrees @ h
-    present = h.any(axis=0)
+    ht = np.zeros((assignment.k, w.n))
+    ht[assignment.labels, np.arange(w.n)] = 1.0
+    cut = (_product(w, 1.0 - ht, np.empty_like(ht)) * ht).sum(axis=1)
+    vol = ht @ w.degrees
+    present = ht.any(axis=1)
     return 0.5 * float((cut[present] / vol[present]).sum())
 
 

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import log_density, random_model, random_spd
-from distclust.errors import DimensionMismatch, InsufficientSamples, InvalidConfig, InvalidMatrix
+from distclust import gaussian
+from distclust.errors import (
+    DimensionMismatch,
+    InsufficientSamples,
+    InvalidConfig,
+    InvalidMatrix,
+    NotPositiveSemidefinite,
+)
 from distclust.gaussian import GaussianModel, SampleGroup, _draw_groups, estimate_gaussians
-from distclust.matrixcore import SymMatrix
+from distclust.matrixcore import PSD_FLOOR, SymMatrix
+from distclust.synthgen import generate_benchmark
 
 
 def regularize(m: SymMatrix, eps_scale: float) -> SymMatrix:
@@ -239,3 +247,103 @@ class TestEstimateGaussians:
         for eps_scale in (-1.0, np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidConfig, match="^eps_scale must be finite and non-negative"):
                 estimate_gaussians([SampleGroup("a", rng.standard_normal((3, 2)))], eps_scale)
+
+
+def model_bytes(models) -> list:
+    return [(m.group_id, m.mean.tobytes(), m.covariance.values.tobytes()) for m in models]
+
+
+def spied(monkeypatch, name: str) -> list:
+    """Patch ``np.linalg.<name>`` to record each call's outcome: the result's
+    shape, or the exception it raised."""
+    calls, real = [], getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        try:
+            out = real(a, *args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            calls.append(exc)
+            raise
+        calls.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+class TestPsdCertificate:
+    """The fit's PSD check: one Cholesky factorization per finite bucket,
+    the bucket's ``eigvalsh`` where it fails or d is too large for it."""
+
+    @staticmethod
+    def by_eigenvalues(groups, eps_scale, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(gaussian, "floor_certified", lambda cov: False)
+            return estimate_gaussians(groups, eps_scale)
+
+    @pytest.mark.parametrize("n, d, q", [(200, 7, 30), (2000, 7, 30), (200, 7, 3), (60, 12, 5)])
+    def test_models_equal_the_eigenvalue_paths(self, n, d, q, monkeypatch):
+        # benchmark fits, and ridge-only ones (q - 1 < d): one bucket each,
+        # certified by one factorization with no eigenvalue call
+        groups = generate_benchmark(d, 5, n, q, seed=3).groups
+        expected = model_bytes(self.by_eigenvalues(groups, 1e-8, monkeypatch))
+        factored, solved = spied(monkeypatch, "cholesky"), spied(monkeypatch, "eigvalsh")
+        assert model_bytes(estimate_gaussians(groups)) == expected
+        assert factored == [(n, d, d)]
+        assert solved == []
+
+    def test_rank_deficient_bucket_falls_back_to_the_eigenvalues(self, rng, monkeypatch):
+        # no ridge, and a coordinate with no spread in some groups: a zero
+        # pivot fails the factorization, and the eigenvalues, 0 and rounding,
+        # pass the floor
+        samples = rng.standard_normal((8, 4, 3))
+        samples[::3, :, 1] = 0.5
+        groups = [SampleGroup(f"g{i}", x) for i, x in enumerate(samples)]
+        expected = model_bytes(self.by_eigenvalues(groups, 0.0, monkeypatch))
+        factored, solved = spied(monkeypatch, "cholesky"), spied(monkeypatch, "eigvalsh")
+        assert model_bytes(estimate_gaussians(groups, 0.0)) == expected
+        assert len(factored) == 1 and isinstance(factored[0], np.linalg.LinAlgError)
+        assert solved == [(8, 3)]
+
+    @pytest.mark.parametrize("bad", [[2], [4, 1]])
+    def test_indefinite_fit_names_the_first_failing_group(self, bad, rng, monkeypatch):
+        # covariances made indefinite past the floor after the fit: the
+        # factorization fails, and the eigenvalues name the first failing
+        # group in input order with the floor's message
+        real = gaussian._fit_stack
+        eigenvalues = {}
+
+        def indefinite(x, eps_scale):
+            mean, cov = real(x, eps_scale)
+            for i in bad:
+                v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+                cov[i] = SymMatrix((v * [-10.0 * PSD_FLOOR * (i + 1), 0.5, 2.0]) @ v.T).values
+                eigenvalues[i] = np.linalg.eigvalsh(cov[i])
+            return mean, cov
+
+        monkeypatch.setattr(gaussian, "_fit_stack", indefinite)
+        groups = [SampleGroup(f"g{i}", rng.standard_normal((6, 3))) for i in range(6)]
+        factored = spied(monkeypatch, "cholesky")
+        with pytest.raises(NotPositiveSemidefinite) as raised:
+            estimate_gaussians(groups)
+        first = min(bad)
+        low, top = eigenvalues[first][0], eigenvalues[first][-1]
+        assert str(raised.value) == (
+            f"group 'g{first}': min eigenvalue {low:.6e} below tolerance "
+            f"{-PSD_FLOOR * max(1.0, top):.6e}"
+        )
+        assert len(factored) == 1 and isinstance(factored[0], np.linalg.LinAlgError)
+
+    def test_dimension_above_the_bound_is_never_factored(self, rng, monkeypatch):
+        # d (d + 1) eps <= PSD_FLOOR holds up to d = 670
+        eps = np.finfo(float).eps
+        assert 670 * 671 * eps <= PSD_FLOOR < 671 * 672 * eps
+        for d, tried in ((670, True), (671, False)):
+            groups = [SampleGroup(f"g{i}", rng.standard_normal((3, d))) for i in range(2)]
+            with monkeypatch.context() as patch:
+                factored = spied(patch, "cholesky")
+                solved = spied(patch, "eigvalsh")
+                models = estimate_gaussians(groups)
+            assert [m.dim for m in models] == [d, d]
+            assert factored == ([(2, d, d)] if tried else [])
+            assert solved == ([] if tried else [(2, d)])

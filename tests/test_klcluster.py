@@ -25,6 +25,7 @@ from distclust.klcluster import (
 from distclust.matrixcore import SymMatrix
 from distclust.metrics import kl_divergence, kl_divergence_table, kl_factors
 from distclust.spectral import spectral_embedding
+from distclust.synthgen import generate_benchmark
 
 
 def model(mean, cov) -> GaussianModel:
@@ -211,6 +212,26 @@ class TestKlppSeed:
                 want = reference_klpp_seed(factors, k, np.random.default_rng(seed), squared)
                 assert got == want, (len(models), seed)
 
+    @pytest.mark.parametrize("q", [30, 3])
+    def test_pick_columns_are_the_tables_bytes(self, q, monkeypatch):
+        # a pick's divergences read its factors from the models' stack; the
+        # table factors the pick alone, and the column is the same to the
+        # byte, on benchmark fits and on ridge-only ones (q - 1 < d)
+        factors = kl_factors(estimate_gaussians(generate_benchmark(7, 5, 200, q, seed=3).groups))
+        columns, real = [], klcluster._kl_columns
+
+        def recorded(p, picked, name):
+            out = real(p, picked, name)
+            columns.append((picked["mean"], out))
+            return out
+
+        monkeypatch.setattr(klcluster, "_kl_columns", recorded)
+        picks = klpp_seed(factors, 5, np.random.default_rng(2))
+        assert len(columns) == 4
+        for pick, (mean, column) in zip(picks, columns):
+            assert mean.tobytes() == factors["mean"][[pick]].tobytes()
+            table = kl_divergence_table(factors, factors["mean"][[pick]], factors["cov"][[pick]])
+            assert column.tobytes() == table.tobytes()
 
     def test_overflowing_squared_weights_raise_a_typed_error(self):
         # KL between unit-covariance models 1e100 apart is finite (~1e200);

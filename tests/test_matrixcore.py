@@ -212,6 +212,22 @@ class TestOnePsdVerdict:
         expected = NotPositiveSemidefinite if side > 1.0 else None
         assert verdicts == [expected] * 3
 
+    @pytest.mark.parametrize("d", [3, 7, 50, 670])
+    def test_cholesky_certificate_passes_only_positive_definite_stacks(self, d, rng):
+        # a smallest eigenvalue just past the floor (1.01) or just inside it
+        # (0.99) fails the factorization, so only the eigenvalues judge it;
+        # a positive definite stack is certified at every d up to the bound
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        spectrum = np.linspace(1e-6, 2.0, d)
+
+        def stack(low):
+            spectrum[0] = low
+            return np.stack([np.eye(d), SymMatrix((q * spectrum) @ q.T).values])
+
+        assert matrixcore.floor_certified(stack(1e-6))
+        for side in (1.01, 0.99):
+            assert not matrixcore.floor_certified(stack(-side * PSD_FLOOR * 2.0))
+
     def test_floor_is_read_at_call_time(self, rng, monkeypatch):
         # a smallest eigenvalue ten times past the floor fails every check,
         # and passes every one once the floor is a hundred times wider

@@ -610,6 +610,34 @@ class TestRunBlocks:
         time.sleep(0.05)
         assert len(started) == threads
 
+    def test_shared_pool_serves_every_call_in_its_block(self, monkeypatch):
+        # three calls on three threads take their helpers off one pool of
+        # two, which is joined when the block ends
+        pools, real = [], parallel.ThreadPoolExecutor
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor",
+                            lambda workers, **kwargs: pools.append(workers) or real(workers, **kwargs))
+        with parallel.shared_pool():
+            for _ in range(3):
+                ran = []
+                parallel.run_blocks(ran.append, 300, 3)
+                assert sorted(ran) == list(range(300))
+            assert [t for t in threading.enumerate() if t.name.startswith("distclust-kernel")]
+        assert pools == [2]
+        assert not [t for t in threading.enumerate() if t.name.startswith("distclust-kernel")]
+        # outside a block, each call starts its own pool again
+        parallel.run_blocks(ran.append, 300, 3)
+        assert pools == [2, 2]
+
+    def test_failure_in_a_shared_pool_joins_its_threads(self):
+        def work(b):
+            if b == 41:
+                raise ValueError(b)
+
+        with pytest.raises(ValueError, match="^41$"):
+            with parallel.shared_pool():
+                parallel.run_blocks(work, 300, 4)
+        assert not [t for t in threading.enumerate() if t.name.startswith("distclust-kernel")]
+
     def test_row_blocks_lend_each_buffer_to_one_block_at_a_time(self, monkeypatch):
         # 8 threads over 200 row blocks: no two running blocks share a
         # scratch buffer, and the results come back in block order

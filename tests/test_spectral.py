@@ -692,9 +692,9 @@ class TestDeflationBound:
 
     def test_frobenius_norm_in_row_blocks(self, monkeypatch):
         w = benchmark_kernel(300, METRIC_EUCLIDEAN)
-        r = (1.0 / np.sqrt(w.values.sum(axis=1)))[:, None]
+        r = 1.0 / np.sqrt(w.values.sum(axis=1))
         monkeypatch.setattr(spectral, "_BLOCK_ROWS", 64)
-        expected = np.linalg.norm(r * w.values * r.T) ** 2
+        expected = np.linalg.norm(r[:, None] * w.values * r) ** 2
         assert spectral._frobenius_sq(w, r) == pytest.approx(expected, rel=1e-13)
 
 
@@ -823,6 +823,37 @@ def recorded_pools(monkeypatch) -> list:
     return pools
 
 
+class TestProduct:
+    """X^T W, the one product with W, in column blocks of _BLOCK_ROWS."""
+
+    @staticmethod
+    def problem(n: int):
+        rng = np.random.default_rng(n)
+        x = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+        x += x.T
+        np.fill_diagonal(x, 1.0)
+        w = spectral._trusted(AdjacencyMatrix, values=x, bandwidth_sigma=1.0, degrees=x.sum(axis=1))
+        return w, rng.standard_normal((spectral._block_columns(5), n))
+
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_threads_change_no_byte(self, n, monkeypatch):
+        w, xt = self.problem(n)
+        got = {}
+        for threads in THREAD_SETTINGS:
+            monkeypatch.setenv("DISTCLUST_THREADS", threads)
+            got[threads] = spectral._product(w, xt, np.empty_like(xt)).tobytes()
+        assert got["2"] == got["1"]
+        assert got["3"] == got["1"]
+
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_agrees_with_the_whole_product(self, n):
+        w, xt = self.problem(n)
+        out = spectral._product(w, xt, np.empty_like(xt))
+        error = np.linalg.norm(out.T - w.values @ xt.T)
+        eps = np.finfo(float).eps
+        assert error <= n * eps * np.linalg.norm(w.values) * np.linalg.norm(xt)
+
+
 class TestThreadedPasses:
     """A spectral run's n x n passes run in fixed blocks of _BLOCK_ROWS
     rows on the kernel threads; at n = 600 that is three blocks."""
@@ -856,6 +887,20 @@ class TestThreadedPasses:
             assert set(pools) == ({int(threads) - 1} if threads != "1" else set())
         assert got["2"] == got["1"]
         assert got["3"] == got["1"]
+
+    def test_subspace_passes_share_one_pool(self, groups, monkeypatch):
+        # the iteration's products and |M|_F^2 take one pool per call, which
+        # ends with the call, and give the bytes of a pool per pass
+        monkeypatch.setenv("DISTCLUST_THREADS", "2")
+        w = kernelize(mean_euclidean_matrix(estimate_gaussians(groups)))
+        pools = recorded_pools(monkeypatch)
+        before = threading.active_count()
+        shared = _subspace_bottom(w, 5)
+        assert pools == [1]
+        assert threading.active_count() == before
+        per_pass = _subspace_bottom.__wrapped__(w, 5)
+        assert len(pools) > 3
+        assert [a.tobytes() for a in shared] == [a.tobytes() for a in per_pass]
 
     def test_one_block_starts_no_pool(self, monkeypatch):
         # at n = 200 every pass is one block, on the calling thread
