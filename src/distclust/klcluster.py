@@ -439,18 +439,22 @@ def klpp_seed(
     to uniform over unchosen indices. Each pick takes one ``rng.random()``
     and the inverse CDF of the weights, as ``rng.choice(n, p=...)`` would;
     weights that overflow raise ``NumericalError``. A pick's divergences
-    read its factors from ``factors``: a factor taken from the stack equals
-    the one ``kl_divergence_table`` would take of the pick alone, so they
-    are that table's bits without factoring the pick again.
+    are ``_seed_table``'s.
     """
     n = len(factors["mean"])
     _check_k(k, n, "models")
+    picks = _plus_plus(n, k, [rng], lambda idx: _seed_table(factors, idx).T, 2 if squared else 1)
+    return picks[0].tolist()
 
-    def kl_to(idx):
-        picked = {key: v[idx] for key, v in factors.items()}
-        return _kl_columns(factors, picked, lambda i, j: f"model {i}, center {j}").T
 
-    return _plus_plus(n, k, [rng], kl_to, 2 if squared else 1)[0].tolist()
+def _seed_table(factors: dict, idx) -> np.ndarray:
+    """KL(model i || model idx[j]) for ``kl_factors`` ``factors``, the
+    models at ``idx`` as centers: their factors are read from the stack,
+    where each equals the one ``kl_divergence_table`` would take of that
+    model alone, so this is that table's bits without factoring them again.
+    """
+    seeds = {key: v[idx] for key, v in factors.items()}
+    return _kl_columns(factors, seeds, lambda i, j: f"model {i}, center {j}")
 
 
 def kl_cluster(
@@ -486,7 +490,7 @@ def kl_cluster(
     else:
         seed_idx = [int(i) for i in rng.choice(n, size=k, replace=False)]
     means, covs = factors["mean"][seed_idx], factors["cov"][seed_idx]
-    table = kl_divergence_table(factors, means, covs)
+    table = _seed_table(factors, seed_idx)
     labels = table.argmin(axis=1)[None]
     objects = np.arange(n)
 

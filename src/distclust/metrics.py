@@ -17,8 +17,8 @@ stacks the pairs' matrices into (b, d, d) arrays and makes one batched
 LAPACK call for them, a symmetric eigensolve for W2 and one Cholesky
 factorization of the averaged covariances for Bhattacharyya. The matrix
 builder cuts the upper triangle, in row-major order, into blocks of whole
-rows and runs W2 blocks on threads (the batched LAPACK calls release the
-GIL); a scalar entry point is a batch of one through the same kernel. KL
+rows and runs the blocks on threads (the batched LAPACK calls release
+the GIL); a scalar entry point is a batch of one through the same kernel. KL
 has one column function, one batched column per center: it builds KL
 k-means' model-to-center table, the kl matrix as that table with the models
 as their own centers, and the scalar as a one-by-one table. A matrix's
@@ -409,10 +409,10 @@ def distance_matrix(models: Sequence[GaussianModel], metric: str) -> DistanceMat
     their own centers, built by columns. Otherwise the upper triangle, in
     row-major order, is cut into blocks of whole rows, up to
     ``_PAIR_BLOCK_BYTES`` per (pairs, d, d) stack, one pair-kernel call per
-    block, and mirrored in place, in row blocks. W2 blocks run on
-    ``kernel_threads()`` threads, Bhattacharyya's (no faster on a second
-    thread) on the calling one. Non-finite values fail, the rest are clamped
-    to zero, and the error names the first failing pair in row-major order.
+    block, and mirrored in place, in row blocks. Both metrics' blocks run on
+    ``kernel_threads()`` threads. Non-finite values fail, the rest are
+    clamped to zero, and the error names the first failing pair in
+    row-major order.
     """
     if metric not in KNOWN_METRICS:
         raise InvalidMatrix(f"unknown metric tag {metric!r}")
@@ -426,14 +426,13 @@ def distance_matrix(models: Sequence[GaussianModel], metric: str) -> DistanceMat
         kernel = _PAIR_KERNELS[metric]
         out = np.zeros((n, n))
         size = max(1, _PAIR_BLOCK_BYTES // (8 * f["cov"][0].size))
-        threads = kernel_threads() if metric == METRIC_WASSERSTEIN_SQ else 1
         count, pairs = _pair_blocks(n, size)
 
         def block(b):
             I, J = pairs(b)
             out[I, J] = kernel(f, I, J)
 
-        run_blocks(block, count, threads)
+        run_blocks(block, count, kernel_threads())
         # the lower triangle is still zero: upper + 0.0 is upper + lower
         mirror_in_place(out, lambda upper, lower: upper + 0.0)
     out.flags.writeable = False

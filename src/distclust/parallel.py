@@ -1,12 +1,17 @@
-"""The thread setting, and the one claim loop of kernel blocks and trials.
+"""The thread setting, the kernel scope, and the one claim loop.
 
 ``resolve_threads`` is the one thread setting: an explicit count, else
 ``DISTCLUST_THREADS``, else the CPUs the process may run on. The benchmark
 harness counts its trial processes with it, the calling process among
 them, and the in-process kernels their threads, the calling thread among
-them. Every process that runs trials, the caller and each pool worker,
-runs its kernels on one thread inside ``kernels_on_one_thread``, so the
-processes never ask for more threads than the cores the setting counts.
+them. ``kernel_scope`` holds the kernels' thread count and their one
+pool of helper threads: every process that runs trials, the caller and
+each pool worker, runs them in ``kernel_scope(1)``, so the processes never
+ask for more threads than the cores the setting counts, and ``pipeline``
+opens one scope per spectral run, whose passes then share one pool, as
+a pool takes about 0.2 ms to start and join (2 vCPU). The scope is a
+context variable: a thread of the caller's own sees no scope it did not
+open.
 
 ``claim`` is the one claim loop, of kernel blocks and of trials alike: a
 worker takes the next index off a shared counter until none is left.
@@ -16,19 +21,15 @@ a single-threaded caller, spawned elsewhere; see
 ``pipeline._start_method``), and raises the lowest failing index's
 exception, the one a serial run would raise.
 
-Two kinds of kernel run on the threads of ``run_blocks``: the W2 pair
-blocks of ``metrics.distance_matrix``, and the n x n passes of a spectral
-run (the mean distances, the kernel, the degree sums and the products with
-W), which ``row_blocks`` cuts into fixed blocks of ``_BLOCK_ROWS`` rows.
-A block is the same row range at any thread count, so its results are too.
-Each call starts and joins its own pool of helper threads, except inside a
-``shared_pool`` block, whose calls share one: the subspace iteration's
-passes run in one, which saved about 2 ms of a 48 ms n = 2000 solve on two
-kernel threads (2 vCPU, one BLAS thread), where a pool costs about 0.2 ms
-to start and join. The threads allocate no array of their own beyond a few
-KiB: outputs and the scratch buffers ``row_blocks`` hands out are allocated
-by the calling thread, so no thread's malloc arena holds freed n x n
-pieces.
+Two kinds of kernel run on the threads of ``run_blocks``: the pair blocks
+of ``metrics.distance_matrix``, W2's and Bhattacharyya's, and the n x n
+passes of a spectral run (the mean distances, the kernel, the degree sums
+and the products with W), which ``row_blocks`` cuts into fixed blocks of
+``_BLOCK_ROWS`` rows. A block is the same row range at any thread count,
+so its results are too. The threads allocate no array of their own beyond
+a few KiB: outputs and the scratch buffers ``row_blocks`` hands out are
+allocated by the calling thread, so no thread's malloc arena holds freed
+n x n pieces.
 """
 
 import contextvars
@@ -37,6 +38,7 @@ import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,10 +47,8 @@ from .matrixcore import _BLOCK_ROWS
 
 THREADS_ENV_VAR = "DISTCLUST_THREADS"
 
-# 1 in a process running trials; None reads resolve_threads()
-_kernel_threads: int | None = None
-# inside a ``shared_pool`` block, a list that holds its pool once started
-_shared_pool = contextvars.ContextVar("distclust_shared_pool", default=None)
+# the open kernel scope, if any
+_scope = contextvars.ContextVar("distclust_kernel_scope", default=None)
 
 
 def resolve_threads(explicit: int | None = None) -> int:
@@ -75,41 +75,32 @@ def resolve_threads(explicit: int | None = None) -> int:
 
 
 @contextmanager
-def kernels_on_one_thread():
-    """Run this process's kernels on one thread inside the block, as every
-    process running trials does; the previous setting comes back however
-    the block ends."""
-    global _kernel_threads
-    previous, _kernel_threads = _kernel_threads, 1
+def kernel_scope(threads: int | None = None):
+    """Run the kernels inside the block on ``threads`` threads, the calling
+    one among them, ``resolve_threads()`` by default, and their helper
+    threads on one pool, joined when the block exits, however it exits,
+    so no helper outlives it; the first call that needs the pool starts
+    it. ``kernel_scope()`` inside an open scope is that scope. A call that
+    fails by an exception escaping its blocks, such as an interrupt, shuts
+    the pool down, so the scope must end with that exception."""
+    if threads is None and _scope.get() is not None:
+        yield
+        return
+    scope = SimpleNamespace(threads=resolve_threads(threads), pool=None)
+    token = _scope.set(scope)
     try:
         yield
     finally:
-        _kernel_threads = previous
-
-
-@contextmanager
-def shared_pool():
-    """Run every ``run_blocks`` call on more than one thread inside the
-    block on one pool of helper threads, started (and sized) by the first
-    such call and joined when the block ends, however it ends, so no helper
-    outlives the block. Each call still submits its own helper tasks and
-    claims its blocks as without the block, so no result changes. A
-    failing call shuts the pool down, so the block must end with its
-    exception. Outside a block, each call starts and joins its own."""
-    started = []
-    token = _shared_pool.set(started)
-    try:
-        yield
-    finally:
-        _shared_pool.reset(token)
-        for pool in started:
-            pool.shutdown()
+        _scope.reset(token)
+        if scope.pool is not None:
+            scope.pool.shutdown()
 
 
 def kernel_threads() -> int:
-    """Threads for one in-process kernel: 1 in a process running trials,
-    else ``resolve_threads()``."""
-    return _kernel_threads or resolve_threads()
+    """Threads for one in-process kernel: the open scope's count, else
+    ``resolve_threads()``."""
+    scope = _scope.get()
+    return resolve_threads() if scope is None else scope.threads
 
 
 class _Counter:
@@ -173,12 +164,18 @@ def run_claimed(fn, items, counter, pool, helpers: int, task) -> list:
 
 
 def run_blocks(work, count: int, threads: int) -> list:
-    """``[work(b) for b in range(count)]`` on ``threads`` threads, the
-    calling one and ``threads - 1`` pool threads, through ``run_claimed``.
-    ``work`` must be safe to run concurrently on different blocks."""
-    threads = min(threads, count)
+    """``[work(b) for b in range(count)]`` on ``threads`` threads, at most
+    the open scope's count, the calling one and ``threads - 1`` helpers of
+    the scope's pool, through ``run_claimed``; with no scope open, inside
+    one of ``threads`` for this call. ``work`` must be safe to run
+    concurrently on different blocks."""
+    scope = _scope.get()
+    threads = min(threads, count, scope.threads if scope else threads)
     if threads <= 1:
         return [work(b) for b in range(count)]
+    if scope is None:
+        with kernel_scope(threads):
+            return run_blocks(work, count, threads)
     # numpy's error handling is per thread (a context variable from NumPy 2.0
     # on, thread-local state before it), so each helper enters the caller's
     caller_err, caller_call = np.geterr(), np.geterrcall()
@@ -188,17 +185,9 @@ def run_blocks(work, count: int, threads: int) -> list:
         with np.errstate(call=caller_call, **caller_err):
             return claim(work, range(count), counter)
 
-    started = _shared_pool.get()
-    if started is None:
-        with _kernel_pool(threads - 1) as pool:
-            return run_claimed(work, range(count), counter, pool, threads - 1, helper)
-    if not started:
-        started.append(_kernel_pool(threads - 1))
-    return run_claimed(work, range(count), counter, started[0], threads - 1, helper)
-
-
-def _kernel_pool(helpers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(helpers, thread_name_prefix="distclust-kernel")
+    if scope.pool is None:
+        scope.pool = ThreadPoolExecutor(scope.threads - 1, thread_name_prefix="distclust-kernel")
+    return run_claimed(work, range(count), counter, scope.pool, threads - 1, helper)
 
 
 def row_blocks(n: int, work, scratch: int = 0) -> list:

@@ -60,7 +60,7 @@ from .metrics import (
     distance_matrix,
     mean_euclidean_matrix,
 )
-from .parallel import claim, kernels_on_one_thread, resolve_threads, run_claimed
+from .parallel import claim, kernel_scope, resolve_threads, run_claimed
 from .spectral import _kernel_scale, kernelize, spectral_cluster
 from .synthgen import check_benchmark_shape, derive_trial_seed, generate_benchmark
 
@@ -162,7 +162,8 @@ def _cluster_models(models, config: PipelineConfig) -> PipelineResult:
     trial fits once and calls this for each of its algorithms."""
     metric = _SPECTRAL_METRICS.get(config.algorithm)
     if metric is not None:
-        return cluster_matrix(_spectral_input(models, metric), config)
+        with kernel_scope():
+            return cluster_matrix(_spectral_input(models, metric), config)
 
     rng = np.random.default_rng(config.seed)
     if config.algorithm == ALGO_KMEANS_MEANS:
@@ -223,22 +224,24 @@ def cluster_matrix(dm: DistanceMatrix, config: PipelineConfig) -> PipelineResult
     spectral embedding and k-means, seeded from ``config.seed``. The matrix
     must carry the metric of ``config.algorithm``. Returns the run's result,
     as ``run_pipeline`` does: the labels, the diagnostics (metric,
-    bandwidth, normalized cut, eigensolver) and the config's warnings."""
+    bandwidth, normalized cut, eigensolver) and the config's warnings. A
+    run is one kernel scope, so its n x n passes share one helper pool."""
     expected = spectral_metric(config.algorithm)
     if dm.metric != expected:
         raise InvalidConfig(f"{config.algorithm} expects a {expected} matrix, got {dm.metric}")
-    adjacency = kernelize(dm, sigma=config.sigma, on_sqrt=config.kernel_on_sqrt)
-    # past the kernel a divergence matrix that ``kernelize`` left intact is
-    # dead weight; dropping it takes one n x n array off the peak of the
-    # eigensolve
-    del dm
-    assignment, diagnostics = spectral_cluster(
-        adjacency,
-        config.k,
-        np.random.default_rng(config.seed),
-        restarts=config.restarts,
-        max_iter=config.max_iter or 300,
-    )
+    with kernel_scope():
+        adjacency = kernelize(dm, sigma=config.sigma, on_sqrt=config.kernel_on_sqrt)
+        # past the kernel a divergence matrix that ``kernelize`` left intact
+        # is dead weight; dropping it takes one n x n array off the peak of
+        # the eigensolve
+        del dm
+        assignment, diagnostics = spectral_cluster(
+            adjacency,
+            config.k,
+            np.random.default_rng(config.seed),
+            restarts=config.restarts,
+            max_iter=config.max_iter or 300,
+        )
     return PipelineResult(
         assignment, config.algorithm, {"metric": expected, **diagnostics}, _config_warnings(config)
     )
@@ -268,7 +271,7 @@ def _start_method() -> str:
 
 def _run_trials(fn, args_list) -> dict:
     """A pool worker's ``parallel.claim`` over the job's trials."""
-    with kernels_on_one_thread():
+    with kernel_scope(1):
         return claim(fn, args_list, _next_trial)
 
 
@@ -289,7 +292,7 @@ def _map_trials(fn, args_list, threads: int):
     next_trial = context.Value("i", 0)
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=context, initializer=_start_worker, initargs=(next_trial,)
-    ) as pool, kernels_on_one_thread():
+    ) as pool, kernel_scope(1):
         task = partial(_run_trials, fn, args_list)
         return run_claimed(fn, args_list, next_trial, pool, workers, task)
 

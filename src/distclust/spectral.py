@@ -53,7 +53,7 @@ from .errors import InvalidBandwidth, InvalidConfig, InvalidMatrix, MetricNotSym
 from .klcluster import ClusterAssignment, kmeans
 from .matrixcore import _BLOCK_ROWS, _trusted, max_asymmetry, mirror_in_place
 from .metrics import DistanceMatrix
-from .parallel import row_blocks, shared_pool
+from .parallel import kernel_scope, row_blocks
 
 _ENTRY_TOL = 1e-9
 
@@ -391,7 +391,7 @@ def _block_columns(k: int) -> int:
     return k + min(5 * k, _OVERSAMPLE)
 
 
-@shared_pool()
+@kernel_scope()
 def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The k smallest eigenvalues of L_sym and their eigenvectors by block
     subspace iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp 2011),
@@ -406,8 +406,9 @@ def _subspace_bottom(w: AdjacencyMatrix, k: int) -> tuple[np.ndarray, np.ndarray
     factor is the ratio of the eigenvalue past the block to the k-th, and
     the certificate needs the block to hold nearly all of M's Frobenius
     mass. The start block comes from a fixed seed, so the result depends on
-    W alone. The passes share one pool of kernel threads
-    (``parallel.shared_pool``), joined when the call returns.
+    W alone. The passes run in one kernel scope (``parallel.kernel_scope``):
+    the caller's, as a pipeline run opens one, else one of the call's own,
+    whose pool is joined when the call returns.
 
     The iteration finds the k largest Ritz values of the block, but W may be
     indefinite (divergence kernels, user matrices), so an eigenvalue of M

@@ -322,6 +322,27 @@ class TestKlCluster:
             result = kl_cluster(models, 3, np.random.default_rng(seed), seeding=seeding)
             assert np.all(np.asarray(result.objective_history) >= 0.0)
 
+    def test_random_seeds_first_table_is_the_centers_table(self, rng, monkeypatch):
+        # the random seeds' factors are read off the models' stack, not
+        # factored again, and the first table keeps the bytes of the table
+        # of the seeds as centers; ridge-only fits make those factors
+        # ill-conditioned
+        models = [random_model(3, rng) for _ in range(10)] + [
+            estimate_gaussians([SampleGroup(f"g{i}", rng.standard_normal((3, 7)))])[0]
+            for i in range(10)
+        ]
+        real, first = klcluster._kl_columns, []
+        monkeypatch.setattr(klcluster, "_kl_columns",
+                            lambda *args: first.append(real(*args)) or first[-1])
+        for group in (models[:10], models[10:]):
+            factors = kl_factors(group)
+            for seed in range(3):
+                first.clear()
+                kl_cluster(group, 4, np.random.default_rng(seed))
+                idx = np.random.default_rng(seed).choice(len(group), size=4, replace=False)
+                expected = kl_divergence_table(factors, factors["mean"][idx], factors["cov"][idx])
+                assert first[0].tobytes() == expected.tobytes()
+
     def test_objective_non_increasing_between_repairs(self, rng):
         models = [random_model(3, rng) for _ in range(25)]
         result = kl_cluster(models, 4, np.random.default_rng(2))

@@ -402,6 +402,19 @@ def worker_kernel_threads(_) -> int:
     return parallel.kernel_threads()
 
 
+def kernel_helpers() -> list[threading.Thread]:
+    """The live helper threads of kernel scopes."""
+    return [t for t in threading.enumerate() if t.name.startswith("distclust-kernel")]
+
+
+def counted_pools(monkeypatch) -> list[int]:
+    """The helper count of every pool that ``parallel`` starts from now on."""
+    pools, real = [], parallel.ThreadPoolExecutor
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor",
+                        lambda workers, **kwargs: pools.append(workers) or real(workers, **kwargs))
+    return pools
+
+
 def spaced_models(n: int) -> list[GaussianModel]:
     """1-d unit-variance models 10 apart, except pairs (2, 3) and (9, 10),
     0.5 apart: every divergence of those two pairs is below 1, of the rest
@@ -449,15 +462,15 @@ class TestPairBlocks:
             monkeypatch.setenv("DISTCLUST_THREADS", threads)
             seen.clear()
             got[threads] = distance_matrix(models, metric).values.tobytes()
-            # only W2's blocks leave the calling thread
-            assert len(seen) == (2 if threads == "2" and metric == METRIC_WASSERSTEIN_SQ else 1)
+            # both metrics' blocks leave the calling thread on two threads
+            assert len(seen) == int(threads)
         assert got["1"] == got["2"]
 
     @pytest.mark.parametrize("metric", PAIR_METRICS)
     def test_first_failing_block_names_the_error(self, metric, monkeypatch):
         # pair (2, 3) fails in the second block and (9, 10) in a later one;
-        # the second block is held up, so with W2 on two threads the later
-        # block fails first, and the error still names (2, 3)
+        # the second block is held up, so on two threads the later block
+        # fails first, and the error still names (2, 3)
         monkeypatch.setattr(metrics, "_PAIR_BLOCK_BYTES", 8 * 24)
         models = spaced_models(12)
         kernel = metrics._PAIR_KERNELS[metric]
@@ -486,7 +499,7 @@ class TestPairBlocks:
             failed.clear()
             with pytest.raises(NumericalError, match=r"^pair \(2, 3\): "):
                 distance_matrix(models, metric)
-            if threads == "2" and metric == METRIC_WASSERSTEIN_SQ:
+            if threads == "2":
                 assert failed == ["pair (9, 10)", "pair (2, 3)"]
             else:
                 assert failed == ["pair (2, 3)"]
@@ -610,33 +623,89 @@ class TestRunBlocks:
         time.sleep(0.05)
         assert len(started) == threads
 
-    def test_shared_pool_serves_every_call_in_its_block(self, monkeypatch):
+    def test_kernel_scope_serves_every_call_in_its_block(self, monkeypatch):
         # three calls on three threads take their helpers off one pool of
-        # two, which is joined when the block ends
-        pools, real = [], parallel.ThreadPoolExecutor
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor",
-                            lambda workers, **kwargs: pools.append(workers) or real(workers, **kwargs))
-        with parallel.shared_pool():
+        # two, which is joined when the scope ends
+        pools = counted_pools(monkeypatch)
+        with parallel.kernel_scope(3):
             for _ in range(3):
                 ran = []
                 parallel.run_blocks(ran.append, 300, 3)
                 assert sorted(ran) == list(range(300))
-            assert [t for t in threading.enumerate() if t.name.startswith("distclust-kernel")]
+            assert kernel_helpers()
         assert pools == [2]
-        assert not [t for t in threading.enumerate() if t.name.startswith("distclust-kernel")]
-        # outside a block, each call starts its own pool again
+        assert not kernel_helpers()
+        # outside a scope, each call opens its own, with its own pool
         parallel.run_blocks(ran.append, 300, 3)
         assert pools == [2, 2]
 
-    def test_failure_in_a_shared_pool_joins_its_threads(self):
+    def test_failure_in_a_kernel_scope_joins_its_threads(self):
         def work(b):
             if b == 41:
                 raise ValueError(b)
 
         with pytest.raises(ValueError, match="^41$"):
-            with parallel.shared_pool():
+            with parallel.kernel_scope(4):
                 parallel.run_blocks(work, 300, 4)
-        assert not [t for t in threading.enumerate() if t.name.startswith("distclust-kernel")]
+        assert not kernel_helpers()
+
+    def test_failing_block_inside_a_scope_joins_every_helper(self, monkeypatch):
+        # a failing block leaves the scope's pool to its next call, and the
+        # scope's exit joins every helper the pool started
+        pools = counted_pools(monkeypatch)
+
+        def work(b):
+            time.sleep(0.0005)
+            if b == 150:
+                raise ValueError(b)
+
+        with pytest.raises(ValueError, match="^150$"):
+            with parallel.kernel_scope(4):
+                with pytest.raises(ValueError, match="^150$"):
+                    parallel.run_blocks(work, 300, 4)
+                assert kernel_helpers()
+                parallel.run_blocks(work, 300, 4)
+        assert pools == [3]
+        assert not kernel_helpers()
+
+    def test_unset_scope_inside_a_one_thread_scope_is_that_scope(self, monkeypatch):
+        monkeypatch.setenv("DISTCLUST_THREADS", "4")
+        pools = counted_pools(monkeypatch)
+        caller = threading.get_ident()
+        ran = set()
+        with parallel.kernel_scope(1):
+            with parallel.kernel_scope():
+                assert parallel.kernel_threads() == 1
+                parallel.run_blocks(lambda b: ran.add(threading.get_ident()), 300, 4)
+                parallel.row_blocks(300 * parallel._BLOCK_ROWS, lambda s, e: None)
+            assert parallel.kernel_threads() == 1
+        assert parallel.kernel_threads() == 4
+        assert ran == {caller}
+        assert pools == []
+
+    def test_scope_in_one_thread_leaves_another_threads_count(self, monkeypatch):
+        # the scope is a context variable: a Python thread of the caller's
+        # own that opens kernel_scope(1) changes no other thread's count
+        monkeypatch.setenv("DISTCLUST_THREADS", "3")
+        inside, seen = threading.Event(), threading.Event()
+        counts = []
+
+        def one_thread():
+            with parallel.kernel_scope(1):
+                counts.append(parallel.kernel_threads())
+                inside.set()
+                seen.wait(timeout=5)
+
+        other = threading.Thread(target=one_thread)
+        other.start()
+        try:
+            assert inside.wait(timeout=5)
+            counts.append(parallel.kernel_threads())
+        finally:
+            seen.set()
+            other.join(timeout=5)
+        assert not other.is_alive()
+        assert counts == [1, 3]
 
     def test_row_blocks_lend_each_buffer_to_one_block_at_a_time(self, monkeypatch):
         # 8 threads over 200 row blocks: no two running blocks share a

@@ -291,6 +291,23 @@ class TestRunPipeline:
             # count, where a second array made it 2.13
             assert peak < 1.3 * n * n * 8, threads
 
+    def test_spectral_means_starts_one_pool(self, monkeypatch):
+        # a spectral run is one kernel scope: on two kernel threads its
+        # passes, from the mean distances to ncut, share one helper pool,
+        # joined before the run returns, so no helper keeps a trial pool
+        # from forking; on one thread no pool starts
+        n = 2000
+        models = estimate_gaussians(generate_benchmark(7, 5, n, 30).groups)
+        pools, real = [], parallel.ThreadPoolExecutor
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor",
+                            lambda workers, **kwargs: pools.append(workers) or real(workers, **kwargs))
+        for threads, started in (("1", []), ("2", [1])):
+            monkeypatch.setenv("DISTCLUST_THREADS", threads)
+            pools.clear()
+            pipeline._cluster_models(models, PipelineConfig(ALGO_SPECTRAL_MEANS, k=5))
+            assert pools == started, threads
+            assert not [t for t in threading.enumerate() if t.name.startswith("distclust-kernel")]
+
     @pytest.mark.parametrize("on_sqrt", [False, True])
     def test_cluster_matrix_leaves_a_callers_matrix_intact(self, on_sqrt, rng):
         groups, _ = separated_groups(rng, per_cluster=5)
