@@ -36,9 +36,17 @@ Seeding is ``random`` (k distinct models drawn uniformly) or ``klpp``, the
 nearest chosen center (optionally squared). A run is a batch of one on
 stacked arrays: ``kl_factors`` stacks and factors the models once, and the
 centers are a (k, d) mean array and a (k, d, d) covariance array, which
-``center_update`` rebuilds from the returned labels. The checkpoint is the
-labels and the centers, since the repair, with each model's KL divergence
-to its own center as its cost, reads the last table.
+``center_update`` rebuilds from the returned labels. Every assignment, the
+seeds' included, is one GEMM of fixed per-model features against
+per-center weights (``_kl_assign``), certified as Lloyd's is by
+``_certified_argmin``: rows
+whose rounding could misorder two centers, exact ties among them, are
+scored again in the exact form, ``metrics._kl_columns``, so the labels are
+those of the exact table. The objective and the repair's costs, each
+model's KL divergence to its own center, are exact values of the assigned
+pairs (``metrics._kl_pairs``), the table's entries to the bit. The
+checkpoint is the labels and the centers, since the repair reads the last
+centers.
 """
 
 from dataclasses import dataclass
@@ -47,7 +55,7 @@ import numpy as np
 
 from .errors import EmptyCluster, InvalidConfig, NumericalError, _check_non_negative
 from .gaussian import GaussianModel, _ridged
-from .metrics import _kl_columns, kl_divergence_table, kl_factors
+from .metrics import METRIC_KL, _factors, _kl_columns, _kl_pairs, kl_factors
 
 SEEDING_RANDOM = "random"
 SEEDING_KLPP = "klpp"
@@ -55,6 +63,9 @@ SEEDINGS = (SEEDING_RANDOM, SEEDING_KLPP)
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# weights per np.bincount call of _cluster_means: the call's offsets and
+# weights (1 MiB) stay in cache
+_MEANS_BLOCK = 1 << 16
 
 
 def _check_k(k: int, n: int, items: str, max_iter: int = 1) -> None:
@@ -169,8 +180,12 @@ def _cluster_means(values: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray
 
     They are ``np.mean``'s: over more than one column it adds a cluster's
     rows in index order, as ``np.bincount`` does over label-plus-row offsets
-    (one block of offsets per column), and divides by the count. A single
-    column it sums pairwise, so there each cluster is summed as it does.
+    (one block of offsets per column), and divides by the count. The
+    columns go to ``np.bincount`` in groups of up to ``_MEANS_BLOCK``
+    weights, each column repeated once per label row, so one call's
+    offsets and weights stay in cache at large R n and one call takes all
+    columns at small. A single column it sums pairwise, so there each
+    cluster is summed as it does.
     """
     r, n = labels.shape
     flat = values.reshape(n, -1)
@@ -180,9 +195,16 @@ def _cluster_means(values: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray
     if f == 1:
         sums = np.array([[flat[lab == j].sum() for j in range(k)] for lab in labels])
     else:
-        offsets = (cells + r * k * np.arange(f)[:, None]).ravel()
-        weights = np.broadcast_to(flat.T[:, None, :], (f, r, n)).ravel()
-        sums = np.bincount(offsets, weights=weights, minlength=f * r * k).reshape(f, r * k).T
+        step = max(1, _MEANS_BLOCK // (r * n))
+        offsets = (cells + r * k * np.arange(min(f, step))[:, None]).ravel()
+        sums = np.empty((f, r * k))
+        for s in range(0, f, step):
+            weights = np.repeat(flat.T[s : s + step], r, axis=0).ravel()
+            g = weights.size // (r * n)
+            sums[s : s + g] = np.bincount(
+                offsets[: weights.size], weights=weights, minlength=g * r * k
+            ).reshape(g, r * k)
+        sums = sums.T
     means = sums.reshape(r * k, f) / np.maximum(counts, 1)[:, None]
     return means.reshape(r, k, *values.shape[1:])
 
@@ -269,6 +291,35 @@ def _plus_plus_seed(points: np.ndarray, k: int, rngs) -> np.ndarray:
     return points[_plus_plus(points.shape[0], k, rngs, squared_distances_to, 1)]
 
 
+def _certified_argmin(table: np.ndarray, slack: np.ndarray, exact):
+    """The first least entry of each column of R tables of rounded scores
+    (R, k, n), certified: ``slack`` (R, n) bounds, for each column, how far
+    rounding can move its entries against each other and against the exact
+    form's. A column whose best score is the only one within ``slack`` of
+    it has that index as its unique exact argmin. Every other column takes
+    the argmin of ``exact(rows, cols)``, the exact form's (m, k) scores of
+    its (run, column) pairs, so the labels and their first-index
+    tie-breaking are the exact form's. That covers exact ties, and a
+    column with a nan, whose best is nan, so none of its entries is inside;
+    one with an infinite bound has all k inside, and at k = 1 its one label
+    is certain anyway.
+
+    Returns the labels (R, n), each column's least score (R, n), the exact
+    form's where it was scored again, and the mask of those columns.
+    """
+    best = table.min(axis=1)
+    limit = best + slack
+    inside = table <= limit[:, None, :]
+    labels = np.einsum("rkn,k->rn", inside, np.arange(table.shape[1]))  # the one center inside
+    rescored = np.add.reduce(inside, axis=1, dtype=np.intp) != 1
+    if rescored.any():
+        rows, cols = np.nonzero(rescored)
+        scores = exact(rows, cols)
+        labels[rows, cols] = scores.argmin(axis=1)
+        best[rows, cols] = scores.min(axis=1)
+    return labels, best, rescored
+
+
 def _assign(
     points: np.ndarray, minus_2xt: np.ndarray, sq_points: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -276,34 +327,29 @@ def _assign(
     each set's summed squared distance of the points to their nearest
     center. ``minus_2xt`` is -2 X^T and ``sq_points`` every |x|^2.
 
-    The distances come from one batched GEMM, |c|^2 + |x|^2 - 2 C X^T.
-    That form and the exact one, sum((x - c)^2), are each within
-    (2d + 4) u S of the true distance, with u = eps / 2 and
-    S = |x|^2 + max |c|^2, so a row with only its best GEMM distance within
-    16 (d + 3) eps S of that best has the same unique exact argmin, the
-    one center inside the bound. Every other row, exact ties included, is
-    scored again in the exact form, so the labels and their first-index
-    tie-breaking are those of that form. The tiny term covers underflow; a
-    non-finite S sends the row to the exact form too.
+    The scores come from one GEMM of all R k centers, |c|^2 - 2 C X^T, the
+    distance less the column's own |x|^2, so their argmin is the
+    distances'. The scores and the exact form, sum((x - c)^2), are each within
+    (2d + 4) u S of the true distance (less |x|^2), with u = eps / 2 and
+    S = |x|^2 + max |c|^2, so ``_certified_argmin`` takes a slack of
+    16 (d + 3) eps S, plus the tiny number for underflow, and scores the
+    columns it cannot certify again in the exact form. A certified
+    column's cost is its best score plus |x|^2, a rescored one's its exact
+    distance.
     """
-    _, k, d = centers.shape
+    r, k, d = centers.shape
     sq_centers = np.einsum("rkd,rkd->rk", centers, centers)
-    table = centers @ minus_2xt
+    table = (centers.reshape(r * k, d) @ minus_2xt).reshape(r, k, -1)
     table += sq_centers[:, :, None]
-    table += sq_points
-    best = table.min(axis=1)
-    limit = (16 * (d + 3) * _EPS) * (sq_points + sq_centers.max(axis=1)[:, None]) + _TINY
-    limit += best
-    inside = table <= limit[:, None, :]
-    labels = np.einsum("rkn,k->rn", inside, np.arange(k))  # the one center inside
-    uncertain = (np.add.reduce(inside, axis=1, dtype=np.intp) != 1) | (limit == np.inf)
-    if uncertain.any():
-        rows, cols = np.nonzero(uncertain)
+    unit = 16 * (d + 3) * _EPS
+    slack = unit * sq_points + (unit * sq_centers.max(axis=1) + _TINY)[:, None]
+
+    def exact(rows, cols):
         diff = points[cols, None, :] - centers[rows]
-        exact = np.einsum("ijk,ijk->ij", diff, diff)
-        labels[rows, cols] = exact.argmin(axis=1)
-        best[rows, cols] = exact.min(axis=1)
-    return labels, best.sum(axis=1)
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    labels, best, rescored = _certified_argmin(table, slack, exact)
+    return labels, np.where(rescored, best, best + sq_points).sum(axis=1)
 
 
 def _sq_dist_to_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -312,25 +358,17 @@ def _sq_dist_to_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndar
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def wcss(points: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Within-cluster sum of squared distances to cluster means."""
-    total = 0.0
-    for j in range(k):
-        members = points[labels == j]
-        if members.shape[0] > 0:
-            total += float(((members - members.mean(axis=0)) ** 2).sum())
-    return total
-
-
 def _restart_wcss(points: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``wcss`` of every restart's labels (R, n), scored about its centers
-    (R, k, d), the means of those labels, in one pass.
+    """The within-cluster sums of squares of every restart's labels (R, n),
+    scored about its centers (R, k, d), the means of those labels, in one
+    pass.
 
     The points are ordered by (restart, label) with a stable sort, so each
     cluster's squared deviations form one contiguous block, its members in
-    index order. ``.sum()`` over a block is the pairwise sum ``wcss`` takes
-    over the cluster's (members, d) array, and the cluster sums are added in
-    label order from 0.0, so every score equals ``wcss`` to the byte.
+    index order. ``.sum()`` over a block is the pairwise sum of the
+    cluster's (members, d) array of squared deviations from its mean, and
+    the cluster sums are added in label order from 0.0, so every score is
+    that of summing one cluster at a time, to the byte.
     """
     r, n = labels.shape
     k = centers.shape[1]
@@ -353,7 +391,7 @@ def _lloyd(
     A pass's labels are a function of the labels before it (repair, means,
     assignment), so they are the checkpoint.
     """
-    minus_2xt = -2.0 * points.T
+    minus_2xt = -2.0 * np.ascontiguousarray(points.T)  # row-major for the GEMM
     sq_points = np.einsum("ij,ij->i", points, points)
     centers = _plus_plus_seed(points, k, rngs)
     labels, cost = _assign(points, minus_2xt, sq_points, centers)
@@ -454,7 +492,88 @@ def _seed_table(factors: dict, idx) -> np.ndarray:
     model alone, so this is that table's bits without factoring them again.
     """
     seeds = {key: v[idx] for key, v in factors.items()}
-    return _kl_columns(factors, seeds, lambda i, j: f"model {i}, center {j}")
+    return _kl_columns(factors, seeds, _center_pair)
+
+
+def _center_pair(i, j) -> str:
+    return f"model {i}, center {j}"
+
+
+def _vech(d: int) -> np.ndarray:
+    """The flat indices, into a row-major d x d matrix, of its upper
+    triangle row by row: where vech reads a symmetric matrix."""
+    return np.flatnonzero(np.arange(d)[:, None] <= np.arange(d))
+
+
+def _kl_features(factors: dict, vech: np.ndarray) -> np.ndarray:
+    """The models' side of ``_kl_assign``, built once per run: the
+    features F^T (t + d + 4, n), t = d (d + 1) / 2, whose column i is
+    vech(S_i + m_i m_i^T) with its off-diagonal entries doubled, then m_i,
+    then the model's rounding scales sum |S_i| + M_i^2, M_i = sum |m_i|,
+    |ln|S_i|| + d, and 1."""
+    mean, cov = factors["mean"], factors["cov"]
+    n, d = mean.shape
+    t = len(vech)
+    features = np.empty((t + d + 4, n))
+    m1 = np.abs(mean).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column is scored again
+        second = cov + mean[:, :, None] * mean[:, None, :]
+        np.take(second.reshape(n, -1), vech, axis=1, out=features[:t].T)
+        features[:t][vech % (d + 1) != 0] *= 2.0
+        features[-4] = np.abs(cov).reshape(n, -1).sum(axis=1) + m1 * m1
+    features[t:-4] = mean.T
+    features[-3] = m1
+    features[-2] = np.abs(factors["logdet"]) + d
+    features[-1] = 1.0
+    return features
+
+
+def _kl_assign(factors: dict, features: np.ndarray, centers: dict, vech: np.ndarray) -> np.ndarray:
+    """Each model's nearest center in KL, first index of ties, as the
+    argmin of ``_kl_columns(factors, centers, ...)``, from one GEMM of the
+    models' ``_kl_features``.
+
+    With P_j = R_j^T R_j, R_j the center's S_j^{-1/2} that the exact form
+    reads, 2 KL(i || j) + ln|S_i| + d is
+
+        <S_i + m_i m_i^T, P_j>_F - 2 m_i^T P_j mu_j + mu_j^T P_j mu_j + ln|S_j|,
+
+    F_i . G_j + c_j with G_j = [vech(P_j), -2 P_j mu_j] and c_j =
+    mu_j^T P_j mu_j + ln|S_j|, whose argmin over j is the row's. Every
+    |P_j| entry is at most p = max_j ||R_j||_F^2 >= ||P_j||_2, so, with
+    N = max_j sum |mu_j|, p (sum |S_i| + (M_i + N)^2) + |ln|S_i|| + d +
+    max_j |ln|S_j|| bounds |F_i| . |G_j| + |c_j| and every term of the
+    exact form, which reads S_i through its eigendecomposition and P_j
+    through R_j. It scales both forms' rounding, the exact form's
+    cond(S_j) eps among it, as p is about cond(S_j) times the size of P_j's
+    range. ``_certified_argmin`` takes 16 (d^2 + d + 1) eps times it as the
+    slack, so a center whose ridge dominates widens every row's slack and
+    sends the rows near a tie to ``_kl_columns``. The GEMM's last row is
+    that slack, from the features' scales, and a column's c_j is its weight
+    on the features' row of ones.
+    """
+    k, d = centers["mean"].shape
+    t = len(vech)
+    f = t + d
+    invroot, mean, logdet = centers["invroot"], centers["mean"], centers["logdet"]
+    prec = invroot.transpose(0, 2, 1) @ invroot
+    moment = (prec @ mean[:, :, None])[:, :, 0]
+    weights = np.zeros((k + 1, f + 4))
+    np.take(prec.reshape(k, -1), vech, axis=1, out=weights[:k, :t])
+    np.multiply(moment, -2.0, out=weights[:k, t:f])
+    weights[:k, -1] = np.einsum("kd,kd->k", mean, moment) + logdet
+    unit = 16 * (d * d + d + 1) * _EPS
+    p = unit * float(np.einsum("kab,kab->k", invroot, invroot).max())
+    far = float(np.abs(mean).sum(axis=1).max())
+    weights[k, f:] = p, 2.0 * p * far, unit, p * far * far + unit * float(np.abs(logdet).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column is scored again
+        table = weights @ features
+
+    def exact(rows, cols):
+        models = {key: factors[key][cols] for key in ("mean", "root", "logdet")}
+        return _kl_columns(models, centers, lambda i, j: f"model {cols[i]}, center {j}")
+
+    return _certified_argmin(table[None, :k], table[None, k], exact)[0][0]
 
 
 def kl_cluster(
@@ -490,25 +609,29 @@ def kl_cluster(
     else:
         seed_idx = [int(i) for i in rng.choice(n, size=k, replace=False)]
     means, covs = factors["mean"][seed_idx], factors["cov"][seed_idx]
-    table = _seed_table(factors, seed_idx)
-    labels = table.argmin(axis=1)[None]
-    objects = np.arange(n)
+    centers = {key: factors[key][seed_idx] for key in ("mean", "invroot", "logdet")}
+    vech = _vech(means.shape[1])
+    features = _kl_features(factors, vech)
+    labels = _kl_assign(factors, features, centers, vech)[None]
+
+    def own_cost(lab):
+        return _kl_pairs(factors, centers, lab, _center_pair)
 
     def update(rows):
-        nonlocal means, covs, table
+        nonlocal means, covs, centers
         means, covs = center_update(factors, labels[0], k, eps_scale)
-        table = kl_divergence_table(factors, means, covs)
+        centers = _factors(means, covs, METRIC_KL, what="center")
 
     def assign(rows):
-        new_labels = table.argmin(axis=1)
-        return new_labels[None], table[objects, new_labels].sum(keepdims=True)
+        new_labels = _kl_assign(factors, features, centers, vech)
+        return new_labels[None], own_cost(new_labels).sum(keepdims=True)
 
     def state(rows):
         raw = labels.tobytes() + means.tobytes() + covs.tobytes()
         return np.tile(np.frombuffer(raw, dtype=np.uint8), (len(rows), 1))
 
     converged, (history,), (repairs,) = _hard_cluster(
-        labels, k, lambda lab: table[objects, lab], update, assign, state, max_iter
+        labels, k, own_cost, update, assign, state, max_iter
     )
     return KlClusterResult(
         assignment=ClusterAssignment(labels[0], k),

@@ -19,12 +19,14 @@ factorization of the averaged covariances for Bhattacharyya. The matrix
 builder cuts the upper triangle, in row-major order, into blocks of whole
 rows and runs the blocks on threads (the batched LAPACK calls release
 the GIL); a scalar entry point is a batch of one through the same kernel. KL
-has one column function, one batched column per center: it builds KL
-k-means' model-to-center table, the kl matrix as that table with the models
-as their own centers, and the scalar as a one-by-one table. A matrix's
-LAPACK and BLAS calls run once per matrix whatever stack it sits in, so a
-matrix entry equals the scalar call bit for bit at any block size and
-thread count. All values are mathematically non-negative; tiny
+has one column function, one batched column per center: it builds the
+model-to-center table, the kl matrix as that table with the models as their
+own centers, and the scalar as a one-by-one table. Its pair pass evaluates
+one (model, center) pair per model in one batch with the same operations, so
+each value has its table entry's bits; KL k-means reads its assigned pairs
+through it. A matrix's LAPACK and BLAS calls run once per matrix whatever
+stack it sits in, so a matrix entry equals the scalar call bit for bit at
+any block size and thread count. All values are mathematically non-negative; tiny
 negative results from rounding are clamped to zero; a value below
 ``-NEGATIVE_CLAMP``, or one that overflowed to inf or nan, raises
 NumericalError. W2 cancels to 0 for equal models at any scale, so a W2 pair
@@ -305,9 +307,39 @@ _PAIR_KERNELS = {
 }
 
 
+def _kl_values(p: dict, invroot: np.ndarray, mean: np.ndarray, logdet) -> np.ndarray:
+    """KL(p's model i || center i), unchecked and unclamped, for centers
+    given by their S^{-1/2} (d, d) or (n, d, d), mean and log-determinant,
+    one center for every row or one per row; the trace term is
+    ||S_j^{-1/2} S_i^{1/2}||_F^2. Each row runs the same operations on the
+    same operands whether its center is shared or its own, so both give a
+    row the same bits."""
+    diff = mean - p["mean"]
+    prod = invroot @ p["root"]
+    trace = (prod**2).reshape(len(prod), -1).sum(axis=1)
+    z = (invroot @ diff[:, :, None])[:, :, 0]
+    quad = (z * z).sum(axis=1)
+    return 0.5 * (logdet - p["logdet"] - diff.shape[1] + trace + quad)
+
+
+def _kl_checked(out: np.ndarray, name, exact_diagonal: bool = False) -> np.ndarray:
+    """``out`` clamped to zero in place, or NumericalError named ``name(k)``
+    for its first entry k, in row-major order, that is non-finite or below
+    ``-NEGATIVE_CLAMP``, the diagonal left out when it is exact. Its least
+    and greatest entries tell whether any may be."""
+    if out.size and not (out.min() >= -NEGATIVE_CLAMP and out.max() < np.inf):
+        bad = _bad_values(out)
+        if exact_diagonal:
+            np.fill_diagonal(bad, False)
+        raise_first_failure(name, [
+            (bad.ravel(), NumericalError, lambda k: f"KL divergence evaluated to {out.flat[k]:.6e}"),
+        ])
+    return np.clip(out, 0.0, None, out=out)
+
+
 def _kl_columns(p: dict, q: dict, name) -> np.ndarray:
     """(len(p), len(q)) table of KL(p's model i || q's model j), one batched
-    column per j; the trace term is ||S_j^{-1/2} S_i^{1/2}||_F^2.
+    column per j.
 
     When q is p, the diagonal is exactly 0 and is not checked. A value that
     is non-finite or below ``-NEGATIVE_CLAMP`` raises NumericalError named
@@ -317,21 +349,18 @@ def _kl_columns(p: dict, q: dict, name) -> np.ndarray:
     n, m = len(p["mean"]), len(q["mean"])
     out = np.empty((n, m))
     for j in range(m):
-        invroot = q["invroot"][j]
-        diff = q["mean"][j] - p["mean"]
-        prod = invroot @ p["root"]
-        trace = (prod**2).reshape(n, -1).sum(axis=1)
-        z = (invroot @ diff[:, :, None])[:, :, 0]
-        quad = (z * z).sum(axis=1)
-        out[:, j] = 0.5 * (q["logdet"][j] - p["logdet"] - diff.shape[1] + trace + quad)
-    bad = _bad_values(out)
+        out[:, j] = _kl_values(p, q["invroot"][j], q["mean"][j], q["logdet"][j])
     if q is p:
         np.fill_diagonal(out, 0.0)
-        np.fill_diagonal(bad, False)
-    raise_first_failure(lambda k: name(*divmod(k, m)), [
-        (bad.ravel(), NumericalError, lambda k: f"KL divergence evaluated to {out.flat[k]:.6e}"),
-    ])
-    return np.clip(out, 0.0, None, out=out)
+    return _kl_checked(out, lambda k: name(*divmod(k, m)), exact_diagonal=q is p)
+
+
+def _kl_pairs(p: dict, q: dict, labels: np.ndarray, name) -> np.ndarray:
+    """KL(p's model i || q's model labels[i]) for every i, in one batched
+    pass: ``_kl_columns(p, q, name)[i, labels[i]]``, the same bits, checked
+    and clamped as that table is."""
+    out = _kl_values(p, q["invroot"][labels], q["mean"][labels], q["logdet"][labels])
+    return _kl_checked(out, lambda i: name(i, labels[i]))
 
 
 def _scalar(metric: str, a: GaussianModel, b: GaussianModel) -> float:
@@ -491,10 +520,13 @@ def kl_divergence_table(
 ) -> np.ndarray:
     """(n_models, n_centers) table of KL(model_i || center_j).
 
-    The inner loop of KL k-means, one batched column per center, as the kl
-    matrix is built. The models come as ``kl_factors(models)``,
-    the centers as stacked means (k, d) and covariances (k, d, d), factored
-    here by the same stacked ``eigh``.
+    The exact form, one batched column per center, as the kl matrix is
+    built. KL k-means assigns by a certified GEMM instead and scores with
+    these columns only the kl++ draw and the rows the GEMM cannot certify
+    (``klcluster._kl_assign``); its values are this table's entries to the
+    bit. The models come as ``kl_factors(models)``, the centers as stacked
+    means (k, d) and covariances (k, d, d), factored here by the same
+    stacked ``eigh``.
     """
     k, d = len(center_covs), factors["mean"].shape[1]
     if center_means.shape != (k, d) or center_covs.shape != (k, d, d):

@@ -82,7 +82,8 @@ def kernel_scope(threads: int | None = None):
     so no helper outlives it; the first call that needs the pool starts
     it. ``kernel_scope()`` inside an open scope is that scope. A call that
     fails by an exception escaping its blocks, such as an interrupt, shuts
-    the pool down, so the scope must end with that exception."""
+    the pool down and drops it from the scope, so a caller that catches
+    the exception inside the scope gets a new pool on its next call."""
     if threads is None and _scope.get() is not None:
         yield
         return
@@ -142,9 +143,16 @@ def run_claimed(fn, items, counter, pool, helpers: int, task) -> list:
     ``claim`` over ``counter``, and on ``helpers`` pool tasks ``task()``,
     each a ``claim`` over the same counter. Raises the lowest failing
     index's exception. An exception that escapes ``claim``, such as an
-    interrupt in the caller, sets the counter past the end, cancels the
-    helpers not yet started and is raised once the running ones return.
+    interrupt in the caller, sets the counter past the end, shuts the pool
+    down, cancelling the helpers not yet started, and is raised once the
+    running ones return.
     """
+    return _results(_claimed_outcomes(fn, items, counter, pool, helpers, task))
+
+
+def _claimed_outcomes(fn, items, counter, pool, helpers: int, task) -> dict:
+    """``run_claimed``'s claim loops: index -> (result, exception). Every
+    exception it raises has escaped a claim loop and shut ``pool`` down."""
     try:
         futures = [pool.submit(task) for _ in range(helpers)]
         outcomes = claim(fn, items, counter)
@@ -154,6 +162,11 @@ def run_claimed(fn, items, counter, pool, helpers: int, task) -> list:
         _stop(counter, len(items))
         pool.shutdown(cancel_futures=True)
         raise
+    return outcomes
+
+
+def _results(outcomes: dict) -> list:
+    """The results in index order, or the lowest failing index's exception."""
     results = []
     # every index below the lowest failing one has run
     for _, (result, exc) in sorted(outcomes.items()):
@@ -187,7 +200,12 @@ def run_blocks(work, count: int, threads: int) -> list:
 
     if scope.pool is None:
         scope.pool = ThreadPoolExecutor(scope.threads - 1, thread_name_prefix="distclust-kernel")
-    return run_claimed(work, range(count), counter, scope.pool, threads - 1, helper)
+    try:
+        outcomes = _claimed_outcomes(work, range(count), counter, scope.pool, threads - 1, helper)
+    except BaseException:
+        scope.pool = None  # shut down: the scope's next call starts another
+        raise
+    return _results(outcomes)
 
 
 def row_blocks(n: int, work, scratch: int = 0) -> list:

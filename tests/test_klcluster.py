@@ -20,10 +20,17 @@ from distclust.klcluster import (
     kl_cluster,
     klpp_seed,
     kmeans,
-    wcss,
 )
 from distclust.matrixcore import SymMatrix
-from distclust.metrics import kl_divergence, kl_divergence_table, kl_factors
+from distclust.metrics import (
+    METRIC_KL,
+    _factors,
+    _kl_columns,
+    _kl_pairs,
+    kl_divergence,
+    kl_divergence_table,
+    kl_factors,
+)
 from distclust.spectral import spectral_embedding
 from distclust.synthgen import generate_benchmark
 
@@ -322,26 +329,35 @@ class TestKlCluster:
             result = kl_cluster(models, 3, np.random.default_rng(seed), seeding=seeding)
             assert np.all(np.asarray(result.objective_history) >= 0.0)
 
-    def test_random_seeds_first_table_is_the_centers_table(self, rng, monkeypatch):
+    def test_random_seeds_first_labels_are_the_centers_tables(self, rng, monkeypatch):
         # the random seeds' factors are read off the models' stack, not
-        # factored again, and the first table keeps the bytes of the table
-        # of the seeds as centers; ridge-only fits make those factors
-        # ill-conditioned
+        # factored again, and are the factors of the seeds as centers; the
+        # first labels are the argmin of the table of the seeds as centers;
+        # ridge-only fits make those factors ill-conditioned
         models = [random_model(3, rng) for _ in range(10)] + [
             estimate_gaussians([SampleGroup(f"g{i}", rng.standard_normal((3, 7)))])[0]
             for i in range(10)
         ]
-        real, first = klcluster._kl_columns, []
-        monkeypatch.setattr(klcluster, "_kl_columns",
-                            lambda *args: first.append(real(*args)) or first[-1])
+        real, first = klcluster._kl_assign, []
+
+        def recorded(factors, features, centers, vech):
+            labels = real(factors, features, centers, vech)
+            first.append((centers, labels))
+            return labels
+
+        monkeypatch.setattr(klcluster, "_kl_assign", recorded)
         for group in (models[:10], models[10:]):
             factors = kl_factors(group)
             for seed in range(3):
                 first.clear()
                 kl_cluster(group, 4, np.random.default_rng(seed))
                 idx = np.random.default_rng(seed).choice(len(group), size=4, replace=False)
+                seeds = center_factors(factors["mean"][idx], factors["cov"][idx])
                 expected = kl_divergence_table(factors, factors["mean"][idx], factors["cov"][idx])
-                assert first[0].tobytes() == expected.tobytes()
+                centers, labels = first[0]
+                for key, value in centers.items():
+                    assert value.tobytes() == seeds[key].tobytes(), key
+                assert labels.tobytes() == expected.argmin(axis=1).tobytes()
 
     def test_objective_non_increasing_between_repairs(self, rng):
         models = [random_model(3, rng) for _ in range(25)]
@@ -420,6 +436,109 @@ class TestKlCluster:
             kl_cluster(models, 2, rng, seeding="farthest")
         with pytest.raises(InvalidConfig):
             kl_cluster(models, 2, rng, max_iter=0)
+
+
+def center_factors(means, covs):
+    """Centers as ``kl_cluster`` factors them."""
+    return _factors(np.asarray(means, dtype=float), np.asarray(covs, dtype=float), METRIC_KL,
+                    what="center")
+
+
+def gemm_assign(factors, centers):
+    """``_kl_assign``'s labels from the models' features, as a pass of a
+    run takes them, and the assigned pairs' values, as it scores them."""
+    vech = klcluster._vech(factors["mean"].shape[1])
+    labels = klcluster._kl_assign(factors, klcluster._kl_features(factors, vech), centers, vech)
+    return labels, _kl_pairs(factors, centers, labels, lambda i, j: "")
+
+
+def exact_rows(monkeypatch) -> list:
+    """The models of every ``_kl_columns`` call from now on, as their means."""
+    calls, real = [], klcluster._kl_columns
+
+    def recorded(p, q, name):
+        calls.append(p["mean"].copy())
+        return real(p, q, name)
+
+    monkeypatch.setattr(klcluster, "_kl_columns", recorded)
+    return calls
+
+
+class TestKlAssign:
+    """KL k-means' certified GEMM assignment against the exact table."""
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_vech_is_the_upper_triangle_row_by_row(self, d):
+        upper = np.ravel_multi_index(np.triu_indices(d), (d, d))
+        assert klcluster._vech(d).tolist() == upper.tolist()
+
+    @pytest.mark.parametrize("q", [3, 5, 8, 30])
+    def test_labels_and_values_are_the_tables(self, q, rng):
+        # the labels are the exact table's argmin, first index on ties, and
+        # the values its entries at the labels, to the byte; centers from
+        # random labels and models taken as centers, ridge-dominated at
+        # q = 3 and 5 (q - 1 < d = 7)
+        factors = kl_factors(estimate_gaussians(generate_benchmark(7, 5, 400, q, seed=3).groups))
+        for trial in range(6):
+            if trial < 3:
+                labels = rng.integers(0, 5, 400)
+                labels[:5] = np.arange(5)
+                centers = center_factors(*center_update(factors, labels, 5))
+            else:
+                idx = rng.choice(400, 5, replace=False)
+                centers = {key: factors[key][idx] for key in ("mean", "invroot", "logdet")}
+            table = _kl_columns(factors, centers, lambda i, j: "")
+            got, values = gemm_assign(factors, centers)
+            assert got.tobytes() == table.argmin(axis=1).tobytes(), (q, trial)
+            assert values.tobytes() == table[np.arange(400), got].tobytes(), (q, trial)
+
+    @pytest.mark.parametrize("q", [3, 30])
+    def test_pairs_are_the_columns_bits(self, q, rng):
+        # one batched pass over (model, its center) pairs gives each pair
+        # the bits of its entry in the table of batched columns
+        factors = kl_factors(estimate_gaussians(generate_benchmark(7, 5, 300, q, seed=3).groups))
+        labels = rng.integers(0, 5, 300)
+        labels[:5] = np.arange(5)
+        centers = center_factors(*center_update(factors, labels, 5))
+        table = _kl_columns(factors, centers, lambda i, j: "")
+        for lab in (labels, rng.integers(0, 5, 300)):
+            pairs = _kl_pairs(factors, centers, lab, lambda i, j: "")
+            assert pairs.tobytes() == table[np.arange(300), lab].tobytes()
+
+    def test_exact_tie_takes_the_first_center(self, monkeypatch):
+        # the model at the origin lies halfway between two centers of one
+        # covariance: both divergences and both GEMM scores are equal, so
+        # its row is scored again exactly and takes center 0; the others
+        # are certified
+        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
+        models = [model([0.0, 0.0], np.eye(2)), model([3.0, 1.0], np.eye(2)),
+                  model([-3.0, -1.0], np.eye(2))]
+        factors = kl_factors(models)
+        centers = center_factors([[1.0, 0.5], [-1.0, -0.5]], [cov, cov])
+        calls = exact_rows(monkeypatch)
+        labels, values = gemm_assign(factors, centers)
+        assert labels.tolist() == [0, 0, 1]
+        assert len(calls) == 1 and calls[0].tolist() == [[0.0, 0.0]]
+        assert values[0] == kl_divergence(models[0], GaussianModel(np.array([1.0, 0.5]), SymMatrix(cov)))
+
+    @pytest.mark.parametrize("small", [1.0, 1e-10])
+    def test_ill_conditioned_center_sends_near_ties_to_the_exact_form(self, small, monkeypatch):
+        # two centers of one covariance, 1 and 1 + 1e-10 from the model: a
+        # score gap of about 2e-10, which a well-conditioned covariance
+        # certifies; one whose smallest eigenvalue is 1e-10 (a ridge-only
+        # direction) widens the slack past it, so the row is scored again
+        # in the exact form, whose labels and values the run keeps
+        models = [model([0.0, 0.0], np.eye(2)), model([5.0, 0.0], np.eye(2))]
+        factors = kl_factors(models)
+        cov = np.diag([1.0, small])
+        centers = center_factors([[1.0, 0.0], [-1.0 - 1e-10, 0.0]], [cov, cov])
+        calls = exact_rows(monkeypatch)
+        labels, values = gemm_assign(factors, centers)
+        table = _kl_columns(factors, centers, lambda i, j: "")
+        assert labels.tobytes() == table.argmin(axis=1).tobytes()
+        assert values.tobytes() == table[np.arange(2), labels].tobytes()
+        rescored = [mean.tolist() for mean in calls]
+        assert rescored == ([] if small == 1.0 else [[[0.0, 0.0]]])
 
 
 class TestRepairEmpty:
@@ -515,7 +634,7 @@ class TestKmeans:
         points = rng.standard_normal((60, 3))
         for seed in range(5):
             assignment, diagnostics = kmeans(points, 4, np.random.default_rng(seed), restarts=3)
-            assert diagnostics == {"wcss": wcss(points, assignment.labels, 4)}
+            assert diagnostics == {"wcss": reference_wcss(points, assignment.labels, 4)}
 
     def test_deterministic(self, rng):
         points = rng.standard_normal((30, 2))
@@ -556,7 +675,7 @@ class TestKmeans:
     def test_wcss_helper(self):
         points = np.array([[0.0], [2.0], [10.0]])
         labels = np.array([0, 0, 1])
-        assert wcss(points, labels, 2) == pytest.approx(2.0)
+        assert reference_wcss(points, labels, 2) == pytest.approx(2.0)
 
     def test_overflowing_seed_weights_raise_a_typed_error(self):
         # every squared distance from the first center to a point at
@@ -582,6 +701,17 @@ class TestKmeans:
 # Lloyd's k-means as it ran one restart at a time, with the (n, k, d)
 # difference table in every assignment: the reference for the batched,
 # certified code, which must match it to the byte.
+
+
+def reference_wcss(points, labels, k):
+    """Within-cluster sum of squared distances to cluster means, one
+    cluster at a time."""
+    total = 0.0
+    for j in range(k):
+        members = points[labels == j]
+        if members.shape[0] > 0:
+            total += float(((members - members.mean(axis=0)) ** 2).sum())
+    return total
 
 
 def reference_plus_plus_seed(points, k, rng):
@@ -633,7 +763,7 @@ def reference_kmeans(points, k, rng, restarts=10, max_iter=300):
     best = None
     for r in range(restarts):
         labels, centers = reference_lloyd(points, k, np.random.default_rng(seed_base + r), max_iter)
-        final = wcss(points, labels, k)
+        final = reference_wcss(points, labels, k)
         if best is None or final < best[0]:
             best = (final, labels, centers)
     return best

@@ -668,6 +668,27 @@ class TestRunBlocks:
         assert pools == [3]
         assert not kernel_helpers()
 
+    def test_interrupted_call_leaves_its_scope_a_working_pool(self, monkeypatch):
+        # an interrupt in a caller-side block shuts the scope's pool down;
+        # the scope drops it, so a call after the caught interrupt starts a
+        # second pool instead of failing to submit to the first
+        pools = counted_pools(monkeypatch)
+        caller = threading.current_thread()
+
+        def interrupted(b):
+            if threading.current_thread() is caller:
+                raise KeyboardInterrupt
+            time.sleep(0.001)
+
+        with parallel.kernel_scope(2):
+            with pytest.raises(KeyboardInterrupt):
+                parallel.run_blocks(interrupted, 50, 2)
+            ran = []
+            parallel.run_blocks(ran.append, 50, 2)
+            assert sorted(ran) == list(range(50))
+        assert pools == [1, 1]
+        assert not kernel_helpers()
+
     def test_unset_scope_inside_a_one_thread_scope_is_that_scope(self, monkeypatch):
         monkeypatch.setenv("DISTCLUST_THREADS", "4")
         pools = counted_pools(monkeypatch)

@@ -19,6 +19,10 @@ README's "Determinism" contract that covers the item's bytes:
 The items: all six algorithms on ``generate_benchmark(7, 5, 200, 30)`` at
 seeds 1 and 2; the four algorithms that need no divergence matrix at
 n = 2000 and the two divergence spectral algorithms at n = 600, at seed 3;
+``kl`` and ``klpp`` on ``generate_benchmark(7, 5, 200, q, seed=3)`` at
+q = 3 and 8 samples per group (``<algorithm>/n=200/q=<q>/seed=3``): the
+q = 3 fits are ridge-dominated, and both runs send some rows to KL
+k-means' exact assignment; the q = 8 fits are just full rank;
 the ``wasserstein_sq``, ``bhattacharyya`` and ``kl`` matrices of the
 n = 800 fits at seed 3 (``distmat/<metric>/n=800/seed=3``, the values'
 bytes); and the report of ``bench-stock`` on the stock fixture at
@@ -46,11 +50,11 @@ def emit(tag: str, item: str, data: bytes) -> None:
     print(tag, item, hashlib.sha256(data).hexdigest(), flush=True)
 
 
-def clustered(algorithms, n: int, seed: int) -> None:
-    groups = generate_benchmark(7, 5, n, 30, seed=seed).groups
+def clustered(algorithms, n: int, seed: int, q: int = 30) -> None:
+    groups = generate_benchmark(7, 5, n, q, seed=seed).groups
     for algorithm in algorithms:
         result = run_pipeline(groups, PipelineConfig(algorithm, 5, seed=seed))
-        item = f"{algorithm}/n={n}/seed={seed}"
+        item = f"{algorithm}/n={n}/seed={seed}" if q == 30 else f"{algorithm}/n={n}/q={q}/seed={seed}"
         labels = result.assignment.labels
         numbers = {}
         partition = [numbers.setdefault(label, len(numbers)) for label in labels.tolist()]
@@ -82,6 +86,8 @@ def main() -> None:
         clustered(ALGORITHMS, 200, seed)
     clustered(("kmeans_means", "spectral_means", "kl", "klpp"), 2000, 3)
     clustered(("wasserstein_spectral", "bhattacharyya_spectral"), 600, 3)
+    for q in (3, 8):
+        clustered(("kl", "klpp"), 200, 3, q)
     matrices(800, 3)
     for threads in (1, 2):
         stock_report(threads)
