@@ -44,9 +44,11 @@ whose rounding could misorder two centers, exact ties among them, are
 scored again in the exact form, ``metrics._kl_columns``, so the labels are
 those of the exact table. The objective and the repair's costs, each
 model's KL divergence to its own center, are exact values of the assigned
-pairs (``metrics._kl_pairs``), the table's entries to the bit. The
-checkpoint is the labels and the centers, since the repair reads the last
-centers.
+pairs (``metrics._kl_pairs``), the table's entries to the bit. Only these
+exact values, a rescored row's and the assigned pairs', are checked for
+NumericalError; a certified row's KL to its other centers is never
+evaluated. The checkpoint is the labels and the centers, since the repair
+reads the last centers.
 """
 
 from dataclasses import dataclass

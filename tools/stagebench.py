@@ -19,23 +19,21 @@ script. The rows:
 Every run draws from ``default_rng(1)``. The rows run in rounds, each round
 timing every row once, so a slow spell of the machine falls on all rows
 alike; a row's time in a round is the mean of enough calls to last about
-``--batch-ms``. The file records each row's median, quartiles and number of
+``BATCH_S``. The file records each row's median, quartiles and number of
 rounds, the git revision of the ``distclust`` tree, and the machine: cores,
-the BLAS and kernel thread settings and whether the package was imported
-from cached bytecode; the ``probe`` row, a fixed mix of numpy and Python
-work, times the machine itself in the same rounds. ``--compare`` prints each
-row's ratio to another file's median, raw and over the probe's ratio,
-marked ``*`` where the two files' quartile ranges do not overlap. ``--quick`` runs one round of the n <= 200
-rows, to check that every stage still runs.
+the BLAS and kernel thread settings and the Python and numpy versions; the
+``probe`` row, a fixed mix of numpy and Python work, times the machine
+itself in the same rounds. ``--compare`` prints each row's ratio to
+another file's median, raw and over the probe's ratio, marked ``*`` where
+the two files' quartile ranges do not overlap. ``--quick`` runs one round
+of the n <= 200 rows, to check that every stage still runs.
 """
 
 import argparse
-import importlib.util
 import json
 import os
 import platform
 import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -49,6 +47,8 @@ from distclust.synthgen import generate_benchmark
 
 STOCK_CSV = Path(__file__).resolve().parent.parent / "tests" / "data" / "stocks_ohlc.csv"
 ENV_KEYS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "DISTCLUST_THREADS")
+# seconds of calls that make one row's time in a round
+BATCH_S = 0.020
 
 
 def inputs(sizes) -> dict:
@@ -80,17 +80,17 @@ def rows(sizes) -> dict:
     return out
 
 
-def calls_per_batch(fn, batch_s: float) -> int:
-    """Calls of ``fn`` that take about ``batch_s``, after one warm-up call."""
+def calls_per_batch(fn) -> int:
+    """Calls of ``fn`` that take about ``BATCH_S``, after one warm-up call."""
     fn()
     start = time.perf_counter()
     fn()
     once = time.perf_counter() - start
-    return max(1, round(batch_s / max(once, 1e-9)))
+    return max(1, round(BATCH_S / max(once, 1e-9)))
 
 
-def measure(calls: dict, rounds: int, batch_s: float) -> dict:
-    counts = {name: calls_per_batch(fn, batch_s) for name, fn in calls.items()}
+def measure(calls: dict, rounds: int) -> dict:
+    counts = {name: calls_per_batch(fn) for name, fn in calls.items()}
     times = {name: [] for name in calls}
     for _ in range(rounds):
         for name, fn in calls.items():
@@ -130,15 +130,10 @@ def revision() -> dict:
 
 
 def machine() -> dict:
-    source = Path(klcluster.__file__)
-    cached = Path(importlib.util.cache_from_source(str(source)))
     return {
         "cpus": os.cpu_count(),
         "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "env": {key: os.environ.get(key) for key in ENV_KEYS},
-        # a cached module imports without compiling, which lowers the import's memory peak
-        "bytecode_cached": cached.exists() and cached.stat().st_mtime >= source.stat().st_mtime,
-        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
@@ -166,7 +161,6 @@ def compare(current: dict, other: dict) -> None:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=21)
-    parser.add_argument("--batch-ms", type=float, default=20.0)
     parser.add_argument("--quick", action="store_true", help="one round of the n <= 200 rows")
     parser.add_argument("--out", help="write the JSON here")
     parser.add_argument("--compare", help="a file this script wrote, to print ratios against")
@@ -174,7 +168,7 @@ def main(argv=None) -> None:
     sizes = (40, 200) if args.quick else (40, 200, 2000)
     rounds = 1 if args.quick else args.rounds
     result = {**revision(), "machine": machine(),
-              "rows": measure(rows(sizes), rounds, args.batch_ms / 1e3)}
+              "rows": measure(rows(sizes), rounds)}
     text = json.dumps(result, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
